@@ -12,6 +12,8 @@ Drazin {2,5,1k}, Moore-Penrose {1,2,3,4}, core {1,2,3,6,7},
 dual core {1,2,4,8,9}.
 """
 
+from math import gcd
+
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
 from .ideals import LEFT, RIGHT, annihilator, principal
@@ -149,14 +151,20 @@ def _validated(name, a, x, equations, k=None, extra=None):
 
 
 def any_inner(a):
-    """Some x with axa = a, or None.  Constructive on matrix rings."""
+    """Some x with axa = a, or None.  Constructive on both backends.
+
+    On Z_n, axa = a reads a^2 x = a (mod n); the answer is its least
+    solution, the first inner inverse in canonical order.
+    """
     ring = a.ring
     if isinstance(ring, MatrixRing):
         return _matrix_inner(a)
-    for x in ring.elements():
-        if a * x * a == a:
-            return x
-    return None
+    n, v = ring.n, a.payload
+    g = gcd(v * v, n)
+    if v % g:
+        return None
+    m = n // g
+    return ring.element(v // g * pow(v * v // g, -1, m) % m)
 
 
 def _matrix_inner(a):
@@ -217,15 +225,27 @@ def reflexive_inverse(a):
     return _validated("reflexive", a, g * a * g, ("1", "2"))
 
 
+def _zn_split(a):
+    """(n0, n1) with n = n0 n1 coprime, a nilpotent mod n0, a unit mod n1.
+
+    n0 = gcd(a^L, n) with L = bit_length(n) collects every prime power of
+    n whose prime divides a, so n is never factored.
+    """
+    n = a.ring.n
+    n0 = gcd(pow(a.payload, n.bit_length(), n), n)
+    return n0, n // n0
+
+
 def drazin_index(a):
-    """Least k >= 0 with rank/power stabilisation; None if no Drazin inverse.
+    """Least k >= 0 with a^k in a^(k+1)R; every element has one.
 
     On matrix rings this is the least k with rank(a^k) = rank(a^(k+1)).
-    On finite rings it is the least k for which a^k lies in the cycle of the
-    power sequence of a (always defined).
+    On Z_n it is the least k with a^k = 0 (mod n0), see _zn_split.  On
+    finite rings both equal the preperiod of the power sequence
+    a^0, a^1, ...
     """
     ring = a.ring
-    if isinstance(ring, MatrixRing) and not ring.finite:
+    if isinstance(ring, MatrixRing):
         prev = rank(ring.field, ring.one.payload)
         power = ring.one
         for k in range(ring.k + 1):
@@ -235,41 +255,35 @@ def drazin_index(a):
             prev = nxt
             power = power * a
         return ring.k
-    # finite ring: find preperiod of the power sequence a^0, a^1, ...
-    seen = {}
-    power = ring.one
-    i = 0
-    while power not in seen:
-        seen[power] = i
-        power = power * a
-        i += 1
-    return seen[power]
+    n0, _ = _zn_split(a)
+    k = 0
+    while pow(a.payload, k, n0):
+        k += 1
+    return k
 
 
 def drazin_inverse(a):
+    """a^D: the unique x in a{2,5,1k} for k the Drazin index.
+
+    Over a field a^D = a^l (a^(2l+1))^(1) a^l with l = max(k, 1); on Z_n
+    it is the CRT of 0 mod n0 and a^-1 mod n1 (see _zn_split).
+    """
     ring = a.ring
     k = drazin_index(a)
-    eqs = ("2", "5", "1k")
-    if isinstance(ring, MatrixRing) and not ring.finite:
+    if isinstance(ring, MatrixRing):
         l = max(k, 1)
-        g = any_inner(a ** (2 * l + 1))
-        x = a ** l * g * a ** l
-        return _validated("drazin", a, x, eqs, k=k, extra={"index": k})
-    for x in ring.elements():
-        if satisfies(a, x, eqs, k=k):
-            return InverseReport("drazin", True, x, satisfied=eqs,
-                                 extra={"index": k})
-    return InverseReport("drazin", False, reason="no Drazin inverse",
-                         extra={"index": k})
+        x = a ** l * any_inner(a ** (2 * l + 1)) * a ** l
+    else:
+        n0, n1 = _zn_split(a)
+        x = ring.element(n0 * pow(a.payload * n0, -1, n1))
+    return _validated("drazin", a, x, ("2", "5", "1k"), k=k,
+                      extra={"index": k})
 
 
 def group_inverse(a):
     rep = drazin_inverse(a)
-    idx = rep.extra.get("index")
-    if not rep.exists:
-        return InverseReport("group", False, reason=rep.reason,
-                             extra=rep.extra)
-    if idx is not None and idx > 1:
+    idx = rep.extra["index"]
+    if idx > 1:
         return InverseReport(
             "group", False,
             reason="index is %d > 1, so a{1,2,5} is empty" % idx,
@@ -326,18 +340,31 @@ def moore_penrose(a):
                       ("1", "2", "3", "4"))
 
 
-def _unique_by_enumeration(name, a, equations):
-    for x in iter_inverse_set(a, equations):
-        return _validated(name, a, x, equations)
-    return InverseReport(name, False,
-                         reason="no element satisfies {%s}"
-                         % ",".join(equations))
+def _inner_13(a):
+    """a^(1,3) = (a* a)^(1) a*, or None when rank(a* a) < rank(a).
+
+    The mirror a^(1,4) = a* (a a*)^(1) is _inner_13(a.star).star.
+    """
+    field, astar = a.ring.field, a.star
+    ata = astar * a
+    if rank(field, ata.payload) != rank(field, a.payload):
+        return None
+    return any_inner(ata) * astar
+
+
+def _no_core_type(name, a, equations, grp):
+    if a.ring.finite:
+        reason = "no element satisfies {%s}" % ",".join(equations)
+    else:  # over Q a^(1,3) and a^(1,4) always exist
+        reason = grp.reason
+    return InverseReport(name, False, reason=reason)
 
 
 def core_inverse(a):
     """a^core: the unique element of a{1,2,3,6,7}, when it exists.
 
-    On finite rings by enumeration; over Q-matrices as a^# a a^dagger,
+    a^core = a^# a a^(1,3), so it exists iff a^# exists and
+    rank(a* a) = rank(a) (Rakic, Dincic and Djordjevic, LAA 463, 2014);
     re-validated against the defining equations.
     """
     ring = a.ring
@@ -345,22 +372,18 @@ def core_inverse(a):
         raise UnsupportedInvolutionError(
             "core inverse needs an involution; %s has none" % ring.short_name)
     eqs = ("1", "2", "3", "6", "7")
-    if ring.finite:
-        return _unique_by_enumeration("core", a, eqs)
     grp = group_inverse(a)
-    if not grp.exists:
-        return InverseReport("core", False, reason=grp.reason)
-    mp = moore_penrose(a)
-    if not mp.exists:  # pragma: no cover - MP always exists over Q
-        return InverseReport("core", False, reason=mp.reason)
-    return _validated("core", a, grp.value * a * mp.value, eqs)
+    g13 = _inner_13(a) if grp.exists else None
+    if g13 is None:
+        return _no_core_type("core", a, eqs, grp)
+    return _validated("core", a, grp.value * a * g13, eqs)
 
 
 def dual_core_inverse(a):
     """a_core: the unique element of a{1,2,4,8,9}, when it exists.
 
-    On finite rings by enumeration; over Q-matrices as a^dagger a a^#,
-    re-validated against the defining equations.
+    a_core = a^(1,4) a a^#, so it exists iff a^# exists and
+    rank(a a*) = rank(a); re-validated against the defining equations.
     """
     ring = a.ring
     if not ring.has_involution:
@@ -368,15 +391,11 @@ def dual_core_inverse(a):
             "dual core inverse needs an involution; %s has none"
             % ring.short_name)
     eqs = ("1", "2", "4", "8", "9")
-    if ring.finite:
-        return _unique_by_enumeration("dual-core", a, eqs)
     grp = group_inverse(a)
-    if not grp.exists:
-        return InverseReport("dual-core", False, reason=grp.reason)
-    mp = moore_penrose(a)
-    if not mp.exists:  # pragma: no cover - MP always exists over Q
-        return InverseReport("dual-core", False, reason=mp.reason)
-    return _validated("dual-core", a, mp.value * a * grp.value, eqs)
+    g14 = _inner_13(a.star) if grp.exists else None
+    if g14 is None:
+        return _no_core_type("dual-core", a, eqs, grp)
+    return _validated("dual-core", a, g14.star * a * grp.value, eqs)
 
 
 NAMED_INVERSES = {
@@ -454,12 +473,7 @@ def classify_projector_relations(a, x):
     idx = drazin_index(a)
     l = max(idx, 1)
     al = a ** l
-    rep = drazin_inverse(a) if ring.finite else None
-    if ring.finite:
-        is_drazin = rep.exists and rep.value == x
-    else:
-        is_drazin = satisfies(a, x, ("2", "5", "1k"), k=idx)
-    out["drazin"] = block(is_drazin, {
+    out["drazin"] = block(satisfies(a, x, ("2", "5", "1k"), k=idx), {
         "phi_ax=phi_xa=rho_{a^lR,rann(a^l)}+xR<=a^lR":
             ax == xa
             and phi_equals_projector(ax, p(al, RIGHT), ann(al, RIGHT))

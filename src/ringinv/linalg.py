@@ -141,10 +141,6 @@ def mat_add(field, a, b):
     return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
 
-def mat_sub(field, a, b):
-    return tuple(tuple(field.sub(x, y) for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
 def mat_neg(field, a):
     return tuple(tuple(field.neg(x) for x in r) for r in a)
 
@@ -160,9 +156,6 @@ def mat_mul(field, a, b):
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
-
-def mat_scale(field, c, a):
-    return tuple(tuple(field.mul(c, x) for x in r) for r in a)
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()

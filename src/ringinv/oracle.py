@@ -668,6 +668,17 @@ def _check_regular_idempotent_ideals(ring):
             lambda a=a: special.regular_reflexive_iff_idempotent_ideals(a))
 
 
+def _power_preperiod(a):
+    """Least k with a^k in the cycle of a^0, a^1, ...: the Drazin index
+    of an element of a finite ring, from its definition."""
+    seen = {}
+    power = a.ring.one
+    while power not in seen:
+        seen[power] = len(seen)
+        power = power * a
+    return seen[power]
+
+
 def _check_named_inverses(ring):
     for a in _elements(ring):
         label = "a=%s" % ring.render(a)
@@ -679,15 +690,15 @@ def _check_named_inverses(ring):
                     (grp.exists and grp.value != want[0]):
                 raise VerificationError("group inverse mismatch")
             drz = drazin_inverse(a)
+            if not drz.exists:
+                raise VerificationError("Drazin inverse missing")
             k = drazin_index(a)
-            if (drz.exists != (k is not None)):
-                raise VerificationError("Drazin existence mismatch")
-            if drz.exists:
-                wantd = brute_force_set(
-                    a, lambda x: satisfies(a, x, ("2", "5", "1k"),
-                                           k=max(k, 1)))
-                if wantd != [drz.value]:
-                    raise VerificationError("Drazin inverse mismatch")
+            if k != _power_preperiod(a):
+                raise VerificationError("Drazin index mismatch")
+            wantd = brute_force_set(
+                a, lambda x: satisfies(a, x, ("2", "5", "1k"), k=max(k, 1)))
+            if wantd != [drz.value]:
+                raise VerificationError("Drazin inverse mismatch")
             if ring.has_involution:
                 for rep, eqs in (
                         (moore_penrose(a), ("1", "2", "3", "4")),

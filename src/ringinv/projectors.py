@@ -36,18 +36,6 @@ class Projector:
     def is_unit_idempotent(self):
         return self.unit * self.unit == self.unit
 
-    @property
-    def unit_image(self):
-        return self.unit
-
-    def orthogonality(self):
-        """Flags {right_orthogonal, left_orthogonal}: S perp T per flavor."""
-        from .ideals import LEFT, orthogonal
-        return {
-            "right_orthogonal": orthogonal(self.onto, self.along, RIGHT),
-            "left_orthogonal": orthogonal(self.onto, self.along, LEFT),
-        }
-
     def is_orthogonal(self):
         """Whether rho(1) is symmetric (needs an involution)."""
         ring = self.onto.ring
@@ -66,14 +54,6 @@ def projector(s, t):
     if w is None:
         return None
     return Projector(s, t, w)
-
-
-projector_from_sum = projector
-
-
-def projector_orthogonality(rho):
-    """Flags {right_orthogonal, left_orthogonal} for rho_{S,T}."""
-    return rho.orthogonality()
 
 
 def projector_from_idempotent(p, side):

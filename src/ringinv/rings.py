@@ -84,9 +84,6 @@ class Ring:
     def size(self):
         raise NotEnumerableError("%s is not enumerable" % self.short_name)
 
-    def star_available(self):
-        return self.has_involution
-
 
 class ModularRing(Ring):
     """Z_n under addition and multiplication mod n.  No involution."""

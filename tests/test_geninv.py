@@ -1,18 +1,19 @@
 """Named generalized inverses and equation-set enumeration."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringinv.errors import UnsupportedInvolutionError
-from ringinv.geninv import (classify_projector_relations, core_inverse,
-                            drazin_index, drazin_inverse, dual_core_inverse,
-                            enumerate_inverse_set, group_inverse,
-                            inner_inverse, moore_penrose, parse_equations,
-                            reflexive_inverse, satisfies)
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.geninv import (any_inner, classify_projector_relations,
+                            core_inverse, drazin_index, drazin_inverse,
+                            dual_core_inverse, enumerate_inverse_set,
+                            group_inverse, inner_inverse, moore_penrose,
+                            parse_equations, reflexive_inverse, satisfies)
+from ringinv.rings import MatF, MatQ, ModularRing, Zn, ring_from_name
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -168,3 +169,82 @@ def test_drazin_inverse_properties(a):
     assert x * a == a * x
     assert x * a * x == x
     assert x * a ** (k + 1) == a ** k
+
+
+def _preperiod(a):
+    """Least k with a^k in the cycle of the power sequence of a."""
+    seen = {}
+    power = a.ring.one
+    while power not in seen:
+        seen[power] = len(seen)
+        power = power * a
+    return seen[power]
+
+
+def _assert_agrees_with_brute_force(a, elements):
+    k = _preperiod(a)
+    drz = drazin_inverse(a)
+    assert drazin_index(a) == drz.extra["index"] == k
+    assert [x for x in elements
+            if satisfies(a, x, ("2", "5", "1k"), k=k)] == [drz.value]
+    named = [(group_inverse, ("1", "2", "5"))]
+    if a.ring.has_involution:
+        named += [(core_inverse, ("1", "2", "3", "6", "7")),
+                  (dual_core_inverse, ("1", "2", "4", "8", "9"))]
+    for fn, eqs in named:
+        rep = fn(a)
+        sols = [x for x in elements if satisfies(a, x, eqs)]
+        assert sols == ([rep.value] if rep.exists else []), (fn, a)
+    if isinstance(a.ring, ModularRing):
+        first = next((x for x in elements if a * x * a == a), None)
+        assert any_inner(a) == first
+
+
+@pytest.mark.parametrize("name", ["m2f3", "zn:12", "zn:30", "zn:36",
+                                  "zn:72", "zn:97"])
+def test_named_inverses_agree_with_brute_force_exhaustively(name):
+    ring = ring_from_name(name)
+    elements = ring.elements()
+    for a in elements:
+        _assert_agrees_with_brute_force(a, elements)
+
+
+def test_named_inverses_agree_with_brute_force_on_m2f5_sample():
+    elements = MatF(2, 5).elements()
+    for a in random.Random(2014).sample(elements, 48):
+        _assert_agrees_with_brute_force(a, elements)
+
+
+# 2^3 * 3^2 * 13 * 1000003 * 1000000007: 18 digits, repeated prime factors.
+BIG_N = 936002814552019656
+# element -> (Drazin index = nilpotency index modulo n0, regular?)
+BIG_CASES = {
+    0: (1, True),
+    5: (0, True),
+    BIG_N - 1: (0, True),
+    6: (3, False),
+    12 * 1000000007: (2, False),
+    13 * 1000003: (1, True),
+}
+
+
+def test_large_modulus_needs_no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    ring = Zn(BIG_N)
+    for value, (index, regular) in BIG_CASES.items():
+        a = ring.element(value)
+        assert drazin_index(a) == index
+        drz = drazin_inverse(a)
+        assert drz.exists
+        assert satisfies(a, drz.value, ("2", "5", "1k"), k=index)
+        grp = group_inverse(a)
+        assert grp.exists == (index <= 1)
+        if grp.exists:
+            assert satisfies(a, grp.value, ("1", "2", "5"))
+        inner, refl = inner_inverse(a), reflexive_inverse(a)
+        assert inner.exists == refl.exists == regular
+        if regular:
+            assert satisfies(a, inner.value, ("1",))
+            assert satisfies(a, refl.value, ("1", "2"))
