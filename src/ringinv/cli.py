@@ -41,20 +41,26 @@ def parse_ring(spec):
             except ValueError as exc:
                 raise UsageError(str(exc))
         spec = json.loads(text)
-    kind = spec.get("kind")
-    if kind == "zn":
-        return Zn(int(spec["n"]))
-    if kind == "matrix":
-        k = int(spec["size"])
-        scalars = spec.get("scalars", {})
-        skind = scalars.get("kind")
-        involution = spec.get("involution", "transpose")
-        if involution != "transpose":
-            raise UsageError("only the transpose involution is supported")
-        if skind == "q":
-            return MatQ(k)
-        if skind in ("fp", "f", "gf"):
-            return MatF(k, int(scalars["p"]))
+    try:
+        kind = spec.get("kind")
+        if kind == "zn":
+            return Zn(int(spec["n"]))
+        if kind == "matrix":
+            k = int(spec["size"])
+            scalars = spec.get("scalars", {})
+            skind = scalars.get("kind")
+            involution = spec.get("involution", "transpose")
+            if involution != "transpose":
+                raise UsageError(
+                    "only the transpose involution is supported")
+            if skind == "q":
+                return MatQ(k)
+            if skind in ("fp", "f", "gf"):
+                return MatF(k, int(scalars["p"]))
+    except KeyError as exc:
+        raise UsageError("ring spec %r is missing key %s" % (spec, exc))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError("bad ring spec %r: %s" % (spec, exc))
     raise UsageError("unknown ring spec %r" % (spec,))
 
 
@@ -75,14 +81,16 @@ def _parse_ideal(ring, side, desc):
                          "got %r" % (desc,))
     key, val = next(iter(desc.items()))
     if key == "principal":
-        return principal(ring.parse(val), side)
+        return principal(parse_element(ring, val), side)
     if key == "annihilator":
-        return annihilator(ring.parse(val), side)
+        return annihilator(parse_element(ring, val), side)
     if key == "set":
         if not ring.finite:
             raise UsageError("extensional ideals need a finite ring")
+        if not isinstance(val, list):
+            raise UsageError("a set ideal needs a list of elements")
         return SidedIdeal.from_elements(
-            ring, side, [ring.parse(v) for v in val])
+            ring, side, [parse_element(ring, v) for v in val])
     if key in ("colspace", "rowspace", "span"):
         if not isinstance(ring, MatrixRing):
             raise UsageError("vector-span ideals need a matrix ring")
@@ -294,6 +302,16 @@ _JOB_FLAGS = {
 }
 
 
+def _read_job(path):
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError("cannot read job file: %s" % exc)
+
+
 def _args_from_job(text):
     try:
         job = json.loads(text)
@@ -349,9 +367,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if args.job is not None:
-            text = sys.stdin.read() if args.job == "-" else \
-                open(args.job).read()
-            args = _args_from_job(text)
+            args = _args_from_job(_read_job(args.job))
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE

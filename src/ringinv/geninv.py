@@ -19,7 +19,7 @@ from .errors import (NotEnumerableError, PreconditionError,
 from .ideals import LEFT, RIGHT, annihilator, principal
 from .linalg import mat_inverse, mat_mul, rank, rref, transpose
 from .projectors import phi_equals_projector
-from .rings import MatrixRing, RingElement
+from .rings import MatrixRing, RingElement, least_solution_mod
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -159,12 +159,9 @@ def any_inner(a):
     ring = a.ring
     if isinstance(ring, MatrixRing):
         return _matrix_inner(a)
-    n, v = ring.n, a.payload
-    g = gcd(v * v, n)
-    if v % g:
-        return None
-    m = n // g
-    return ring.element(v // g * pow(v * v // g, -1, m) % m)
+    v = a.payload
+    x = least_solution_mod(v * v, v, ring.n)
+    return None if x is None else ring.element(x)
 
 
 def _matrix_inner(a):

@@ -1,19 +1,23 @@
 """One-sided ideals: principal ideals, annihilators, and lattice operations.
 
-Two representations:
-  * extensional -- frozenset of elements; canonical for Z_n;
-  * subspace    -- canonical for matrix rings.  A right ideal of M_k(F) is
+One representation per backend:
+  * divisor  -- Z_n.  Every ideal is dZ_n for exactly one d | n (both sides
+    coincide): aR = gcd(a, n)Z_n, rann(a) = (n/gcd(a, n))Z_n, sum is gcd,
+    intersection is lcm and membership is divisibility, so no operation
+    enumerates the ring;
+  * subspace -- matrix rings.  A right ideal of M_k(F) is
     {x : colspace(x) <= V} for a subspace V of F^k; a left ideal is
     {x : rowspace(x) <= W}.  All lattice operations reduce to exact
     subspace computations.
 """
 
 from itertools import product
+from math import gcd, isqrt, lcm
 
 from .errors import (NotEnumerableError, PreconditionError, RingMismatchError,
                      UnsupportedInvolutionError)
-from .linalg import (Subspace, full_subspace, identity, is_direct_sum,
-                     mat_mul, projection_matrix, transpose, zero_subspace)
+from .linalg import (Subspace, full_subspace, is_direct_sum, mat_mul,
+                     projection_matrix, transpose, zero_subspace)
 from .rings import MatrixRing, ModularRing, RingElement
 
 RIGHT = "right"
@@ -23,16 +27,16 @@ LEFT = "left"
 class SidedIdeal:
     """A left or right ideal of a ring."""
 
-    __slots__ = ("ring", "side", "elems", "subspace")
+    __slots__ = ("ring", "side", "divisor", "subspace")
 
-    def __init__(self, ring, side, elems=None, subspace=None):
+    def __init__(self, ring, side, divisor=None, subspace=None):
         if side not in (LEFT, RIGHT):
             raise ValueError("side must be 'left' or 'right'")
         self.ring = ring
         self.side = side
-        self.elems = elems          # frozenset of RingElement, or None
+        self.divisor = divisor      # d | n for the ideal dZ_n, or None
         self.subspace = subspace    # Subspace, or None
-        if (elems is None) == (subspace is None):
+        if (divisor is None) == (subspace is None):
             raise ValueError("exactly one representation required")
 
     # -- constructors --------------------------------------------------
@@ -53,50 +57,34 @@ class SidedIdeal:
                 rows = a.payload if side == RIGHT else transpose(a.payload)
                 vecs.extend(transpose(rows))  # columns span col/rowspace
             return cls(ring, side, subspace=Subspace(field, k, tuple(vecs)))
-        # extensional closure: additive span of one-sided multiples
-        gens = set(elements)
-        multiples = {g * r if side == RIGHT else r * g
-                     for g in gens for r in ring.elements()}
-        closure = {ring.zero}
-        frontier = [ring.zero]
-        while frontier:
-            x = frontier.pop()
-            for m in multiples:
-                y = x + m
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        return cls(ring, side, elems=frozenset(closure))
+        return cls(ring, side,
+                   divisor=gcd(ring.n, *(a.payload for a in elements)))
 
     # -- basic predicates ----------------------------------------------
-
-    @property
-    def is_extensional(self):
-        return self.elems is not None
 
     def contains(self, a):
         if a.ring != self.ring:
             raise RingMismatchError("element of a different ring")
-        if self.is_extensional:
-            return a in self.elems
+        if self.divisor is not None:
+            return a.payload % self.divisor == 0
         v = self.subspace
         rows = a.payload if self.side == RIGHT else transpose(a.payload)
         return all(v.contains(col) for col in transpose(rows))
 
     def is_zero(self):
-        if self.is_extensional:
-            return self.elems == frozenset({self.ring.zero})
+        if self.divisor is not None:
+            return self.divisor == self.ring.n
         return self.subspace.dim == 0
 
     def is_full(self):
-        if self.is_extensional:
-            return len(self.elems) == self.ring.size
+        if self.divisor is not None:
+            return self.divisor == 1
         return self.subspace.dim == self.subspace.ambient
 
     def is_subideal_of(self, other):
         self._compatible(other)
-        if self.is_extensional:
-            return self.elems <= other.elems
+        if self.divisor is not None:
+            return self.divisor % other.divisor == 0
         return self.subspace.is_subspace_of(other.subspace)
 
     def _compatible(self, other):
@@ -108,48 +96,43 @@ class SidedIdeal:
     def __eq__(self, other):
         if not isinstance(other, SidedIdeal):
             return NotImplemented
-        if other.ring != self.ring or other.side != self.side:
-            return False
-        if self.is_extensional != other.is_extensional:
-            return frozenset(self.members()) == frozenset(other.members())
-        if self.is_extensional:
-            return self.elems == other.elems
-        return self.subspace == other.subspace
+        return (other.ring == self.ring and other.side == self.side
+                and other.divisor == self.divisor
+                and other.subspace == self.subspace)
 
     def __hash__(self):
-        if self.is_extensional:
-            return hash((self.ring, self.side, self.elems))
-        return hash((self.ring, self.side, self.subspace))
+        return hash((self.ring, self.side, self.divisor, self.subspace))
 
     def __repr__(self):
         tag = "R" if self.side == RIGHT else "L"
-        if self.is_extensional:
-            return "Ideal[%s](%d elems)" % (tag, len(self.elems))
+        if self.divisor is not None:
+            return "Ideal[%s](%dZ_%d)" % (tag, self.divisor, self.ring.n)
         return "Ideal[%s](dim %d)" % (tag, self.subspace.dim)
 
     # -- lattice operations ----------------------------------------------
 
     def sum(self, other):
         self._compatible(other)
-        if self.is_extensional:
-            elems = frozenset(x + y for x in self.elems for y in other.elems)
-            return SidedIdeal(self.ring, self.side, elems=elems)
+        if self.divisor is not None:
+            return SidedIdeal(self.ring, self.side,
+                              divisor=gcd(self.divisor, other.divisor))
         return SidedIdeal(self.ring, self.side,
                           subspace=self.subspace.sum(other.subspace))
 
     def intersect(self, other):
         self._compatible(other)
-        if self.is_extensional:
+        if self.divisor is not None:
             return SidedIdeal(self.ring, self.side,
-                              elems=self.elems & other.elems)
+                              divisor=lcm(self.divisor, other.divisor))
         return SidedIdeal(self.ring, self.side,
                           subspace=self.subspace.intersect(other.subspace))
 
     def members(self):
         """All elements in canonical order (finite rings only)."""
         ring = self.ring
-        if self.is_extensional:
-            return sorted(self.elems, key=ring.sort_key)
+        if self.divisor is not None:
+            return [RingElement(ring, v)
+                    for v in range(0, ring.n, self.divisor)]
         if not ring.finite:
             raise NotEnumerableError("ideal of an infinite ring")
         field, k = ring.field, ring.k
@@ -163,9 +146,9 @@ class SidedIdeal:
         return sorted(set(out), key=ring.sort_key)
 
     def size(self):
-        if self.is_extensional:
-            return len(self.elems)
         ring = self.ring
+        if self.divisor is not None:
+            return ring.n // self.divisor
         if not ring.finite:
             raise NotEnumerableError("ideal of an infinite ring")
         return len(self.subspace.vectors()) ** ring.k
@@ -181,8 +164,7 @@ def principal(a, side):
         rows = a.payload if side == RIGHT else transpose(a.payload)
         v = Subspace(field, k, transpose(rows))
         return SidedIdeal(ring, side, subspace=v)
-    elems = frozenset(a * r for r in ring.elements())
-    return SidedIdeal(ring, side, elems=elems)
+    return SidedIdeal(ring, side, divisor=gcd(a.payload, ring.n))
 
 
 def annihilator(a, side):
@@ -194,11 +176,7 @@ def annihilator(a, side):
         m = a.payload if side == RIGHT else transpose(a.payload)
         v = Subspace(field, k, nullspace_basis(field, m))
         return SidedIdeal(ring, side, subspace=v)
-    if side == RIGHT:
-        elems = frozenset(r for r in ring.elements() if a * r == ring.zero)
-    else:
-        elems = frozenset(r for r in ring.elements() if r * a == ring.zero)
-    return SidedIdeal(ring, side, elems=elems)
+    return SidedIdeal(ring, side, divisor=ring.n // gcd(a.payload, ring.n))
 
 
 def ideal_annihilator(ideal, side):
@@ -223,27 +201,21 @@ def ideal_annihilator(ideal, side):
         if ideal.subspace.dim == 0:
             return SidedIdeal(ring, side, subspace=full_subspace(field, k))
         return SidedIdeal(ring, side, subspace=zero_subspace(field, k))
-    if side == RIGHT:
-        elems = frozenset(r for r in ring.elements()
-                          if all(s * r == ring.zero for s in ideal.elems))
-    else:
-        elems = frozenset(r for r in ring.elements()
-                          if all(r * s == ring.zero for s in ideal.elems))
-    return SidedIdeal(ring, side, elems=elems)
+    return SidedIdeal(ring, side, divisor=ring.n // ideal.divisor)
 
 
 def zero_ideal(ring, side):
     if isinstance(ring, MatrixRing):
         return SidedIdeal(ring, side,
                           subspace=zero_subspace(ring.field, ring.k))
-    return SidedIdeal(ring, side, elems=frozenset({ring.zero}))
+    return SidedIdeal(ring, side, divisor=ring.n)
 
 
 def full_ideal(ring, side):
     if isinstance(ring, MatrixRing):
         return SidedIdeal(ring, side,
                           subspace=full_subspace(ring.field, ring.k))
-    return SidedIdeal(ring, side, elems=frozenset(ring.elements()))
+    return SidedIdeal(ring, side, divisor=1)
 
 
 # -- maps on ideals ----------------------------------------------------
@@ -254,11 +226,8 @@ def multiply_ideal(a, ideal):
     if isinstance(ring, MatrixRing):
         m = a.payload if ideal.side == RIGHT else transpose(a.payload)
         return SidedIdeal(ring, ideal.side, subspace=ideal.subspace.image(m))
-    if ideal.side == RIGHT:
-        elems = frozenset(a * s for s in ideal.elems)
-    else:
-        elems = frozenset(s * a for s in ideal.elems)
-    return SidedIdeal(ring, ideal.side, elems=elems)
+    return SidedIdeal(ring, ideal.side,
+                      divisor=gcd(a.payload * ideal.divisor, ring.n))
 
 
 def phi_preimage(a, ideal):
@@ -269,74 +238,67 @@ def phi_preimage(a, ideal):
         m = a.payload if ideal.side == RIGHT else transpose(a.payload)
         return SidedIdeal(ring, ideal.side,
                           subspace=ideal.subspace.preimage(m))
-    if ideal.side == RIGHT:
-        elems = frozenset(r for r in ring.elements() if (a * r) in ideal.elems)
-    else:
-        elems = frozenset(r for r in ring.elements() if (r * a) in ideal.elems)
-    return SidedIdeal(ring, ideal.side, elems=elems)
+    # d | ar iff d/gcd(a, d) divides r
+    d = ideal.divisor
+    return SidedIdeal(ring, ideal.side, divisor=d // gcd(a.payload, d))
 
 
 # -- direct sums and projector units -----------------------------------
 
 class DirectSumWitness:
-    """Witness for R = S (+) T with an exact decomposition map."""
+    """Witness for R = S (+) T, carried by the projector unit rho_{S,T}(1).
 
-    __slots__ = ("first", "second", "_proj")
+    For right ideals rho(r) = rho(1) r; for left ideals rho(r) = r rho(1).
+    """
 
-    def __init__(self, first, second, proj=None):
+    __slots__ = ("first", "second", "_unit")
+
+    def __init__(self, first, second, unit):
         self.first = first
         self.second = second
-        self._proj = proj  # projection matrix for subspace ideals
+        self._unit = unit
 
     def decompose(self, r):
-        ring = r.ring
-        if self._proj is not None:
-            if self.first.side == RIGHT:
-                s = RingElement(ring, mat_mul(ring.field, self._proj,
-                                              r.payload))
-            else:
-                s = RingElement(ring, mat_mul(ring.field, r.payload,
-                                              transpose(self._proj)))
-            return s, r - s
-        for s in self.first.elems:
-            t = r - s
-            if t in self.second.elems:
-                return s, t
-        raise PreconditionError("decomposition failed")  # pragma: no cover
+        if self.first.side == RIGHT:
+            s = self._unit * r
+        else:
+            s = r * self._unit
+        return s, r - s
 
     def unit(self):
         """rho_{S,T}(1): the image of 1 under the projector onto S along T."""
-        return self.decompose(self.first.ring.one)[0]
+        return self._unit
 
 
 def direct_sum(s, t):
     """Return a DirectSumWitness if R = s (+) t, else None."""
     s._compatible(t)
     ring = s.ring
-    if not s.is_extensional:
-        u, v = s.subspace, t.subspace
-        if not is_direct_sum(u, v):
+    if s.divisor is not None:
+        # dZ_n (+) eZ_n = Z_n iff de = n with d, e coprime; rho(1) is the
+        # CRT idempotent that is 0 mod d and 1 mod e.
+        d, e = s.divisor, t.divisor
+        if d * e != ring.n or gcd(d, e) != 1:
             return None
-        return DirectSumWitness(s, t, proj=projection_matrix(u, v))
-    if not s.intersect(t).is_zero():
+        return DirectSumWitness(s, t, RingElement(ring, d * pow(d, -1, e)))
+    u, v = s.subspace, t.subspace
+    if not is_direct_sum(u, v):
         return None
-    if len(s.elems) * len(t.elems) != ring.size:
-        return None
-    if not s.sum(t).is_full():
-        return None
-    return DirectSumWitness(s, t)
+    p = projection_matrix(u, v)
+    unit = RingElement(ring, p if s.side == RIGHT else transpose(p))
+    return DirectSumWitness(s, t, unit)
 
 
 def complement(ideal):
     """Some ideal T with R = ideal (+) T, or None if no complement exists."""
     ring = ideal.ring
-    if not ideal.is_extensional:
+    if ideal.divisor is None:
         comp = ideal.subspace.complement()
         return SidedIdeal(ring, ideal.side, subspace=comp)
-    for cand in all_ideals(ring, ideal.side):
-        if direct_sum(ideal, cand) is not None:
-            return cand
-    return None
+    e = ring.n // ideal.divisor
+    if gcd(ideal.divisor, e) != 1:
+        return None
+    return SidedIdeal(ring, ideal.side, divisor=e)
 
 
 def orthogonal(i, j, flavor=RIGHT):
@@ -387,18 +349,12 @@ def all_subspaces(field, n):
 
 
 def all_ideals(ring, side):
-    """Every one-sided ideal of a finite backend, canonical order."""
+    """Every one-sided ideal of a finite backend, smallest first."""
     if isinstance(ring, ModularRing):
-        out = []
-        for d in range(1, ring.n + 1):
-            if ring.n % d == 0:
-                out.append(principal(ring.element(d), side))
-        # dedupe, smallest first
-        uniq = []
-        for i in sorted(out, key=lambda s: len(s.elems)):
-            if i not in uniq:
-                uniq.append(i)
-        return uniq
+        n = ring.n
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        divisors = sorted({*small, *(n // d for d in small)}, reverse=True)
+        return [SidedIdeal(ring, side, divisor=d) for d in divisors]
     if isinstance(ring, MatrixRing) and ring.finite:
         return [SidedIdeal(ring, side, subspace=sp)
                 for sp in all_subspaces(ring.field, ring.k)]

@@ -7,6 +7,7 @@ verifier reports the first counterexample in canonical order.
 """
 
 import time
+from functools import lru_cache
 
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import (any_inner, classify_projector_relations, core_inverse,
@@ -395,18 +396,20 @@ def _check_one_solution_sets(ring):
 
 def _check_mitsch_order(ring):
     elems = _elements(ring)
-    leq = {(y, z): mitsch_leq(y, z) for y in elems for z in elems}
+    # memoized and filled on demand, so the first case comes at once and
+    # a time budget can stop the check
+    leq = lru_cache(maxsize=None)(mitsch_leq)
     for y in elems:
-        yield "reflexive y=%s" % ring.render(y), leq[(y, y)]
+        yield "reflexive y=%s" % ring.render(y), leq(y, y)
         for z in elems:
             label = "y=%s,z=%s" % (ring.render(y), ring.render(z))
-            if leq[(y, z)] and leq[(z, y)]:
+            if leq(y, z) and leq(z, y):
                 yield "antisym " + label, y == z
             for u in elems:
-                if leq[(y, z)] and leq[(z, u)]:
+                if leq(y, z) and leq(z, u):
                     yield ("trans y=%s,z=%s,u=%s" % (
                         ring.render(y), ring.render(z), ring.render(u)),
-                        leq[(y, u)])
+                        leq(y, u))
 
 
 def _check_mitsch_extremes(ring):
@@ -824,16 +827,16 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
     counterexample = None
     complete = True
     for label, ok in case.checker(ring):
+        # the budget is checked before a case is counted, so a theorem
+        # with exactly max_cases cases runs to completion
+        if (max_cases is not None and checked >= max_cases) or (
+                max_seconds is not None
+                and time.monotonic() - start > max_seconds):
+            complete = False
+            break
         checked += 1
         if not ok:
             counterexample = label
-            break
-        if max_cases is not None and checked >= max_cases:
-            complete = False
-            break
-        if max_seconds is not None and \
-                time.monotonic() - start > max_seconds:
-            complete = False
             break
     return VerificationReport(ring.short_name, theorem_id, checked,
                               counterexample, time.monotonic() - start,

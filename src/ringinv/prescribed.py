@@ -16,7 +16,7 @@ from .ideals import (LEFT, RIGHT, SidedIdeal, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, principal,
                      zero_ideal)
 from .projectors import projector
-from .rings import MatrixRing
+from .rings import MatrixRing, least_solution_mod
 
 
 class IdealConstraints:
@@ -261,19 +261,17 @@ def _solve_in_ideal(a, s, u):
                 col.append(acc)
             cols.append(tuple(col))
         return ring.element(transpose(tuple(cols)))
-    for x in s.members():
-        if a * x == u:
-            return x
-    return None
+    # x = d*y with a*d*y = u (mod n); the least y gives the least x
+    d = s.divisor
+    y = least_solution_mod(a.payload * d, u.payload, ring.n)
+    return None if y is None else ring.element(d * y)
 
 
 def _transpose_ideal(ideal):
     """Mirror an ideal through the transpose anti-isomorphism."""
-    ring = ideal.ring
     other = RIGHT if ideal.side == LEFT else LEFT
-    if ideal.is_extensional:
-        return SidedIdeal(ring, other, elems=ideal.elems)
-    return SidedIdeal(ring, other, subspace=ideal.subspace)
+    return SidedIdeal(ideal.ring, other, divisor=ideal.divisor,
+                      subspace=ideal.subspace)
 
 
 def _unique_outer_left(a, sp, tp):
@@ -328,24 +326,16 @@ def _outer_from_annihilators(a, t, tp):
     """a^(2) with rann(x) = T and lann(x) = T'.
 
     When it exists, xR is forced (its members are killed exactly by T'),
-    so on matrix rings we recover S from T' and reuse the (S, T) path.
+    so we recover S from T' and reuse the (S, T) path.
     """
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        s = ideal_annihilator(tp, RIGHT)  # right ideal with lann(S) ⊇ T'
-        x, why = _unique_outer_right(a, s, t)
-        if x is None:
-            return None, why
-        if annihilator(x, LEFT) != tp:
-            return None, "lann(x) != T' for the forced candidate"
-        return x, ""
-    one = ring.one
-    for x in ring.elements():
-        if ((one - a * x) in t.elems and (one - x * a) in tp.elems
-                and all(x * e == ring.zero for e in t.elems)
-                and all(e * x == ring.zero for e in tp.elems)):
-            return x, ""
-    return None, "no element satisfies the annihilator conditions"
+    s = ideal_annihilator(tp, RIGHT)  # right ideal with lann(S) ⊇ T'
+    x, why = _unique_outer_right(a, s, t)
+    if x is not None and annihilator(x, LEFT) != tp:
+        x, why = None, "lann(x) != T' for the forced candidate"
+    if x is None and not isinstance(a.ring, MatrixRing):
+        # the reason the Z_n JSON output gives for this shape
+        why = "no element satisfies the annihilator conditions"
+    return x, why
 
 
 def _reflexive_dispatch(a, cons):

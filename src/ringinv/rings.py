@@ -6,6 +6,7 @@ residues ascending; matrices in row-major lexicographic scalar order.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import (NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError)
@@ -272,7 +273,6 @@ def classify(a):
 def is_invertible(a):
     ring = a.ring
     if isinstance(ring, ModularRing):
-        from math import gcd
         return gcd(a.payload, ring.n) == 1
     if isinstance(ring, MatrixRing):
         from .linalg import mat_inverse
@@ -291,6 +291,15 @@ def inverse_of_unit(a):
             raise ValueError("element is not invertible")
         return RingElement(ring, inv)
     raise TypeError("unknown ring type")
+
+
+def least_solution_mod(c, u, n):
+    """The least y >= 0 with c*y = u (mod n), or None if there is none."""
+    g = gcd(c, n)
+    if u % g:
+        return None
+    m = n // g
+    return u // g * pow(c // g, -1, m) % m
 
 
 def _is_nilpotent(a):

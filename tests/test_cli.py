@@ -133,6 +133,44 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--ring", '{"kind": "matrix", "size": 2, '
+     '"scalars": {"kind": "fp", "p": 4}}', "--element", "1",
+     "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "zn", "n": 1}', "--element", "0",
+     "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "zn"}', "--element", "0",
+     "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "matrix", "scalars": {"kind": "q"}}',
+     "--element", "0", "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "matrix", "size": 2, '
+     '"scalars": {"kind": "fp"}}', "--element", "0", "--inverse", "group"),
+    ("--job", "/nonexistent/job.json"),
+])
+def test_bad_ring_spec_or_job_file_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ring, desc", [
+    ("zn:6", {"principal": "abc"}),
+    ("zn:6", {"annihilator": "abc"}),
+    ("m2f2", {"principal": [["1"]]}),
+    ("zn:6", {"set": ["x"]}),
+    ("zn:6", {"set": 5}),
+])
+def test_bad_constraint_element_is_a_usage_error(capsys, ring, desc):
+    code, out, err = run_cli(capsys, "prescribe", "--ring", ring,
+                             "--element", "0" if ring == "zn:6"
+                             else '[["0","0"],["0","0"]]',
+                             "--constraints",
+                             json.dumps({"right_principal": desc}),
+                             "--mode", "one")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_prescribe_modes(capsys):
     cons = json.dumps(
         {"right_principal": {"colspace": [["0", "1"]]},

@@ -159,3 +159,101 @@ def test_extensional_vs_subspace_equality():
     via_subspace = principal(a, RIGHT)
     via_elements = SidedIdeal.from_elements(M2F2, RIGHT, [a])
     assert via_subspace == via_elements
+
+
+# -- Z_n ideals as divisors, against sets built from the ring ------------
+
+ZN_MODULI = (2, 6, 8, 12, 30, 36, 72, 97, 100)
+
+
+def _set(ideal):
+    return frozenset(x.payload for x in ideal.members())
+
+
+def _brute_ideals(ring):
+    """Every ideal of Z_n as a set of residues: the principal sets aZ_n."""
+    n = ring.n
+    return {frozenset(a * r % n for r in range(n)) for a in range(n)}
+
+
+@pytest.mark.parametrize("n", ZN_MODULI)
+def test_zn_principal_and_annihilators_match_brute_force(n):
+    ring = Zn(n)
+    for a in ring.elements():
+        v = a.payload
+        right = frozenset(v * r % n for r in range(n))
+        killed = frozenset(r for r in range(n) if v * r % n == 0)
+        for side in (RIGHT, LEFT):
+            ideal = principal(a, side)
+            assert _set(ideal) == right and ideal.size() == len(right)
+            assert _set(annihilator(a, side)) == killed
+            assert all(ideal.contains(ring.element(r)) == (r in right)
+                       for r in range(n))
+            assert ideal.is_zero() == (right == {0})
+            assert ideal.is_full() == (len(right) == n)
+
+
+@pytest.mark.parametrize("side", (RIGHT, LEFT))
+@pytest.mark.parametrize("n", ZN_MODULI)
+def test_zn_lattice_and_maps_match_brute_force(n, side):
+    ring = Zn(n)
+    ideals = all_ideals(ring, side)
+    sets = [_set(i) for i in ideals]
+    # every ideal once, smallest first
+    assert set(sets) == _brute_ideals(ring)
+    assert [len(s) for s in sets] == sorted(len(s) for s in sets)
+    assert len(set(sets)) == len(sets)
+    for i, si in zip(ideals, sets):
+        assert SidedIdeal.from_elements(ring, side, i.members()) == i
+        killer = frozenset(r for r in range(n)
+                           if all(s * r % n == 0 for s in si))
+        assert _set(ideal_annihilator(i, RIGHT)) == killer
+        assert _set(ideal_annihilator(i, LEFT)) == killer
+        for j, sj in zip(ideals, sets):
+            assert _set(i.sum(j)) == frozenset((x + y) % n
+                                               for x in si for y in sj)
+            assert _set(i.intersect(j)) == si & sj
+            assert i.is_subideal_of(j) == (si <= sj)
+        for a in ring.elements():
+            v = a.payload
+            assert _set(multiply_ideal(a, i)) == frozenset(v * s % n
+                                                           for s in si)
+            assert _set(phi_preimage(a, i)) == frozenset(
+                r for r in range(n) if v * r % n in si)
+
+
+@pytest.mark.parametrize("side", (RIGHT, LEFT))
+@pytest.mark.parametrize("n", ZN_MODULI)
+def test_zn_direct_sums_and_complements_match_brute_force(n, side):
+    ring = Zn(n)
+    ideals = all_ideals(ring, side)
+    for s in ideals:
+        ss = _set(s)
+        partners = []
+        for t in ideals:
+            st = _set(t)
+            splits = (ss & st == {0}
+                      and {(x + y) % n for x in ss for y in st}
+                      == set(range(n)))
+            w = direct_sum(s, t)
+            assert (w is not None) == splits
+            if w is None:
+                continue
+            partners.append(t)
+            u = w.unit()
+            assert u * u == u and w.decompose(ring.one) == (u, ring.one - u)
+            for r in ring.elements():
+                x, y = w.decompose(r)
+                assert x + y == r and x.payload in ss and y.payload in st
+        c = complement(s)
+        assert (c is None) == (not partners)
+        assert c is None or c in partners
+
+
+def test_zn_generated_ideal_is_the_gcd():
+    ring = Zn(36)
+    for g1, g2 in ((4, 6), (9, 12), (0, 0), (8, 27), (18, 24)):
+        span = frozenset((g1 * r + g2 * s) % 36
+                         for r in range(36) for s in range(36))
+        gens = [ring.element(g1), ring.element(g2)]
+        assert _set(SidedIdeal.from_elements(ring, RIGHT, gens)) == span

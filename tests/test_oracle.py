@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from ringinv import oracle
 from ringinv.errors import NotEnumerableError, PreconditionError
 from ringinv.geninv import satisfies
 from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase,
                             brute_force_set, verify, verify_all)
+from ringinv.prescribed import mitsch_leq
 from ringinv.rings import MatF, MatQ, Zn
 
 Z6 = Zn(6)
@@ -52,6 +54,48 @@ def test_budget_marks_report_incomplete():
     assert rep.cases_checked == 10
 
 
+def test_budget_equal_to_case_count_completes():
+    rep = verify("T-invertible-lemma", Z6, max_cases=6)
+    assert rep.complete and rep.passed and rep.cases_checked == 6
+    rep = verify("T-invertible-lemma", Z6, max_cases=5)
+    assert not rep.complete and not rep.passed and rep.cases_checked == 5
+
+
+def test_mitsch_order_yields_before_tabulating(monkeypatch):
+    calls = []
+
+    def counting(y, z):
+        calls.append((y, z))
+        return mitsch_leq(y, z)
+
+    monkeypatch.setattr(oracle, "mitsch_leq", counting)
+    label, ok = next(CATALOG_BY_ID["T-mitsch-order"].checker(M2F2))
+    assert label.startswith("reflexive y=") and ok
+    assert len(calls) == 1
+
+
+def _eager_mitsch_order(ring):
+    """The order checks with the whole leq table built up front."""
+    elems = ring.elements()
+    leq = {(y, z): mitsch_leq(y, z) for y in elems for z in elems}
+    r = ring.render
+    for y in elems:
+        yield "reflexive y=%s" % r(y), leq[(y, y)]
+        for z in elems:
+            if leq[(y, z)] and leq[(z, y)]:
+                yield "antisym y=%s,z=%s" % (r(y), r(z)), y == z
+            for u in elems:
+                if leq[(y, z)] and leq[(z, u)]:
+                    yield ("trans y=%s,z=%s,u=%s" % (r(y), r(z), r(u)),
+                           leq[(y, u)])
+
+
+@pytest.mark.parametrize("ring", [Z6, Zn(8), M2F2])
+def test_mitsch_order_cases_match_eager_table(ring):
+    checker = CATALOG_BY_ID["T-mitsch-order"].checker
+    assert list(checker(ring)) == list(_eager_mitsch_order(ring))
+
+
 def test_infinite_ring_rejected():
     with pytest.raises(NotEnumerableError):
         verify("T-invertible-lemma", MatQ(2))
@@ -69,6 +113,17 @@ def test_full_catalog_passes_on_z6():
     reports = verify_all(Z6)
     assert len(reports) == len(CATALOG)
     for rep in reports:
+        assert rep.passed, "%s: %s" % (rep.theorem, rep.counterexample)
+
+
+@pytest.mark.parametrize("n, skipped", [
+    (12, ()),
+    # T-bc-inverses alone takes about a minute on zn:30
+    (30, ("T-bc-inverses",)),
+])
+def test_catalog_passes_on_larger_zn(n, skipped):
+    ids = [case.id for case in CATALOG if case.id not in skipped]
+    for rep in verify_all(Zn(n), theorem_ids=ids):
         assert rep.passed, "%s: %s" % (rep.theorem, rep.counterexample)
 
 

@@ -3,14 +3,15 @@
 import pytest
 
 from ringinv.errors import NotEnumerableError, PreconditionError
-from ringinv.geninv import satisfies
-from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, annihilator, principal)
+from ringinv.geninv import any_inner, drazin_inverse, satisfies
+from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, annihilator, principal,
+                            zero_ideal)
 from ringinv.linalg import PrimeField, Subspace
 from ringinv.prescribed import (IdealConstraints, mitsch_extremes, mitsch_leq,
                                 one_inverse_family, one_inverse_solution_set,
                                 outer_with, reflexive_characterize,
                                 reflexive_with_ideals)
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.rings import MatF, MatQ, ModularRing, Zn
 
 M2F5 = MatF(2, 5)
 M2F2 = MatF(2, 2)
@@ -220,3 +221,44 @@ def test_mitsch_extremes_report():
     assert report["is_max_of_Y"] and report["is_min_of_Z"]
     with pytest.raises(NotEnumerableError):
         mitsch_extremes(MatQ(2).parse([[1, 0], [0, 0]]), cons=cons)
+
+
+# 2^3 * 3^2 * 13 * 1000003 * 1000000007: 18 digits, repeated prime factors.
+BIG_N = 936002814552019656
+
+
+def test_large_modulus_prescribed_inverses_need_no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    ring = Zn(BIG_N)
+    for value in (0, 5, 6, 13 * 1000003, 12 * 1000000007, BIG_N - 1):
+        a = ring.element(value)
+        x = drazin_inverse(a).value  # an outer inverse of every a
+        regular = any_inner(a) is not None
+        s, t = principal(x, RIGHT), annihilator(x, RIGHT)
+        sp, tp = principal(x, LEFT), annihilator(x, LEFT)
+        for kw in (dict(right_principal=s, right_annihilator=t),
+                   dict(left_principal=sp, left_annihilator=tp),
+                   dict(right_principal=s, left_principal=sp),
+                   dict(right_annihilator=t, left_annihilator=tp)):
+            cons = IdealConstraints(**kw)
+            rep = outer_with(a, cons)
+            assert rep.exists and rep.value == x
+            rep = reflexive_with_ideals(a, cons)
+            assert rep.exists == regular
+            assert not regular or rep.value == x
+        if regular:
+            g = any_inner(a)
+            for kw in (dict(right_principal=principal(g * a, RIGHT)),
+                       dict(right_annihilator=annihilator(a * g, RIGHT)),
+                       dict(left_principal=principal(a * g, LEFT)),
+                       dict(left_annihilator=annihilator(g * a, LEFT))):
+                fam = one_inverse_family(a, IdealConstraints(**kw))
+                assert satisfies(a, fam.base, ("1",))
+    # rann(x) = lann(x) = 0 makes x a unit, and xax = x then makes a one
+    zero = zero_ideal(ring, RIGHT)
+    rep = outer_with(ring.element(6), IdealConstraints(
+        right_annihilator=zero, left_annihilator=zero_ideal(ring, LEFT)))
+    assert not rep.exists
+    assert rep.reason == "no element satisfies the annihilator conditions"
