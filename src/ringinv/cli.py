@@ -9,7 +9,7 @@ import json
 import sys
 
 from .errors import (NotEnumerableError, PreconditionError,
-                     UnsupportedInvolutionError)
+                     UnsupportedInvolutionError, VerificationError)
 from .geninv import (NAMED_INVERSES, enumerate_inverse_set, parse_equations)
 from .ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from .linalg import Subspace
@@ -25,6 +25,7 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_INVOLUTION = 65
 EXIT_NOT_ENUMERABLE = 66
+EXIT_INTERNAL = 70
 
 
 class UsageError(Exception):
@@ -387,6 +388,9 @@ def main(argv=None):
     except NotEnumerableError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_NOT_ENUMERABLE
+    except VerificationError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,9 +21,5 @@ class PreconditionError(RingInvError):
     """An explicit precondition of the operation does not hold."""
 
 
-class BudgetExceededError(RingInvError):
-    """A verification budget was exhausted before a verdict."""
-
-
 class VerificationError(RingInvError):
     """A constructed result failed its own defining equations (library bug)."""

@@ -259,8 +259,8 @@ def drazin_index(a):
     return k
 
 
-def drazin_inverse(a):
-    """a^D: the unique x in a{2,5,1k} for k the Drazin index.
+def _drazin(a):
+    """(a^D, index), not yet validated.
 
     Over a field a^D = a^l (a^(2l+1))^(1) a^l with l = max(k, 1); on Z_n
     it is the CRT of 0 mod n0 and a^-1 mod n1 (see _zn_split).
@@ -269,23 +269,29 @@ def drazin_inverse(a):
     k = drazin_index(a)
     if isinstance(ring, MatrixRing):
         l = max(k, 1)
-        x = a ** l * any_inner(a ** (2 * l + 1)) * a ** l
-    else:
-        n0, n1 = _zn_split(a)
-        x = ring.element(n0 * pow(a.payload * n0, -1, n1))
+        return a ** l * any_inner(a ** (2 * l + 1)) * a ** l, k
+    n0, n1 = _zn_split(a)
+    return ring.element(n0 * pow(a.payload * n0, -1, n1)), k
+
+
+def _no_group_reason(index):
+    return "index is %d > 1, so a{1,2,5} is empty" % index
+
+
+def drazin_inverse(a):
+    """a^D: the unique x in a{2,5,1k} for k the Drazin index."""
+    x, k = _drazin(a)
     return _validated("drazin", a, x, ("2", "5", "1k"), k=k,
                       extra={"index": k})
 
 
 def group_inverse(a):
-    rep = drazin_inverse(a)
-    idx = rep.extra["index"]
+    """a^#: the Drazin inverse when the index is at most 1."""
+    x, idx = _drazin(a)
     if idx > 1:
-        return InverseReport(
-            "group", False,
-            reason="index is %d > 1, so a{1,2,5} is empty" % idx,
-            extra=rep.extra)
-    return _validated("group", a, rep.value, ("1", "2", "5"),
+        return InverseReport("group", False, reason=_no_group_reason(idx),
+                             extra={"index": idx})
+    return _validated("group", a, x, ("1", "2", "5"),
                       extra={"index": idx})
 
 
@@ -349,11 +355,11 @@ def _inner_13(a):
     return any_inner(ata) * astar
 
 
-def _no_core_type(name, a, equations, grp):
+def _no_core_type(name, a, equations, index):
     if a.ring.finite:
         reason = "no element satisfies {%s}" % ",".join(equations)
     else:  # over Q a^(1,3) and a^(1,4) always exist
-        reason = grp.reason
+        reason = _no_group_reason(index)
     return InverseReport(name, False, reason=reason)
 
 
@@ -369,11 +375,11 @@ def core_inverse(a):
         raise UnsupportedInvolutionError(
             "core inverse needs an involution; %s has none" % ring.short_name)
     eqs = ("1", "2", "3", "6", "7")
-    grp = group_inverse(a)
-    g13 = _inner_13(a) if grp.exists else None
+    grp, idx = _drazin(a)
+    g13 = _inner_13(a) if idx <= 1 else None
     if g13 is None:
-        return _no_core_type("core", a, eqs, grp)
-    return _validated("core", a, grp.value * a * g13, eqs)
+        return _no_core_type("core", a, eqs, idx)
+    return _validated("core", a, grp * a * g13, eqs)
 
 
 def dual_core_inverse(a):
@@ -388,11 +394,11 @@ def dual_core_inverse(a):
             "dual core inverse needs an involution; %s has none"
             % ring.short_name)
     eqs = ("1", "2", "4", "8", "9")
-    grp = group_inverse(a)
-    g14 = _inner_13(a.star) if grp.exists else None
+    grp, idx = _drazin(a)
+    g14 = _inner_13(a.star) if idx <= 1 else None
     if g14 is None:
-        return _no_core_type("dual-core", a, eqs, grp)
-    return _validated("dual-core", a, g14.star * a * grp.value, eqs)
+        return _no_core_type("dual-core", a, eqs, idx)
+    return _validated("dual-core", a, g14.star * a * grp, eqs)
 
 
 NAMED_INVERSES = {

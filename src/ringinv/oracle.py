@@ -15,13 +15,13 @@ from .geninv import (any_inner, classify_projector_relations, core_inverse,
                      group_inverse, iter_inverse_set, moore_penrose,
                      satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
-                     principal)
+                     phi_preimage, principal)
 from .prescribed import (IdealConstraints, _check_constraints_on_x,
                          mitsch_extremes, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with,
                          reflexive_characterize)
 from .projectors import projector
-from .rings import is_invertible
+from .rings import inverse_of_unit, is_invertible
 from . import special
 
 
@@ -503,6 +503,31 @@ def _check_star_classes(ring):
             yield _checked(label, run)
 
 
+def _require_bundles_agree(a, ideals):
+    """The four equivalent prescribed bundles over (S, T, S', T') must
+    give the same reflexive inverse."""
+    reports = [outer_with(a, _cons_from(tags, *ideals), reflexive=True)
+               for tags in _TWO_SHAPES]
+    if len({(rep.exists, rep.value) for rep in reports}) > 1:
+        raise VerificationError(
+            "equivalent prescribed-ideal bundles disagree")
+
+
+def _grid_cases(ring, prefix, setup, check):
+    """The cases x of one group: check(x, reps) with reps = setup().  When
+    setup raises VerificationError, the group's first case fails."""
+    try:
+        reps = setup()
+    except VerificationError:
+        reps = None
+    for x in ring.elements():
+        label = "%s,x=%s" % (prefix, ring.render(x))
+        if reps is None:
+            yield label, False
+        else:
+            yield _checked(label, lambda x=x: check(x, reps))
+
+
 def _check_weighted_mp_grid(ring):
     if not ring.has_involution:
         return
@@ -510,13 +535,15 @@ def _check_weighted_mp_grid(ring):
     for a in _elements(ring):
         for e in weights:
             for f in weights:
-                rep = special.weighted_mp(a, e, f)
-                for x in ring.elements():
-                    label = "a=%s,e=%s,f=%s,x=%s" % tuple(
-                        ring.render(v) for v in (a, e, f, x))
-                    yield _checked(
-                        label, lambda a=a, e=e, f=f, x=x, rep=rep:
-                        special.weighted_mp_conditions(a, e, f, x, rep=rep))
+                def setup(a=a, e=e, f=f):
+                    _require_bundles_agree(
+                        a, special.weighted_mp_ideals(a, e, f))
+                    return special.weighted_mp(a, e, f)
+                yield from _grid_cases(
+                    ring, "a=%s,e=%s,f=%s" % tuple(
+                        ring.render(v) for v in (a, e, f)),
+                    setup, lambda x, rep, a=a, e=e, f=f:
+                    special.weighted_mp_conditions(a, e, f, x, rep=rep))
 
 
 def _check_e_core_grid(ring):
@@ -524,15 +551,15 @@ def _check_e_core_grid(ring):
         return
     for a in _elements(ring):
         for e in _weights(ring):
-            rep = special.e_core(a, e)
-            repf = special.f_dual_core(a, e)
-            for x in ring.elements():
-                label = "a=%s,e=%s,x=%s" % tuple(
-                    ring.render(v) for v in (a, e, x))
-                yield _checked(
-                    label, lambda a=a, e=e, x=x, rep=rep, repf=repf: (
-                        special.e_core_conditions(a, e, x, rep=rep),
-                        special.f_dual_core_conditions(a, e, x, rep=repf)))
+            def setup(a=a, e=e):
+                _require_bundles_agree(a, special.e_core_ideals(a, e))
+                _require_bundles_agree(a, special.f_dual_core_ideals(a, e))
+                return special.e_core(a, e), special.f_dual_core(a, e)
+            yield from _grid_cases(
+                ring, "a=%s,e=%s" % (ring.render(a), ring.render(e)),
+                setup, lambda x, reps, a=a, e=e: (
+                    special.e_core_conditions(a, e, x, rep=reps[0]),
+                    special.f_dual_core_conditions(a, e, x, rep=reps[1])))
 
 
 def _check_w_core_grid(ring):
@@ -540,15 +567,13 @@ def _check_w_core_grid(ring):
         return
     for a in _elements(ring):
         for w in _elements(ring):
-            rep = special.w_core(a, w)
-            repv = special.v_dual_core(a, w)
-            for x in ring.elements():
-                label = "a=%s,w=%s,x=%s" % tuple(
-                    ring.render(v) for v in (a, w, x))
-                yield _checked(
-                    label, lambda a=a, w=w, x=x, rep=rep, repv=repv: (
-                        special.w_core_conditions(a, w, x, rep=rep),
-                        special.v_dual_core_conditions(a, w, x, rep=repv)))
+            yield from _grid_cases(
+                ring, "a=%s,w=%s" % (ring.render(a), ring.render(w)),
+                lambda a=a, w=w: (special.w_core(a, w),
+                                  special.v_dual_core(a, w)),
+                lambda x, reps, a=a, w=w: (
+                    special.w_core_conditions(a, w, x, rep=reps[0]),
+                    special.v_dual_core_conditions(a, w, x, rep=reps[1])))
 
 
 def _check_one_sided_core(ring):
@@ -558,10 +583,15 @@ def _check_one_sided_core(ring):
         for w in _elements(ring):
             label = "a=%s,w=%s" % (ring.render(a), ring.render(w))
             def run(a=a, w=w):
-                right = [x for x in ring.elements()
-                         if special.right_w_core_member(a, w, x)]
-                left = [x for x in ring.elements()
-                        if special.left_v_dual_core_member(a, w, x)]
+                # the right set is (aw){1,3,7} when aR <= awR, else empty;
+                # the left set mirrors it with (wa){1,4,9} and Ra <= Rwa
+                b, c = a * w, w * a
+                right = special.star_class_set(b, "137") \
+                    if principal(a, RIGHT).is_subideal_of(
+                        principal(b, RIGHT)) else []
+                left = special.star_class_set(c, "149") \
+                    if principal(a, LEFT).is_subideal_of(
+                        principal(c, LEFT)) else []
                 rep = special.right_w_core(a, w)
                 if rep.exists != bool(right) or \
                         (rep.exists and rep.extra["members"] != right):
@@ -581,6 +611,16 @@ def _check_one_sided_core(ring):
             yield _checked(label, run)
 
 
+# the construction-clause items that place b (cab)^(1) c in each flavor
+_BC_FLAVOR_CLAUSES = {
+    "full": ("outer_with_xR=bR", "outer_with_Rx=Rc"),
+    "right_hybrid": ("outer_with_xR=bR", "outer_with_rann(x)=rann(c)"),
+    "left_hybrid": ("outer_with_Rx=Rc", "outer_with_lann(x)=lann(b)"),
+    "annihilator": ("outer_with_rann(x)=rann(c)",
+                    "outer_with_lann(x)=lann(b)"),
+}
+
+
 def _check_bc(ring):
     elems = _elements(ring)
     for a in elems:
@@ -590,9 +630,19 @@ def _check_bc(ring):
                     ring.render(v) for v in (a, b, c))
                 def run(a=a, b=b, c=c):
                     cab = c * a * b
+                    closed = {}  # b g c -> its clause report, g in (cab){1}
                     for g in ring.elements():
                         if cab * g * cab == cab:
-                            special.bc_construction_clauses(a, b, c, g)
+                            clauses = special.bc_construction_clauses(
+                                a, b, c, g)
+                            closed[clauses["x"]] = clauses
+                    hyps = dict(zip(
+                        ("right_hybrid", "left_hybrid"),
+                        special.bc_invertibility_hypotheses(a, b, c)))
+                    if any(hyps.values()) and not is_invertible(cab):
+                        raise VerificationError(
+                            "cab must be invertible under the (b,c) "
+                            "invertibility hypotheses")
                     for flavor in special.BC_FLAVORS:
                         rep = special.bc_inverse(a, b, c, flavor)
                         cons = special._bc_constraints(b, c, flavor)
@@ -605,6 +655,21 @@ def _check_bc(ring):
                             raise VerificationError(
                                 "(b,c) %s inverse disagrees with brute "
                                 "force" % flavor)
+                        form = rep.extra.get("closed_form")
+                        if bool(closed) != (form in closed):
+                            raise VerificationError(
+                                "the closed form is not b (cab)^(1) c")
+                        if form in closed and rep.value != form and all(
+                                closed[form][item]
+                                for item in _BC_FLAVOR_CLAUSES[flavor]):
+                            raise VerificationError(
+                                "the closed form satisfies the %s flavor "
+                                "but is not its inverse" % flavor)
+                        if hyps.get(flavor) and \
+                                rep.value != b * inverse_of_unit(cab) * c:
+                            raise VerificationError(
+                                "b (cab)^{-1} c is not the %s inverse"
+                                % flavor)
                     ctx = special.bc_equality_context(a, b, c)
                     for x in ring.elements():
                         special.bc_equality_clauses(a, b, c, x, ctx)
@@ -640,6 +705,14 @@ def _check_pq(ring):
                         raise VerificationError(
                             "Djordjevic-Wei inverse disagrees with brute "
                             "force")
+                    if dw.exists and (
+                            annihilator(p, RIGHT)
+                            != phi_preimage(a, principal(q, RIGHT))
+                            or principal(q, LEFT)
+                            != phi_preimage(a, annihilator(p, LEFT))):
+                        raise VerificationError(
+                            "rann(p) != phi_a^{-1}(qR) or "
+                            "Rq != a_phi^{-1}(lann(p))")
                     for x in ring.elements():
                         special.djordjevic_wei_clauses(a, p, q, x)
                 yield _checked(label, run)

@@ -13,8 +13,7 @@ lann(x) = T').
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
 from .ideals import (LEFT, RIGHT, SidedIdeal, annihilator, direct_sum,
-                     ideal_annihilator, multiply_ideal, principal,
-                     zero_ideal)
+                     ideal_annihilator, multiply_ideal, principal)
 from .projectors import projector
 from .rings import MatrixRing, least_solution_mod
 

@@ -4,7 +4,6 @@ Elements are immutable and hashable.  All enumeration orders are canonical:
 residues ascending; matrices in row-major lexicographic scalar order.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 

@@ -5,8 +5,7 @@ from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError, VerificationError)
 from .geninv import (InverseReport, any_inner, core_inverse,
                      dual_core_inverse, iter_inverse_set, satisfies)
-from .ideals import (LEFT, RIGHT, annihilator, multiply_ideal,
-                     phi_preimage, principal)
+from .ideals import LEFT, RIGHT, annihilator, multiply_ideal, principal
 from .prescribed import IdealConstraints, outer_with
 from .projectors import phi_equals_projector as phieq
 from .rings import inverse_of_unit, is_invertible
@@ -120,11 +119,7 @@ def star_class_set(a, tag):
     if tag not in STAR_CLASS_EQS:
         raise PreconditionError("unknown star class %r" % tag)
     _require_involution(a.ring, "star class %s" % tag)
-    out = []
-    for x in iter_inverse_set(a, STAR_CLASS_EQS[tag]):
-        star_class_membership(a, x, tag)  # clause cross-check
-        out.append(x)
-    return out
+    return list(iter_inverse_set(a, STAR_CLASS_EQS[tag]))
 
 
 def star_class_identity_report(a, tag):
@@ -241,7 +236,7 @@ def _require_weight(w, name):
 
 # -- weighted Moore-Penrose ---------------------------------------------
 
-def _weighted_ideals(a, e, f):
+def weighted_mp_ideals(a, e, f):
     """(S, T, S', T') for the (e,f) Moore-Penrose inverse."""
     astar = a.star
     finv = inverse_of_unit(f)
@@ -252,30 +247,14 @@ def _weighted_ideals(a, e, f):
     return s, t, sp, tp
 
 
-def _four_bundle_reflexive(name, a, s, t, sp, tp):
-    """Run all four equivalent prescribed bundles; they must agree."""
-    bundles = (
-        IdealConstraints(right_principal=s, right_annihilator=t),
-        IdealConstraints(left_principal=sp, left_annihilator=tp),
-        IdealConstraints(right_principal=s, left_principal=sp),
-        IdealConstraints(left_annihilator=tp, right_annihilator=t),
-    )
-    reports = [outer_with(a, cons, reflexive=True) for cons in bundles]
-    first = reports[0]
-    for rep in reports[1:]:
-        if rep.exists != first.exists or (first.exists
-                                          and rep.value != first.value):
-            raise VerificationError(
-                "equivalent prescribed-ideal bundles for %s disagree" % name)
-    return first
-
-
 def weighted_mp(a, e, f):
     """The (e,f) Moore-Penrose inverse a_dagger_{e,f}, or none."""
     _require_weight(e, "e")
     _require_weight(f, "f")
-    s, t, sp, tp = _weighted_ideals(a, e, f)
-    rep = _four_bundle_reflexive("ef-mp", a, s, t, sp, tp)
+    s, t, _, _ = weighted_mp_ideals(a, e, f)
+    rep = outer_with(a, IdealConstraints(right_principal=s,
+                                         right_annihilator=t),
+                     reflexive=True)
     if not rep.exists:
         return InverseReport("ef-mp", False, reason=rep.reason)
     x = rep.value
@@ -291,7 +270,7 @@ def weighted_mp(a, e, f):
 
 def weighted_mp_conditions(a, e, f, x, rep=None):
     """The projector/side condition grid for x = a_dagger_{e,f}."""
-    s, t, sp, tp = _weighted_ideals(a, e, f)
+    s, t, sp, tp = weighted_mp_ideals(a, e, f)
     ax, xa = a * x, x * a
     ar, ra = principal(a, RIGHT), principal(a, LEFT)
     rann_a, lann_a = annihilator(a, RIGHT), annihilator(a, LEFT)
@@ -315,43 +294,48 @@ def weighted_mp_conditions(a, e, f, x, rep=None):
 
 # -- e-core and f-dual core ---------------------------------------------
 
+def e_core_ideals(a, e):
+    """(S, T, S', T') for the e-core inverse."""
+    ase = a.star * e
+    return (principal(a, RIGHT), annihilator(ase, RIGHT),
+            principal(ase, LEFT), annihilator(a, LEFT))
+
+
+def f_dual_core_ideals(a, f):
+    """(S, T, S', T') for the f-dual core inverse."""
+    fas = inverse_of_unit(f) * a.star
+    return (principal(fas, RIGHT), annihilator(a, RIGHT),
+            principal(a, LEFT), annihilator(fas, LEFT))
+
+
+def _core_like(name, a, ideals, sides):
+    """The reflexive inverse with xR = S and rann(x) = T, when it also has
+    Rx = S' (the e-core and f-dual core inverses)."""
+    s, t, sp, _ = ideals
+    rep = outer_with(a, IdealConstraints(right_principal=s,
+                                         right_annihilator=t),
+                     reflexive=True)
+    if not rep.exists:
+        return InverseReport(name, False, reason=rep.reason)
+    x = rep.value
+    if principal(x, RIGHT) != s or principal(x, LEFT) != sp:
+        return InverseReport(name, False,
+                             reason="candidate fails %s" % sides)
+    return InverseReport(name, True, x, satisfied=("1", "2"))
+
+
 def e_core(a, e):
     """The e-core inverse: x in a{1}, xR = aR, Rx = Ra*e."""
     _require_weight(e, "e")
-    s = principal(a, RIGHT)
-    t = annihilator(a.star * e, RIGHT)
-    sp = principal(a.star * e, LEFT)
-    tp = annihilator(a, LEFT)
-    rep = _four_bundle_reflexive("e-core", a, s, t, sp, tp)
-    if not rep.exists:
-        return InverseReport("e-core", False, reason=rep.reason)
-    x = rep.value
-    if principal(x, RIGHT) != s or principal(x, LEFT) != sp:
-        return InverseReport(
-            "e-core", False,
-            reason="candidate fails xR = aR and Rx = Ra*e")
-    if not satisfies(a, x, ("1",)):  # pragma: no cover - implied by {1,2}
-        raise VerificationError("e-core candidate left a{1}")
-    return InverseReport("e-core", True, x, satisfied=("1", "2"))
+    return _core_like("e-core", a, e_core_ideals(a, e),
+                      "xR = aR and Rx = Ra*e")
 
 
 def f_dual_core(a, f):
     """The f-dual core inverse: x in a{1}, xR = f^{-1}a*R, Rx = Ra."""
     _require_weight(f, "f")
-    finv = inverse_of_unit(f)
-    s = principal(finv * a.star, RIGHT)
-    t = annihilator(a, RIGHT)
-    sp = principal(a, LEFT)
-    tp = annihilator(finv * a.star, LEFT)
-    rep = _four_bundle_reflexive("f-dual-core", a, s, t, sp, tp)
-    if not rep.exists:
-        return InverseReport("f-dual-core", False, reason=rep.reason)
-    x = rep.value
-    if principal(x, RIGHT) != s or principal(x, LEFT) != sp:
-        return InverseReport(
-            "f-dual-core", False,
-            reason="candidate fails xR = f^{-1}a*R and Rx = Ra")
-    return InverseReport("f-dual-core", True, x, satisfied=("1", "2"))
+    return _core_like("f-dual-core", a, f_dual_core_ideals(a, f),
+                      "xR = f^{-1}a*R and Rx = Ra")
 
 
 def _grid_for_core_like(a, x, s, t, sp, tp, sides, target):
@@ -370,10 +354,7 @@ def _grid_for_core_like(a, x, s, t, sp, tp, sides, target):
 
 
 def e_core_conditions(a, e, x, rep=None):
-    s = principal(a, RIGHT)
-    t = annihilator(a.star * e, RIGHT)
-    sp = principal(a.star * e, LEFT)
-    tp = annihilator(a, LEFT)
+    s, t, sp, tp = e_core_ideals(a, e)
     sides = {
         "xR<=aR": principal(x, RIGHT).is_subideal_of(s),
         "lann(a)<=lann(x)": tp.is_subideal_of(annihilator(x, LEFT)),
@@ -388,11 +369,7 @@ def e_core_conditions(a, e, x, rep=None):
 
 
 def f_dual_core_conditions(a, f, x, rep=None):
-    finv = inverse_of_unit(f)
-    s = principal(finv * a.star, RIGHT)
-    t = annihilator(a, RIGHT)
-    sp = principal(a, LEFT)
-    tp = annihilator(finv * a.star, LEFT)
+    s, t, sp, tp = f_dual_core_ideals(a, f)
     sides = {
         "xR<=f^{-1}a*R": principal(x, RIGHT).is_subideal_of(s),
         "lann(f^{-1}a*)<=lann(x)":
@@ -417,12 +394,7 @@ def w_core(a, w):
         return InverseReport("w-core", False,
                              reason="(aw)^core does not exist: %s"
                              % rep.reason)
-    range_ok = principal(a, RIGHT).is_subideal_of(principal(b, RIGHT))
-    lann_ok = annihilator(b, LEFT).is_subideal_of(annihilator(a, LEFT))
-    if range_ok != lann_ok:
-        raise VerificationError(
-            "aR <= awR and lann(aw) <= lann(a) disagree")
-    if not range_ok:
+    if not principal(a, RIGHT).is_subideal_of(principal(b, RIGHT)):
         return InverseReport("w-core", False,
                              reason="aR is not contained in awR")
     x = rep.value
@@ -441,12 +413,7 @@ def v_dual_core(a, v):
         return InverseReport("v-dual-core", False,
                              reason="(va)_core does not exist: %s"
                              % rep.reason)
-    range_ok = principal(a, LEFT).is_subideal_of(principal(c, LEFT))
-    rann_ok = annihilator(c, RIGHT).is_subideal_of(annihilator(a, RIGHT))
-    if range_ok != rann_ok:
-        raise VerificationError(
-            "Ra <= Rva and rann(va) <= rann(a) disagree")
-    if not range_ok:
+    if not principal(a, LEFT).is_subideal_of(principal(c, LEFT)):
         return InverseReport("v-dual-core", False,
                              reason="Ra is not contained in Rva")
     x = rep.value
@@ -525,17 +492,8 @@ def v_dual_core_conditions(a, v, x, rep=None):
 def right_w_core_member(a, w, x):
     """Is x a right w-core inverse (awxa=a, (awx)*=awx, awx^2=x)?"""
     _require_involution(a.ring, "right w-core inverse")
-    b = a * w
-    bx = b * x
-    member = (bx * a == a and bx.star == bx and bx * x == x)
-    cls_member, _ = star_class_membership(b, x, "137")
-    range_ok = principal(a, RIGHT).is_subideal_of(principal(b, RIGHT))
-    lann_ok = annihilator(b, LEFT).is_subideal_of(annihilator(a, LEFT))
-    if member != (cls_member and range_ok) or \
-            member != (cls_member and lann_ok):
-        raise VerificationError(
-            "right w-core characterizations disagree")
-    return member
+    bx = a * w * x
+    return bx * a == a and bx.star == bx and bx * x == x
 
 
 def right_w_core(a, w):
@@ -570,17 +528,8 @@ def right_w_core(a, w):
 def left_v_dual_core_member(a, v, x):
     """Is x a left v-dual core inverse (axva=a, (xva)*=xva, x^2va=x)?"""
     _require_involution(a.ring, "left v-dual core inverse")
-    c = v * a
-    xc = x * c
-    member = (a * xc == a and xc.star == xc and x * xc == x)
-    cls_member, _ = star_class_membership(c, x, "149")
-    range_ok = principal(a, LEFT).is_subideal_of(principal(c, LEFT))
-    rann_ok = annihilator(c, RIGHT).is_subideal_of(annihilator(a, RIGHT))
-    if member != (cls_member and range_ok) or \
-            member != (cls_member and rann_ok):
-        raise VerificationError(
-            "left v-dual core characterizations disagree")
-    return member
+    xc = x * v * a
+    return a * xc == a and xc.star == xc and x * xc == x
 
 
 def left_v_dual_core(a, v):
@@ -683,8 +632,18 @@ def bc_construction_clauses(a, b, c, g=None):
     return report
 
 
+def bc_invertibility_hypotheses(a, b, c):
+    """(rann(ab) = 0 and cR = R, lann(ca) = 0 and Rb = R); under either,
+    cab is invertible and b (cab)^{-1} c is the matching hybrid inverse."""
+    return (annihilator(a * b, RIGHT).is_zero()
+            and principal(c, RIGHT).is_full(),
+            annihilator(c * a, LEFT).is_zero()
+            and principal(b, LEFT).is_full())
+
+
 def bc_inverse(a, b, c, flavor="full"):
-    """The (b,c) inverse of a in the requested flavor."""
+    """The (b,c) inverse of a in the requested flavor, with the closed
+    form b (cab)^(1) c when cab is regular."""
     rep = outer_with(a, _bc_constraints(b, c, flavor), reflexive=False)
     name = "bc-" + flavor.replace("_", "-")
     out = InverseReport(name, rep.exists, rep.value,
@@ -692,50 +651,10 @@ def bc_inverse(a, b, c, flavor="full"):
     cab = c * a * b
     g = any_inner(cab)
     if g is not None:
-        clause_report = bc_construction_clauses(a, b, c, g)
-        x = clause_report["x"]
-        out.extra["closed_form"] = x
-        matched = {
-            "full": clause_report["outer_with_xR=bR"]
-                    and clause_report["outer_with_Rx=Rc"],
-            "right_hybrid": clause_report["outer_with_xR=bR"]
-                    and clause_report["outer_with_rann(x)=rann(c)"],
-            "left_hybrid": clause_report["outer_with_Rx=Rc"]
-                    and clause_report["outer_with_lann(x)=lann(b)"],
-            "annihilator": clause_report["outer_with_rann(x)=rann(c)"]
-                    and clause_report["outer_with_lann(x)=lann(b)"],
-        }[flavor]
-        if matched and (not out.exists or out.value != x):
-            raise VerificationError(
-                "closed form satisfies the flavor but differs from the "
-                "prescribed construction")
-    _bc_invertibility_check(a, b, c, out, flavor)
+        out.extra["closed_form"] = b * g * c
+    if any(bc_invertibility_hypotheses(a, b, c)) and is_invertible(cab):
+        out.extra["cab_invertible"] = True
     return out
-
-
-def _bc_invertibility_check(a, b, c, report, flavor):
-    """When rann(ab) = 0 and cR = R (or the mirror), cab must be
-    invertible and b (cab)^{-1} c must match the hybrid inverses."""
-    cab = c * a * b
-    right_hyp = (annihilator(a * b, RIGHT).is_zero()
-                 and principal(c, RIGHT).is_full())
-    left_hyp = (annihilator(c * a, LEFT).is_zero()
-                and principal(b, LEFT).is_full())
-    if not (right_hyp or left_hyp):
-        return
-    if not is_invertible(cab):
-        raise VerificationError("cab must be invertible under the "
-                                "(b,c) invertibility hypotheses")
-    x = b * inverse_of_unit(cab) * c
-    if right_hyp and flavor == "right_hybrid":
-        if not (report.exists and report.value == x):
-            raise VerificationError(
-                "b (cab)^{-1} c is not the right hybrid (b,c) inverse")
-    if left_hyp and flavor == "left_hybrid":
-        if not (report.exists and report.value == x):
-            raise VerificationError(
-                "b (cab)^{-1} c is not the left hybrid (b,c) inverse")
-    report.extra["cab_invertible"] = True
 
 
 def bc_equality_context(a, b, c):
@@ -886,11 +805,6 @@ def djordjevic_wei_inverse(a, p, q):
             "pq-djordjevic-wei", False,
             reason="the image-kernel inverse does not realize xa = p "
                    "and ax = 1 - q")
-    djordjevic_wei_clauses(a, p, q, x)
-    if annihilator(p, RIGHT) != phi_preimage(a, principal(q, RIGHT)):
-        raise VerificationError("rann(p) != phi_a^{-1}(qR)")
-    if principal(q, LEFT) != phi_preimage(a, annihilator(p, LEFT)):
-        raise VerificationError("Rq != a_phi^{-1}(lann(p))")
     return InverseReport("pq-djordjevic-wei", True, x, satisfied=("2",))
 
 
@@ -905,11 +819,6 @@ def bott_duffin_inverse(a, p, q=None):
                                  reason="1 - p + ap is not invertible")
         x = p * inverse_of_unit(u)
         _check_bott_duffin_equations(a, p, p, x)
-        ik = image_kernel_inverse(a, p, ring.one - p)
-        if not (ik.exists and ik.value == x):
-            raise VerificationError(
-                "Bott-Duffin p inverse differs from the image-kernel "
-                "(p, 1-p) inverse")
         return InverseReport("pq-bott-duffin", True, x)
     _require_idempotent(q, "q")
     ik = image_kernel_inverse(a, p, ring.one - q)

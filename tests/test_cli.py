@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INVOLUTION,
-                         EXIT_NONE, EXIT_NOT_ENUMERABLE, EXIT_OK, EXIT_USAGE,
-                         UsageError, main, parse_constraints, parse_element,
-                         parse_ring)
+from ringinv import special
+from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
+                         EXIT_INVOLUTION, EXIT_NONE, EXIT_NOT_ENUMERABLE,
+                         EXIT_OK, EXIT_USAGE, UsageError, main,
+                         parse_constraints, parse_element, parse_ring)
+from ringinv.errors import VerificationError
 from ringinv.rings import MatF, MatQ, Zn
 
 
@@ -221,6 +223,20 @@ def test_verify_exit_codes(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "verify", "--ring", "m2q")
     assert code == EXIT_NOT_ENUMERABLE
+
+
+def test_internal_error_exits_70(capsys, monkeypatch):
+    def broken(a, e, f):
+        raise VerificationError("constructed ef-mp inverse fails")
+
+    monkeypatch.setattr(special, "weighted_mp", broken)
+    code, out, err = run_cli(capsys, "compute", "--ring", "m2q",
+                             "--element", '[["2","-2"],["0","0"]]',
+                             "--inverse", "ef-mp")
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    assert err.count("\n") == 1 and "ef-mp inverse fails" in err
+    assert "Traceback" not in err
 
 
 def test_job_spec_stdin(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringinv import geninv
 from ringinv.errors import UnsupportedInvolutionError
 from ringinv.geninv import (any_inner, classify_projector_relations,
                             core_inverse, drazin_index, drazin_inverse,
@@ -93,6 +94,22 @@ def test_core_and_dual_core_over_q():
     assert core_inverse(a).value == M2Q.parse([["1/2", 0], [0, 0]])
     assert dual_core_inverse(a).value == \
         M2Q.parse([["1/4", "-1/4"], ["-1/4", "1/4"]])
+
+
+@pytest.mark.parametrize("compute", [core_inverse, dual_core_inverse])
+def test_core_types_validate_once(monkeypatch, compute):
+    # group-invertible (index 1) and of rank 2 in m3q
+    a = MatQ(3).parse([[1, 2, 0], [0, 0, 0], [3, 1, 1]])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return satisfies(*args, **kwargs)
+
+    monkeypatch.setattr(geninv, "satisfies", counting)
+    rep = compute(a)
+    assert rep.exists and drazin_index(a) == 1
+    assert len(calls) == 1
 
 
 def test_named_inverses_agree_with_enumeration_on_m2f2():

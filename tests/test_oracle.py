@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from ringinv import oracle
-from ringinv.errors import NotEnumerableError, PreconditionError
-from ringinv.geninv import satisfies
+from ringinv import oracle, prescribed, special
+from ringinv.errors import (NotEnumerableError, PreconditionError,
+                            VerificationError)
+from ringinv.geninv import InverseReport, satisfies
+from ringinv.ideals import full_ideal
 from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase,
                             brute_force_set, verify, verify_all)
 from ringinv.prescribed import mitsch_leq
@@ -161,3 +163,85 @@ def test_counterexample_detection():
     assert rep.counterexample == "a=2"  # 2*2 = 4 != 2, first in order
     assert rep.cases_checked == 3
     assert rep.ring == "zn:6"
+
+
+# -- cross-checks that moved out of the compute path ----------------------
+#
+# Each mutant breaks one equivalence that compute no longer re-proves; the
+# catalog entry covering it must report a counterexample, never raise.
+
+def _counterexample(theorem, ring, max_cases):
+    rep = verify(theorem, ring, max_cases=max_cases)
+    assert rep.counterexample is not None, rep
+    return rep
+
+
+def test_disagreeing_bundle_is_a_counterexample(monkeypatch):
+    real = prescribed.outer_with
+
+    def one_bundle_off(a, cons, reflexive=False):
+        if reflexive and cons.shape() == ("Sp", "Tp"):
+            return InverseReport("reflexive", False, reason="mutant")
+        return real(a, cons, reflexive=reflexive)
+
+    monkeypatch.setattr(special, "outer_with", one_bundle_off)
+    monkeypatch.setattr(oracle, "outer_with", one_bundle_off)
+    zero = M2F2.render(M2F2.zero)
+    for theorem in ("T-weighted-mp-grid", "T-e-core-grid"):
+        rep = _counterexample(theorem, M2F2, 20)
+        assert rep.cases_checked == 1
+        assert rep.counterexample.startswith("a=%s," % zero)
+
+
+def test_failing_group_compute_is_its_first_case(monkeypatch):
+    def broken(a, w):
+        raise VerificationError("constructed w-core inverse fails")
+
+    monkeypatch.setattr(special, "w_core", broken)
+    rep = _counterexample("T-w-core-grid", M2F2, 20)
+    zero = M2F2.render(M2F2.zero)
+    assert rep.cases_checked == 1
+    assert rep.counterexample == "a=%s,w=%s,x=%s" % (zero, zero, zero)
+
+
+_real_bc_inverse = special.bc_inverse
+
+
+def _shifted_closed_form(a, b, c, flavor="full"):
+    rep = _real_bc_inverse(a, b, c, flavor)
+    if "closed_form" in rep.extra:
+        rep.extra["closed_form"] = rep.extra["closed_form"] + a.ring.one
+    return rep
+
+
+@pytest.mark.parametrize("module, name, mutant", [
+    # the reported closed form is no longer b (cab)^(1) c
+    (special, "bc_inverse", _shifted_closed_form),
+    # the invertibility hypotheses claimed where they do not hold
+    (special, "bc_invertibility_hypotheses", lambda a, b, c: (True, True)),
+    # b (cab)^{-1} c taken with a wrong inverse of cab
+    (oracle, "inverse_of_unit", lambda u: u.ring.one),
+])
+def test_bc_mutants_are_counterexamples(monkeypatch, module, name, mutant):
+    monkeypatch.setattr(module, name, mutant)
+    _counterexample("T-bc-inverses", Z6, 60)
+
+
+def test_phi_preimage_mutant_is_a_counterexample(monkeypatch):
+    monkeypatch.setattr(oracle, "phi_preimage",
+                        lambda a, ideal: full_ideal(a.ring, ideal.side))
+    _counterexample("T-pq-inverses", Z6, 40)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    # (awx)* = awx dropped
+    ("right_w_core_member",
+     lambda a, w, x: a * w * x * a == a and a * w * x * x == x),
+    # (xva)* = xva dropped
+    ("left_v_dual_core_member",
+     lambda a, v, x: a * x * v * a == a and x * x * v * a == x),
+])
+def test_one_sided_member_mutants_are_counterexamples(monkeypatch, name,
+                                                      mutant):
+    monkeypatch.setattr(special, name, mutant)
+    _counterexample("T-one-sided-core", M2F2, 40)

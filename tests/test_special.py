@@ -2,6 +2,7 @@
 
 import pytest
 
+from ringinv import ideals, prescribed, special
 from ringinv.errors import PreconditionError
 from ringinv.geninv import (core_inverse, dual_core_inverse, group_inverse,
                             moore_penrose, satisfies)
@@ -205,3 +206,72 @@ def test_dw_against_brute_force_on_z6():
                     assert want == [rep.value]
                 else:
                     assert want == []
+
+
+# -- compute builds each inverse once; the cross-checks live in the oracle
+
+def _count_calls(monkeypatch, module, name, real):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("compute, args", [
+    (weighted_mp, (I2, I2)),
+    (weighted_mp, (M2Q.parse([[2, 0], [0, 1]]), M2Q.parse([[1, 0], [0, 3]]))),
+    (e_core, (I2,)),
+    (f_dual_core, (I2,)),
+])
+def test_weighted_and_core_like_solve_one_bundle(monkeypatch, compute, args):
+    calls = _count_calls(monkeypatch, special, "outer_with",
+                         prescribed.outer_with)
+    assert compute(A, *args).exists
+    assert len(calls) == 1
+
+
+def test_bc_inverse_does_not_rerun_the_construction_clauses(monkeypatch):
+    calls = _count_calls(monkeypatch, special, "bc_construction_clauses",
+                         special.bc_construction_clauses)
+    grp = group_inverse(A).value
+    for flavor in BC_FLAVORS:
+        rep = bc_inverse(A, A, A, flavor)
+        assert rep.exists and rep.value == grp
+        assert rep.extra["closed_form"] == grp
+    a = M2F2.parse([[1, 1], [0, 1]])
+    rep = bc_inverse(a, M2F2.one, M2F2.one, "right_hybrid")
+    assert rep.extra["cab_invertible"] is True
+    assert calls == []
+
+
+def test_djordjevic_wei_does_not_recheck_phi_preimages(monkeypatch):
+    calls = _count_calls(monkeypatch, ideals, "phi_preimage",
+                         ideals.phi_preimage)
+    calls_here = _count_calls(monkeypatch, special, "phi_preimage",
+                              ideals.phi_preimage)
+    grp = group_inverse(A).value
+    rep = djordjevic_wei_inverse(A, grp * A, I2 - A * grp)
+    assert rep.exists and rep.value == grp
+    assert calls == [] and calls_here == []
+
+
+def test_bott_duffin_p_inverse_skips_the_image_kernel_inverse(monkeypatch):
+    calls = _count_calls(monkeypatch, special, "image_kernel_inverse",
+                         image_kernel_inverse)
+    grp = group_inverse(A).value
+    rep = bott_duffin_inverse(A, grp * A)
+    assert rep.exists and rep.value == grp
+    assert calls == []
+
+
+def test_right_w_core_member_checks_the_equations_only(monkeypatch):
+    calls = _count_calls(monkeypatch, special, "star_class_membership",
+                         star_class_membership)
+    a = M2F2.parse([[1, 1], [0, 0]])
+    assert right_w_core(a, M2F2.one).exists
+    assert right_w_core(A, I2).exists
+    assert calls == []
