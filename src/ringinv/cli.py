@@ -32,6 +32,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors, so that main
+    reports them in one stderr line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_ring(spec):
     """A ring from a shorthand (zn:6, m2f2, m2q) or a JSON object."""
     if isinstance(spec, str):
@@ -187,7 +195,10 @@ def cmd_compute(args):
 def cmd_enumerate(args):
     ring = parse_ring(args.ring)
     a = parse_element(ring, args.element)
-    equations = parse_equations(args.equations)
+    try:
+        equations = parse_equations(args.equations)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     k = args.k
     members = enumerate_inverse_set(a, equations, k=k)
     out = {
@@ -256,14 +267,16 @@ def cmd_verify(args):
 # -- argument plumbing ------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ringinv",
+    # flags must be spelled out in full, so that a job option names one
+    parser = _Parser(
+        prog="ringinv", allow_abbrev=False,
         description="Exact generalized inverses in Z_n and matrix rings.")
     parser.add_argument("--job", help="path to a JSON job spec, or - for "
                                       "stdin")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("compute", help="compute a named inverse")
+    p = sub.add_parser("compute", help="compute a named inverse",
+                       allow_abbrev=False)
     p.add_argument("--ring", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--inverse", required=True)
@@ -271,7 +284,8 @@ def build_parser():
         p.add_argument(flag)
     p.add_argument("--flavor")
 
-    p = sub.add_parser("enumerate", help="enumerate a{i,j,...}")
+    p = sub.add_parser("enumerate", help="enumerate a{i,j,...}",
+                       allow_abbrev=False)
     p.add_argument("--ring", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--equations", required=True)
@@ -279,28 +293,21 @@ def build_parser():
     p.add_argument("--count-only", action="store_true")
 
     p = sub.add_parser("prescribe",
-                       help="inverses with prescribed ideals")
+                       help="inverses with prescribed ideals",
+                       allow_abbrev=False)
     p.add_argument("--ring", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--constraints", required=True)
     p.add_argument("--mode", required=True,
                    choices=("one", "outer", "reflexive"))
 
-    p = sub.add_parser("verify", help="run the verification catalog")
+    p = sub.add_parser("verify", help="run the verification catalog",
+                       allow_abbrev=False)
     p.add_argument("--ring", required=True)
     p.add_argument("--theorems", default="all")
     p.add_argument("--max-cases", type=int)
     p.add_argument("--max-seconds", type=float)
     return parser
-
-
-_JOB_FLAGS = {
-    "compute": ("ring", "element", "inverse", "e", "f", "w", "v", "b",
-                "c", "p", "q", "flavor"),
-    "enumerate": ("ring", "element", "equations", "k", "count_only"),
-    "prescribe": ("ring", "element", "constraints", "mode"),
-    "verify": ("ring", "theorems", "max_cases", "max_seconds"),
-}
 
 
 def _read_job(path):
@@ -313,7 +320,10 @@ def _read_job(path):
         raise UsageError("cannot read job file: %s" % exc)
 
 
-def _args_from_job(text):
+def _argv_from_job(text):
+    """The argv a JSON job stands for: its command, then --flag=value for
+    ring, element and each option, with JSON for non-string values; true
+    is a bare flag and false or null leaves the flag out."""
     try:
         job = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -321,35 +331,27 @@ def _args_from_job(text):
     if not isinstance(job, dict) or "command" not in job:
         raise UsageError('a job needs a "command" key')
     command = job["command"]
-    if command not in _JOB_FLAGS:
-        raise UsageError("unknown command %r" % command)
-    ns = argparse.Namespace(command=command, job=None)
-    options = dict(job.get("options", {}))
+    if not isinstance(command, str) or command not in _DISPATCH:
+        raise UsageError("unknown command %r" % (command,))
+    options = job.get("options", {})
+    if not isinstance(options, dict):
+        raise UsageError("job options must be a JSON object")
+    options = dict(options)
     for key in ("ring", "element"):
         if key in job:
             options[key] = job[key]
-    defaults = {"theorems": "all", "count_only": False}
-    for flag in _JOB_FLAGS[command]:
-        value = options.pop(flag, defaults.get(flag))
-        if value is not None and not isinstance(value, (str, bool, int,
-                                                        float)):
-            value = json.dumps(value, sort_keys=True)
-        setattr(ns, flag, value)
-    if options:
-        raise UsageError("unknown job options: %s"
-                         % ", ".join(sorted(options)))
-    for required in ("ring", "element"):
-        if required in _JOB_FLAGS[command] and \
-                getattr(ns, required) is None:
-            raise UsageError("job is missing %r" % required)
-    if command == "compute" and ns.inverse is None:
-        raise UsageError("job is missing 'inverse'")
-    if command == "enumerate" and ns.equations is None:
-        raise UsageError("job is missing 'equations'")
-    if command == "prescribe" and (ns.constraints is None
-                                   or ns.mode is None):
-        raise UsageError("job is missing 'constraints' or 'mode'")
-    return ns
+    argv = [command]
+    for key, value in options.items():
+        if not key.isidentifier() or key == "help":
+            raise UsageError("unknown job option %r" % key)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False and value is not None:
+            if not isinstance(value, str):
+                value = json.dumps(value, sort_keys=True)
+            argv.append("%s=%s" % (flag, value))
+    return argv
 
 
 _DISPATCH = {
@@ -364,33 +366,31 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
         if args.job is not None:
-            args = _args_from_job(_read_job(args.job))
+            args = parser.parse_args(_argv_from_job(_read_job(args.job)))
         if args.command is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("a command is required: %s"
+                             % ", ".join(_DISPATCH))
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    except (UsageError, PreconditionError) as exc:
+        return _fail(EXIT_USAGE, "error: %s" % exc)
     except json.JSONDecodeError as exc:
-        sys.stderr.write("error: bad JSON: %s\n" % exc)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "error: bad JSON: %s" % exc)
     except UnsupportedInvolutionError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INVOLUTION
+        return _fail(EXIT_INVOLUTION, "error: %s" % exc)
     except NotEnumerableError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_NOT_ENUMERABLE
+        return _fail(EXIT_NOT_ENUMERABLE, "error: %s" % exc)
     except VerificationError as exc:
-        sys.stderr.write("internal error: %s\n" % exc)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, "internal error: %s" % exc)
+
+
+def _fail(code, message):
+    """Write message as one stderr line, newlines in it escaped, and
+    return the exit code."""
+    sys.stderr.write(message.replace("\n", "\\n") + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError, VerificationError)
 from .geninv import (InverseReport, any_inner, core_inverse,
                      dual_core_inverse, iter_inverse_set, satisfies)
-from .ideals import LEFT, RIGHT, annihilator, multiply_ideal, principal
+from .ideals import LEFT, RIGHT, annihilator, principal
 from .prescribed import IdealConstraints, outer_with
 from .projectors import phi_equals_projector as phieq
 from .rings import inverse_of_unit, is_invertible
@@ -581,55 +581,63 @@ def _bc_constraints(b, c, flavor):
     raise PreconditionError("unknown (b,c) flavor %r" % flavor)
 
 
-def bc_construction_clauses(a, b, c, g=None):
-    """Theorem items for x = b (cab)^(1) c; needs (cab){1} nonempty.
-
-    Returns the clause report; each item's equivalent formulations must
-    agree or VerificationError is raised.
-    """
-    cab = c * a * b
-    if g is None:
-        g = any_inner(cab)
-    if g is None or cab * g * cab != cab:
-        raise PreconditionError("(cab){1} is empty or g is not in it")
-    x = b * g * c
-    ab = a * b
-    items = {
+def _bc_ideal_formulations(a, b, c):
+    """The two g-independent ideal formulations of each construction
+    item, by label."""
+    cab, ab = c * a * b, a * b
+    return {
         "x_in_a1": (
-            satisfies(a, x, ("1",)),
             principal(ab, RIGHT) == principal(a, RIGHT)
             and annihilator(cab, RIGHT) == annihilator(ab, RIGHT),
             principal(ab, RIGHT) == principal(a, RIGHT)
             and principal(cab, LEFT) == principal(ab, LEFT)),
         "outer_with_xR=bR": (
-            satisfies(a, x, ("2",))
-            and principal(x, RIGHT) == principal(b, RIGHT),
             annihilator(cab, RIGHT) == annihilator(b, RIGHT),
             principal(cab, LEFT) == principal(b, LEFT)),
         "outer_with_rann(x)=rann(c)": (
-            satisfies(a, x, ("2",))
-            and annihilator(x, RIGHT) == annihilator(c, RIGHT),
             principal(cab, RIGHT) == principal(c, RIGHT),
             annihilator(cab, LEFT) == annihilator(c, LEFT)),
         "outer_with_Rx=Rc": (
-            satisfies(a, x, ("2",))
-            and principal(x, LEFT) == principal(c, LEFT),
             annihilator(cab, LEFT) == annihilator(c, LEFT),
             principal(cab, RIGHT) == principal(c, RIGHT)),
         "outer_with_lann(x)=lann(b)": (
-            satisfies(a, x, ("2",))
-            and annihilator(x, LEFT) == annihilator(b, LEFT),
             principal(cab, LEFT) == principal(b, LEFT),
             annihilator(cab, RIGHT) == annihilator(b, RIGHT)),
     }
-    report = {"x": x}
-    for label, values in items.items():
-        if len(set(values)) > 1:
-            raise VerificationError(
-                "equivalent formulations of %s disagree: %r"
-                % (label, values))
-        report[label] = values[0]
-    return report
+
+
+def bc_construction_clauses(a, b, c, inners):
+    """Theorem items for each x = b g c with g in inners = (cab){1}.
+
+    Returns {x: clause report}; each item's formulation in x must agree
+    with its two ideal formulations or VerificationError is raised.
+    """
+    ideal_forms = _bc_ideal_formulations(a, b, c)
+    reports = {}
+    for g in inners:
+        x = b * g * c
+        if x in reports:
+            continue
+        in_a2 = satisfies(a, x, ("2",))
+        report = {
+            "x_in_a1": satisfies(a, x, ("1",)),
+            "outer_with_xR=bR":
+                in_a2 and principal(x, RIGHT) == principal(b, RIGHT),
+            "outer_with_rann(x)=rann(c)":
+                in_a2 and annihilator(x, RIGHT) == annihilator(c, RIGHT),
+            "outer_with_Rx=Rc":
+                in_a2 and principal(x, LEFT) == principal(c, LEFT),
+            "outer_with_lann(x)=lann(b)":
+                in_a2 and annihilator(x, LEFT) == annihilator(b, LEFT),
+        }
+        for label, value in report.items():
+            values = (value,) + ideal_forms[label]
+            if len(set(values)) > 1:
+                raise VerificationError(
+                    "equivalent formulations of %s disagree: %r"
+                    % (label, values))
+        reports[x] = report
+    return reports
 
 
 def bc_invertibility_hypotheses(a, b, c):
@@ -657,78 +665,6 @@ def bc_inverse(a, b, c, flavor="full"):
     return out
 
 
-def bc_equality_context(a, b, c):
-    """Per-(a,b,c) data reused by bc_equality_clauses over many x."""
-    ring = a.ring
-    cab = c * a * b
-    ctx = {
-        "cab": cab,
-        "cab_regular": any_inner(cab) is not None,
-        "b_regular": any_inner(b) is not None,
-        "c_regular": any_inner(c) is not None,
-        "Rc": principal(c, LEFT),
-        "bR": principal(b, RIGHT),
-        "flavors": {f: outer_with(a, _bc_constraints(b, c, f),
-                                  reflexive=False) for f in BC_FLAVORS},
-        "closed_forms": None,
-    }
-    if ctx["cab_regular"]:
-        rcab = principal(cab, LEFT) == principal(b, LEFT) \
-            or annihilator(cab, RIGHT) == annihilator(b, RIGHT)
-        cabr = principal(cab, RIGHT) == principal(c, RIGHT) \
-            or annihilator(cab, LEFT) == annihilator(c, LEFT)
-        if rcab and cabr:
-            if ring.finite:
-                ctx["closed_forms"] = {b * g * c for g in ring.elements()
-                                       if cab * g * cab == cab}
-            else:
-                ctx["closed_forms"] = {b * any_inner(cab) * c}
-    return ctx
-
-
-def bc_equality_clauses(a, b, c, x, ctx=None):
-    """The mutually equivalent clauses relating the four (b,c) flavors.
-
-    Returns label -> bool; all values must coincide, otherwise
-    VerificationError.  Disjunctive side conditions are reported with
-    both disjuncts evaluated.
-    """
-    if ctx is None:
-        ctx = bc_equality_context(a, b, c)
-    cab_regular = ctx["cab_regular"]
-    b_regular = ctx["b_regular"]
-    c_regular = ctx["c_regular"]
-    in_gc = ctx["Rc"].contains(x)
-    in_bg = ctx["bR"].contains(x)
-
-    def is_flavor(f):
-        rep = ctx["flavors"][f]
-        return rep.exists and rep.value == x
-
-    clauses = {
-        "right_hybrid+x_in_Rc_or_c_regular":
-            is_flavor("right_hybrid") and (in_gc or c_regular),
-        "right_hybrid+cab_regular":
-            is_flavor("right_hybrid") and cab_regular,
-        "left_hybrid+x_in_bR_or_b_regular":
-            is_flavor("left_hybrid") and (in_bg or b_regular),
-        "left_hybrid+cab_regular":
-            is_flavor("left_hybrid") and cab_regular,
-        "full": is_flavor("full"),
-        "annihilator+both_memberships":
-            is_flavor("annihilator") and (in_bg or b_regular)
-            and (in_gc or c_regular),
-        "annihilator+cab_regular":
-            is_flavor("annihilator") and cab_regular,
-    }
-    closed = ctx["closed_forms"] == {x}
-    clauses["closed_form_for_every_inner"] = closed
-    if len(set(clauses.values())) > 1:
-        raise VerificationError(
-            "(b,c) equality clauses disagree: %r" % clauses)
-    return clauses
-
-
 # -- (p,q) inverses ------------------------------------------------------
 
 def _require_idempotent(p, name):
@@ -745,53 +681,6 @@ def image_kernel_inverse(a, p, q):
     rep = outer_with(a, cons, reflexive=False)
     return InverseReport("pq-image-kernel", rep.exists, rep.value,
                          satisfied=rep.satisfied, reason=rep.reason)
-
-
-def djordjevic_wei_clauses(a, p, q, x):
-    """Items of the (p,q) characterization; all must agree."""
-    _require_idempotent(p, "p")
-    _require_idempotent(q, "q")
-    ring = a.ring
-    one = ring.one
-    ax, xa = a * x, x * a
-    in_a2 = satisfies(a, x, ("2",))
-    pr, qr = principal(p, RIGHT), principal(q, RIGHT)
-    rann_p, rann_q = annihilator(p, RIGHT), annihilator(q, RIGHT)
-    rann_xa, rann_ax = annihilator(xa, RIGHT), annihilator(ax, RIGHT)
-    xar, axr = principal(xa, RIGHT), principal(ax, RIGHT)
-    items = {
-        "definition": in_a2 and xa == p and ax == one - q,
-        "weakened_right":
-            multiply_ideal_contains(a, one - p, qr)
-            and x * a * p == p and one - q == ax
-            and x * q == ring.zero,
-        "weakened_left":
-            left_multiply_ideal_contains(a, q, one - p)
-            and p == xa and p * x == x
-            and (one - q) * a * x == one - q,
-        "ideal_inclusions": in_a2 and (
-            (xar.is_subideal_of(pr) and rann_xa.is_subideal_of(rann_p))
-            or (pr.is_subideal_of(xar) and rann_p.is_subideal_of(rann_xa))
-        ) and (
-            (axr.is_subideal_of(rann_q) and rann_ax.is_subideal_of(qr))
-            or (rann_q.is_subideal_of(axr) and qr.is_subideal_of(rann_ax))
-        ),
-    }
-    if len(set(items.values())) > 1:
-        raise VerificationError(
-            "(p,q) characterizations disagree: %r" % items)
-    return items
-
-
-def multiply_ideal_contains(a, r, ideal):
-    """a r R <= ideal (right ideals)."""
-    return multiply_ideal(a, principal(r, RIGHT)).is_subideal_of(ideal)
-
-
-def left_multiply_ideal_contains(a, r, target):
-    """R r a <= R target (left ideals)."""
-    return multiply_ideal(a, principal(r, LEFT)).is_subideal_of(
-        principal(target, LEFT))
 
 
 def djordjevic_wei_inverse(a, p, q):

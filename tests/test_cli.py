@@ -1,9 +1,14 @@
 """CLI contract: JSON in, canonical JSON out, stable exit codes."""
 
+import contextlib
 import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringinv import special
 from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
@@ -255,6 +260,193 @@ def test_job_spec_stdin(capsys, monkeypatch):
         "element": [["1", "0"], ["0", "0"]],
         "options": {"inverse": "group", "bogus": 1}})
     assert code == EXIT_USAGE and "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--ring", "zn:6"),
+    ("bogus",),
+    ("verify", "--ring", "zn:6", "--max-cases", "x"),
+    ("enumerate", "--ring", "zn:6", "--element", "2", "--equations", "1",
+     "--count-only=no"),
+    ("compute", "--ring", "zn:6", "--elem", "2", "--inverse", "group"),
+])
+def test_argv_error_is_one_usage_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "verify", "ring": "zn:6", "options": {"max_cases": 2.5}},
+    {"command": "enumerate", "ring": "zn:6", "element": "2",
+     "options": {"equations": "1", "count_only": "no"}},
+    {"command": "compute", "ring": "zn:6", "element": "2", "options": "abc"},
+    {"command": "compute", "ring": "zn:6", "element": "2", "options": [1]},
+    {"command": ["compute"], "ring": "zn:6", "element": "2"},
+    {"command": "compute", "ring": "zn:6", "element": "2",
+     "options": {"inverse": True}},
+    {"command": "compute", "ring": "zn:6", "element": "2",
+     "options": {"inverse": "group", "help": True}},
+    {"command": "compute", "ring": "zn:6", "element": "2",
+     "options": {"inverse": "group", "max-cases": 2}},
+    {"command": "compute", "element": "2", "options": {"inverse": "group"}},
+])
+def test_bad_job_is_one_usage_line(capsys, monkeypatch, job):
+    code, out, err = run_job(capsys, monkeypatch, job)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options, argv", [
+    ({"theorems": "T-1I-projectors", "max_cases": "5"},
+     ("--theorems", "T-1I-projectors", "--max-cases", "5")),
+    ({"theorems": "T-1I-projectors", "max_cases": 5, "max_seconds": "60"},
+     ("--theorems", "T-1I-projectors", "--max-cases", "5",
+      "--max-seconds", "60")),
+])
+def test_job_options_parse_as_their_flags(capsys, monkeypatch, options,
+                                          argv):
+    job = run_job(capsys, monkeypatch, {"command": "verify", "ring": "zn:6",
+                                        "options": options})
+    assert job == run_cli(capsys, "verify", "--ring", "zn:6", *argv)
+    assert job[0] == EXIT_BUDGET
+
+
+def test_job_flags_and_json_values(capsys, monkeypatch):
+    job = run_job(capsys, monkeypatch, {
+        "command": "enumerate", "ring": {"kind": "zn", "n": 6},
+        "element": 2, "options": {"equations": 1, "count_only": True,
+                                  "k": None}})
+    assert job == run_cli(capsys, "enumerate", "--ring", "zn:6",
+                          "--element", "2", "--equations", "1",
+                          "--count-only")
+    assert job[0] == EXIT_OK
+
+
+# -- fuzz: no input ends in a traceback -----------------------------------
+#
+# derandomized, so that every run of the suite draws the same inputs
+
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_NONE, EXIT_COUNTEREXAMPLE, EXIT_BUDGET,
+                     EXIT_USAGE, EXIT_INVOLUTION, EXIT_NOT_ENUMERABLE}
+# only zn:6, m2q and malformed rings, so that every run is quick
+_RINGS = ["zn:6", "m2q", '{"kind": "zn", "n": 6}',
+          '{"kind": "matrix", "size": 2, "scalars": {"kind": "q"}}',
+          "zn:1", "zn:x", "m2c", "", "{", '{"kind": "zn"}',
+          '{"kind": "zn", "n": 0}', '{"kind": "matrix", "size": 2, '
+          '"scalars": {"kind": "fp", "p": 4}}']
+_ELEMENTS = ["2", "-1", "0", "3", "1.5", "abc", "[[1]]", '["1"]',
+             '[["1","0"],["0","0"]]', '[["2","-2"],["0","0"]]']
+_POOLS = {
+    # the valid rings twice, so that a request gets past them more often
+    "--ring": _RINGS[:4] + _RINGS,
+    "--inverse": ["moore-penrose", "group", "core", "drazin", "bc", "pq",
+                  "bott-duffin", "ef-mp", "e-core", "w-core",
+                  "right-w-core", "nope"],
+    "--equations": ["1", "1,2", "1,2,3,4", "6,7", "moore-penrose", "9x"],
+    "--k": ["2", "0", "x"],
+    "--constraints": ['{"right_principal": {"principal": "2"}}',
+                      '{"left_annihilator": {"set": ["3"]}}',
+                      '{"right_principal": {"colspace": [["0","1"]]}}',
+                      '{"x": 1}', "{}", "[]"],
+    "--mode": ["one", "outer", "reflexive", "bad"],
+    "--theorems": ["T-invertible-lemma", "L-orthogonal-range", "all",
+                   "T-no-such", ","],
+    "--max-cases": ["3", "0", "-1", "x"],
+    "--max-seconds": ["1", "0", "x"],
+    "--flavor": ["full", "right_hybrid", "annihilator", "image_kernel",
+                 "djordjevic_wei", "bott_duffin", "nope"],
+    "--job": ["-", "/nonexistent"],
+}
+_VALUES = sorted({v for pool in _POOLS.values() for v in pool}
+                 | set(_ELEMENTS))
+_COMMAND_FLAGS = {
+    "compute": ("--ring", "--element", "--inverse", "--e", "--f", "--w",
+                "--v", "--b", "--c", "--p", "--q", "--flavor"),
+    "enumerate": ("--ring", "--element", "--equations", "--k",
+                  "--count-only"),
+    "prescribe": ("--ring", "--element", "--constraints", "--mode"),
+    "verify": ("--ring", "--theorems", "--max-cases", "--max-seconds"),
+}
+_FLAGS = sorted({f for flags in _COMMAND_FLAGS.values() for f in flags}
+                | {"--job", "--bogus"})
+# no letters, so no random token names a (large) ring or asks for help
+_noise = st.text(alphabet='x0123-,:="[]{} \n', max_size=6)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 7) | st.floats(-2, 2)
+    | st.sampled_from(_VALUES) | _noise,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "n", "size", "x"]), inner,
+                      max_size=3),
+    max_leaves=6)
+_mostly = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def _requests(draw):
+    """A command and a value for each of its flags that is present; the
+    values are drawn from valid and malformed ones."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = {}
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(_mostly):
+            flags[flag] = draw(st.sampled_from(_POOLS.get(flag, _ELEMENTS))
+                               if draw(_mostly) else _noise)
+    return command, flags
+
+
+def _run_main(argv, stdin_text=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in _DOCUMENTED_EXITS, (code, err)
+    assert "Traceback" not in err
+    if out:
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
+    if code == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_requests(), st.data())
+def test_fuzz_argv(request, data):
+    command, flags = request
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if flag == "--count-only" else [flag, value]
+    if not data.draw(_mostly):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(
+            st.sampled_from(_FLAGS + _VALUES + ["bogus"]) | _noise))
+    _assert_clean_exit(*_run_main(argv))
+
+
+_job_keys = [f[2:] for f in _FLAGS] + ["help", "command", "max-cases",
+                                       "x y"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_requests(), st.data())
+def test_fuzz_job(request, data):
+    command, flags = request
+    options = {f[2:].replace("-", "_"): v for f, v in flags.items()}
+    if not data.draw(_mostly):
+        options[data.draw(st.sampled_from(_job_keys))] = data.draw(_json)
+    job = {"command": command, "options": options}
+    for key in ("ring", "element"):
+        if key in options:
+            job[key] = options.pop(key)
+    if not data.draw(_mostly):
+        # one key of the job holds a value of any JSON type
+        job[data.draw(st.sampled_from(sorted(job)))] = data.draw(_json)
+    text = json.dumps(job) if data.draw(_mostly) else data.draw(_noise)
+    _assert_clean_exit(*_run_main(["--job", "-"], text))
 
 
 def test_byte_identical_output(capsys):

@@ -245,3 +245,88 @@ def test_one_sided_member_mutants_are_counterexamples(monkeypatch, name,
                                                       mutant):
     monkeypatch.setattr(special, name, mutant)
     _counterexample("T-one-sided-core", M2F2, 40)
+
+
+# -- a library error inside a checker is a counterexample, never a raise --
+
+def _raise_verification_error(*args, **kwargs):
+    raise VerificationError("mutant")
+
+
+@pytest.mark.parametrize("theorem, ring, name", [
+    ("T-2I-prescribed", Z6, "outer_with"),
+    ("T-12I-prescribed", Z6, "outer_with"),
+    ("T-mitsch-extremes", Z6, "mitsch_extremes"),
+    ("L-core-equation-systems", M2F2, "core_inverse"),
+    ("T-one-prescribed-families", Z6, "one_inverse_family"),
+    # raised while the regularity table is built, before the first case
+    ("L-regular-ideal-inclusions", Z6, "any_inner"),
+])
+def test_library_error_is_the_raising_case(monkeypatch, theorem, ring, name):
+    first, ok = next(CATALOG_BY_ID[theorem].checker(ring))
+    assert ok
+    monkeypatch.setattr(oracle, name, _raise_verification_error)
+    rep = _counterexample(theorem, ring, 5)
+    assert rep.counterexample == first and rep.cases_checked == 1
+
+
+# -- T-bc-inverses and T-pq-inverses compute each tuple's data once -------
+
+def test_bc_case_solves_each_flavor_once(monkeypatch):
+    calls = []
+
+    def counting(a, cons, reflexive=False):
+        calls.append(cons.shape())
+        return prescribed.outer_with(a, cons, reflexive=reflexive)
+
+    monkeypatch.setattr(special, "outer_with", counting)
+    label, ok = next(CATALOG_BY_ID["T-bc-inverses"].checker(Z6))
+    assert ok and len(calls) == len(special.BC_FLAVORS) == 4
+
+
+def test_multiply_ideal_mutant_breaks_a_djordjevic_wei_item(monkeypatch):
+    monkeypatch.setattr(oracle, "multiply_ideal",
+                        lambda a, ideal: full_ideal(a.ring, ideal.side))
+    rep = _counterexample("T-pq-inverses", Z6, 40)
+    assert rep.counterexample == "a=1,p=1,q=0" and rep.cases_checked == 21
+
+
+def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
+    real = special._bc_ideal_formulations
+
+    def flipped(a, b, c):
+        forms = real(a, b, c)
+        first, second = forms["outer_with_xR=bR"]
+        forms["outer_with_xR=bR"] = (not first, second)
+        return forms
+
+    monkeypatch.setattr(special, "_bc_ideal_formulations", flipped)
+    rep = _counterexample("T-bc-inverses", Z6, 60)
+    assert rep.cases_checked == 1
+
+
+def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
+    # with one b (cab)^(1) c too many, only the closed-form equality
+    # clause changes: every brute-force comparison still passes
+    real = special.bc_construction_clauses
+    messages = []
+
+    def one_more(a, b, c, inners):
+        reports = real(a, b, c, inners)
+        for x in list(reports):
+            reports.setdefault(x + a.ring.one, reports[x])
+        return reports
+
+    def recording(label, thunk):
+        try:
+            thunk()
+        except VerificationError as exc:
+            messages.append(str(exc))
+            return label, False
+        return label, True
+
+    monkeypatch.setattr(special, "bc_construction_clauses", one_more)
+    monkeypatch.setattr(oracle, "_checked", recording)
+    rep = _counterexample("T-bc-inverses", Z6, 60)
+    assert rep.cases_checked == 1
+    assert messages[0].startswith("(b,c) equality clauses disagree")

@@ -6,10 +6,9 @@ from ringinv import ideals, prescribed, special
 from ringinv.errors import PreconditionError
 from ringinv.geninv import (core_inverse, dual_core_inverse, group_inverse,
                             moore_penrose, satisfies)
-from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_equality_clauses,
-                             bc_inverse, bott_duffin_inverse,
-                             djordjevic_wei_inverse, e_core,
-                             e_core_conditions, f_dual_core,
+from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
+                             bott_duffin_inverse, djordjevic_wei_inverse,
+                             e_core, e_core_conditions, f_dual_core,
                              image_kernel_inverse, left_v_dual_core,
                              pq_inverse, right_w_core, star_class_membership,
                              star_class_set, star_class_identity_report,
@@ -141,14 +140,6 @@ def test_bc_inverse_flavors_on_m2f2():
         assert rep.exists
         x = rep.value
         assert x * a * x == x
-
-
-def test_bc_equality_clauses_consistent():
-    a = M2F2.parse([[0, 0], [0, 1]])
-    for x in M2F2.elements():
-        clauses = bc_equality_clauses(a, a, a, x)
-        vals = set(clauses.values())
-        assert len(vals) == 1
 
 
 def test_image_kernel_and_dw_inverses():
