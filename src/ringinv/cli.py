@@ -367,6 +367,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.job is not None:
+            if args.command is not None:
+                raise UsageError("--job takes no command; the job names it")
             args = parser.parse_args(_argv_from_job(_read_job(args.job)))
         if args.command is None:
             raise UsageError("a command is required: %s"

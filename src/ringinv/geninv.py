@@ -19,7 +19,7 @@ from .errors import (NotEnumerableError, PreconditionError,
 from .ideals import LEFT, RIGHT, annihilator, principal
 from .linalg import mat_inverse, mat_mul, rank, rref, transpose
 from .projectors import phi_equals_projector
-from .rings import MatrixRing, RingElement, least_solution_mod
+from .rings import MatrixRing, RingElement, least_solution_mod, memoized
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -150,6 +150,7 @@ def _validated(name, a, x, equations, k=None, extra=None):
     return InverseReport(name, True, x, satisfied=equations, extra=extra)
 
 
+@memoized(lambda a: a.payload)
 def any_inner(a):
     """Some x with axa = a, or None.  Constructive on both backends.
 

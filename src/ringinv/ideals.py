@@ -18,7 +18,7 @@ from .errors import (NotEnumerableError, PreconditionError, RingMismatchError,
                      UnsupportedInvolutionError)
 from .linalg import (Subspace, full_subspace, is_direct_sum, mat_mul,
                      projection_matrix, transpose, zero_subspace)
-from .rings import MatrixRing, ModularRing, RingElement
+from .rings import MatrixRing, ModularRing, RingElement, memoized
 
 RIGHT = "right"
 LEFT = "left"
@@ -156,6 +156,7 @@ class SidedIdeal:
 
 # -- principal ideals and annihilators ---------------------------------
 
+@memoized(lambda a, side: (a.payload, side))
 def principal(a, side):
     """aR (side='right') or Ra (side='left')."""
     ring = a.ring
@@ -167,6 +168,7 @@ def principal(a, side):
     return SidedIdeal(ring, side, divisor=gcd(a.payload, ring.n))
 
 
+@memoized(lambda a, side: (a.payload, side))
 def annihilator(a, side):
     """rann(a) = {r : ar = 0} (right) or lann(a) = {r : ra = 0} (left)."""
     ring = a.ring
@@ -270,6 +272,8 @@ class DirectSumWitness:
         return self._unit
 
 
+@memoized(lambda s, t: (s.side, s.divisor, s.subspace,
+                        t.ring, t.side, t.divisor, t.subspace))
 def direct_sum(s, t):
     """Return a DirectSumWitness if R = s (+) t, else None."""
     s._compatible(t)

@@ -4,6 +4,7 @@ Elements are immutable and hashable.  All enumeration orders are canonical:
 residues ascending; matrices in row-major lexicographic scalar order.
 """
 
+from functools import wraps
 from itertools import product
 from math import gcd
 
@@ -72,6 +73,7 @@ class Ring:
 
     has_involution = False
     finite = False
+    memo = None     # a dict on finite rings, filled by @memoized functions
 
     def involute(self, a):
         raise UnsupportedInvolutionError(
@@ -95,6 +97,7 @@ class ModularRing(Ring):
             raise ValueError("modulus must be >= 2")
         self.n = n
         self.short_name = "zn:%d" % n
+        self.memo = {}
         self.zero = RingElement(self, 0)
         self.one = RingElement(self, 1 % n)
 
@@ -150,6 +153,8 @@ class MatrixRing(Ring):
         self.k = k
         self.field = field
         self.finite = field.finite
+        if self.finite:
+            self.memo = {}
         self.short_name = "m%d%s" % (k, field.name)
         self.zero = RingElement(self, zero_matrix(field, k, k))
         self.one = RingElement(self, identity(field, k))
@@ -213,6 +218,34 @@ class MatrixRing(Ring):
 
     def __repr__(self):
         return "M_%d(%r)" % (self.k, self.field)
+
+
+def memoized(key):
+    """Memoize a function on the finite ring of its first argument.
+
+    The results live in ring.memo, one dict per function keyed by
+    key(*args), so they are freed with the ring.  An infinite ring has
+    no memo and always calls the function.
+    """
+    def decorate(fn):
+        name = fn.__name__
+
+        @wraps(fn)
+        def wrapper(*args):
+            memo = args[0].ring.memo
+            if memo is None:
+                return fn(*args)
+            table = memo.get(name)
+            if table is None:
+                table = memo[name] = {}
+            k = key(*args)
+            try:
+                return table[k]
+            except KeyError:
+                out = table[k] = fn(*args)
+                return out
+        return wrapper
+    return decorate
 
 
 def Zn(n):

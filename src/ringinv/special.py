@@ -180,15 +180,16 @@ def star_class_identity_report(a, tag):
                 ["lann(xa)=lann(a*)", "x_in_Ra"]),
     }[tag]
     members = star_class_set(a, tag)
-    described = [x for x in ring.elements()
-                 if satisfies(a, x, ("1",))
-                 and all(ideal_desc(x)[f] for f in variants[0])]
+    inners = [(x, ideal_desc(x)) for x in ring.elements()
+              if satisfies(a, x, ("1",))]
+
+    def described_by(variant):
+        return [x for x, desc in inners if all(desc[f] for f in variant)]
+
+    described = described_by(variants[0])
     # the remaining variants must describe the same set
     for variant in variants[1:]:
-        alt = [x for x in ring.elements()
-               if satisfies(a, x, ("1",))
-               and all(ideal_desc(x)[f] for f in variant)]
-        if alt != described:
+        if described_by(variant) != described:
             raise VerificationError(
                 "equivalent ideal descriptions of class %s disagree" % tag)
     superset = all(x in members for x in described) \
@@ -649,13 +650,21 @@ def bc_invertibility_hypotheses(a, b, c):
             and principal(b, LEFT).is_full())
 
 
-def bc_inverse(a, b, c, flavor="full"):
-    """The (b,c) inverse of a in the requested flavor, with the closed
-    form b (cab)^(1) c when cab is regular."""
+def bc_flavor_inverse(a, b, c, flavor):
+    """The (b,c) inverse of a in one flavor, without the extras that
+    bc_inverse adds."""
     rep = outer_with(a, _bc_constraints(b, c, flavor), reflexive=False)
-    name = "bc-" + flavor.replace("_", "-")
-    out = InverseReport(name, rep.exists, rep.value,
-                        satisfied=rep.satisfied, reason=rep.reason)
+    return InverseReport("bc-" + flavor.replace("_", "-"), rep.exists,
+                         rep.value, satisfied=rep.satisfied,
+                         reason=rep.reason)
+
+
+def bc_inverse(a, b, c, flavor="full"):
+    """The (b,c) inverse of a in the requested flavor, with the extras
+    shared by every flavor: the closed form b (cab)^(1) c when cab is
+    regular, and cab_invertible when an invertibility hypothesis holds
+    and cab is invertible."""
+    out = bc_flavor_inverse(a, b, c, flavor)
     cab = c * a * b
     g = any_inner(cab)
     if g is not None:

@@ -25,6 +25,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_VALID_JOB = json.dumps({"command": "enumerate", "ring": "zn:6",
+                         "element": "2", "options": {"equations": "1"}})
+
+
 def run_job(capsys, monkeypatch, job):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
     return run_cli(capsys, "--job", "-")
@@ -297,6 +301,14 @@ def test_bad_job_is_one_usage_line(capsys, monkeypatch, job):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_job_with_a_command_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_VALID_JOB))
+    code, out, err = run_cli(capsys, "--job", "-", "compute", "--ring", "m2q",
+                             "--element", "1", "--inverse", "group")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("options, argv", [
     ({"theorems": "T-1I-projectors", "max_cases": "5"},
      ("--theorems", "T-1I-projectors", "--max-cases", "5")),
@@ -414,13 +426,17 @@ def _assert_clean_exit(code, out, err):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_requests(), st.data())
-def test_fuzz_argv(request, data):
-    command, flags = request
+def _request_argv(command, flags):
     argv = [command]
     for flag, value in flags.items():
         argv += [flag] if flag == "--count-only" else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_requests(), st.data())
+def test_fuzz_argv(request, data):
+    argv = _request_argv(*request)
     if not data.draw(_mostly):
         argv.insert(data.draw(st.integers(0, len(argv))), data.draw(
             st.sampled_from(_FLAGS + _VALUES + ["bogus"]) | _noise))
@@ -446,7 +462,14 @@ def test_fuzz_job(request, data):
         # one key of the job holds a value of any JSON type
         job[data.draw(st.sampled_from(sorted(job)))] = data.draw(_json)
     text = json.dumps(job) if data.draw(_mostly) else data.draw(_noise)
-    _assert_clean_exit(*_run_main(["--job", "-"], text))
+    argv = ["--job", "-"]
+    if not data.draw(_mostly):
+        # a command next to --job is a usage error, even with a valid job
+        argv += _request_argv(*data.draw(_requests()))
+        text = _VALID_JOB
+    code, out, err = _run_main(argv, text)
+    _assert_clean_exit(code, out, err)
+    assert code == EXIT_USAGE or len(argv) == 2
 
 
 def test_byte_identical_output(capsys):

@@ -1,0 +1,101 @@
+"""The per-ring memo of principal, annihilator, direct_sum and any_inner:
+each memoized answer equals a fresh construction, infinite rings keep no
+memo, and the memo dies with its ring."""
+
+import gc
+import io
+import json
+import sys
+import weakref
+from itertools import product
+
+import pytest
+
+from ringinv import cli, ideals, oracle
+from ringinv.geninv import any_inner
+from ringinv.ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
+                            principal)
+from ringinv.rings import MatF, memoized, ring_from_name
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_memoized_equals_fresh_construction(name):
+    ring = ring_from_name(name)
+    for a in ring.elements():
+        for fn in (principal, annihilator):
+            for side in (RIGHT, LEFT):
+                first = fn(a, side)
+                assert fn(a, side) is first
+                assert first == fn.__wrapped__(a, side)
+                assert first.side == side
+        inner = any_inner(a)
+        assert any_inner(a) is inner
+        assert inner == any_inner.__wrapped__(a)
+    assert set(ring.memo) == {"principal", "annihilator", "any_inner"}
+    assert len(ring.memo["principal"]) == 2 * ring.size
+
+
+@pytest.mark.parametrize("side", [RIGHT, LEFT])
+def test_memoized_direct_sum_equals_fresh_construction(side):
+    ring = MatF(2, 2)
+    lattice = all_ideals(ring, side)
+    for s, t in product(lattice, repeat=2):
+        w = direct_sum(s, t)
+        fresh = direct_sum.__wrapped__(s, t)
+        assert direct_sum(s, t) is w
+        assert (w is None) == (fresh is None)
+        if w is not None:
+            assert (w.first, w.second) == (s, t)
+            assert w.unit() == fresh.unit()
+    assert len(ring.memo["direct_sum"]) == len(lattice) ** 2
+
+
+def test_infinite_ring_keeps_no_memo(monkeypatch):
+    made = []
+
+    def recording(spec):
+        made.append(cli.ring_from_name(spec))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "parse_ring", recording)
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    a = json.dumps([["1", "2", "0"], ["0", "0", "0"], ["0", "0", "3"]])
+    for inverse in ("moore-penrose", "group", "drazin", "core", "dual-core",
+                    "inner", "reflexive", "ef-mp", "e-core", "w-core"):
+        cli.main(["compute", "--ring", "m3q", "--element", a,
+                  "--inverse", inverse])
+    cli.main(["compute", "--ring", "m3q", "--element", a, "--inverse", "bc",
+              "--b", a, "--c", a])
+    cons = json.dumps({"right_principal": {"principal": a},
+                       "right_annihilator": {"annihilator": a}})
+    for mode in ("one", "outer", "reflexive"):
+        assert cli.main(["prescribe", "--ring", "m3q", "--element", a,
+                         "--constraints", cons, "--mode", mode]) == 0
+    assert len(made) == 14
+    for ring in made:
+        assert ring.memo is None and "memo" not in vars(ring)
+
+
+def test_memo_dies_with_its_ring():
+    ring = MatF(2, 2)
+    ref = weakref.ref(ring)
+    for tid in ("T-1I-projectors", "T-bc-inverses", "O-named-inverses"):
+        assert oracle.verify(tid, ring, max_cases=30).counterexample is None
+    assert {"principal", "annihilator", "direct_sum", "any_inner"} \
+        <= set(ring.memo)
+    del ring
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["principal", "annihilator"])
+def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
+    real = getattr(ideals, name)
+    mutant = memoized(lambda a, side: a.payload)(real.__wrapped__)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("ringinv"):
+            for attr, val in list(vars(module).items()):
+                if val is real:
+                    monkeypatch.setattr(module, attr, mutant)
+    rep = oracle.verify("L-regular-ideal-inclusions", MatF(2, 2))
+    assert rep.counterexample == "a=[0 0; 0 1],b=[0 0; 1 0]"
