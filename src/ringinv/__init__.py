@@ -21,13 +21,13 @@ from .geninv import (EQUATION_TOKENS, InverseReport, NAMED_INVERSES,
 from .prescribed import (IdealConstraints, ParamFamily, mitsch_extremes,
                          mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with,
-                         reflexive_characterize, reflexive_with_ideals)
+                         reflexive_characterize)
 from .special import (bc_inverse, bott_duffin_inverse,
                       djordjevic_wei_inverse, e_core, f_dual_core,
                       image_kernel_inverse, left_v_dual_core, pq_inverse,
                       right_w_core, star_class_membership, star_class_set,
                       v_dual_core, w_core, weighted_mp)
-from .oracle import (CATALOG, TheoremCase, VerificationReport,
-                     brute_force_set, verify, verify_all)
+from .oracle import (CATALOG, TheoremCase, VerificationReport, verify,
+                     verify_all)
 
 __version__ = "0.1.0"

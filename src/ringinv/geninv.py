@@ -17,7 +17,7 @@ from math import gcd
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
 from .ideals import LEFT, RIGHT, annihilator, principal
-from .linalg import mat_inverse, mat_mul, rank, rref, transpose
+from .linalg import rank, rref
 from .projectors import phi_equals_projector
 from .rings import MatrixRing, RingElement, least_solution_mod, memoized
 
@@ -166,40 +166,23 @@ def any_inner(a):
 
 
 def _matrix_inner(a):
-    """Inner inverse of a square matrix over a field via P a Q = diag(I_r, 0).
+    """Inner inverse of a square matrix over a field: x = P E.
 
-    Row-reduce [a | I] to get E with E a in RREF, then clear the non-pivot
-    columns with column operations collected in Q; the inner inverse is
-    Q diag(I_r, 0) E, which exists for every matrix.
+    Row-reduce [a | I] to get E with E a = R in RREF.  Row i of E goes to
+    row p_i of x, p_i the pivot column of row i of R, and the other rows
+    of x are zero.  Then R x = diag(I_r, 0) E, so E a x a = R = E a, and
+    such an x exists for every matrix.
     """
     ring = a.ring
     field, n = ring.field, ring.k
     aug = tuple(row + irow
                 for row, irow in zip(a.payload, ring.one.payload))
     red, pivots = rref(field, aug)
-    pivots = tuple(p for p in pivots if p < n)
-    e = tuple(row[n:] for row in red)
-    m = [list(row[:n]) for row in red]
-    q = [[field.one if i == j else field.zero for j in range(n)]
-         for i in range(n)]
+    rows = [(field.zero,) * n] * n
     for i, pc in enumerate(pivots):
-        if pc != i:
-            for row in m:
-                row[i], row[pc] = row[pc], row[i]
-            for row in q:
-                row[i], row[pc] = row[pc], row[i]
-        for j in range(n):
-            if j != i and m[i][j] != field.zero:
-                f = m[i][j]
-                for row in m:
-                    row[j] = field.sub(row[j], field.mul(f, row[i]))
-                for row in q:
-                    row[j] = field.sub(row[j], field.mul(f, row[i]))
-    r = len(pivots)
-    d = tuple(tuple(field.one if (i == j and i < r) else field.zero
-                    for j in range(n)) for i in range(n))
-    g = mat_mul(field, mat_mul(field, tuple(tuple(row) for row in q), d), e)
-    x = RingElement(ring, g)
+        if pc < n:
+            rows[pc] = red[i][n:]
+    x = RingElement(ring, tuple(rows))
     if a * x * a != a:  # pragma: no cover - algebraic identity
         from .errors import VerificationError
         raise VerificationError("inner inverse construction failed")
@@ -296,51 +279,24 @@ def group_inverse(a):
                       extra={"index": idx})
 
 
-def _rank_factorization(a):
-    """a = F G with F full column rank and G full row rank; returns (F, G)."""
-    ring = a.ring
-    field = ring.field
-    red, pivots = rref(field, a.payload)
-    pivots = tuple(p for p in pivots if p < ring.k)
-    r = len(pivots)
-    g = tuple(red[i] for i in range(r))
-    f = tuple(tuple(row[p] for p in pivots) for row in a.payload)
-    return f, g
-
-
 def moore_penrose(a):
     """a^dagger: the unique element of a{1,2,3,4}, when it exists.
 
-    Over a matrix ring, computed from a rank factorization a = F G as
-    G* (G G*)^{-1} (F* F)^{-1} F*; over a finite field existence first
-    requires rank(a* a) = rank(a) = rank(a a*).
+    Urquhart's formula a^dagger = a^(1,4) a a^(1,3) (Ben-Israel and
+    Greville, Generalized Inverses, ch. 1), with both factors from
+    _inner_13; a^dagger exists iff both of them do, on every field.
     """
     ring = a.ring
     if not ring.has_involution:
         raise UnsupportedInvolutionError(
             "Moore-Penrose needs an involution; %s has none" % ring.short_name)
-    field = ring.field
-    astar = a.star
-    r = rank(field, a.payload)
-    if r == 0:
-        return _validated("moore-penrose", a, ring.zero, ("1", "2", "3", "4"))
-    if ring.finite:
-        if (rank(field, (astar * a).payload) != r
-                or rank(field, (a * astar).payload) != r):
-            return InverseReport(
-                "moore-penrose", False,
-                reason="a{1,2,3,4} is empty: rank(a* a) or rank(a a*) "
-                       "drops below rank(a)")
-    f, g = _rank_factorization(a)
-    ft, gt = transpose(f), transpose(g)
-    ggt_inv = mat_inverse(field, mat_mul(field, g, gt))
-    ftf_inv = mat_inverse(field, mat_mul(field, ft, f))
-    if ggt_inv is None or ftf_inv is None:  # pragma: no cover - rank-tested
-        from .errors import VerificationError
-        raise VerificationError("Gram matrix singular after rank test")
-    x = mat_mul(field, mat_mul(field, gt, ggt_inv),
-                mat_mul(field, ftf_inv, ft))
-    return _validated("moore-penrose", a, RingElement(ring, x),
+    g13, g14 = _inner_13(a), _inner_13(a.star)
+    if g13 is None or g14 is None:
+        return InverseReport(
+            "moore-penrose", False,
+            reason="a{1,2,3,4} is empty: rank(a* a) or rank(a a*) "
+                   "drops below rank(a)")
+    return _validated("moore-penrose", a, g14.star * a * g13,
                       ("1", "2", "3", "4"))
 
 

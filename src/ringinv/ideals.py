@@ -206,20 +206,6 @@ def ideal_annihilator(ideal, side):
     return SidedIdeal(ring, side, divisor=ring.n // ideal.divisor)
 
 
-def zero_ideal(ring, side):
-    if isinstance(ring, MatrixRing):
-        return SidedIdeal(ring, side,
-                          subspace=zero_subspace(ring.field, ring.k))
-    return SidedIdeal(ring, side, divisor=ring.n)
-
-
-def full_ideal(ring, side):
-    if isinstance(ring, MatrixRing):
-        return SidedIdeal(ring, side,
-                          subspace=full_subspace(ring.field, ring.k))
-    return SidedIdeal(ring, side, divisor=1)
-
-
 # -- maps on ideals ----------------------------------------------------
 
 def multiply_ideal(a, ideal):
@@ -247,35 +233,16 @@ def phi_preimage(a, ideal):
 
 # -- direct sums and projector units -----------------------------------
 
-class DirectSumWitness:
-    """Witness for R = S (+) T, carried by the projector unit rho_{S,T}(1).
-
-    For right ideals rho(r) = rho(1) r; for left ideals rho(r) = r rho(1).
-    """
-
-    __slots__ = ("first", "second", "_unit")
-
-    def __init__(self, first, second, unit):
-        self.first = first
-        self.second = second
-        self._unit = unit
-
-    def decompose(self, r):
-        if self.first.side == RIGHT:
-            s = self._unit * r
-        else:
-            s = r * self._unit
-        return s, r - s
-
-    def unit(self):
-        """rho_{S,T}(1): the image of 1 under the projector onto S along T."""
-        return self._unit
-
-
 @memoized(lambda s, t: (s.side, s.divisor, s.subspace,
                         t.ring, t.side, t.divisor, t.subspace))
 def direct_sum(s, t):
-    """Return a DirectSumWitness if R = s (+) t, else None."""
+    """rho_{S,T}(1) if R = s (+) t, else None.
+
+    rho_{S,T}(1) is the image of 1 under the projector onto S along T;
+    it carries the whole projector: rho(r) = rho(1) r for right ideals and
+    rho(r) = r rho(1) for left ideals, so r = rho(r) + (r - rho(r)) is the
+    split of r.
+    """
     s._compatible(t)
     ring = s.ring
     if s.divisor is not None:
@@ -284,13 +251,12 @@ def direct_sum(s, t):
         d, e = s.divisor, t.divisor
         if d * e != ring.n or gcd(d, e) != 1:
             return None
-        return DirectSumWitness(s, t, RingElement(ring, d * pow(d, -1, e)))
+        return RingElement(ring, d * pow(d, -1, e))
     u, v = s.subspace, t.subspace
     if not is_direct_sum(u, v):
         return None
     p = projection_matrix(u, v)
-    unit = RingElement(ring, p if s.side == RIGHT else transpose(p))
-    return DirectSumWitness(s, t, unit)
+    return RingElement(ring, p if s.side == RIGHT else transpose(p))
 
 
 def complement(ideal):
@@ -336,11 +302,10 @@ def all_subspaces(field, n):
     """All subspaces of F^n (finite F), smallest dimension first."""
     if not field.finite:
         raise NotEnumerableError("infinite field")
-    from .linalg import zero_subspace as zs
     vectors = [v for v in full_subspace(field, n).vectors()
                if any(x != field.zero for x in v)]
-    seen = {zs(field, n)}
-    frontier = [zs(field, n)]
+    seen = {zero_subspace(field, n)}
+    frontier = [zero_subspace(field, n)]
     while frontier:
         sp = frontier.pop()
         for v in vectors:

@@ -10,11 +10,13 @@ inverses they bind x's own ideals (xR = S, rann(x) = T, Rx = S',
 lann(x) = T').
 """
 
+from math import gcd
+
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
 from .ideals import (LEFT, RIGHT, SidedIdeal, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, principal)
-from .projectors import projector
+from .linalg import mat_mul, solve_matrix, transpose
 from .rings import MatrixRing, least_solution_mod
 
 
@@ -92,12 +94,6 @@ class ParamFamily:
         return "ParamFamily(base=%r)" % (self.base,)
 
 
-def _unit(s, t):
-    """rho_{S,T}(1) or None when the direct sum fails."""
-    p = projector(s, t)
-    return None if p is None else p.unit
-
-
 def _check_constraints_on_x(a, x, cons, bind_products):
     """Do the prescribed ideal equalities hold for x?
 
@@ -141,13 +137,13 @@ def one_inverse_family(a, cons):
     sp, tp = cons.left_principal, cons.left_annihilator
     left = right = one
     if s is not None:
-        left = _unit(s, annihilator(a, RIGHT))
+        left = direct_sum(s, annihilator(a, RIGHT))
     if tp is not None:
-        left = _unit(principal(a, LEFT), tp)
+        left = direct_sum(principal(a, LEFT), tp)
     if t is not None:
-        right = _unit(principal(a, RIGHT), t)
+        right = direct_sum(principal(a, RIGHT), t)
     if sp is not None:
-        right = _unit(sp, annihilator(a, LEFT))
+        right = direct_sum(sp, annihilator(a, LEFT))
     if left is None or right is None:
         return None
     base = left * g * right
@@ -220,14 +216,11 @@ def _unique_outer_right(a, s, t):
 
     Existence: R = aS (+) T and rann(a) cap S = {0}.
     """
-    ring = a.ring
-    a_s = multiply_ideal(a, s)
-    w = direct_sum(a_s, t)
-    if w is None:
+    u = direct_sum(multiply_ideal(a, s), t)
+    if u is None:
         return None, "R = aS + T is not a direct sum"
     if not annihilator(a, RIGHT).intersect(s).is_zero():
         return None, "rann(a) meets S nontrivially"
-    u = w.unit()
     x = _solve_in_ideal(a, s, u)
     if x is None:  # pragma: no cover - excluded by the existence theorem
         raise VerificationError("no element of S maps to the projector unit")
@@ -238,28 +231,14 @@ def _solve_in_ideal(a, s, u):
     """Some x in the right ideal s with a*x == u."""
     ring = a.ring
     if isinstance(ring, MatrixRing):
-        from .linalg import mat_mul, solve, transpose
-        field, k = ring.field, ring.k
+        field = ring.field
         basis = s.subspace.basis  # x columns are combinations of these
         if not basis:
             return ring.zero if u == ring.zero else None
-        # column j of x is B^T c_j with (a B^T) c_j = u[:,j]
+        # x = B^T c with (a B^T) c = u
         bt = transpose(basis)
-        abt = mat_mul(field, a.payload, bt)
-        cols = []
-        for j in range(k):
-            target = tuple(row[j] for row in u.payload)
-            c = solve(field, abt, target)
-            if c is None:
-                return None
-            col = []
-            for i in range(k):
-                acc = field.zero
-                for idx, ci in enumerate(c):
-                    acc = field.add(acc, field.mul(ci, bt[i][idx]))
-                col.append(acc)
-            cols.append(tuple(col))
-        return ring.element(transpose(tuple(cols)))
+        c = solve_matrix(field, mat_mul(field, a.payload, bt), u.payload)
+        return None if c is None else ring.element(mat_mul(field, bt, c))
     # x = d*y with a*d*y = u (mod n); the least y gives the least x
     d = s.divisor
     y = least_solution_mod(a.payload * d, u.payload, ring.n)
@@ -341,16 +320,14 @@ def _reflexive_dispatch(a, cons):
     shape = cons.shape()
     s, t = cons.right_principal, cons.right_annihilator
     sp, tp = cons.left_principal, cons.left_annihilator
-    ring = a.ring
-    conds = []
     if shape == ("S", "T"):
         conds = [(principal(a, RIGHT), t, "R = aR + T"),
                  (s, annihilator(a, RIGHT), "R = S + rann(a)")]
-        build = lambda u: u[1] * _g(a) * u[0]
+        build = lambda u, g: u[1] * g * u[0]
     elif shape == ("Sp", "Tp"):
         conds = [(principal(a, LEFT), tp, "R = Ra + T'"),
                  (sp, annihilator(a, LEFT), "R = S' + lann(a)")]
-        build = lambda u: u[0] * _g(a) * u[1]
+        build = lambda u, g: u[0] * g * u[1]
     elif shape == ("S", "Sp"):
         conds = [(principal(a, RIGHT), ideal_annihilator(sp, RIGHT),
                   "R = aR + rann(S')"),
@@ -358,44 +335,33 @@ def _reflexive_dispatch(a, cons):
                  (principal(a, LEFT), ideal_annihilator(s, LEFT),
                   "R = Ra + lann(S)"),
                  (sp, annihilator(a, LEFT), "R = S' + lann(a)")]
-        build = lambda u: u[1] * _g(a) * u[3]
+        build = lambda u, g: u[1] * g * u[3]
     elif shape == ("T", "Tp"):
         conds = [(principal(a, RIGHT), t, "R = aR + T"),
                  (principal(a, LEFT), tp, "R = Ra + T'")]
-        build = lambda u: u[1] * _g(a) * u[0]
+        build = lambda u, g: u[1] * g * u[0]
     else:
         raise PreconditionError(
             "reflexive inverses need two prescribed ideals, got %r"
             % (shape,))
     units = []
     for first, second, label in conds:
-        u = _unit(first, second)
+        u = direct_sum(first, second)
         if u is None:
             return InverseReport("reflexive-prescribed", False,
                                  reason="%s is not a direct sum" % label)
         units.append(u)
-    if any_inner(a) is None:
+    g = any_inner(a)
+    if g is None:
         return InverseReport("reflexive-prescribed", False,
                              reason="a is not regular: a{1} is empty")
-    x = build(units)
+    x = build(units, g)
     if not satisfies(a, x, ("1", "2")):
         raise VerificationError("prescribed reflexive inverse fails {1,2}")
     if not _check_constraints_on_x(a, x, cons, bind_products=False):
         raise VerificationError("prescribed reflexive inverse ideal mismatch")
     return InverseReport("reflexive-prescribed", True, x,
                          satisfied=("1", "2"))
-
-
-def _g(a):
-    g = any_inner(a)
-    if g is None:  # pragma: no cover - guarded by callers
-        raise PreconditionError("a{1} is empty")
-    return g
-
-
-def reflexive_with_ideals(a, cons):
-    """Convenience wrapper: outer_with(..., reflexive=True)."""
-    return outer_with(a, cons, reflexive=True)
 
 
 # -- clause-by-clause characterization ----------------------------------
@@ -499,11 +465,9 @@ def _closed_form_matches(a, x, cons):
 def _psi_equals_phi(a, x, s, t):
     """Tabulate psi(r) = ((phi_a)|_S)^{-1}(rho_{aR,T}(r)) and compare phi_x."""
     ring = a.ring
-    w = direct_sum(principal(a, RIGHT), t)
-    ws = direct_sum(s, annihilator(a, RIGHT))
-    if w is None or ws is None:
+    u = direct_sum(principal(a, RIGHT), t)
+    if u is None or direct_sum(s, annihilator(a, RIGHT)) is None:
         return False
-    u = w.unit()
     smembers = s.members()
     for r in ring.elements():
         target = u * r
@@ -518,20 +482,21 @@ def _psi_equals_phi(a, x, s, t):
 # -- Mitsch order ---------------------------------------------------------
 
 def mitsch_leq(y, z):
-    """y <=_M z: exists v, w with vz = vy = y = yw = zw."""
+    """y <=_M z: exists v, w with vz = vy = y = yw = zw.
+
+    On Z_n, vy = y reads v = 1 + t m with m = n/gcd(y, n), and then
+    vz = y reads t m d = -d for d = z - y; w solves the same equation.
+    On matrix rings v and w solve two exact linear systems.
+    """
     ring = y.ring
     if y == z or y == ring.zero:
         return True
-    if ring.finite:
-        elems = ring.elements()
-        if any(v * z == y and v * y == y for v in elems) and \
-           any(y * w == y and z * w == y for w in elems):
-            return True
-        return False
     if not isinstance(ring, MatrixRing):
-        raise NotEnumerableError("Mitsch order on %s" % ring.short_name)
+        n = ring.n
+        m = n // gcd(y.payload, n)
+        d = (z - y).payload
+        return least_solution_mod(m * d, -d, n) is not None
     # v(z|y) = (y|y) and (z over y) w = (y over y): two exact linear systems.
-    from .linalg import solve_matrix, transpose
     field = ring.field
     zy = tuple(rz + ry for rz, ry in zip(z.payload, y.payload))
     yy = tuple(ry + ry for ry in y.payload)

@@ -13,13 +13,12 @@ from .ideals import RIGHT, annihilator, direct_sum, principal
 class Projector:
     """rho_{S,T}: projector onto `onto` along `along`."""
 
-    __slots__ = ("onto", "along", "witness", "unit")
+    __slots__ = ("onto", "along", "unit")
 
-    def __init__(self, onto, along, witness):
+    def __init__(self, onto, along, unit):
         self.onto = onto
         self.along = along
-        self.witness = witness
-        self.unit = witness.unit()  # rho(1)
+        self.unit = unit  # rho(1)
 
     @property
     def side(self):
@@ -50,23 +49,15 @@ class Projector:
 
 def projector(s, t):
     """rho_{S,T}, or None when R != S (+) T."""
-    w = direct_sum(s, t)
-    if w is None:
-        return None
-    return Projector(s, t, w)
+    u = direct_sum(s, t)
+    return None if u is None else Projector(s, t, u)
 
 
 def projector_from_idempotent(p, side):
     """phi_p (right) / p-phi (left) as a projector; p must be idempotent."""
     if p * p != p:
         raise PreconditionError("element is not idempotent")
-    if side == RIGHT:
-        onto = principal(p, RIGHT)
-        along = annihilator(p, RIGHT)
-    else:
-        onto = principal(p, side)
-        along = annihilator(p, side)
-    pr = projector(onto, along)
+    pr = projector(principal(p, side), annihilator(p, side))
     if pr is None:  # cannot happen: pR (+) rann(p) = R for idempotent p
         raise PreconditionError("idempotent did not split the ring")
     return pr
@@ -79,7 +70,4 @@ def phi_equals_projector(b, s, t):
     exists and b equals rho(1); this turns map equality into one element
     comparison.
     """
-    w = direct_sum(s, t)
-    if w is None:
-        return False
-    return b == w.unit()
+    return b == direct_sum(s, t)

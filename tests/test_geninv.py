@@ -1,5 +1,6 @@
 """Named generalized inverses and equation-set enumeration."""
 
+import hashlib
 import json
 import random
 
@@ -206,7 +207,8 @@ def _assert_agrees_with_brute_force(a, elements):
             if satisfies(a, x, ("2", "5", "1k"), k=k)] == [drz.value]
     named = [(group_inverse, ("1", "2", "5"))]
     if a.ring.has_involution:
-        named += [(core_inverse, ("1", "2", "3", "6", "7")),
+        named += [(moore_penrose, ("1", "2", "3", "4")),
+                  (core_inverse, ("1", "2", "3", "6", "7")),
                   (dual_core_inverse, ("1", "2", "4", "8", "9"))]
     for fn, eqs in named:
         rep = fn(a)
@@ -230,6 +232,25 @@ def test_named_inverses_agree_with_brute_force_on_m2f5_sample():
     elements = MatF(2, 5).elements()
     for a in random.Random(2014).sample(elements, 48):
         _assert_agrees_with_brute_force(a, elements)
+
+
+# sha256 of the JSON list of any_inner(a) over the elements in canonical
+# order, recorded from the earlier construction Q diag(I_r, 0) E (column
+# operations after the row reduction); x = P E must give the same values.
+ANY_INNER_DIGESTS = {
+    "m2f2": "97ad29565630f3b2ea4b097ac6e713dbd95bf2ec234ef1a09a6d1df34ed232d7",
+    "m2f3": "a2af672de03385fec7829ffe9dc7ff59eddfb6165cdd6bc3fc7bd5b5ac914e60",
+    "m3f2": "e3297e95170eb7860c11b62dfa874abb5fd4f106359c22e544a8ed90a8d5a27a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANY_INNER_DIGESTS))
+def test_any_inner_values_are_unchanged(name):
+    ring = ring_from_name(name)
+    values = json.dumps([ring.to_json(any_inner(a))
+                         for a in ring.elements()])
+    assert hashlib.sha256(values.encode()).hexdigest() == \
+        ANY_INNER_DIGESTS[name]
 
 
 # 2^3 * 3^2 * 13 * 1000003 * 1000000007: 18 digits, repeated prime factors.

@@ -1,0 +1,95 @@
+"""No dead code in src/ringinv: every module-level import is used in its
+module (__init__.py re-exports and is exempt), and every top-level
+_private name is referenced somewhere in the package.  Stdlib ast only."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringinv"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_names(tree):
+    """(bound name, line) for each module-level import."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def _used_names(tree, imports=False):
+    """Every name read in the tree, as a bare name or an attribute, and
+    with imports=True also every name imported from another module."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unused_imports(trees):
+    out = []
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            used = _used_names(tree)
+            out.extend("%s:%d %s" % (module, line, name)
+                       for name, line in _imported_names(tree)
+                       if name not in used)
+    return out
+
+
+def unreferenced_private_names(trees):
+    used = set().union(*(_used_names(tree, imports=True)
+                         for tree in trees.values()))
+    return ["%s:%d %s" % (module, line, name)
+            for module, tree in trees.items()
+            for name, line in _private_definitions(tree)
+            if name not in used]
+
+
+def test_no_unused_module_imports():
+    assert unused_imports(_trees()) == []
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names(_trees()) == []
+
+
+def test_guards_flag_dead_code():
+    trees = {
+        "dead.py": ast.parse(
+            "from math import gcd, lcm\n"
+            "import os.path\n"
+            "def _orphan():\n    return lcm(2, 3)\n"
+            "def _called():\n    return 1\n"
+            "_TABLE = _called()\n"
+            "def _imported():\n    return 2\n"),
+        "user.py": ast.parse("from .dead import _imported\n"),
+        "__init__.py": ast.parse("from .dead import gcd\n"),
+    }
+    assert unused_imports(trees) == ["dead.py:1 gcd", "dead.py:2 os",
+                                     "user.py:1 _imported"]
+    assert unreferenced_private_names(trees) == [
+        "dead.py:3 _orphan", "dead.py:7 _TABLE"]

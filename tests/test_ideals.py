@@ -4,9 +4,9 @@ import pytest
 
 from ringinv.errors import PreconditionError, UnsupportedInvolutionError
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
-                            complement, direct_sum, full_ideal,
-                            ideal_annihilator, multiply_ideal, orthogonal,
-                            phi_preimage, principal, zero_ideal)
+                            complement, direct_sum, ideal_annihilator,
+                            multiply_ideal, orthogonal, phi_preimage,
+                            principal)
 from ringinv.rings import MatF, MatQ, Zn
 
 Z6 = Zn(6)
@@ -66,32 +66,37 @@ def test_ideal_lattice_operations():
     i2, i3 = principal(z6(2), RIGHT), principal(z6(3), RIGHT)
     assert i2.intersect(i3).is_zero()
     assert i2.sum(i3).is_full()
-    assert i3.is_subideal_of(full_ideal(Z6, RIGHT))
-    assert zero_ideal(Z6, RIGHT).is_subideal_of(i3)
+    assert i3.is_subideal_of(principal(Z6.one, RIGHT))
+    assert principal(Z6.zero, RIGHT).is_subideal_of(i3)
     with pytest.raises(PreconditionError):
         i2.is_subideal_of(principal(z6(2), LEFT))
 
 
 def test_direct_sum_witness():
     i2, i3 = principal(z6(2), RIGHT), principal(z6(3), RIGHT)
-    w = direct_sum(i2, i3)
-    assert w is not None
-    s, t = w.decompose(z6(5))
-    assert s + t == z6(5) and i2.contains(s) and i3.contains(t)
-    assert w.unit() * w.unit() == w.unit()
+    u = direct_sum(i2, i3)
+    assert u is not None
+    r = z6(5)
+    s, t = u * r, r - u * r
+    assert s + t == r and i2.contains(s) and i3.contains(t)
+    assert u * u == u
     assert direct_sum(i2, i2) is None
 
 
 def test_direct_sum_matrix_ring():
     a = M2F2.parse([[0, 0], [0, 1]])
     s, t = principal(a, RIGHT), annihilator(a, RIGHT)
-    w = direct_sum(s, t)
-    assert w is not None
-    u = w.unit()
+    u = direct_sum(s, t)
+    assert u is not None
     assert u * u == u and s.contains(u)
     r = M2F2.parse([[1, 1], [1, 0]])
-    x, y = w.decompose(r)
+    x, y = u * r, r - u * r
     assert x + y == r and s.contains(x) and t.contains(y)
+    sl, tl = principal(a, LEFT), annihilator(a, LEFT)
+    ul = direct_sum(sl, tl)
+    assert ul * ul == ul and sl.contains(ul)
+    x, y = r * ul, r - r * ul
+    assert x + y == r and sl.contains(x) and tl.contains(y)
 
 
 def test_complement_exists():
@@ -105,12 +110,15 @@ def test_complement_exists():
 
 def test_multiply_and_preimage():
     a = z6(2)
-    s = full_ideal(Z6, RIGHT)
+    s = principal(Z6.one, RIGHT)
     assert multiply_ideal(a, s) == principal(a, RIGHT)
-    assert phi_preimage(a, zero_ideal(Z6, RIGHT)) == annihilator(a, RIGHT)
+    assert phi_preimage(a, principal(Z6.zero, RIGHT)) == \
+        annihilator(a, RIGHT)
     b = M2F2.parse([[0, 1], [0, 0]])
-    assert multiply_ideal(b, full_ideal(M2F2, RIGHT)) == principal(b, RIGHT)
-    assert phi_preimage(b, zero_ideal(M2F2, RIGHT)) == annihilator(b, RIGHT)
+    assert multiply_ideal(b, principal(M2F2.one, RIGHT)) == \
+        principal(b, RIGHT)
+    assert phi_preimage(b, principal(M2F2.zero, RIGHT)) == \
+        annihilator(b, RIGHT)
 
 
 def test_ideal_annihilator_duality():
@@ -235,15 +243,15 @@ def test_zn_direct_sums_and_complements_match_brute_force(n, side):
             splits = (ss & st == {0}
                       and {(x + y) % n for x in ss for y in st}
                       == set(range(n)))
-            w = direct_sum(s, t)
-            assert (w is not None) == splits
-            if w is None:
+            u = direct_sum(s, t)
+            assert (u is not None) == splits
+            if u is None:
                 continue
             partners.append(t)
-            u = w.unit()
-            assert u * u == u and w.decompose(ring.one) == (u, ring.one - u)
+            assert u * u == u
             for r in ring.elements():
-                x, y = w.decompose(r)
+                x = u * r if side == RIGHT else r * u
+                y = r - x
                 assert x + y == r and x.payload in ss and y.payload in st
         c = complement(s)
         assert (c is None) == (not partners)

@@ -5,6 +5,7 @@ memo, and the memo dies with its ring."""
 import gc
 import io
 import json
+import re
 import sys
 import weakref
 from itertools import product
@@ -40,13 +41,15 @@ def test_memoized_direct_sum_equals_fresh_construction(side):
     ring = MatF(2, 2)
     lattice = all_ideals(ring, side)
     for s, t in product(lattice, repeat=2):
-        w = direct_sum(s, t)
+        u = direct_sum(s, t)
         fresh = direct_sum.__wrapped__(s, t)
-        assert direct_sum(s, t) is w
-        assert (w is None) == (fresh is None)
-        if w is not None:
-            assert (w.first, w.second) == (s, t)
-            assert w.unit() == fresh.unit()
+        assert direct_sum(s, t) is u
+        assert u == fresh
+        if u is not None:
+            # u carries the projector onto s along t
+            for r in ring.elements():
+                x = u * r if side == RIGHT else r * u
+                assert s.contains(x) and t.contains(r - x)
     assert len(ring.memo["direct_sum"]) == len(lattice) ** 2
 
 
@@ -99,3 +102,18 @@ def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
                     monkeypatch.setattr(module, attr, mutant)
     rep = oracle.verify("L-regular-ideal-inclusions", MatF(2, 2))
     assert rep.counterexample == "a=[0 0; 0 1],b=[0 0; 1 0]"
+    # the ideals of the wrong side make other entries raise library
+    # errors; each of those is a counterexample too, and the whole
+    # catalog still reports and exits 2
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    assert cli.main(["verify", "--ring", "m2f2", "--max-cases", "400"]) == 2
+    reports = json.loads(out.getvalue())
+    assert [r["theorem"] for r in reports] == [c.id for c in oracle.CATALOG]
+    raised = [r for r in reports if " raised " in (r["counterexample"] or "")]
+    assert raised
+    for r in raised:
+        number, error = re.match(r"case (\d+) raised (\w+): ",
+                                 r["counterexample"]).groups()
+        assert int(number) == r["cases_checked"] and not r["passed"]
+        assert error in ("PreconditionError", "RingMismatchError")

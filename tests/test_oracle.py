@@ -7,10 +7,10 @@ import pytest
 from ringinv import oracle, prescribed, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             VerificationError)
-from ringinv.geninv import InverseReport, satisfies
-from ringinv.ideals import full_ideal
-from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase,
-                            brute_force_set, verify, verify_all)
+from ringinv.geninv import InverseReport, enumerate_inverse_set
+from ringinv.ideals import principal
+from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase, verify,
+                            verify_all)
 from ringinv.prescribed import mitsch_leq
 from ringinv.rings import MatF, MatQ, Zn
 
@@ -26,15 +26,31 @@ def test_catalog_ids_are_unique_and_scoped():
 
 def test_brute_force_set():
     a = Z6.parse(2)
-    got = brute_force_set(a, lambda x: satisfies(a, x, ("1",)))
+    got = enumerate_inverse_set(a, ("1",))
     assert [x.payload for x in got] == [2, 5]
     with pytest.raises(NotEnumerableError):
-        brute_force_set(MatQ(2).one, lambda x: True)
+        enumerate_inverse_set(MatQ(2).one, ("1",))
 
 
 def test_unknown_theorem_id():
     with pytest.raises(PreconditionError):
         verify("T-no-such-theorem", Z6)
+
+
+def test_error_escaping_a_checker_is_the_next_case(monkeypatch):
+    def checker(ring):
+        yield "first", True
+        yield "second", True
+        raise PreconditionError("ideals of different sides")
+
+    monkeypatch.setitem(CATALOG_BY_ID, "T-invertible-lemma",
+                        TheoremCase("T-invertible-lemma", "test", checker))
+    rep = verify("T-invertible-lemma", Z6)
+    assert rep.counterexample == ("case 3 raised PreconditionError: "
+                                  "ideals of different sides")
+    assert rep.cases_checked == 3 and not rep.passed
+    rep = verify("T-invertible-lemma", Z6, max_cases=2)
+    assert rep.counterexample is None and not rep.complete
 
 
 def test_invertible_lemma_case_count():
@@ -229,7 +245,7 @@ def test_bc_mutants_are_counterexamples(monkeypatch, module, name, mutant):
 
 def test_phi_preimage_mutant_is_a_counterexample(monkeypatch):
     monkeypatch.setattr(oracle, "phi_preimage",
-                        lambda a, ideal: full_ideal(a.ring, ideal.side))
+                        lambda a, ideal: principal(a.ring.one, ideal.side))
     _counterexample("T-pq-inverses", Z6, 40)
 
 
@@ -286,7 +302,7 @@ def test_bc_case_solves_each_flavor_once(monkeypatch):
 
 def test_multiply_ideal_mutant_breaks_a_djordjevic_wei_item(monkeypatch):
     monkeypatch.setattr(oracle, "multiply_ideal",
-                        lambda a, ideal: full_ideal(a.ring, ideal.side))
+                        lambda a, ideal: principal(a.ring.one, ideal.side))
     rep = _counterexample("T-pq-inverses", Z6, 40)
     assert rep.counterexample == "a=1,p=1,q=0" and rep.cases_checked == 21
 

@@ -4,14 +4,13 @@ import pytest
 
 from ringinv.errors import NotEnumerableError, PreconditionError
 from ringinv.geninv import any_inner, drazin_inverse, satisfies
-from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, annihilator, principal,
-                            zero_ideal)
+from ringinv.ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from ringinv.linalg import PrimeField, Subspace
 from ringinv.prescribed import (IdealConstraints, mitsch_extremes, mitsch_leq,
                                 one_inverse_family, one_inverse_solution_set,
-                                outer_with, reflexive_characterize,
-                                reflexive_with_ideals)
-from ringinv.rings import MatF, MatQ, ModularRing, Zn
+                                outer_with, reflexive_characterize)
+from ringinv.rings import (MatF, MatQ, MatrixRing, ModularRing, Zn,
+                           ring_from_name)
 
 M2F5 = MatF(2, 5)
 M2F2 = MatF(2, 2)
@@ -49,7 +48,7 @@ def test_prescribed_outer_inverses_all_equal_e21():
                  IdealConstraints(right_annihilator=T, left_annihilator=TP)):
         rep = outer_with(E12, cons)
         assert rep.exists and rep.value == E21
-        rep = reflexive_with_ideals(E12, cons)
+        rep = outer_with(E12, cons, reflexive=True)
         assert rep.exists and rep.value == E21
 
 
@@ -209,6 +208,33 @@ def test_mitsch_leq_infinite_matrix_path():
     assert not mitsch_leq(ring.one, a)
 
 
+def _mitsch_by_definition(ring):
+    """{(y, z) : some v, w give vz = vy = y = yw = zw}, scanning v and w
+    over a product table of the ring."""
+    elems = ring.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    prod = [[idx[x * y] for y in elems] for x in elems]
+    pairs = set()
+    for y in range(len(elems)):
+        vs = [v for v in range(len(elems)) if prod[v][y] == y]
+        ws = [w for w in range(len(elems)) if prod[y][w] == y]
+        for z in range(len(elems)):
+            if any(prod[v][z] == y for v in vs) and \
+                    any(prod[z][w] == y for w in ws):
+                pairs.add((elems[y], elems[z]))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["zn:2", "zn:6", "zn:8", "zn:12", "zn:30",
+                                  "zn:36", "zn:72", "zn:97", "zn:100",
+                                  "m2f2", "m2f3"])
+def test_mitsch_leq_matches_the_definition(name):
+    ring = ring_from_name(name)
+    elems = ring.elements()
+    got = {(y, z) for y in elems for z in elems if mitsch_leq(y, z)}
+    assert got == _mitsch_by_definition(ring)
+
+
 def test_mitsch_extremes_report():
     a = M2F2.parse([[0, 0], [0, 1]])
     x = a  # a is idempotent: its own reflexive inverse
@@ -225,6 +251,28 @@ def test_mitsch_extremes_report():
 
 # 2^3 * 3^2 * 13 * 1000003 * 1000000007: 18 digits, repeated prime factors.
 BIG_N = 936002814552019656
+
+
+def test_mitsch_leq_needs_no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    monkeypatch.setattr(MatrixRing, "elements", refuse)
+    m3f3, big = MatF(3, 3), Zn(BIG_N)
+    nil = m3f3.parse([[0, 1, 2], [0, 0, 1], [0, 0, 0]])
+    d = 13 * 1000003  # the CRT idempotent 0 mod d, 1 mod BIG_N / d
+    for e, r in ((m3f3.parse([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                  nil + m3f3.one),
+                 (big.element(d * pow(d, -1, BIG_N // d)), big.element(6))):
+        one = e.ring.one
+        assert e * e == e and e != one
+        assert mitsch_leq(e, one) and not mitsch_leq(one, e)
+        # z = e + (1 - e) r (1 - e) lies above e, with v = w = e
+        z = e + (one - e) * r * (one - e)
+        assert z != e and mitsch_leq(e, z)
+    assert mitsch_leq(nil, nil) and not mitsch_leq(nil, nil * nil)
+    # v * 6 = 6 and v * 7 = 6 force v = 0
+    assert not mitsch_leq(big.element(6), big.element(7))
 
 
 def test_large_modulus_prescribed_inverses_need_no_enumeration(monkeypatch):
@@ -245,7 +293,7 @@ def test_large_modulus_prescribed_inverses_need_no_enumeration(monkeypatch):
             cons = IdealConstraints(**kw)
             rep = outer_with(a, cons)
             assert rep.exists and rep.value == x
-            rep = reflexive_with_ideals(a, cons)
+            rep = outer_with(a, cons, reflexive=True)
             assert rep.exists == regular
             assert not regular or rep.value == x
         if regular:
@@ -257,8 +305,8 @@ def test_large_modulus_prescribed_inverses_need_no_enumeration(monkeypatch):
                 fam = one_inverse_family(a, IdealConstraints(**kw))
                 assert satisfies(a, fam.base, ("1",))
     # rann(x) = lann(x) = 0 makes x a unit, and xax = x then makes a one
-    zero = zero_ideal(ring, RIGHT)
     rep = outer_with(ring.element(6), IdealConstraints(
-        right_annihilator=zero, left_annihilator=zero_ideal(ring, LEFT)))
+        right_annihilator=principal(ring.zero, RIGHT),
+        left_annihilator=principal(ring.zero, LEFT)))
     assert not rep.exists
     assert rep.reason == "no element satisfies the annihilator conditions"

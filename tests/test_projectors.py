@@ -92,6 +92,6 @@ def test_unit_determined_by_split():
     for p in M2F2.elements():
         if p * p != p:
             continue
-        w = direct_sum(principal(p, RIGHT), annihilator(p, RIGHT))
-        assert w is not None
-        assert w.unit() == p
+        u = direct_sum(principal(p, RIGHT), annihilator(p, RIGHT))
+        assert u is not None
+        assert u == p
