@@ -80,7 +80,7 @@ def parse_element(ring, text):
         obj = text
     try:
         return ring.parse(obj)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise UsageError("bad element %r: %s" % (text, exc))
 
 
@@ -103,8 +103,15 @@ def _parse_ideal(ring, side, desc):
     if key in ("colspace", "rowspace", "span"):
         if not isinstance(ring, MatrixRing):
             raise UsageError("vector-span ideals need a matrix ring")
+        if not isinstance(val, list) or not all(
+                isinstance(v, list) and len(v) == ring.k for v in val):
+            raise UsageError("a %s ideal needs a list of vectors of "
+                             "length %d" % (key, ring.k))
         field = ring.field
-        vectors = [tuple(field.parse(x) for x in v) for v in val]
+        try:
+            vectors = [tuple(field.parse(x) for x in v) for v in val]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError("bad %s vector: %s" % (key, exc))
         return SidedIdeal.from_subspace(
             ring, side, Subspace.from_vectors(field, ring.k, vectors))
     raise UsageError("unknown ideal descriptor key %r" % key)
@@ -266,6 +273,18 @@ def cmd_verify(args):
 
 # -- argument plumbing ------------------------------------------------------
 
+def _nonnegative(convert):
+    """An argparse type: convert(text), refused unless it is >= 0 (so
+    also when it is nan)."""
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:
+            raise ValueError(text)
+        return value
+    parse.__name__ = "nonnegative " + convert.__name__
+    return parse
+
+
 def build_parser():
     # flags must be spelled out in full, so that a job option names one
     parser = _Parser(
@@ -289,7 +308,7 @@ def build_parser():
     p.add_argument("--ring", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--equations", required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_nonnegative(int))
     p.add_argument("--count-only", action="store_true")
 
     p = sub.add_parser("prescribe",
@@ -305,8 +324,8 @@ def build_parser():
                        allow_abbrev=False)
     p.add_argument("--ring", required=True)
     p.add_argument("--theorems", default="all")
-    p.add_argument("--max-cases", type=int)
-    p.add_argument("--max-seconds", type=float)
+    p.add_argument("--max-cases", type=_nonnegative(int))
+    p.add_argument("--max-seconds", type=_nonnegative(float))
     return parser
 
 

@@ -16,9 +16,7 @@ from math import gcd
 
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
-from .ideals import LEFT, RIGHT, annihilator, principal
 from .linalg import rank, rref
-from .projectors import phi_equals_projector
 from .rings import MatrixRing, RingElement, least_solution_mod, memoized
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
@@ -303,13 +301,15 @@ def moore_penrose(a):
 def _inner_13(a):
     """a^(1,3) = (a* a)^(1) a*, or None when rank(a* a) < rank(a).
 
-    The mirror a^(1,4) = a* (a a*)^(1) is _inner_13(a.star).star.
+    The test a x a = a for x = (a* a)^(1) a* is that rank test.  The
+    columns of y = a x a - a lie in col(a), and a* y = 0, so they lie in
+    col(a) meet null(a*), which is zero iff rank(a* a) = rank(a).
+    Conversely rank(a x a) <= rank(a* a) <= rank(a).  The mirror
+    a^(1,4) = a* (a a*)^(1) is _inner_13(a.star).star.
     """
-    field, astar = a.ring.field, a.star
-    ata = astar * a
-    if rank(field, ata.payload) != rank(field, a.payload):
-        return None
-    return any_inner(ata) * astar
+    astar = a.star
+    x = any_inner(astar * a) * astar
+    return x if a * x * a == a else None
 
 
 def _no_core_type(name, a, equations, index):
@@ -368,83 +368,3 @@ NAMED_INVERSES = {
     "dual-core": dual_core_inverse,
 }
 
-
-def classify_projector_relations(a, x):
-    """Which projector characterizations of x relative to a hold.
-
-    For each membership class ({1}, {2}, {1,2}, {1,5}, Drazin) the report
-    carries the equation-level answer and the four equivalent projector
-    identities for the maps r -> axr, r -> xar, r -> rax, r -> rxa; the
-    two must agree, and disagreement raises VerificationError.
-    """
-    from .errors import VerificationError
-    ring = a.ring
-    ax, xa = a * x, x * a
-    p, ann = principal, annihilator
-
-    def block(flag, clauses):
-        values = {flag} | set(clauses.values())
-        if len(values) > 1:
-            raise VerificationError(
-                "projector characterization disagrees with the equations: "
-                "%r vs %r" % (flag, clauses))
-        return {"holds": flag, "clauses": clauses}
-
-    out = {
-        "ax_idempotent": ax * ax == ax,
-        "xa_idempotent": xa * xa == xa,
-    }
-    out["one_inverse"] = block(satisfies(a, x, ("1",)), {
-        "phi_ax=rho_{aR,rann(ax)}": phi_equals_projector(
-            ax, p(a, RIGHT), ann(ax, RIGHT)),
-        "phi_xa=rho_{xaR,rann(a)}": phi_equals_projector(
-            xa, p(xa, RIGHT), ann(a, RIGHT)),
-        "ax_phi=rho_{Rax,lann(a)}": phi_equals_projector(
-            ax, p(ax, LEFT), ann(a, LEFT)),
-        "xa_phi=rho_{Ra,lann(xa)}": phi_equals_projector(
-            xa, p(a, LEFT), ann(xa, LEFT)),
-    })
-    out["outer_inverse"] = block(satisfies(a, x, ("2",)), {
-        "phi_ax=rho_{axR,rann(x)}": phi_equals_projector(
-            ax, p(ax, RIGHT), ann(x, RIGHT)),
-        "phi_xa=rho_{xR,rann(xa)}": phi_equals_projector(
-            xa, p(x, RIGHT), ann(xa, RIGHT)),
-        "ax_phi=rho_{Rx,lann(ax)}": phi_equals_projector(
-            ax, p(x, LEFT), ann(ax, LEFT)),
-        "xa_phi=rho_{Rxa,lann(x)}": phi_equals_projector(
-            xa, p(xa, LEFT), ann(x, LEFT)),
-    })
-    out["reflexive_inverse"] = block(satisfies(a, x, ("1", "2")), {
-        "phi_ax=rho_{aR,rann(x)}": phi_equals_projector(
-            ax, p(a, RIGHT), ann(x, RIGHT)),
-        "phi_xa=rho_{xR,rann(a)}": phi_equals_projector(
-            xa, p(x, RIGHT), ann(a, RIGHT)),
-        "ax_phi=rho_{Rx,lann(a)}": phi_equals_projector(
-            ax, p(x, LEFT), ann(a, LEFT)),
-        "xa_phi=rho_{Ra,lann(x)}": phi_equals_projector(
-            xa, p(a, LEFT), ann(x, LEFT)),
-    })
-    out["commuting_inverse"] = block(satisfies(a, x, ("1", "5")), {
-        "phi_ax=phi_xa=rho_{aR,rann(a)}": ax == xa and phi_equals_projector(
-            ax, p(a, RIGHT), ann(a, RIGHT)),
-        "ax_phi=xa_phi=rho_{Ra,lann(a)}": ax == xa and phi_equals_projector(
-            ax, p(a, LEFT), ann(a, LEFT)),
-    })
-    idx = drazin_index(a)
-    l = max(idx, 1)
-    al = a ** l
-    out["drazin"] = block(satisfies(a, x, ("2", "5", "1k"), k=idx), {
-        "phi_ax=phi_xa=rho_{a^lR,rann(a^l)}+xR<=a^lR":
-            ax == xa
-            and phi_equals_projector(ax, p(al, RIGHT), ann(al, RIGHT))
-            and p(x, RIGHT).is_subideal_of(p(al, RIGHT)),
-        "projectors+rann(a^l)<=rann(x)":
-            ax == xa
-            and phi_equals_projector(xa, p(al, LEFT), ann(al, LEFT))
-            and ann(al, RIGHT).is_subideal_of(ann(x, RIGHT)),
-    })
-    out["drazin"]["index"] = idx
-    if ring.has_involution:
-        out["ax_symmetric"] = ax.star == ax
-        out["xa_symmetric"] = xa.star == xa
-    return out

@@ -11,17 +11,16 @@ from functools import lru_cache
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
-from .geninv import (any_inner, classify_projector_relations, core_inverse,
-                     drazin_index, drazin_inverse, dual_core_inverse,
-                     enumerate_inverse_set, group_inverse, iter_inverse_set,
-                     moore_penrose, satisfies)
+from .geninv import (any_inner, core_inverse, drazin_index, drazin_inverse,
+                     dual_core_inverse, enumerate_inverse_set, group_inverse,
+                     iter_inverse_set, moore_penrose, satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
-                     multiply_ideal, phi_preimage, principal)
+                     ideal_annihilator, multiply_ideal, phi_preimage,
+                     principal)
 from .prescribed import (IdealConstraints, _check_constraints_on_x,
                          mitsch_extremes, mitsch_leq, one_inverse_family,
-                         one_inverse_solution_set, outer_with,
-                         reflexive_characterize)
-from .projectors import projector
+                         one_inverse_solution_set, outer_with)
+from .projectors import phi_equals_projector as phieq, projector
 from .rings import inverse_of_unit, is_invertible
 from . import special
 
@@ -106,6 +105,12 @@ def _checked(label, thunk):
 
 def _iff_chain(label, *values):
     return label, len(set(values)) <= 1
+
+
+def _require_agree(what, clauses):
+    """Equivalent clauses (label -> value) hold together or not at all."""
+    if len(set(clauses.values())) > 1:
+        raise VerificationError("%s disagree: %r" % (what, clauses))
 
 
 # -- element and projector lemmas ------------------------------------------
@@ -327,14 +332,92 @@ def _check_reflexive_remark(ring):
 
 # -- projector characterizations -------------------------------------------
 
+def _one_inverse_block(a, x):
+    """x in a{1}, and the projector identities equivalent to it."""
+    ax, xa = a * x, x * a
+    return {
+        "equations": satisfies(a, x, ("1",)),
+        "phi_ax=rho_{aR,rann(ax)}": phieq(
+            ax, principal(a, RIGHT), annihilator(ax, RIGHT)),
+        "phi_xa=rho_{xaR,rann(a)}": phieq(
+            xa, principal(xa, RIGHT), annihilator(a, RIGHT)),
+        "ax_phi=rho_{Rax,lann(a)}": phieq(
+            ax, principal(ax, LEFT), annihilator(a, LEFT)),
+        "xa_phi=rho_{Ra,lann(xa)}": phieq(
+            xa, principal(a, LEFT), annihilator(xa, LEFT)),
+    }
+
+
+def _outer_inverse_block(a, x):
+    """x in a{2}, and the projector identities equivalent to it."""
+    ax, xa = a * x, x * a
+    return {
+        "equations": satisfies(a, x, ("2",)),
+        "phi_ax=rho_{axR,rann(x)}": phieq(
+            ax, principal(ax, RIGHT), annihilator(x, RIGHT)),
+        "phi_xa=rho_{xR,rann(xa)}": phieq(
+            xa, principal(x, RIGHT), annihilator(xa, RIGHT)),
+        "ax_phi=rho_{Rx,lann(ax)}": phieq(
+            ax, principal(x, LEFT), annihilator(ax, LEFT)),
+        "xa_phi=rho_{Rxa,lann(x)}": phieq(
+            xa, principal(xa, LEFT), annihilator(x, LEFT)),
+    }
+
+
+def _reflexive_inverse_block(a, x):
+    """x in a{1,2}, and the projector identities equivalent to it."""
+    ax, xa = a * x, x * a
+    return {
+        "equations": satisfies(a, x, ("1", "2")),
+        "phi_ax=rho_{aR,rann(x)}": phieq(
+            ax, principal(a, RIGHT), annihilator(x, RIGHT)),
+        "phi_xa=rho_{xR,rann(a)}": phieq(
+            xa, principal(x, RIGHT), annihilator(a, RIGHT)),
+        "ax_phi=rho_{Rx,lann(a)}": phieq(
+            ax, principal(x, LEFT), annihilator(a, LEFT)),
+        "xa_phi=rho_{Ra,lann(x)}": phieq(
+            xa, principal(a, LEFT), annihilator(x, LEFT)),
+    }
+
+
+def _commuting_inverse_block(a, x):
+    """x in a{1,5}, and the projector identities equivalent to it."""
+    ax, xa = a * x, x * a
+    return {
+        "equations": satisfies(a, x, ("1", "5")),
+        "phi_ax=phi_xa=rho_{aR,rann(a)}": ax == xa and phieq(
+            ax, principal(a, RIGHT), annihilator(a, RIGHT)),
+        "ax_phi=xa_phi=rho_{Ra,lann(a)}": ax == xa and phieq(
+            ax, principal(a, LEFT), annihilator(a, LEFT)),
+    }
+
+
+def _drazin_block(a, x):
+    """x = a^D, and the projector clauses equivalent to it, with a^l for
+    l = max(index, 1)."""
+    ax, xa = a * x, x * a
+    idx = drazin_index(a)
+    al = a ** max(idx, 1)
+    return {
+        "equations": satisfies(a, x, ("2", "5", "1k"), k=idx),
+        "phi_ax=phi_xa=rho_{a^lR,rann(a^l)}+xR<=a^lR":
+            ax == xa
+            and phieq(ax, principal(al, RIGHT), annihilator(al, RIGHT))
+            and principal(x, RIGHT).is_subideal_of(principal(al, RIGHT)),
+        "projectors+rann(a^l)<=rann(x)":
+            ax == xa
+            and phieq(xa, principal(al, LEFT), annihilator(al, LEFT))
+            and annihilator(al, RIGHT).is_subideal_of(annihilator(x, RIGHT)),
+    }
+
+
 def _projector_block_checker(block):
     def gen(ring):
         for a in _elements(ring):
             for x in _elements(ring):
                 label = "a=%s,x=%s" % (ring.render(a), ring.render(x))
-                yield _checked(
-                    label, lambda a=a, x=x:
-                    classify_projector_relations(a, x)[block])
+                yield _checked(label, lambda a=a, x=x: _require_agree(
+                    "the equations and projector identities", block(a, x)))
     return gen
 
 
@@ -486,22 +569,259 @@ def _check_prescribed(ring, reflexive):
             yield label, ok
 
 
+def _projector_identities(a, x, tags, s, t, sp, tp):
+    """The projector pair of the two-ideal shape tags over the bundle
+    (S, T, S', T'): phi_ax = rho_{aR,T} when T is prescribed, else
+    ax_phi = rho_{S',lann(a)}; phi_xa = rho_{S,rann(a)} when S is
+    prescribed, else xa_phi = rho_{Ra,T'}."""
+    if "T" in tags:
+        ok = phieq(a * x, principal(a, RIGHT), t)
+    else:
+        ok = phieq(a * x, sp, annihilator(a, LEFT))
+    if "S" in tags:
+        return ok and phieq(x * a, s, annihilator(a, RIGHT))
+    return ok and phieq(x * a, principal(a, LEFT), tp)
+
+
+# clauses on x over the bundle (S, T, S', T'), by label
+_SIDE_CLAUSES = {
+    "xR<=S": lambda x, s, t, sp, tp:
+        principal(x, RIGHT).is_subideal_of(s),
+    "T'<=lann(x)": lambda x, s, t, sp, tp:
+        tp.is_subideal_of(annihilator(x, LEFT)),
+    "Rx<=S'": lambda x, s, t, sp, tp:
+        principal(x, LEFT).is_subideal_of(sp),
+    "T<=rann(x)": lambda x, s, t, sp, tp:
+        t.is_subideal_of(annihilator(x, RIGHT)),
+    "x_in_S": lambda x, s, t, sp, tp: s.contains(x),
+    "x_in_S'": lambda x, s, t, sp, tp: sp.contains(x),
+    "x_in_S_or_S'": lambda x, s, t, sp, tp:
+        s.contains(x) or sp.contains(x),
+    "lann(S)<=lann(x)": lambda x, s, t, sp, tp:
+        ideal_annihilator(s, LEFT).is_subideal_of(annihilator(x, LEFT)),
+    "rann(S')<=rann(x)": lambda x, s, t, sp, tp:
+        ideal_annihilator(sp, RIGHT).is_subideal_of(annihilator(x, RIGHT)),
+}
+# the side list of the prescribed-bundle grids
+_GRID_SIDES = ("xR<=S", "T'<=lann(x)", "Rx<=S'", "T<=rann(x)")
+# the side clauses of each shape in the T-12I clause grid
+_REFLEXIVE_SIDES = {
+    ("S", "T"): ("x_in_S", "lann(S)<=lann(x)", "T<=rann(x)"),
+    ("Sp", "Tp"): ("x_in_S'", "rann(S')<=rann(x)", "T'<=lann(x)"),
+    ("S", "Sp"): ("x_in_S_or_S'", "lann(S)<=lann(x)", "rann(S')<=rann(x)"),
+    ("T", "Tp"): ("T<=rann(x)", "T'<=lann(x)"),
+}
+
+
+def _reflexive_clauses(a, x, tags, ideals):
+    """The equivalent clauses characterizing x = a^(1,2) with the ideals
+    tags of ideals = (S, T, S', T') prescribed, by label."""
+    cons = _cons_from(tags, *ideals)
+    pair = _projector_identities(a, x, tags, *ideals)
+    a1_ideals = satisfies(a, x, ("1",)) and _check_constraints_on_x(
+        a, x, cons, True)
+    clauses = {}
+    for label in _REFLEXIVE_SIDES[tags]:
+        side = _SIDE_CLAUSES[label](x, *ideals)
+        clauses["projectors+" + label] = pair and side
+        clauses["a1+ideals+" + label] = a1_ideals and side
+    rep = outer_with(a, cons, reflexive=True)
+    clauses["closed_form"] = rep.exists and rep.value == x
+    if tags == ("S", "T"):
+        clauses["isomorphism_phi_b"] = _psi_equals_phi(a, x, *ideals[:2])
+    return clauses
+
+
+def _psi_equals_phi(a, x, s, t):
+    """Tabulate psi(r) = ((phi_a)|_S)^{-1}(rho_{aR,T}(r)) and compare phi_x."""
+    ring = a.ring
+    u = direct_sum(principal(a, RIGHT), t)
+    if u is None or direct_sum(s, annihilator(a, RIGHT)) is None:
+        return False
+    smembers = s.members()
+    for r in ring.elements():
+        target = u * r
+        images = [c for c in smembers if a * c == target]
+        if len(images) != 1:
+            return False
+        if x * r != images[0]:
+            return False
+    return True
+
+
 def _check_reflexive_clause_grid(ring):
     for a in _elements(ring):
         for x in _elements(ring):
+            ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
+                      principal(x, LEFT), annihilator(x, LEFT))
             for tags in _TWO_SHAPES:
-                cons = _cons_from(
-                    tags,
-                    principal(x, RIGHT), annihilator(x, RIGHT),
-                    principal(x, LEFT), annihilator(x, LEFT))
                 label = "a=%s,x=%s,shape=%s" % (
                     ring.render(a), ring.render(x), "+".join(tags))
                 yield _checked(
-                    label, lambda a=a, x=x, cons=cons:
-                    reflexive_characterize(a, x, cons))
+                    label, lambda a=a, x=x, tags=tags: _require_agree(
+                        "equivalent clauses",
+                        _reflexive_clauses(a, x, tags, ideals)))
 
 
 # -- weighted, one-sided, and constrained inverses --------------------------
+
+# classes whose projector conditions are only sufficient for membership
+_SUFFICIENT_ONLY = ("136", "148")
+
+
+def _star_class_clauses(a, x, tag):
+    """The projector conditions attached to the class, by label."""
+    ax, xa = a * x, x * a
+    astar = a.star
+    ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
+    ra, ras = principal(a, LEFT), principal(astar, LEFT)
+    rann_a, rann_as = annihilator(a, RIGHT), annihilator(astar, RIGHT)
+    lann_a, lann_as = annihilator(a, LEFT), annihilator(astar, LEFT)
+    c13 = {
+        "phi_ax=rho_{aR,rann(a*)}": phieq(ax, ar, rann_as),
+        "ax_phi=rho_{Ra*,lann(a)}": phieq(ax, ras, lann_a),
+    }
+    c14 = {
+        "phi_xa=rho_{a*R,rann(a)}": phieq(xa, asr, rann_a),
+        "xa_phi=rho_{Ra,lann(a*)}": phieq(xa, ra, lann_as),
+    }
+    if tag == "13":
+        return c13
+    if tag == "14":
+        return c14
+    if tag == "134":
+        out = {}
+        for la, va in c13.items():
+            for lb, vb in c14.items():
+                out["%s+%s" % (la, lb)] = va and vb
+        return out
+    if tag == "136":
+        c6 = {
+            "phi_xa=rho_{aR,rann(a)}": phieq(xa, ar, rann_a),
+            "xa_phi=rho_{Ra,lann(a)}": phieq(xa, ra, lann_a),
+        }
+        return {"%s+%s" % (la, lb): va and vb
+                for la, va in c13.items() for lb, vb in c6.items()}
+    if tag == "148":
+        c8 = {
+            "phi_ax=rho_{aR,rann(a)}": phieq(ax, ar, rann_a),
+            "ax_phi=rho_{Ra,lann(a)}": phieq(ax, ra, lann_a),
+        }
+        return {"%s+%s" % (la, lb): va and vb
+                for la, va in c8.items() for lb, vb in c14.items()}
+    if tag == "137":
+        return {
+            "phi_ax=rho_{aR,rann(a*)}+x_in_aR":
+                c13["phi_ax=rho_{aR,rann(a*)}"] and ar.contains(x),
+            "ax_phi=rho_{Ra*,lann(a)}+lann(a)<=lann(x)":
+                c13["ax_phi=rho_{Ra*,lann(a)}"]
+                and lann_a.is_subideal_of(annihilator(x, LEFT)),
+        }
+    if tag == "149":
+        return {
+            "phi_xa=rho_{a*R,rann(a)}+rann(a)<=rann(x)":
+                c14["phi_xa=rho_{a*R,rann(a)}"]
+                and rann_a.is_subideal_of(annihilator(x, RIGHT)),
+            "xa_phi=rho_{Ra,lann(a*)}+x_in_Ra":
+                c14["xa_phi=rho_{Ra,lann(a*)}"] and ra.contains(x),
+        }
+    raise PreconditionError("unknown star class %r" % tag)
+
+
+def star_class_membership(a, x, tag):
+    """(member?, clauses): equations and projector conditions, reconciled.
+
+    For the {1,3,6} and {1,4,8} classes the projector conditions are only
+    sufficient, so clauses may be False for a member; any True clause
+    still forces membership.
+    """
+    member = satisfies(a, x, special.STAR_CLASS_EQS[tag])
+    clauses = _star_class_clauses(a, x, tag)
+    if tag in _SUFFICIENT_ONLY:
+        if any(clauses.values()) and not member:
+            raise VerificationError(
+                "a sufficient projector condition held for a non-member")
+    else:
+        _require_agree("the equations and projector conditions",
+                       dict(clauses, equations=member))
+    return member, clauses
+
+
+def star_class_identity_report(a, tag):
+    """Compare the class with its {1}-inverse ideal descriptions.
+
+    Returns the class members, the described set(s), and whether they are
+    equal; for {1,3,6}/{1,4,8} only containment of the described set is
+    asserted and equality is recorded.
+    """
+    ring = a.ring
+    astar = a.star
+    ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
+    ra, ras = principal(a, LEFT), principal(astar, LEFT)
+    rann_a, rann_as = annihilator(a, RIGHT), annihilator(astar, RIGHT)
+    lann_a, lann_as = annihilator(a, LEFT), annihilator(astar, LEFT)
+
+    def ideal_desc(x):
+        ax, xa = a * x, x * a
+        facts = {
+            "xaR=aR": principal(xa, RIGHT) == ar,
+            "xaR=a*R": principal(xa, RIGHT) == asr,
+            "rann(ax)=rann(a)": annihilator(ax, RIGHT) == rann_a,
+            "rann(ax)=rann(a*)": annihilator(ax, RIGHT) == rann_as,
+            "Rax=Ra": principal(ax, LEFT) == ra,
+            "Rax=Ra*": principal(ax, LEFT) == ras,
+            "lann(xa)=lann(a)": annihilator(xa, LEFT) == lann_a,
+            "lann(xa)=lann(a*)": annihilator(xa, LEFT) == lann_as,
+            "x_in_aR": ar.contains(x),
+            "x_in_Ra": ra.contains(x),
+            "lann(a)<=lann(x)":
+                lann_a.is_subideal_of(annihilator(x, LEFT)),
+            "rann(a)<=rann(x)":
+                rann_a.is_subideal_of(annihilator(x, RIGHT)),
+        }
+        return facts
+
+    variants = {
+        "13": (["rann(ax)=rann(a*)"], ["Rax=Ra*"]),
+        "14": (["xaR=a*R"], ["lann(xa)=lann(a*)"]),
+        "134": (["xaR=a*R", "rann(ax)=rann(a*)"],
+                ["lann(xa)=lann(a*)", "rann(ax)=rann(a*)"],
+                ["xaR=a*R", "Rax=Ra*"],
+                ["Rax=Ra*", "lann(xa)=lann(a*)"]),
+        "136": (["xaR=aR", "rann(ax)=rann(a*)"],
+                ["lann(xa)=lann(a)", "rann(ax)=rann(a*)"],
+                ["xaR=aR", "Rax=Ra*"],
+                ["Rax=Ra*", "lann(xa)=lann(a)"]),
+        "148": (["xaR=a*R", "rann(ax)=rann(a)"],
+                ["lann(xa)=lann(a*)", "rann(ax)=rann(a)"],
+                ["xaR=a*R", "Rax=Ra"],
+                ["Rax=Ra", "lann(xa)=lann(a*)"]),
+        "137": (["rann(ax)=rann(a*)", "x_in_aR"],
+                ["Rax=Ra*", "lann(a)<=lann(x)"]),
+        "149": (["xaR=a*R", "rann(a)<=rann(x)"],
+                ["lann(xa)=lann(a*)", "x_in_Ra"]),
+    }[tag]
+    members = special.star_class_set(a, tag)
+    inners = [(x, ideal_desc(x)) for x in ring.elements()
+              if satisfies(a, x, ("1",))]
+    # every variant must describe the same set
+    described = {"+".join(variant): tuple(
+        x for x, desc in inners if all(desc[f] for f in variant))
+        for variant in variants}
+    _require_agree("the ideal descriptions of class %s" % tag, described)
+    described = list(described["+".join(variants[0])])
+    superset = all(x in members for x in described) \
+        if tag in _SUFFICIENT_ONLY else None
+    if tag in _SUFFICIENT_ONLY and not superset:
+        raise VerificationError(
+            "described set escapes the class %s" % tag)
+    return {
+        "members": members,
+        "described": described,
+        "equal": members == described,
+        "sufficient_only": tag in _SUFFICIENT_ONLY,
+    }
+
 
 def _check_star_classes(ring):
     if not ring.has_involution:
@@ -511,8 +831,8 @@ def _check_star_classes(ring):
             label = "a=%s,class=%s" % (ring.render(a), tag)
             def run(a=a, tag=tag):
                 for x in ring.elements():
-                    special.star_class_membership(a, x, tag)
-                special.star_class_identity_report(a, tag)
+                    star_class_membership(a, x, tag)
+                star_class_identity_report(a, tag)
             yield _checked(label, run)
 
 
@@ -526,19 +846,77 @@ def _require_bundles_agree(a, ideals):
             "equivalent prescribed-ideal bundles disagree")
 
 
-def _grid_cases(ring, prefix, setup, check):
-    """The cases x of one group: check(x, reps) with reps = setup().  When
-    setup raises a library error, the group's first case fails."""
+def _bundle_grid(a, x, ideals, target, *extra):
+    """The grid of the {1,2}-inverse of a prescribed by the bundle
+    ideals = (S, T, S', T'): x is that inverse (target) iff the projector
+    pair of some two-ideal shape holds, some side clause holds, and
+    every extra list (label -> bool) has a true entry."""
+    grid = (any(_projector_identities(a, x, tags, *ideals)
+                for tags in _TWO_SHAPES)
+            and any(_SIDE_CLAUSES[label](x, *ideals)
+                    for label in _GRID_SIDES)
+            and all(any(clauses.values()) for clauses in extra))
+    _require_agree("the condition grid and its target",
+                   {"target": target, "grid": grid})
+
+
+def _require_grids(grids, x):
+    """x passes _bundle_grid for each grid, given as (subject, bundle,
+    inverse report, extra lists)."""
+    for b, ideals, rep, extra in grids:
+        _bundle_grid(b, x, ideals, rep.exists and rep.value == x, *extra)
+
+
+def _weighted_mp_grids(a, e, f):
+    ideals = special.weighted_mp_ideals(a, e, f)
+    _require_bundles_agree(a, ideals)
+    return [(a, ideals, special.weighted_mp(a, e, f), ())]
+
+
+def _e_core_grids(a, e):
+    """The e-core and the f-dual core grids, with f = e."""
+    core = special.e_core_ideals(a, e)
+    dual = special.f_dual_core_ideals(a, e)
+    _require_bundles_agree(a, core)
+    _require_bundles_agree(a, dual)
+    return [(a, core, special.e_core(a, e), ()),
+            (a, dual, special.f_dual_core(a, e), ())]
+
+
+def _w_core_grids(a, w):
+    """The w-core grid is the e-core grid of b = aw with e = 1 and the
+    extra list (aR <= bR, lann(b) <= lann(a)); the v-dual core grid
+    mirrors it with c = wa and v = w."""
+    one = a.ring.one
+    b, c = a * w, w * a
+    b_extra = {
+        "aR<=bR": principal(a, RIGHT).is_subideal_of(principal(b, RIGHT)),
+        "lann(b)<=lann(a)":
+            annihilator(b, LEFT).is_subideal_of(annihilator(a, LEFT))}
+    c_extra = {
+        "Ra<=Rc": principal(a, LEFT).is_subideal_of(principal(c, LEFT)),
+        "rann(c)<=rann(a)":
+            annihilator(c, RIGHT).is_subideal_of(annihilator(a, RIGHT))}
+    return [(b, special.e_core_ideals(b, one), special.w_core(a, w),
+             (b_extra,)),
+            (c, special.f_dual_core_ideals(c, one),
+             special.v_dual_core(a, w), (c_extra,))]
+
+
+def _grid_cases(ring, prefix, grids_of, *args):
+    """The cases x of one group: x must pass the grids grids_of(*args)
+    lists.  When that raises a library error, the group's first case
+    fails."""
     try:
-        reps = setup()
+        grids = grids_of(*args)
     except RingInvError:
-        reps = None
+        grids = None
     for x in ring.elements():
         label = "%s,x=%s" % (prefix, ring.render(x))
-        if reps is None:
+        if grids is None:
             yield label, False
         else:
-            yield _checked(label, lambda x=x: check(x, reps))
+            yield _checked(label, lambda x=x: _require_grids(grids, x))
 
 
 def _check_weighted_mp_grid(ring):
@@ -548,15 +926,10 @@ def _check_weighted_mp_grid(ring):
     for a in _elements(ring):
         for e in weights:
             for f in weights:
-                def setup(a=a, e=e, f=f):
-                    _require_bundles_agree(
-                        a, special.weighted_mp_ideals(a, e, f))
-                    return special.weighted_mp(a, e, f)
                 yield from _grid_cases(
                     ring, "a=%s,e=%s,f=%s" % tuple(
                         ring.render(v) for v in (a, e, f)),
-                    setup, lambda x, rep, a=a, e=e, f=f:
-                    special.weighted_mp_conditions(a, e, f, x, rep=rep))
+                    _weighted_mp_grids, a, e, f)
 
 
 def _check_e_core_grid(ring):
@@ -564,15 +937,9 @@ def _check_e_core_grid(ring):
         return
     for a in _elements(ring):
         for e in _weights(ring):
-            def setup(a=a, e=e):
-                _require_bundles_agree(a, special.e_core_ideals(a, e))
-                _require_bundles_agree(a, special.f_dual_core_ideals(a, e))
-                return special.e_core(a, e), special.f_dual_core(a, e)
             yield from _grid_cases(
                 ring, "a=%s,e=%s" % (ring.render(a), ring.render(e)),
-                setup, lambda x, reps, a=a, e=e: (
-                    special.e_core_conditions(a, e, x, rep=reps[0]),
-                    special.f_dual_core_conditions(a, e, x, rep=reps[1])))
+                _e_core_grids, a, e)
 
 
 def _check_w_core_grid(ring):
@@ -582,11 +949,7 @@ def _check_w_core_grid(ring):
         for w in _elements(ring):
             yield from _grid_cases(
                 ring, "a=%s,w=%s" % (ring.render(a), ring.render(w)),
-                lambda a=a, w=w: (special.w_core(a, w),
-                                  special.v_dual_core(a, w)),
-                lambda x, reps, a=a, w=w: (
-                    special.w_core_conditions(a, w, x, rep=reps[0]),
-                    special.v_dual_core_conditions(a, w, x, rep=reps[1])))
+                _w_core_grids, a, w)
 
 
 def _check_one_sided_core(ring):
@@ -624,6 +987,64 @@ def _check_one_sided_core(ring):
             yield _checked(label, run)
 
 
+def _bc_ideal_formulations(a, b, c):
+    """The two g-independent ideal formulations of each construction
+    item, by label."""
+    cab, ab = c * a * b, a * b
+    return {
+        "x_in_a1": (
+            principal(ab, RIGHT) == principal(a, RIGHT)
+            and annihilator(cab, RIGHT) == annihilator(ab, RIGHT),
+            principal(ab, RIGHT) == principal(a, RIGHT)
+            and principal(cab, LEFT) == principal(ab, LEFT)),
+        "outer_with_xR=bR": (
+            annihilator(cab, RIGHT) == annihilator(b, RIGHT),
+            principal(cab, LEFT) == principal(b, LEFT)),
+        "outer_with_rann(x)=rann(c)": (
+            principal(cab, RIGHT) == principal(c, RIGHT),
+            annihilator(cab, LEFT) == annihilator(c, LEFT)),
+        "outer_with_Rx=Rc": (
+            annihilator(cab, LEFT) == annihilator(c, LEFT),
+            principal(cab, RIGHT) == principal(c, RIGHT)),
+        "outer_with_lann(x)=lann(b)": (
+            principal(cab, LEFT) == principal(b, LEFT),
+            annihilator(cab, RIGHT) == annihilator(b, RIGHT)),
+    }
+
+
+def bc_construction_clauses(a, b, c, inners):
+    """Theorem items for each x = b g c with g in inners = (cab){1}.
+
+    Returns {x: clause report}; each item's formulation in x must agree
+    with its two ideal formulations or VerificationError is raised.
+    """
+    ideal_forms = _bc_ideal_formulations(a, b, c)
+    reports = {}
+    for g in inners:
+        x = b * g * c
+        if x in reports:
+            continue
+        in_a2 = satisfies(a, x, ("2",))
+        report = {
+            "x_in_a1": satisfies(a, x, ("1",)),
+            "outer_with_xR=bR":
+                in_a2 and principal(x, RIGHT) == principal(b, RIGHT),
+            "outer_with_rann(x)=rann(c)":
+                in_a2 and annihilator(x, RIGHT) == annihilator(c, RIGHT),
+            "outer_with_Rx=Rc":
+                in_a2 and principal(x, LEFT) == principal(c, LEFT),
+            "outer_with_lann(x)=lann(b)":
+                in_a2 and annihilator(x, LEFT) == annihilator(b, LEFT),
+        }
+        for label, value in report.items():
+            first, second = ideal_forms[label]
+            _require_agree("the formulations of %s" % label,
+                           {"in x": value, "first ideal form": first,
+                            "second ideal form": second})
+        reports[x] = report
+    return reports
+
+
 # the construction-clause items that place b (cab)^(1) c in each flavor
 _BC_FLAVOR_CLAUSES = {
     "full": ("outer_with_xR=bR", "outer_with_Rx=Rc"),
@@ -646,7 +1067,7 @@ def _check_bc(ring):
                     cab = c * a * b
                     inners = [g for g in elems if cab * g * cab == cab]
                     # b g c -> its clause report, g in (cab){1}
-                    closed = special.bc_construction_clauses(a, b, c, inners)
+                    closed = bc_construction_clauses(a, b, c, inners)
                     hyps = dict(zip(
                         ("right_hybrid", "left_hybrid"),
                         special.bc_invertibility_hypotheses(a, b, c)))
@@ -724,9 +1145,7 @@ def _require_bc_equality_clauses(a, b, c, reps, closed):
                 is_flavor["annihilator"] and cab_regular,
             "closed_form_for_every_inner": closed_forms == {x},
         }
-        if len(set(clauses.values())) > 1:
-            raise VerificationError(
-                "(b,c) equality clauses disagree: %r" % clauses)
+        _require_agree("(b,c) equality clauses", clauses)
 
 
 def _check_pq(ring):
@@ -787,10 +1206,7 @@ def _check_pq(ring):
                                 _pq_ideal_inclusions(xa, ax, pr, qr,
                                                      rann_p, rann_q),
                         }
-                        if len(set(items.values())) > 1:
-                            raise VerificationError(
-                                "(p,q) characterizations disagree: %r"
-                                % items)
+                        _require_agree("(p,q) characterizations", items)
                 yield _checked(label, run)
 
 
@@ -827,11 +1243,35 @@ def _check_bott_duffin(ring):
             yield _checked(label, run)
 
 
+def regular_reflexive_iff_idempotent_ideals(a):
+    """a{1,2} nonempty iff idempotents p, q realize rann(a) = rann(p)
+    and aR = qR; returns the four clause values."""
+    ring = a.ring
+    idems = [p for p in ring.elements() if p * p == p]
+    rann_a, lann_a = annihilator(a, RIGHT), annihilator(a, LEFT)
+    ar, ra = principal(a, RIGHT), principal(a, LEFT)
+    clauses = {
+        "a12_nonempty": any(satisfies(a, x, ("1", "2"))
+                            for x in ring.elements()),
+        "rann+right_range": any(
+            annihilator(p, RIGHT) == rann_a and principal(q, RIGHT) == ar
+            for p in idems for q in idems),
+        "left_range+lann": any(
+            principal(p, LEFT) == ra and annihilator(q, LEFT) == lann_a
+            for p in idems for q in idems),
+        "both_ranges": any(
+            principal(p, LEFT) == ra and principal(q, RIGHT) == ar
+            for p in idems for q in idems),
+    }
+    _require_agree("reflexive-existence characterizations", clauses)
+    return clauses
+
+
 def _check_regular_idempotent_ideals(ring):
     for a in _elements(ring):
         yield _checked(
             "a=%s" % ring.render(a),
-            lambda a=a: special.regular_reflexive_iff_idempotent_ideals(a))
+            lambda a=a: regular_reflexive_iff_idempotent_ideals(a))
 
 
 def _power_preperiod(a):
@@ -908,15 +1348,15 @@ CATALOG = (
                 "all pairs (a, x)",
                 _check_reflexive_remark),
     TheoremCase("T-1I-projectors", "all pairs (a, x)",
-                _projector_block_checker("one_inverse")),
+                _projector_block_checker(_one_inverse_block)),
     TheoremCase("T-2I-projectors", "all pairs (a, x)",
-                _projector_block_checker("outer_inverse")),
+                _projector_block_checker(_outer_inverse_block)),
     TheoremCase("T-12I-projectors", "all pairs (a, x)",
-                _projector_block_checker("reflexive_inverse")),
+                _projector_block_checker(_reflexive_inverse_block)),
     TheoremCase("T-15-projectors", "all pairs (a, x)",
-                _projector_block_checker("commuting_inverse")),
+                _projector_block_checker(_commuting_inverse_block)),
     TheoremCase("T-drazin-projectors", "all pairs (a, x)",
-                _projector_block_checker("drazin")),
+                _projector_block_checker(_drazin_block)),
     TheoremCase("T-one-prescribed-families",
                 "all a x inner inverses x 8 constraint shapes",
                 _check_one_families),

@@ -364,121 +364,6 @@ def _reflexive_dispatch(a, cons):
                          satisfied=("1", "2"))
 
 
-# -- clause-by-clause characterization ----------------------------------
-
-def reflexive_characterize(a, x, cons):
-    """Evaluate the equivalent clauses characterizing x = a^(1,2)_{...}.
-
-    Returns (verdict, dict clause-label -> bool).  All evaluated clauses
-    must agree; disagreement raises VerificationError.
-    """
-    cons.require_supported()
-    shape = cons.shape()
-    ring = a.ring
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
-    from .projectors import phi_equals_projector as phieq
-    clauses = {}
-    in_a1 = satisfies(a, x, ("1",))
-    if shape == ("S", "T"):
-        rann_a = annihilator(a, RIGHT)
-        pr1 = phieq(a * x, principal(a, RIGHT), t)
-        pr2 = phieq(x * a, s, rann_a)
-        xa_ideals = (in_a1 and principal(x * a, RIGHT) == s
-                     and annihilator(a * x, RIGHT) == t)
-        in_s = s.contains(x)
-        lann_ok = ideal_annihilator(s, LEFT).is_subideal_of(
-            annihilator(x, LEFT))
-        rann_ok = t.is_subideal_of(annihilator(x, RIGHT))
-        clauses["projectors+x_in_S"] = pr1 and pr2 and in_s
-        clauses["projectors+lann(S)<=lann(x)"] = pr1 and pr2 and lann_ok
-        clauses["projectors+T<=rann(x)"] = pr1 and pr2 and rann_ok
-        clauses["a1+ideals+x_in_S"] = xa_ideals and in_s
-        clauses["a1+ideals+lann(S)<=lann(x)"] = xa_ideals and lann_ok
-        clauses["a1+ideals+T<=rann(x)"] = xa_ideals and rann_ok
-        clauses["closed_form"] = _closed_form_matches(a, x, cons)
-        if ring.finite:
-            clauses["isomorphism_phi_b"] = _psi_equals_phi(a, x, s, t)
-    elif shape == ("Sp", "Tp"):
-        lann_a = annihilator(a, LEFT)
-        pr1 = phieq(a * x, sp, lann_a)
-        pr2 = phieq(x * a, principal(a, LEFT), tp)
-        xa_ideals = (in_a1 and principal(a * x, LEFT) == sp
-                     and annihilator(x * a, LEFT) == tp)
-        in_s = sp.contains(x)
-        rann_ok = ideal_annihilator(sp, RIGHT).is_subideal_of(
-            annihilator(x, RIGHT))
-        lann_ok = tp.is_subideal_of(annihilator(x, LEFT))
-        clauses["projectors+x_in_S'"] = pr1 and pr2 and in_s
-        clauses["projectors+rann(S')<=rann(x)"] = pr1 and pr2 and rann_ok
-        clauses["projectors+T'<=lann(x)"] = pr1 and pr2 and lann_ok
-        clauses["a1+ideals+x_in_S'"] = xa_ideals and in_s
-        clauses["a1+ideals+rann(S')<=rann(x)"] = xa_ideals and rann_ok
-        clauses["a1+ideals+T'<=lann(x)"] = xa_ideals and lann_ok
-        clauses["closed_form"] = _closed_form_matches(a, x, cons)
-    elif shape == ("S", "Sp"):
-        rann_a = annihilator(a, RIGHT)
-        lann_a = annihilator(a, LEFT)
-        pr1 = phieq(x * a, s, rann_a)
-        pr2 = phieq(a * x, sp, lann_a)
-        xa_ideals = (in_a1 and principal(x * a, RIGHT) == s
-                     and principal(a * x, LEFT) == sp)
-        in_either = s.contains(x) or sp.contains(x)
-        lann_ok = ideal_annihilator(s, LEFT).is_subideal_of(
-            annihilator(x, LEFT))
-        rann_ok = ideal_annihilator(sp, RIGHT).is_subideal_of(
-            annihilator(x, RIGHT))
-        clauses["projectors+x_in_S_or_S'"] = pr1 and pr2 and in_either
-        clauses["projectors+lann(S)<=lann(x)"] = pr1 and pr2 and lann_ok
-        clauses["projectors+rann(S')<=rann(x)"] = pr1 and pr2 and rann_ok
-        clauses["a1+ideals+x_in_S_or_S'"] = xa_ideals and in_either
-        clauses["a1+ideals+lann(S)<=lann(x)"] = xa_ideals and lann_ok
-        clauses["a1+ideals+rann(S')<=rann(x)"] = xa_ideals and rann_ok
-        clauses["closed_form"] = _closed_form_matches(a, x, cons)
-    elif shape == ("T", "Tp"):
-        pr1 = phieq(a * x, principal(a, RIGHT), t)
-        pr2 = phieq(x * a, principal(a, LEFT), tp)
-        xa_ideals = (in_a1 and annihilator(a * x, RIGHT) == t
-                     and annihilator(x * a, LEFT) == tp)
-        rann_ok = t.is_subideal_of(annihilator(x, RIGHT))
-        lann_ok = tp.is_subideal_of(annihilator(x, LEFT))
-        clauses["projectors+T<=rann(x)"] = pr1 and pr2 and rann_ok
-        clauses["projectors+T'<=lann(x)"] = pr1 and pr2 and lann_ok
-        clauses["a1+ideals+T<=rann(x)"] = xa_ideals and rann_ok
-        clauses["a1+ideals+T'<=lann(x)"] = xa_ideals and lann_ok
-        clauses["closed_form"] = _closed_form_matches(a, x, cons)
-    else:
-        raise PreconditionError(
-            "characterization needs two prescribed ideals, got %r" % (shape,))
-    values = set(clauses.values())
-    if len(values) > 1:
-        raise VerificationError(
-            "equivalent clauses disagree: %r" % (clauses,))
-    return values.pop(), clauses
-
-
-def _closed_form_matches(a, x, cons):
-    rep = outer_with(a, cons, reflexive=True)
-    return rep.exists and rep.value == x
-
-
-def _psi_equals_phi(a, x, s, t):
-    """Tabulate psi(r) = ((phi_a)|_S)^{-1}(rho_{aR,T}(r)) and compare phi_x."""
-    ring = a.ring
-    u = direct_sum(principal(a, RIGHT), t)
-    if u is None or direct_sum(s, annihilator(a, RIGHT)) is None:
-        return False
-    smembers = s.members()
-    for r in ring.elements():
-        target = u * r
-        images = [c for c in smembers if a * c == target]
-        if len(images) != 1:
-            return False
-        if x * r != images[0]:
-            return False
-    return True
-
-
 # -- Mitsch order ---------------------------------------------------------
 
 def mitsch_leq(y, z):

@@ -24,7 +24,9 @@ class RingElement:
         self.payload = payload
 
     def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        # identity first: the elements of one ring share its object
+        if not isinstance(other, RingElement) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise RingMismatchError("elements of different rings")
 
     def __add__(self, other):
@@ -55,7 +57,8 @@ class RingElement:
         return self.ring.involute(self)
 
     def __eq__(self, other):
-        return (isinstance(other, RingElement) and other.ring == self.ring
+        return (isinstance(other, RingElement)
+                and (other.ring is self.ring or other.ring == self.ring)
                 and other.payload == self.payload)
 
     def __hash__(self):

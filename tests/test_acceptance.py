@@ -10,6 +10,7 @@ Criterion 5: constructive operations agree with brute force on Z6, M2(F2).
 Criterion 6: two consecutive runs of criteria 2-5 emit byte-identical JSON.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -37,6 +38,11 @@ E21 = M2F5.parse([[0, 0], [1, 0]])
 E22 = M2F5.parse([[0, 0], [0, 1]])
 
 M2F2 = MatF(2, 2)
+
+# sha256 of criterion 3's JSON; a change to it must be explained in
+# CHANGES.md
+CRITERION_3_SHA256 = ("45abec650023ee23b41a4e9256b0877b"
+                      "81e6cfa5f2fdd42366b08da70d0f3507")
 
 # ids of the catalog entries exercising every constructive operation
 AGREEMENT_IDS = ("O-named-inverses", "T-one-prescribed-families",
@@ -252,6 +258,8 @@ def test_criterion_3_catalog_zero_counterexamples(bundle_runs):
         for rep in reports:
             assert rep["counterexample"] is None, (ring_name, rep)
             assert rep["complete"] and rep["passed"]
+    assert hashlib.sha256(texts["criterion3"].encode()).hexdigest() == \
+        CRITERION_3_SHA256
     assert times["criterion3"] < 300.0
 
 

@@ -170,6 +170,14 @@ def test_bad_ring_spec_or_job_file_is_a_usage_error(capsys, argv):
     ("m2f2", {"principal": [["1"]]}),
     ("zn:6", {"set": ["x"]}),
     ("zn:6", {"set": 5}),
+    # a span that is not a list of vectors of length k, or whose entries
+    # are no scalars
+    ("m2f2", {"colspace": 5}),
+    ("m2f2", {"rowspace": [5]}),
+    ("m2f2", {"span": [["x", "0"]]}),
+    ("m2f2", {"colspace": [["1"]]}),
+    ("m2f2", {"colspace": [["1", "0", "1"]]}),
+    ("m2q", {"colspace": [["1/0", "0"]]}),
 ])
 def test_bad_constraint_element_is_a_usage_error(capsys, ring, desc):
     code, out, err = run_cli(capsys, "prescribe", "--ring", ring,
@@ -273,6 +281,13 @@ def test_job_spec_stdin(capsys, monkeypatch):
     ("enumerate", "--ring", "zn:6", "--element", "2", "--equations", "1",
      "--count-only=no"),
     ("compute", "--ring", "zn:6", "--elem", "2", "--inverse", "group"),
+    ("enumerate", "--ring", "zn:6", "--element", "2", "--equations", "1k",
+     "--k", "-1"),
+    ("verify", "--ring", "zn:6", "--max-cases", "-1"),
+    ("verify", "--ring", "zn:6", "--max-seconds", "nan"),
+    ("verify", "--ring", "zn:6", "--max-seconds", "-0.5"),
+    ("compute", "--ring", "m2q", "--element", '[["1/0","0"],["0","0"]]',
+     "--inverse", "group"),
 ])
 def test_argv_error_is_one_usage_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -348,7 +363,8 @@ _RINGS = ["zn:6", "m2q", '{"kind": "zn", "n": 6}',
           '{"kind": "zn", "n": 0}', '{"kind": "matrix", "size": 2, '
           '"scalars": {"kind": "fp", "p": 4}}']
 _ELEMENTS = ["2", "-1", "0", "3", "1.5", "abc", "[[1]]", '["1"]',
-             '[["1","0"],["0","0"]]', '[["2","-2"],["0","0"]]']
+             '[["1","0"],["0","0"]]', '[["2","-2"],["0","0"]]',
+             '[["1/0","0"],["0","0"]]']
 _POOLS = {
     # the valid rings twice, so that a request gets past them more often
     "--ring": _RINGS[:4] + _RINGS,
@@ -356,16 +372,21 @@ _POOLS = {
                   "bott-duffin", "ef-mp", "e-core", "w-core",
                   "right-w-core", "nope"],
     "--equations": ["1", "1,2", "1,2,3,4", "6,7", "moore-penrose", "9x"],
-    "--k": ["2", "0", "x"],
+    "--k": ["2", "0", "x", "-1"],
     "--constraints": ['{"right_principal": {"principal": "2"}}',
                       '{"left_annihilator": {"set": ["3"]}}',
                       '{"right_principal": {"colspace": [["0","1"]]}}',
+                      '{"right_principal": {"colspace": 5}}',
+                      '{"left_principal": {"rowspace": [5]}}',
+                      '{"right_principal": {"span": [["x","0"]]}}',
+                      '{"right_principal": {"colspace": [["1"]]}}',
+                      '{"right_principal": {"colspace": [["1","0","1"]]}}',
                       '{"x": 1}', "{}", "[]"],
     "--mode": ["one", "outer", "reflexive", "bad"],
     "--theorems": ["T-invertible-lemma", "L-orthogonal-range", "all",
                    "T-no-such", ","],
     "--max-cases": ["3", "0", "-1", "x"],
-    "--max-seconds": ["1", "0", "x"],
+    "--max-seconds": ["1", "0", "x", "nan", "-1"],
     "--flavor": ["full", "right_hybrid", "annihilator", "image_kernel",
                  "djordjevic_wei", "bott_duffin", "nope"],
     "--job": ["-", "/nonexistent"],

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from ringinv import geninv
 from ringinv.errors import UnsupportedInvolutionError
-from ringinv.geninv import (any_inner, classify_projector_relations,
-                            core_inverse, drazin_index, drazin_inverse,
-                            dual_core_inverse, enumerate_inverse_set,
-                            group_inverse, inner_inverse, moore_penrose,
-                            parse_equations, reflexive_inverse, satisfies)
+from ringinv.geninv import (any_inner, core_inverse, drazin_index,
+                            drazin_inverse, dual_core_inverse,
+                            enumerate_inverse_set, group_inverse,
+                            inner_inverse, moore_penrose, parse_equations,
+                            reflexive_inverse, satisfies)
 from ringinv.rings import MatF, MatQ, ModularRing, Zn, ring_from_name
 
 Z6 = Zn(6)
@@ -149,14 +149,6 @@ def test_report_json_round_trips():
     assert json.dumps(doc, sort_keys=True) == \
         json.dumps(group_inverse(M2Q.parse([[2, -2], [0, 0]])).to_json(),
                    sort_keys=True)
-
-
-def test_classify_projector_relations_consistency():
-    a = Z6.parse(2)
-    for x in Z6.elements():
-        out = classify_projector_relations(a, x)
-        assert out["one_inverse"]["holds"] == satisfies(a, x, ("1",))
-        assert out["outer_inverse"]["holds"] == satisfies(a, x, ("2",))
 
 
 @st.composite

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from ringinv import oracle, prescribed, special
+from ringinv import geninv, oracle, prescribed, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             VerificationError)
-from ringinv.geninv import InverseReport, enumerate_inverse_set
-from ringinv.ideals import principal
+from ringinv.geninv import InverseReport, enumerate_inverse_set, satisfies
+from ringinv.ideals import LEFT, RIGHT, annihilator, principal
 from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase, verify,
                             verify_all)
 from ringinv.prescribed import mitsch_leq
@@ -63,6 +63,54 @@ def test_one_inverse_projector_case_counts():
     assert rep.passed and rep.cases_checked == 36
     rep = verify("T-1I-projectors", M2F2)
     assert rep.passed and rep.cases_checked == 256
+
+
+_PROJECTOR_BLOCKS = (oracle._one_inverse_block, oracle._outer_inverse_block,
+                     oracle._reflexive_inverse_block,
+                     oracle._commuting_inverse_block, oracle._drazin_block)
+
+
+def test_projector_blocks_agree_with_the_equations():
+    a = Z6.parse(2)
+    for x in Z6.elements():
+        for block in _PROJECTOR_BLOCKS:
+            clauses = block(a, x)
+            assert len(set(clauses.values())) == 1, (block, x, clauses)
+        assert oracle._one_inverse_block(a, x)["equations"] == \
+            satisfies(a, x, ("1",))
+        assert oracle._outer_inverse_block(a, x)["equations"] == \
+            satisfies(a, x, ("2",))
+
+
+@pytest.mark.parametrize("ring", [Zn(8), M2F2])
+def test_drazin_block_defect_is_blamed_on_its_entry_only(monkeypatch, ring):
+    index_zero = lambda a: 0
+    monkeypatch.setattr(geninv, "drazin_index", index_zero)
+    monkeypatch.setattr(oracle, "drazin_index", index_zero)
+    zero = ring.render(ring.zero)
+    for theorem in ("T-1I-projectors", "T-2I-projectors", "T-12I-projectors",
+                    "T-15-projectors", "T-drazin-projectors"):
+        rep = verify(theorem, ring)
+        if theorem == "T-drazin-projectors":
+            assert rep.counterexample == "a=%s,x=%s" % (zero, zero)
+        else:
+            assert rep.passed, rep
+
+
+def test_reflexive_clauses_agree_with_definition():
+    a = M2F2.parse([[0, 0], [0, 1]])
+    for x in M2F2.elements():
+        if not satisfies(a, x, ("1", "2")):
+            continue
+        ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
+                  principal(x, LEFT), annihilator(x, LEFT))
+        clauses = oracle._reflexive_clauses(a, x, ("S", "T"), ideals)
+        assert all(clauses.values())
+        assert set(clauses) == {
+            "projectors+x_in_S", "projectors+lann(S)<=lann(x)",
+            "projectors+T<=rann(x)", "a1+ideals+x_in_S",
+            "a1+ideals+lann(S)<=lann(x)", "a1+ideals+T<=rann(x)",
+            "closed_form", "isomorphism_phi_b"}
 
 
 def test_budget_marks_report_incomplete():
@@ -209,6 +257,13 @@ def test_disagreeing_bundle_is_a_counterexample(monkeypatch):
         assert rep.counterexample.startswith("a=%s," % zero)
 
 
+def test_wrong_grid_side_clause_is_a_counterexample(monkeypatch):
+    monkeypatch.setitem(oracle._SIDE_CLAUSES, "xR<=S",
+                        lambda x, s, t, sp, tp: True)
+    rep = _counterexample("T-w-core-grid", M2F2, 20)
+    assert rep.cases_checked == 2
+
+
 def test_failing_group_compute_is_its_first_case(monkeypatch):
     def broken(a, w):
         raise VerificationError("constructed w-core inverse fails")
@@ -308,7 +363,7 @@ def test_multiply_ideal_mutant_breaks_a_djordjevic_wei_item(monkeypatch):
 
 
 def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
-    real = special._bc_ideal_formulations
+    real = oracle._bc_ideal_formulations
 
     def flipped(a, b, c):
         forms = real(a, b, c)
@@ -316,7 +371,7 @@ def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
         forms["outer_with_xR=bR"] = (not first, second)
         return forms
 
-    monkeypatch.setattr(special, "_bc_ideal_formulations", flipped)
+    monkeypatch.setattr(oracle, "_bc_ideal_formulations", flipped)
     rep = _counterexample("T-bc-inverses", Z6, 60)
     assert rep.cases_checked == 1
 
@@ -324,7 +379,7 @@ def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
 def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
     # with one b (cab)^(1) c too many, only the closed-form equality
     # clause changes: every brute-force comparison still passes
-    real = special.bc_construction_clauses
+    real = oracle.bc_construction_clauses
     messages = []
 
     def one_more(a, b, c, inners):
@@ -341,7 +396,7 @@ def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
             return label, False
         return label, True
 
-    monkeypatch.setattr(special, "bc_construction_clauses", one_more)
+    monkeypatch.setattr(oracle, "bc_construction_clauses", one_more)
     monkeypatch.setattr(oracle, "_checked", recording)
     rep = _counterexample("T-bc-inverses", Z6, 60)
     assert rep.cases_checked == 1

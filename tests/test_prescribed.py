@@ -8,7 +8,7 @@ from ringinv.ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from ringinv.linalg import PrimeField, Subspace
 from ringinv.prescribed import (IdealConstraints, mitsch_extremes, mitsch_leq,
                                 one_inverse_family, one_inverse_solution_set,
-                                outer_with, reflexive_characterize)
+                                outer_with)
 from ringinv.rings import (MatF, MatQ, MatrixRing, ModularRing, Zn,
                            ring_from_name)
 
@@ -177,17 +177,6 @@ def test_f5_two_constraint_family():
                  IdealConstraints(right_principal=S, left_principal=SP)):
         fam = one_inverse_family(E12, cons)
         assert fam.members() == want
-
-
-def test_reflexive_characterize_agrees_with_definition():
-    a = M2F2.parse([[0, 0], [0, 1]])
-    for x in M2F2.elements():
-        if not satisfies(a, x, ("1", "2")):
-            continue
-        cons = IdealConstraints(right_principal=principal(x, RIGHT),
-                                right_annihilator=annihilator(x, RIGHT))
-        verdict, clauses = reflexive_characterize(a, x, cons)
-        assert verdict and all(clauses.values())
 
 
 def test_mitsch_order_is_a_partial_order_on_z6():

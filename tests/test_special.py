@@ -2,18 +2,17 @@
 
 import pytest
 
-from ringinv import ideals, prescribed, special
-from ringinv.errors import PreconditionError
+from ringinv import ideals, oracle, prescribed, special
+from ringinv.errors import PreconditionError, VerificationError
 from ringinv.geninv import (core_inverse, dual_core_inverse, group_inverse,
                             moore_penrose, satisfies)
+from ringinv.oracle import star_class_identity_report, star_class_membership
 from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
                              bott_duffin_inverse, djordjevic_wei_inverse,
-                             e_core, e_core_conditions, f_dual_core,
-                             image_kernel_inverse, left_v_dual_core,
-                             pq_inverse, right_w_core, star_class_membership,
-                             star_class_set, star_class_identity_report,
-                             v_dual_core, w_core, w_core_conditions,
-                             weighted_mp, weighted_mp_conditions)
+                             e_core, f_dual_core, image_kernel_inverse,
+                             left_v_dual_core, pq_inverse, right_w_core,
+                             star_class_set, v_dual_core, w_core,
+                             weighted_mp)
 from ringinv.rings import MatF, MatQ, Zn
 
 M2Q = MatQ(2)
@@ -80,24 +79,34 @@ def test_weighted_mp_nontrivial_weights():
     assert A * x * A == A and x * A * x == x
     assert (e * A * x).star == e * A * x
     assert (f * x * A).star == f * x * A
-    grid = weighted_mp_conditions(A, e, f, x)
-    assert grid["target"]
-    grid = weighted_mp_conditions(A, e, f, M2Q.zero)
-    assert not grid["target"]
+    # the grid holds at x, the inverse, and at 0, which is not
+    grids = oracle._weighted_mp_grids(A, e, f)
+    oracle._require_grids(grids, x)
+    oracle._require_grids(grids, M2Q.zero)
+    ideals = special.weighted_mp_ideals(A, e, f)
+    with pytest.raises(VerificationError):
+        oracle._bundle_grid(A, x, ideals, False)
+    with pytest.raises(VerificationError):
+        oracle._bundle_grid(A, M2Q.zero, ideals, True)
 
 
 def test_e_core_and_f_dual_core_reduce_to_core():
     assert e_core(A, I2).value == core_inverse(A).value
     assert f_dual_core(A, I2).value == dual_core_inverse(A).value
-    grid = e_core_conditions(A, I2, core_inverse(A).value)
-    assert grid["target"]
+    grids = oracle._e_core_grids(A, I2)
+    oracle._require_grids(grids, core_inverse(A).value)
+    with pytest.raises(VerificationError):
+        oracle._bundle_grid(A, core_inverse(A).value, grids[0][1], False)
 
 
 def test_w_core_and_v_dual_core_reduce_to_core():
     assert w_core(A, I2).value == core_inverse(A).value
     assert v_dual_core(A, I2).value == dual_core_inverse(A).value
-    grid = w_core_conditions(A, I2, core_inverse(A).value)
-    assert grid["target"]
+    grids = oracle._w_core_grids(A, I2)
+    oracle._require_grids(grids, core_inverse(A).value)
+    b, bundle, _, extra = grids[0]
+    with pytest.raises(VerificationError):
+        oracle._bundle_grid(b, core_inverse(A).value, bundle, False, *extra)
 
 
 def test_w_core_nontrivial_weight_defining_equations():
@@ -226,8 +235,8 @@ def test_weighted_and_core_like_solve_one_bundle(monkeypatch, compute, args):
 
 
 def test_bc_inverse_does_not_rerun_the_construction_clauses(monkeypatch):
-    calls = _count_calls(monkeypatch, special, "bc_construction_clauses",
-                         special.bc_construction_clauses)
+    calls = _count_calls(monkeypatch, oracle, "bc_construction_clauses",
+                         oracle.bc_construction_clauses)
     grp = group_inverse(A).value
     for flavor in BC_FLAVORS:
         rep = bc_inverse(A, A, A, flavor)
@@ -260,7 +269,7 @@ def test_bott_duffin_p_inverse_skips_the_image_kernel_inverse(monkeypatch):
 
 
 def test_right_w_core_member_checks_the_equations_only(monkeypatch):
-    calls = _count_calls(monkeypatch, special, "star_class_membership",
+    calls = _count_calls(monkeypatch, oracle, "star_class_membership",
                          star_class_membership)
     a = M2F2.parse([[1, 1], [0, 0]])
     assert right_w_core(a, M2F2.one).exists
