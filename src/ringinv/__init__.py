@@ -25,7 +25,16 @@ from .special import (bc_inverse, bott_duffin_inverse,
                       image_kernel_inverse, left_v_dual_core, pq_inverse,
                       right_w_core, star_class_set, v_dual_core, w_core,
                       weighted_mp)
-from .oracle import (CATALOG, TheoremCase, VerificationReport, verify,
-                     verify_all)
 
 __version__ = "0.1.0"
+
+# the oracle is loaded on first use, so that compute never compiles it
+_ORACLE_NAMES = ("CATALOG", "TheoremCase", "VerificationReport", "verify",
+                 "verify_all")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

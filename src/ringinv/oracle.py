@@ -21,7 +21,7 @@ from .prescribed import (IdealConstraints, _check_constraints_on_x,
                          mitsch_extremes, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
-from .rings import inverse_of_unit, is_invertible
+from .rings import MatrixRing, inverse_of_unit, is_invertible
 from . import special
 
 
@@ -1057,6 +1057,7 @@ _BC_FLAVOR_CLAUSES = {
 
 def _check_bc(ring):
     elems = _elements(ring)
+    inners_of = {}    # cab -> (cab){1}; cab takes few values
     for a in elems:
         outer = [x for x in elems if satisfies(a, x, ("2",))]
         for b in elems:
@@ -1065,7 +1066,10 @@ def _check_bc(ring):
                     ring.render(v) for v in (a, b, c))
                 def run(a=a, b=b, c=c, outer=outer):
                     cab = c * a * b
-                    inners = [g for g in elems if cab * g * cab == cab]
+                    inners = inners_of.get(cab)
+                    if inners is None:
+                        inners = inners_of[cab] = [
+                            g for g in elems if cab * g * cab == cab]
                     # b g c -> its clause report, g in (cab){1}
                     closed = bc_construction_clauses(a, b, c, inners)
                     hyps = dict(zip(
@@ -1421,6 +1425,9 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
                 theorem_id, ", ".join(sorted(CATALOG_BY_ID))))
     if not ring.finite:
         raise NotEnumerableError("verification needs a finite ring")
+    if isinstance(ring, MatrixRing):
+        # brute force repeats products; only verify makes this table
+        ring.memo.setdefault("mul", {})
     case = CATALOG_BY_ID[theorem_id]
     start = time.monotonic()
     checked = 0

@@ -145,6 +145,11 @@ class ModularRing(Ring):
         return "Z_%d" % self.n
 
 
+# the bound of the product table: about 25 MB, room for all of M2(F2) and
+# M2(F3); a timed verify on M3(F3) would otherwise grow it without end
+_MAX_PRODUCTS = 1 << 16
+
+
 class MatrixRing(Ring):
     """M_k(F) for F = Q or GF(p), with transpose as the involution."""
 
@@ -176,7 +181,17 @@ class MatrixRing(Ring):
         return RingElement(self, mat_neg(self.field, a.payload))
 
     def mul(self, a, b):
-        return RingElement(self, mat_mul(self.field, a.payload, b.payload))
+        # only the oracle gives a ring a product table (see verify)
+        table = self.memo.get("mul") if self.memo is not None else None
+        key = (a.payload, b.payload)
+        if table is None:
+            return RingElement(self, mat_mul(self.field, *key))
+        out = table.get(key)
+        if out is None:
+            out = RingElement(self, mat_mul(self.field, *key))
+            if len(table) < _MAX_PRODUCTS:
+                table[key] = out
+        return out
 
     def involute(self, a):
         return RingElement(self, transpose(a.payload))

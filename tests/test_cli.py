@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringinv
 from ringinv import special
 from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_INVOLUTION, EXIT_NONE, EXIT_NOT_ENUMERABLE,
@@ -504,3 +508,29 @@ def test_byte_identical_output(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+_ORACLE_ON_DEMAND = """
+import sys
+import ringinv.cli
+assert "ringinv.oracle" not in sys.modules
+assert ringinv.cli.main(["compute", "--ring", "m2f2", "--element",
+                         '[["1","1"],["0","0"]]', "--inverse", "core"]) == 0
+assert "ringinv.oracle" not in sys.modules
+from ringinv import CATALOG, verify
+assert "ringinv.oracle" in sys.modules
+print(len(CATALOG), verify("T-invertible-lemma", ringinv.Zn(6)).passed)
+"""
+
+
+def test_compute_never_loads_the_oracle():
+    src = str(Path(ringinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _ORACLE_ON_DEMAND],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "32 True"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        ringinv.nope

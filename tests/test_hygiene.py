@@ -1,6 +1,7 @@
 """No dead code in src/ringinv: every module-level import is used in its
 module (__init__.py re-exports and is exempt), and every top-level
-_private name is referenced somewhere in the package.  Stdlib ast only."""
+_private name is referenced somewhere in the package.  The compute path
+stands apart from the theorem checks.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -69,12 +70,37 @@ def unreferenced_private_names(trees):
             if name not in used]
 
 
+# the modules that compute inverses import neither the oracle nor the
+# projector algebra, which only the theorem checks use
+COMPUTE_MODULES = ("geninv.py", "prescribed.py", "special.py")
+CHECK_MODULES = frozenset(("oracle", "projectors"))
+
+
+def compute_path_imports(trees):
+    """Imports of a check module, at any depth, in a compute module."""
+    out = []
+    for module in COMPUTE_MODULES:
+        for node in ast.walk(trees[module]):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [
+                    alias.name for alias in node.names]
+                hit = CHECK_MODULES.intersection(
+                    part for name in names for part in name.split("."))
+                out.extend("%s:%d %s" % (module, node.lineno, name)
+                           for name in sorted(hit))
+    return out
+
+
 def test_no_unused_module_imports():
     assert unused_imports(_trees()) == []
 
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names(_trees()) == []
+
+
+def test_compute_path_imports_no_checks():
+    assert compute_path_imports(_trees()) == []
 
 
 def test_guards_flag_dead_code():
@@ -93,3 +119,16 @@ def test_guards_flag_dead_code():
                                      "user.py:1 _imported"]
     assert unreferenced_private_names(trees) == [
         "dead.py:3 _orphan", "dead.py:7 _TABLE"]
+
+
+def test_guard_flags_a_check_import_on_the_compute_path():
+    trees = {
+        "geninv.py": ast.parse("from .rings import memoized\n"
+                               "def f():\n    from .oracle import verify\n"),
+        "prescribed.py": ast.parse("from . import projectors, special\n"),
+        "special.py": ast.parse("import ringinv.oracle\n"
+                                "from .geninv import satisfies\n"),
+    }
+    assert compute_path_imports(trees) == [
+        "geninv.py:3 oracle", "prescribed.py:1 projectors",
+        "special.py:1 oracle"]

@@ -1,6 +1,7 @@
 """The per-ring memo of principal, annihilator, direct_sum and any_inner:
 each memoized answer equals a fresh construction, infinite rings keep no
-memo, and the memo dies with its ring."""
+memo, and the memo dies with its ring.  Only the oracle gives a matrix
+ring a product table."""
 
 import gc
 import io
@@ -12,11 +13,13 @@ from itertools import product
 
 import pytest
 
-from ringinv import cli, ideals, oracle
+from ringinv import cli, ideals, oracle, rings
+from ringinv.errors import NotEnumerableError
 from ringinv.geninv import any_inner
 from ringinv.ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                             principal)
-from ringinv.rings import MatF, memoized, ring_from_name
+from ringinv.linalg import mat_mul
+from ringinv.rings import MatF, MatQ, Zn, memoized, ring_from_name
 
 
 @pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
@@ -53,15 +56,21 @@ def test_memoized_direct_sum_equals_fresh_construction(side):
     assert len(ring.memo["direct_sum"]) == len(lattice) ** 2
 
 
-def test_infinite_ring_keeps_no_memo(monkeypatch):
-    made = []
+@pytest.fixture
+def made(monkeypatch):
+    """The rings that cli.main builds, in call order; stdout is dropped."""
+    rings_made = []
 
     def recording(spec):
-        made.append(cli.ring_from_name(spec))
-        return made[-1]
+        rings_made.append(cli.ring_from_name(spec))
+        return rings_made[-1]
 
     monkeypatch.setattr(cli, "parse_ring", recording)
     monkeypatch.setattr("sys.stdout", io.StringIO())
+    return rings_made
+
+
+def test_infinite_ring_keeps_no_memo(made):
     a = json.dumps([["1", "2", "0"], ["0", "0", "0"], ["0", "0", "3"]])
     for inverse in ("moore-penrose", "group", "drazin", "core", "dual-core",
                     "inner", "reflexive", "ef-mp", "e-core", "w-core"):
@@ -117,3 +126,77 @@ def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
                                  r["counterexample"]).groups()
         assert int(number) == r["cases_checked"] and not r["passed"]
         assert error in ("PreconditionError", "RingMismatchError")
+
+
+# -- the product table of the oracle
+
+@pytest.mark.parametrize("name, max_cases", [("m2f2", 40), ("m2f3", 10)])
+def test_memoized_products_equal_fresh_mat_mul(name, max_cases):
+    ring = ring_from_name(name)
+    reports = oracle.verify_all(ring, max_cases=max_cases)
+    assert all(rep.counterexample is None for rep in reports)
+    table = ring.memo["mul"]
+    assert 0 < len(table) <= ring.size ** 2
+    for (x, y), product in table.items():
+        assert product.ring is ring
+        assert product.payload == mat_mul(ring.field, x, y)
+
+
+def test_product_table_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(rings, "_MAX_PRODUCTS", 100)
+    ring = MatF(2, 2)
+    reports = oracle.verify_all(ring, max_cases=40)
+    assert all(rep.counterexample is None for rep in reports)
+    assert len(ring.memo["mul"]) == 100
+
+
+def test_second_verify_makes_no_matrix_products(monkeypatch):
+    ring = MatF(2, 2)
+    first = oracle.verify("T-bc-inverses", ring, max_cases=60)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(rings, "mat_mul", counting)
+    again = oracle.verify("T-bc-inverses", ring, max_cases=60)
+    assert calls == []
+    assert again.to_json() == first.to_json()
+    assert again.counterexample is None and again.cases_checked == 60
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m3f2"])
+def test_cli_rings_keep_no_product_table(made, name):
+    k = int(name[1])
+    a = json.dumps([["1" if i == j == 0 or j == i + 1 else "0"
+                     for j in range(k)] for i in range(k)])
+    codes = [cli.main(["compute", "--ring", name, "--element", a,
+                       "--inverse", inverse])
+             for inverse in ("moore-penrose", "group", "drazin", "core",
+                             "inner", "reflexive", "e-core", "w-core")]
+    codes.append(cli.main(["compute", "--ring", name, "--element", a,
+                           "--inverse", "bc", "--b", a, "--c", a]))
+    codes.append(cli.main(["enumerate", "--ring", name, "--element", a,
+                           "--equations", "1,2"]))
+    cons = json.dumps({"right_principal": {"principal": a},
+                       "right_annihilator": {"annihilator": a}})
+    codes += [cli.main(["prescribe", "--ring", name, "--element", a,
+                        "--constraints", cons, "--mode", mode])
+              for mode in ("one", "outer", "reflexive")]
+    assert len(made) == 13 and set(codes) <= {cli.EXIT_OK, cli.EXIT_NONE}
+    for ring in made:
+        assert isinstance(ring.memo, dict) and "mul" not in ring.memo
+
+
+def test_verify_on_q_keeps_no_memo():
+    ring = MatQ(2)
+    with pytest.raises(NotEnumerableError):
+        oracle.verify("T-bc-inverses", ring)
+    assert ring.memo is None and "memo" not in vars(ring)
+
+
+def test_zn_gets_no_product_table():
+    ring = Zn(6)
+    assert oracle.verify("T-bc-inverses", ring).counterexample is None
+    assert "mul" not in ring.memo
