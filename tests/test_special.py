@@ -254,3 +254,38 @@ def test_bott_duffin_p_inverse_skips_the_image_kernel_inverse(monkeypatch):
     assert rep.exists and rep.value == grp
     assert calls == []
 
+
+
+def test_bc_inverse_does_not_rerun_the_construction_clauses(monkeypatch):
+    # one outer-inverse construction per call; the clauses of the (b,c)
+    # construction theorem are checked by the oracle, not by compute
+    calls = _count_calls(monkeypatch, special, "outer_with",
+                         prescribed.outer_with)
+    grp = group_inverse(A).value
+    for flavor in BC_FLAVORS:
+        rep = bc_inverse(A, A, A, flavor)
+        assert rep.exists and rep.value == grp
+        assert rep.extra["closed_form"] == grp
+    a = M2F2.parse([[1, 1], [0, 1]])
+    rep = bc_inverse(a, M2F2.one, M2F2.one, "right_hybrid")
+    assert rep.extra["cab_invertible"] is True
+    assert len(calls) == len(BC_FLAVORS) + 1
+
+
+def test_right_w_core_member_checks_the_equations_only(monkeypatch):
+    # on a finite ring the member set is one equation test per element;
+    # on Q the witness is (aw)^core, tested once
+    members = _count_calls(monkeypatch, special, "right_w_core_member",
+                           special.right_w_core_member)
+    cores = _count_calls(monkeypatch, special, "core_inverse", core_inverse)
+    a = M2F2.parse([[1, 1], [0, 0]])
+    rep = right_w_core(a, M2F2.one)
+    assert rep.exists
+    assert len(members) == M2F2.size and cores == []
+    for x in M2F2.elements():
+        bx = a * x
+        want = bx * a == a and bx.star == bx and bx * x == x
+        assert (x in rep.extra["members"]) == want
+    del members[:]
+    assert right_w_core(A, I2).exists
+    assert len(members) == 1 and len(cores) == 1
