@@ -1,13 +1,15 @@
 """Brute-force ground truth and exhaustive verification on finite rings.
 
-Every catalog entry quantifies over concrete elements (and, where a
-statement ranges over ideals, over every one-sided ideal of the finite
-backend) and checks one theorem's clauses for mutual consistency.  The
-verifier reports the first counterexample in canonical order.
+Every catalog entry is a scope plus a clause.  The scope lists the
+entry's cases in canonical order, as (label, args): elements, idempotents,
+unit weights, tags and, where a statement ranges over ideals, every
+one-sided ideal of the finite backend.  The clause checks one case of the
+theorem.  `verify` walks the scope, keeps the budget and reports the first
+counterexample.
 """
 
 import time
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
@@ -15,29 +17,31 @@ from .geninv import (any_inner, core_inverse, drazin_index, drazin_inverse,
                      dual_core_inverse, enumerate_inverse_set, group_inverse,
                      iter_inverse_set, moore_penrose, satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
-                     ideal_annihilator, multiply_ideal, phi_preimage,
-                     principal)
+                     ideal_annihilator, multiply_ideal, orthogonal,
+                     phi_preimage, principal)
 from .prescribed import (IdealConstraints, _check_constraints_on_x,
                          mitsch_extremes, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
-from .rings import MatrixRing, inverse_of_unit, is_invertible
+from .rings import MatrixRing, RingElement, inverse_of_unit, is_invertible
 from . import special
 
 
 class TheoremCase:
-    """A catalog entry: a stable id, its quantifier scope, a checker.
+    """A catalog entry: a stable id, its quantifier scope in words, the
+    scope that lists its cases and the clause that checks one.
 
-    The checker is a generator over a ring yielding (description, ok)
-    pairs in canonical order.
+    scope(ctx) yields (label, args) in canonical order, and
+    clause(ctx, *args) is true when the case holds.
     """
 
-    __slots__ = ("id", "quantifier_scope", "checker")
+    __slots__ = ("id", "quantifier_scope", "scope", "clause")
 
-    def __init__(self, case_id, quantifier_scope, checker):
+    def __init__(self, case_id, quantifier_scope, scope, clause):
         self.id = case_id
         self.quantifier_scope = quantifier_scope
-        self.checker = checker
+        self.scope = scope
+        self.clause = clause
 
     def __repr__(self):
         return "TheoremCase(%s)" % self.id
@@ -79,255 +83,264 @@ class VerificationReport:
             self.theorem, self.ring, status, self.cases_checked)
 
 
-# -- quantifier scopes ----------------------------------------------------
+# -- the scope layer --------------------------------------------------------
 
-def _elements(ring):
-    return list(ring.elements())
+class _Context:
+    """What one verify call knows of its ring: the element tuple, the
+    idempotents and symmetric unit weights drawn from it on first use,
+    each element's rendering, and memos that live for the call.
+
+    A memo keeps no error, so a group computation that raises fails each
+    case that asks for it; verify stops at the first.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.star = ring.has_involution
+        elements = self.elements = tuple(ring.elements())
+        self.name = lru_cache(maxsize=None)(ring.render)
+        # fn(*args), computed once per call
+        self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
+        # v{1} in canonical order
+        self.inners = lru_cache(maxsize=None)(
+            lambda v: [g for g in elements if v * g * v == v])
+        # a{2} in canonical order
+        self.outers = lru_cache(maxsize=None)(
+            lambda a: [x for x in elements if satisfies(a, x, ("2",))])
+
+    @cached_property
+    def idempotents(self):
+        return [p for p in self.elements if p * p == p]
+
+    @cached_property
+    def weights(self):
+        return [w for w in self.elements
+                if is_invertible(w) and w.star == w]
+
+    def text(self, value):
+        """A scope value as its label shows it."""
+        if isinstance(value, RingElement):
+            return self.name(value)
+        if isinstance(value, IdealConstraints):
+            return "%s,%r" % (self.text(value.shape()), value.shape())
+        if isinstance(value, tuple):
+            return "+".join(value)
+        return value if isinstance(value, str) else repr(value)
 
 
-def _idempotents(ring):
-    return [p for p in ring.elements() if p * p == p]
+# the domain each one-letter dimension runs over
+_DOMAINS = {**dict.fromkeys("abcguwxyz", "elements"),
+            **dict.fromkeys("pq", "idempotents"),
+            **dict.fromkeys("ef", "weights")}
 
 
-def _weights(ring):
-    return [w for w in ring.elements()
-            if is_invertible(w) and w.star == w]
+def _scope(*dims, star=False):
+    """The scope over the named dimensions, in lexicographic order, with
+    labels "a=...,x=...".  A letter picks its domain from _DOMAINS; a pair
+    (name, values) gives its own: a tuple of tags, or a function of the
+    context and the values chosen before it.  With star, a ring without
+    an involution has no cases."""
+    def scope(ctx):
+        if star and not ctx.star:
+            return iter(())
+        return _tuples(ctx, dims, (), ())
+    return scope
 
 
-def _checked(label, thunk):
-    """Run a consistency-asserting call; a library error means failure."""
-    try:
-        thunk()
-    except RingInvError:
-        return label, False
-    return label, True
+def _tuples(ctx, dims, labels, args):
+    if not dims:
+        yield ",".join(labels), args
+        return
+    dim = dims[0]
+    if isinstance(dim, str):
+        name, values = dim, getattr(ctx, _DOMAINS[dim])
+    else:
+        name, values = dim
+        if callable(values):
+            values = values(ctx, *args)
+    for v in values:
+        yield from _tuples(ctx, dims[1:],
+                           labels + ("%s=%s" % (name, ctx.text(v)),),
+                           args + (v,))
 
 
-def _iff_chain(label, *values):
-    return label, len(set(values)) <= 1
+def _iff(*values):
+    return len(set(values)) <= 1
 
 
 def _require_agree(what, clauses):
     """Equivalent clauses (label -> value) hold together or not at all."""
     if len(set(clauses.values())) > 1:
         raise VerificationError("%s disagree: %r" % (what, clauses))
+    return True
 
 
 # -- element and projector lemmas ------------------------------------------
 
-def _check_invertible(ring):
-    for a in _elements(ring):
-        yield _iff_chain(
-            "a=%s" % ring.render(a),
-            is_invertible(a),
-            principal(a, RIGHT).is_full() and annihilator(a, RIGHT).is_zero(),
-            principal(a, LEFT).is_full() and annihilator(a, LEFT).is_zero())
+def _invertible(ctx, a):
+    return _iff(
+        is_invertible(a),
+        principal(a, RIGHT).is_full() and annihilator(a, RIGHT).is_zero(),
+        principal(a, LEFT).is_full() and annihilator(a, LEFT).is_zero())
 
 
-def _check_idempotent_ideals(ring):
-    one = ring.one
-    for p in _idempotents(ring):
-        ok = (principal(p, RIGHT) == annihilator(one - p, RIGHT)
-              and principal(p, LEFT) == annihilator(one - p, LEFT))
-        yield "p=%s splits" % ring.render(p), ok
-        for q in _idempotents(ring):
-            label = "p=%s,q=%s" % (ring.render(p), ring.render(q))
-            ok = (
-                (principal(p, RIGHT).is_subideal_of(principal(q, RIGHT))
-                 == annihilator(q, LEFT).is_subideal_of(
-                     annihilator(p, LEFT)))
-                and (principal(p, LEFT).is_subideal_of(principal(q, LEFT))
-                     == annihilator(q, RIGHT).is_subideal_of(
-                         annihilator(p, RIGHT)))
-                and ((q == p) == (
-                    principal(q, RIGHT).is_subideal_of(principal(p, RIGHT))
-                    and annihilator(q, RIGHT).is_subideal_of(
-                        annihilator(p, RIGHT)))))
-            yield label, ok
+def _idempotent_cases(ctx):
+    """p splits, then p against each q: a scope with two kinds of case."""
+    for p in ctx.idempotents:
+        yield "p=%s splits" % ctx.name(p), (p,)
+        for q in ctx.idempotents:
+            yield "p=%s,q=%s" % (ctx.name(p), ctx.name(q)), (p, q)
 
 
-def _check_regular_inclusions(ring):
-    try:
-        regular = {a: any_inner(a) is not None for a in _elements(ring)}
-    except RingInvError:
-        # the table is built before the first case, which takes the blame
-        first = ring.render(_elements(ring)[0])
-        yield "a=%s,b=%s" % (first, first), False
-        return
-    for a in _elements(ring):
-        for b in _elements(ring):
-            label = "a=%s,b=%s" % (ring.render(a), ring.render(b))
-            ar_in_br = principal(a, RIGHT).is_subideal_of(
-                principal(b, RIGHT))
-            lb_in_la = annihilator(b, LEFT).is_subideal_of(
-                annihilator(a, LEFT))
-            ra_in_rb = principal(a, LEFT).is_subideal_of(principal(b, LEFT))
-            rb_in_ra_ann = annihilator(b, RIGHT).is_subideal_of(
-                annihilator(a, RIGHT))
-            ok = (not ar_in_br or lb_in_la) and \
-                 (not ra_in_rb or rb_in_ra_ann)
-            if regular[b]:
-                ok = ok and (lb_in_la == ar_in_br) \
-                     and (rb_in_ra_ann == ra_in_rb)
-                # regularity transfer
-                if rb_in_ra_ann and principal(b, LEFT).is_subideal_of(
-                        principal(a, LEFT)):
-                    ok = ok and regular[a]
-                if annihilator(a, RIGHT) == annihilator(b, RIGHT):
-                    ok = ok and (
-                        principal(b, LEFT).is_subideal_of(principal(a, LEFT))
-                        == regular[a])
-            yield label, ok
+def _idempotent_ideals(ctx, p, q=None):
+    if q is None:
+        one = p.ring.one
+        return (principal(p, RIGHT) == annihilator(one - p, RIGHT)
+                and principal(p, LEFT) == annihilator(one - p, LEFT))
+    return (
+        (principal(p, RIGHT).is_subideal_of(principal(q, RIGHT))
+         == annihilator(q, LEFT).is_subideal_of(annihilator(p, LEFT)))
+        and (principal(p, LEFT).is_subideal_of(principal(q, LEFT))
+             == annihilator(q, RIGHT).is_subideal_of(annihilator(p, RIGHT)))
+        and ((q == p) == (
+            principal(q, RIGHT).is_subideal_of(principal(p, RIGHT))
+            and annihilator(q, RIGHT).is_subideal_of(
+                annihilator(p, RIGHT)))))
 
 
-def _check_star_ideal_duality(ring):
-    if not ring.has_involution:
-        return
-    for a in _elements(ring):
-        for b in _elements(ring):
-            label = "a=%s,b=%s" % (ring.render(a), ring.render(b))
-            ok = (principal(a, RIGHT).is_subideal_of(principal(b, RIGHT))
-                  == principal(a.star, LEFT).is_subideal_of(
-                      principal(b.star, LEFT))) and \
-                 (annihilator(a, RIGHT).is_subideal_of(
-                     annihilator(b, RIGHT))
-                  == annihilator(a.star, LEFT).is_subideal_of(
-                      annihilator(b.star, LEFT)))
-            yield label, ok
+def _regular_inclusions(ctx, a, b):
+    ar_in_br = principal(a, RIGHT).is_subideal_of(principal(b, RIGHT))
+    lb_in_la = annihilator(b, LEFT).is_subideal_of(annihilator(a, LEFT))
+    ra_in_rb = principal(a, LEFT).is_subideal_of(principal(b, LEFT))
+    rb_in_ra_ann = annihilator(b, RIGHT).is_subideal_of(
+        annihilator(a, RIGHT))
+    ok = (not ar_in_br or lb_in_la) and (not ra_in_rb or rb_in_ra_ann)
+    if any_inner(b) is not None:
+        ok = ok and (lb_in_la == ar_in_br) and (rb_in_ra_ann == ra_in_rb)
+        # regularity transfer
+        if rb_in_ra_ann and principal(b, LEFT).is_subideal_of(
+                principal(a, LEFT)):
+            ok = ok and any_inner(a) is not None
+        if annihilator(a, RIGHT) == annihilator(b, RIGHT):
+            ok = ok and (
+                principal(b, LEFT).is_subideal_of(principal(a, LEFT))
+                == (any_inner(a) is not None))
+    return ok
 
 
-def _check_orthogonal_range(ring):
-    if not ring.has_involution:
-        return
-    from .ideals import orthogonal
-    for a in _elements(ring):
-        label = "a=%s" % ring.render(a)
-        ok = orthogonal(principal(a, RIGHT),
-                        annihilator(a.star, RIGHT), RIGHT)
-        ok = ok and orthogonal(principal(a, LEFT),
-                               annihilator(a.star, LEFT), LEFT)
-        if a.star == a:
-            ok = ok and orthogonal(principal(a, RIGHT),
-                                   annihilator(a, RIGHT), RIGHT)
-        if a * a == a:
-            ok = ok and (orthogonal(principal(a, RIGHT),
-                                    annihilator(a, RIGHT), RIGHT)
-                         == (a.star == a))
-        yield label, ok
+def _star_ideal_duality(ctx, a, b):
+    return (principal(a, RIGHT).is_subideal_of(principal(b, RIGHT))
+            == principal(a.star, LEFT).is_subideal_of(
+                principal(b.star, LEFT))) and \
+           (annihilator(a, RIGHT).is_subideal_of(annihilator(b, RIGHT))
+            == annihilator(a.star, LEFT).is_subideal_of(
+                annihilator(b.star, LEFT)))
 
 
-def _direct_sum_pairs(ring, side):
-    fam = all_ideals(ring, side)
-    for s in fam:
-        for t in fam:
-            w = direct_sum(s, t)
-            if w is not None:
-                yield s, t, w
+def _orthogonal_range(ctx, a):
+    ok = orthogonal(principal(a, RIGHT), annihilator(a.star, RIGHT), RIGHT)
+    ok = ok and orthogonal(principal(a, LEFT),
+                           annihilator(a.star, LEFT), LEFT)
+    if a.star == a:
+        ok = ok and orthogonal(principal(a, RIGHT),
+                               annihilator(a, RIGHT), RIGHT)
+    if a * a == a:
+        ok = ok and (orthogonal(principal(a, RIGHT),
+                                annihilator(a, RIGHT), RIGHT)
+                     == (a.star == a))
+    return ok
 
 
-def _check_projector_algebra(ring):
-    elems = _elements(ring)
-    one = ring.one
-    for side in (RIGHT, LEFT):
-        for s, t, _ in _direct_sum_pairs(ring, side):
-            rho = projector(s, t)
-            tau = projector(t, s)
-            label = "side=%s,S=%r,T=%r" % (side, s, t)
-            ok = rho.is_unit_idempotent()
-            for r in elems:
-                ok = ok and rho.apply(r) + tau.apply(r) == r
-                ok = ok and (rho.apply(r) == r) == s.contains(r)
-                ok = ok and t.contains(rho.apply(r) - r)
-            # module compatibility and the rho(1) laws
-            for a in elems:
-                if side == RIGHT:
-                    ok = ok and rho.apply(a) == rho.unit * a
-                    ok = ok and ((rho.unit * a == a)
-                                 == principal(a, RIGHT).is_subideal_of(s))
-                    ok = ok and ((a * rho.unit == a)
-                                 == t.is_subideal_of(annihilator(a, RIGHT)))
-                else:
-                    ok = ok and rho.apply(a) == a * rho.unit
-                    ok = ok and ((a * rho.unit == a)
-                                 == principal(a, LEFT).is_subideal_of(s))
-                    ok = ok and ((rho.unit * a == a)
-                                 == t.is_subideal_of(annihilator(a, LEFT)))
-            yield label, ok
+def _complements(ctx, side, s):
+    """The ideals T of the side's lattice with R = S (+) T."""
+    return [t for t in ctx.memo(all_ideals, ctx.ring, side)
+            if direct_sum(s, t) is not None]
 
 
-def _check_inverse_product_ideals(ring):
-    for a in _elements(ring):
-        for x in _elements(ring):
-            label = "a=%s,x=%s" % (ring.render(a), ring.render(x))
-            ok = True
-            if satisfies(a, x, ("1",)):
-                ok = (principal(a * x, RIGHT) == principal(a, RIGHT)
-                      and annihilator(x * a, RIGHT)
-                      == annihilator(a, RIGHT)
-                      and annihilator(a * x, LEFT) == annihilator(a, LEFT)
-                      and principal(x * a, LEFT) == principal(a, LEFT))
-            if satisfies(a, x, ("2",)):
-                ok = ok and (
-                    annihilator(a * x, RIGHT) == annihilator(x, RIGHT)
-                    and principal(x * a, RIGHT) == principal(x, RIGHT)
-                    and principal(a * x, LEFT) == principal(x, LEFT)
-                    and annihilator(x * a, LEFT) == annihilator(x, LEFT))
-            yield label, ok
+def _projector_algebra(ctx, side, s, t):
+    rho = projector(s, t)
+    tau = projector(t, s)
+    ok = rho.is_unit_idempotent()
+    for r in ctx.elements:
+        ok = ok and rho.apply(r) + tau.apply(r) == r
+        ok = ok and (rho.apply(r) == r) == s.contains(r)
+        ok = ok and t.contains(rho.apply(r) - r)
+    # module compatibility and the rho(1) laws
+    for a in ctx.elements:
+        if side == RIGHT:
+            ok = ok and rho.apply(a) == rho.unit * a
+            ok = ok and ((rho.unit * a == a)
+                         == principal(a, RIGHT).is_subideal_of(s))
+            ok = ok and ((a * rho.unit == a)
+                         == t.is_subideal_of(annihilator(a, RIGHT)))
+        else:
+            ok = ok and rho.apply(a) == a * rho.unit
+            ok = ok and ((a * rho.unit == a)
+                         == principal(a, LEFT).is_subideal_of(s))
+            ok = ok and ((rho.unit * a == a)
+                         == t.is_subideal_of(annihilator(a, LEFT)))
+    return ok
 
 
-def _check_core_equation_systems(ring):
-    for a in _elements(ring):
-        label = "a=%s" % ring.render(a)
-        ok = all(satisfies(a, x, ("1", "2"))
-                 for x in iter_inverse_set(a, ("6", "7")))
-        if ring.has_involution:
-            try:
-                rep, repd = core_inverse(a), dual_core_inverse(a)
-            except RingInvError:
-                yield label, False
-                continue
-            sol367 = enumerate_inverse_set(a, ("3", "6", "7"))
-            ok = ok and (sol367 == ([rep.value] if rep.exists else []))
-            ok = ok and all(satisfies(a, x, ("1", "2"))
-                            for x in iter_inverse_set(a, ("8", "9")))
-            sol489 = enumerate_inverse_set(a, ("4", "8", "9"))
-            ok = ok and (sol489 == ([repd.value] if repd.exists else []))
-        yield label, ok
+def _inverse_product_ideals(ctx, a, x):
+    ok = True
+    if satisfies(a, x, ("1",)):
+        ok = (principal(a * x, RIGHT) == principal(a, RIGHT)
+              and annihilator(x * a, RIGHT) == annihilator(a, RIGHT)
+              and annihilator(a * x, LEFT) == annihilator(a, LEFT)
+              and principal(x * a, LEFT) == principal(a, LEFT))
+    if satisfies(a, x, ("2",)):
+        ok = ok and (
+            annihilator(a * x, RIGHT) == annihilator(x, RIGHT)
+            and principal(x * a, RIGHT) == principal(x, RIGHT)
+            and principal(a * x, LEFT) == principal(x, LEFT)
+            and annihilator(x * a, LEFT) == annihilator(x, LEFT))
+    return ok
 
 
-def _check_inner_of_product(ring):
-    for a in _elements(ring):
-        for b in _elements(ring):
-            ab = a * b
-            inners = [g for g in ring.elements() if ab * g * ab == ab]
-            if not inners:
-                continue
-            label = "a=%s,b=%s" % (ring.render(a), ring.render(b))
-            ok = True
-            left_eq = (principal(ab, RIGHT) == principal(a, RIGHT))
-            left_ann = (annihilator(ab, LEFT) == annihilator(a, LEFT))
-            right_ann = (annihilator(ab, RIGHT) == annihilator(b, RIGHT))
-            right_eq = (principal(ab, LEFT) == principal(b, LEFT))
-            for g in inners:
-                ok = ok and ((ab * g * a == a) == left_eq == left_ann)
-                ok = ok and ((b * g * ab == b) == right_ann == right_eq)
-            yield label, ok
+def _core_equation_systems(ctx, a):
+    ok = all(satisfies(a, x, ("1", "2"))
+             for x in iter_inverse_set(a, ("6", "7")))
+    if ctx.star:
+        rep, repd = core_inverse(a), dual_core_inverse(a)
+        sol367 = enumerate_inverse_set(a, ("3", "6", "7"))
+        ok = ok and (sol367 == ([rep.value] if rep.exists else []))
+        ok = ok and all(satisfies(a, x, ("1", "2"))
+                        for x in iter_inverse_set(a, ("8", "9")))
+        sol489 = enumerate_inverse_set(a, ("4", "8", "9"))
+        ok = ok and (sol489 == ([repd.value] if repd.exists else []))
+    return ok
 
 
-def _check_reflexive_remark(ring):
-    for a in _elements(ring):
-        for x in _elements(ring):
-            label = "a=%s,x=%s" % (ring.render(a), ring.render(x))
-            ok = True
-            if satisfies(a, x, ("1",)) and (
-                    principal(x, RIGHT) == principal(x * a, RIGHT)
-                    or principal(x, LEFT) == principal(a * x, LEFT)):
-                ok = satisfies(a, x, ("1", "2"))
-            if satisfies(a, x, ("2",)) and (
-                    principal(a, RIGHT) == principal(a * x, RIGHT)
-                    or principal(a, LEFT) == principal(x * a, LEFT)):
-                ok = ok and satisfies(a, x, ("1", "2"))
-            yield label, ok
+def _with_inner_product(ctx, a):
+    """The b with ab regular."""
+    return [b for b in ctx.elements if ctx.inners(a * b)]
+
+
+def _inner_of_product(ctx, a, b):
+    ab = a * b
+    ok = True
+    left_eq = (principal(ab, RIGHT) == principal(a, RIGHT))
+    left_ann = (annihilator(ab, LEFT) == annihilator(a, LEFT))
+    right_ann = (annihilator(ab, RIGHT) == annihilator(b, RIGHT))
+    right_eq = (principal(ab, LEFT) == principal(b, LEFT))
+    for g in ctx.inners(ab):
+        ok = ok and ((ab * g * a == a) == left_eq == left_ann)
+        ok = ok and ((b * g * ab == b) == right_ann == right_eq)
+    return ok
+
+
+def _reflexive_upgrade(ctx, a, x):
+    ok = True
+    if satisfies(a, x, ("1",)) and (
+            principal(x, RIGHT) == principal(x * a, RIGHT)
+            or principal(x, LEFT) == principal(a * x, LEFT)):
+        ok = satisfies(a, x, ("1", "2"))
+    if satisfies(a, x, ("2",)) and (
+            principal(a, RIGHT) == principal(a * x, RIGHT)
+            or principal(a, LEFT) == principal(x * a, LEFT)):
+        ok = ok and satisfies(a, x, ("1", "2"))
+    return ok
 
 
 # -- projector characterizations -------------------------------------------
@@ -411,14 +424,10 @@ def _drazin_block(a, x):
     }
 
 
-def _projector_block_checker(block):
-    def gen(ring):
-        for a in _elements(ring):
-            for x in _elements(ring):
-                label = "a=%s,x=%s" % (ring.render(a), ring.render(x))
-                yield _checked(label, lambda a=a, x=x: _require_agree(
-                    "the equations and projector identities", block(a, x)))
-    return gen
+def _blocks_agree(block):
+    """The clause of a T-*-projectors entry: block(a, x) agrees."""
+    return lambda ctx, a, x: _require_agree(
+        "the equations and projector identities", block(a, x))
 
 
 # -- prescribed {1}-inverse families ---------------------------------------
@@ -442,131 +451,93 @@ def _product_cons(a, x, tags):
                       principal(a * x, LEFT), annihilator(x * a, LEFT))
 
 
-def _check_one_families(ring):
-    for a in _elements(ring):
-        inners = [x for x in ring.elements() if a * x * a == a]
-        for x in inners:
-            for tags in _ALL_SHAPES:
-                cons = _product_cons(a, x, tags)
-                label = "a=%s,x=%s,shape=%s" % (
-                    ring.render(a), ring.render(x), "+".join(tags))
-                try:
-                    fam = one_inverse_family(a, cons)
-                except RingInvError:
-                    fam = None
-                if fam is None:
-                    yield label, False
-                    continue
-                want = [y for y in inners
-                        if _check_constraints_on_x(a, y, cons, True)]
-                yield label, fam.members() == want
+def _one_family(ctx, a, x, tags):
+    cons = _product_cons(a, x, tags)
+    fam = one_inverse_family(a, cons)
+    want = [y for y in ctx.inners(a)
+            if _check_constraints_on_x(a, y, cons, True)]
+    return fam is not None and fam.members() == want
 
 
-def _check_one_solution_sets(ring):
-    for a in _elements(ring):
-        inners = [x for x in ring.elements() if a * x * a == a]
-        for g in inners:
-            for tags in _ALL_SHAPES:
-                cons = _product_cons(a, g, tags)
-                label = "a=%s,g=%s,shape=%s" % (
-                    ring.render(a), ring.render(g), "+".join(tags))
-                try:
-                    got = one_inverse_solution_set(a, cons, g)
-                except RingInvError:
-                    yield label, False
-                    continue
-                want = [y for y in inners
-                        if _check_constraints_on_x(a, y, cons, True)]
-                yield label, got == want
+def _one_solution_set(ctx, a, g, tags):
+    cons = _product_cons(a, g, tags)
+    got = one_inverse_solution_set(a, cons, g)
+    want = [y for y in ctx.inners(a)
+            if _check_constraints_on_x(a, y, cons, True)]
+    return got == want
 
 
 # -- Mitsch order -----------------------------------------------------------
 
-def _check_mitsch_order(ring):
-    elems = _elements(ring)
-    # memoized and filled on demand, so the first case comes at once and
-    # a time budget can stop the check
-    leq = lru_cache(maxsize=None)(mitsch_leq)
-    for y in elems:
-        yield "reflexive y=%s" % ring.render(y), leq(y, y)
-        for z in elems:
-            label = "y=%s,z=%s" % (ring.render(y), ring.render(z))
+def _mitsch_cases(ctx):
+    """The order axioms: a scope with three kinds of case.  leq is
+    memoized and filled on demand, so the first case comes at once and a
+    time budget can stop the check."""
+    leq = lambda y, z: ctx.memo(mitsch_leq, y, z)
+    for y in ctx.elements:
+        yield "reflexive y=%s" % ctx.name(y), ("leq", y, y)
+        for z in ctx.elements:
+            label = "y=%s,z=%s" % (ctx.name(y), ctx.name(z))
             if leq(y, z) and leq(z, y):
-                yield "antisym " + label, y == z
-            for u in elems:
+                yield "antisym " + label, ("equal", y, z)
+            for u in ctx.elements:
                 if leq(y, z) and leq(z, u):
-                    yield ("trans y=%s,z=%s,u=%s" % (
-                        ring.render(y), ring.render(z), ring.render(u)),
-                        leq(y, u))
+                    yield ("trans %s,u=%s" % (label, ctx.name(u)),
+                           ("leq", y, u))
 
 
-def _check_mitsch_extremes(ring):
-    for a in _elements(ring):
-        for x in ring.elements():
-            if x * a * x != x:
-                continue
-            for tags in _TWO_SHAPES:
-                cons = _cons_from(
-                    tags,
-                    principal(x, RIGHT), annihilator(x, RIGHT),
-                    principal(x, LEFT), annihilator(x, LEFT))
-                label = "a=%s,x=%s,shape=%s" % (
-                    ring.render(a), ring.render(x), "+".join(tags))
-                try:
-                    rep = mitsch_extremes(a, cons)
-                except RingInvError:
-                    yield label, False
-                    continue
-                ok = rep["pairs_ordered"]
-                if rep["outer_exists"]:
-                    ok = ok and rep["intersection_is_outer"] \
-                        and rep["is_max_of_Y"] and rep["is_min_of_Z"]
-                yield label, ok
+def _mitsch_order(ctx, kind, y, z):
+    return y == z if kind == "equal" else ctx.memo(mitsch_leq, y, z)
+
+
+def _mitsch_extremes(ctx, a, x, tags):
+    cons = _cons_from(
+        tags,
+        principal(x, RIGHT), annihilator(x, RIGHT),
+        principal(x, LEFT), annihilator(x, LEFT))
+    rep = mitsch_extremes(a, cons)
+    ok = rep["pairs_ordered"]
+    if rep["outer_exists"]:
+        ok = ok and rep["intersection_is_outer"] \
+            and rep["is_max_of_Y"] and rep["is_min_of_Z"]
+    return ok
 
 
 # -- prescribed outer and reflexive inverses --------------------------------
 
 def _ideal_quadruples(ring):
-    right = all_ideals(ring, RIGHT)
-    left = all_ideals(ring, LEFT)
+    """The constraints of each two-ideal shape over the full ideal
+    lattices, in canonical order."""
+    lattice = {RIGHT: all_ideals(ring, RIGHT), LEFT: all_ideals(ring, LEFT)}
+    side = {"S": RIGHT, "T": RIGHT, "Sp": LEFT, "Tp": LEFT}
+    quadruples = []
     for tags in _TWO_SHAPES:
-        first = right if tags[0] in ("S", "T") else left
-        second = right if tags[1] in ("S", "T") else left
-        for i in first:
-            for j in second:
-                by_tag = dict.fromkeys(("S", "T", "Sp", "Tp"))
-                by_tag[tags[0]], by_tag[tags[1]] = i, j
-                yield tags, _cons_from(tags, by_tag["S"], by_tag["T"],
-                                       by_tag["Sp"], by_tag["Tp"])
+        for i in lattice[side[tags[0]]]:
+            for j in lattice[side[tags[1]]]:
+                by_tag = {tags[0]: i, tags[1]: j}
+                quadruples.append(_cons_from(
+                    tags, *map(by_tag.get, ("S", "T", "Sp", "Tp"))))
+    return quadruples
 
 
-def _check_prescribed(ring, reflexive):
+def _prescribed(ctx, a, cons, reflexive):
     eqs = ("1", "2") if reflexive else ("2",)
-    for a in _elements(ring):
-        for tags, cons in _ideal_quadruples(ring):
-            label = "a=%s,shape=%s,%r" % (
-                ring.render(a), "+".join(tags), cons.shape())
-            try:
-                rep = outer_with(a, cons, reflexive=reflexive)
-            except RingInvError:
-                yield label, False
-                continue
-            want = [x for x in ring.elements()
-                    if satisfies(a, x, eqs)
-                    and _check_constraints_on_x(a, x, cons, False)]
-            ok = len(want) <= 1 and rep.exists == (len(want) == 1)
-            if rep.exists:
-                ok = ok and rep.value == want[0]
-                # idempotent-generated ideal corollary: p = xa, q = ax
-                x = rep.value
-                p, q = x * a, a * x
-                ok = ok and p * p == p and q * q == q
-                if cons.right_principal is not None:
-                    ok = ok and principal(x, RIGHT) == principal(p, RIGHT)
-                if cons.right_annihilator is not None:
-                    ok = ok and annihilator(x, RIGHT) == annihilator(
-                        q, RIGHT)
-            yield label, ok
+    rep = outer_with(a, cons, reflexive=reflexive)
+    want = [x for x in ctx.elements
+            if satisfies(a, x, eqs)
+            and _check_constraints_on_x(a, x, cons, False)]
+    ok = len(want) <= 1 and rep.exists == (len(want) == 1)
+    if rep.exists:
+        ok = ok and rep.value == want[0]
+        # idempotent-generated ideal corollary: p = xa, q = ax
+        x = rep.value
+        p, q = x * a, a * x
+        ok = ok and p * p == p and q * q == q
+        if cons.right_principal is not None:
+            ok = ok and principal(x, RIGHT) == principal(p, RIGHT)
+        if cons.right_annihilator is not None:
+            ok = ok and annihilator(x, RIGHT) == annihilator(q, RIGHT)
+    return ok
 
 
 def _projector_identities(a, x, tags, s, t, sp, tp):
@@ -613,7 +584,7 @@ _REFLEXIVE_SIDES = {
 }
 
 
-def _reflexive_clauses(a, x, tags, ideals):
+def _reflexive_clauses(a, x, tags, ideals, ctx):
     """The equivalent clauses characterizing x = a^(1,2) with the ideals
     tags of ideals = (S, T, S', T') prescribed, by label."""
     cons = _cons_from(tags, *ideals)
@@ -628,18 +599,18 @@ def _reflexive_clauses(a, x, tags, ideals):
     rep = outer_with(a, cons, reflexive=True)
     clauses["closed_form"] = rep.exists and rep.value == x
     if tags == ("S", "T"):
-        clauses["isomorphism_phi_b"] = _psi_equals_phi(a, x, *ideals[:2])
+        clauses["isomorphism_phi_b"] = _psi_equals_phi(
+            a, x, *ideals[:2], ctx)
     return clauses
 
 
-def _psi_equals_phi(a, x, s, t):
+def _psi_equals_phi(a, x, s, t, ctx):
     """Tabulate psi(r) = ((phi_a)|_S)^{-1}(rho_{aR,T}(r)) and compare phi_x."""
-    ring = a.ring
     u = direct_sum(principal(a, RIGHT), t)
     if u is None or direct_sum(s, annihilator(a, RIGHT)) is None:
         return False
     smembers = s.members()
-    for r in ring.elements():
+    for r in ctx.elements:
         target = u * r
         images = [c for c in smembers if a * c == target]
         if len(images) != 1:
@@ -649,18 +620,11 @@ def _psi_equals_phi(a, x, s, t):
     return True
 
 
-def _check_reflexive_clause_grid(ring):
-    for a in _elements(ring):
-        for x in _elements(ring):
-            ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
-                      principal(x, LEFT), annihilator(x, LEFT))
-            for tags in _TWO_SHAPES:
-                label = "a=%s,x=%s,shape=%s" % (
-                    ring.render(a), ring.render(x), "+".join(tags))
-                yield _checked(
-                    label, lambda a=a, x=x, tags=tags: _require_agree(
-                        "equivalent clauses",
-                        _reflexive_clauses(a, x, tags, ideals)))
+def _reflexive_clause_grid(ctx, a, x, tags):
+    ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
+              principal(x, LEFT), annihilator(x, LEFT))
+    return _require_agree("equivalent clauses",
+                          _reflexive_clauses(a, x, tags, ideals, ctx))
 
 
 # -- weighted, one-sided, and constrained inverses --------------------------
@@ -747,14 +711,15 @@ def star_class_membership(a, x, tag):
     return member, clauses
 
 
-def star_class_identity_report(a, tag):
+def star_class_identity_report(a, tag, ctx=None):
     """Compare the class with its {1}-inverse ideal descriptions.
 
     Returns the class members, the described set(s), and whether they are
     equal; for {1,3,6}/{1,4,8} only containment of the described set is
-    asserted and equality is recorded.
+    asserted and equality is recorded.  ctx is the verify call's context,
+    if any.
     """
-    ring = a.ring
+    ctx = ctx or _Context(a.ring)
     astar = a.star
     ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
     ra, ras = principal(a, LEFT), principal(astar, LEFT)
@@ -802,7 +767,7 @@ def star_class_identity_report(a, tag):
                 ["lann(xa)=lann(a*)", "x_in_Ra"]),
     }[tag]
     members = special.star_class_set(a, tag)
-    inners = [(x, ideal_desc(x)) for x in ring.elements()
+    inners = [(x, ideal_desc(x)) for x in ctx.elements
               if satisfies(a, x, ("1",))]
     # every variant must describe the same set
     described = {"+".join(variant): tuple(
@@ -823,17 +788,11 @@ def star_class_identity_report(a, tag):
     }
 
 
-def _check_star_classes(ring):
-    if not ring.has_involution:
-        return
-    for a in _elements(ring):
-        for tag in sorted(special.STAR_CLASS_EQS):
-            label = "a=%s,class=%s" % (ring.render(a), tag)
-            def run(a=a, tag=tag):
-                for x in ring.elements():
-                    star_class_membership(a, x, tag)
-                star_class_identity_report(a, tag)
-            yield _checked(label, run)
+def _star_class(ctx, a, tag):
+    for x in ctx.elements:
+        star_class_membership(a, x, tag)
+    star_class_identity_report(a, tag, ctx)
+    return True
 
 
 def _require_bundles_agree(a, ideals):
@@ -865,6 +824,7 @@ def _require_grids(grids, x):
     inverse report, extra lists)."""
     for b, ideals, rep, extra in grids:
         _bundle_grid(b, x, ideals, rep.exists and rep.value == x, *extra)
+    return True
 
 
 def _weighted_mp_grids(a, e, f):
@@ -903,88 +863,37 @@ def _w_core_grids(a, w):
              special.v_dual_core(a, w), (c_extra,))]
 
 
-def _grid_cases(ring, prefix, grids_of, *args):
-    """The cases x of one group: x must pass the grids grids_of(*args)
-    lists.  When that raises a library error, the group's first case
-    fails."""
-    try:
-        grids = grids_of(*args)
-    except RingInvError:
-        grids = None
-    for x in ring.elements():
-        label = "%s,x=%s" % (prefix, ring.render(x))
-        if grids is None:
-            yield label, False
-        else:
-            yield _checked(label, lambda x=x: _require_grids(grids, x))
+def _grid(grids_of):
+    """The clause of a grid entry: x passes the grids of its group, which
+    grids_of lists once per verify call."""
+    return lambda ctx, *args: _require_grids(
+        ctx.memo(grids_of, *args[:-1]), args[-1])
 
 
-def _check_weighted_mp_grid(ring):
-    if not ring.has_involution:
-        return
-    weights = _weights(ring)
-    for a in _elements(ring):
-        for e in weights:
-            for f in weights:
-                yield from _grid_cases(
-                    ring, "a=%s,e=%s,f=%s" % tuple(
-                        ring.render(v) for v in (a, e, f)),
-                    _weighted_mp_grids, a, e, f)
-
-
-def _check_e_core_grid(ring):
-    if not ring.has_involution:
-        return
-    for a in _elements(ring):
-        for e in _weights(ring):
-            yield from _grid_cases(
-                ring, "a=%s,e=%s" % (ring.render(a), ring.render(e)),
-                _e_core_grids, a, e)
-
-
-def _check_w_core_grid(ring):
-    if not ring.has_involution:
-        return
-    for a in _elements(ring):
-        for w in _elements(ring):
-            yield from _grid_cases(
-                ring, "a=%s,w=%s" % (ring.render(a), ring.render(w)),
-                _w_core_grids, a, w)
-
-
-def _check_one_sided_core(ring):
-    if not ring.has_involution:
-        return
-    for a in _elements(ring):
-        for w in _elements(ring):
-            label = "a=%s,w=%s" % (ring.render(a), ring.render(w))
-            def run(a=a, w=w):
-                # the right set is (aw){1,3,7} when aR <= awR, else empty;
-                # the left set mirrors it with (wa){1,4,9} and Ra <= Rwa
-                b, c = a * w, w * a
-                right = special.star_class_set(b, "137") \
-                    if principal(a, RIGHT).is_subideal_of(
-                        principal(b, RIGHT)) else []
-                left = special.star_class_set(c, "149") \
-                    if principal(a, LEFT).is_subideal_of(
-                        principal(c, LEFT)) else []
-                rep = special.right_w_core(a, w)
-                if rep.exists != bool(right) or \
-                        (rep.exists and rep.extra["members"] != right):
-                    raise VerificationError("right w-core set mismatch")
-                repl = special.left_v_dual_core(a, w)
-                if repl.exists != bool(left) or \
-                        (repl.exists and repl.extra["members"] != left):
-                    raise VerificationError("left v-dual core set mismatch")
-                wc = special.w_core(a, w)
-                if wc.exists and wc.value not in right:
-                    raise VerificationError(
-                        "w-core inverse escapes the right w-core set")
-                vd = special.v_dual_core(a, w)
-                if vd.exists and vd.value not in left:
-                    raise VerificationError(
-                        "v-dual core inverse escapes the left set")
-            yield _checked(label, run)
+def _one_sided_core(ctx, a, w):
+    # the right set is (aw){1,3,7} when aR <= awR, else empty; the left
+    # set mirrors it with (wa){1,4,9} and Ra <= Rwa
+    b, c = a * w, w * a
+    right = special.star_class_set(b, "137") \
+        if principal(a, RIGHT).is_subideal_of(principal(b, RIGHT)) else []
+    left = special.star_class_set(c, "149") \
+        if principal(a, LEFT).is_subideal_of(principal(c, LEFT)) else []
+    rep = special.right_w_core(a, w)
+    if rep.exists != bool(right) or \
+            (rep.exists and rep.extra["members"] != right):
+        raise VerificationError("right w-core set mismatch")
+    repl = special.left_v_dual_core(a, w)
+    if repl.exists != bool(left) or \
+            (repl.exists and repl.extra["members"] != left):
+        raise VerificationError("left v-dual core set mismatch")
+    wc = special.w_core(a, w)
+    if wc.exists and wc.value not in right:
+        raise VerificationError(
+            "w-core inverse escapes the right w-core set")
+    vd = special.v_dual_core(a, w)
+    if vd.exists and vd.value not in left:
+        raise VerificationError("v-dual core inverse escapes the left set")
+    return True
 
 
 def _bc_ideal_formulations(a, b, c):
@@ -1055,65 +964,44 @@ _BC_FLAVOR_CLAUSES = {
 }
 
 
-def _check_bc(ring):
-    elems = _elements(ring)
-    inners_of = {}    # cab -> (cab){1}; cab takes few values
-    for a in elems:
-        outer = [x for x in elems if satisfies(a, x, ("2",))]
-        for b in elems:
-            for c in elems:
-                label = "a=%s,b=%s,c=%s" % tuple(
-                    ring.render(v) for v in (a, b, c))
-                def run(a=a, b=b, c=c, outer=outer):
-                    cab = c * a * b
-                    inners = inners_of.get(cab)
-                    if inners is None:
-                        inners = inners_of[cab] = [
-                            g for g in elems if cab * g * cab == cab]
-                    # b g c -> its clause report, g in (cab){1}
-                    closed = bc_construction_clauses(a, b, c, inners)
-                    hyps = dict(zip(
-                        ("right_hybrid", "left_hybrid"),
-                        special.bc_invertibility_hypotheses(a, b, c)))
-                    if any(hyps.values()) and not is_invertible(cab):
-                        raise VerificationError(
-                            "cab must be invertible under the (b,c) "
-                            "invertibility hypotheses")
-                    # the extras are flavor-independent, so only the
-                    # full flavor asks bc_inverse for them
-                    reps = {"full": special.bc_inverse(a, b, c, "full")}
-                    for flavor in special.BC_FLAVORS[1:]:
-                        reps[flavor] = special.bc_flavor_inverse(
-                            a, b, c, flavor)
-                    form = reps["full"].extra.get("closed_form")
-                    if bool(closed) != (form in closed):
-                        raise VerificationError(
-                            "the closed form is not b (cab)^(1) c")
-                    for flavor, rep in reps.items():
-                        cons = special._bc_constraints(b, c, flavor)
-                        want = [x for x in outer if _check_constraints_on_x(
-                            a, x, cons, False)]
-                        if rep.exists != (len(want) == 1) or \
-                                (rep.exists and rep.value != want[0]):
-                            raise VerificationError(
-                                "(b,c) %s inverse disagrees with brute "
-                                "force" % flavor)
-                        if form in closed and rep.value != form and all(
-                                closed[form][item]
-                                for item in _BC_FLAVOR_CLAUSES[flavor]):
-                            raise VerificationError(
-                                "the closed form satisfies the %s flavor "
-                                "but is not its inverse" % flavor)
-                        if hyps.get(flavor) and \
-                                rep.value != b * inverse_of_unit(cab) * c:
-                            raise VerificationError(
-                                "b (cab)^{-1} c is not the %s inverse"
-                                % flavor)
-                    _require_bc_equality_clauses(a, b, c, reps, closed)
-                yield _checked(label, run)
+def _bc(ctx, a, b, c):
+    cab = c * a * b
+    # b g c -> its clause report, g in (cab){1}
+    closed = bc_construction_clauses(a, b, c, ctx.inners(cab))
+    hyps = dict(zip(("right_hybrid", "left_hybrid"),
+                    special.bc_invertibility_hypotheses(a, b, c)))
+    if any(hyps.values()) and not is_invertible(cab):
+        raise VerificationError(
+            "cab must be invertible under the (b,c) invertibility "
+            "hypotheses")
+    # the extras are flavor-independent, so only the full flavor asks
+    # bc_inverse for them
+    reps = {"full": special.bc_inverse(a, b, c, "full")}
+    for flavor in special.BC_FLAVORS[1:]:
+        reps[flavor] = special.bc_flavor_inverse(a, b, c, flavor)
+    form = reps["full"].extra.get("closed_form")
+    if bool(closed) != (form in closed):
+        raise VerificationError("the closed form is not b (cab)^(1) c")
+    for flavor, rep in reps.items():
+        cons = special._bc_constraints(b, c, flavor)
+        want = [x for x in ctx.outers(a)
+                if _check_constraints_on_x(a, x, cons, False)]
+        if rep.exists != (len(want) == 1) or \
+                (rep.exists and rep.value != want[0]):
+            raise VerificationError(
+                "(b,c) %s inverse disagrees with brute force" % flavor)
+        if form in closed and rep.value != form and all(
+                closed[form][item] for item in _BC_FLAVOR_CLAUSES[flavor]):
+            raise VerificationError(
+                "the closed form satisfies the %s flavor but is not its "
+                "inverse" % flavor)
+        if hyps.get(flavor) and rep.value != b * inverse_of_unit(cab) * c:
+            raise VerificationError(
+                "b (cab)^{-1} c is not the %s inverse" % flavor)
+    return _require_bc_equality_clauses(a, b, c, reps, closed, ctx)
 
 
-def _require_bc_equality_clauses(a, b, c, reps, closed):
+def _require_bc_equality_clauses(a, b, c, reps, closed, ctx):
     """The mutually equivalent clauses relating the four (b,c) flavors
     hold at every x together or not at all; reps holds the flavors'
     inverses and closed the clause reports keyed by each b (cab)^(1) c."""
@@ -1129,7 +1017,7 @@ def _require_bc_equality_clauses(a, b, c, reps, closed):
             principal(cab, RIGHT) == principal(c, RIGHT)
             or annihilator(cab, LEFT) == annihilator(c, LEFT)):
         closed_forms = set(closed)
-    for x in a.ring.elements():
+    for x in ctx.elements:
         is_flavor = {f: rep.exists and rep.value == x
                      for f, rep in reps.items()}
         clauses = {
@@ -1150,68 +1038,52 @@ def _require_bc_equality_clauses(a, b, c, reps, closed):
             "closed_form_for_every_inner": closed_forms == {x},
         }
         _require_agree("(b,c) equality clauses", clauses)
+    return True
 
 
-def _check_pq(ring):
-    idems = _idempotents(ring)
-    one, zero = ring.one, ring.zero
-    for a in _elements(ring):
-        outer = [x for x in ring.elements() if satisfies(a, x, ("2",))]
-        in_a2 = set(outer)
-        for p in idems:
-            for q in idems:
-                label = "a=%s,p=%s,q=%s" % tuple(
-                    ring.render(v) for v in (a, p, q))
-                def run(a=a, p=p, q=q, outer=outer, in_a2=in_a2):
-                    pr, qr = principal(p, RIGHT), principal(q, RIGHT)
-                    ik = special.image_kernel_inverse(a, p, q)
-                    want = [x for x in outer if principal(x, RIGHT) == pr
-                            and annihilator(x, RIGHT) == qr]
-                    if ik.exists != (len(want) == 1) or \
-                            (ik.exists and ik.value != want[0]):
-                        raise VerificationError(
-                            "image-kernel inverse disagrees with brute "
-                            "force")
-                    dw = special.djordjevic_wei_inverse(a, p, q)
-                    direct = [x for x in outer
-                              if x * a == p and a * x == one - q]
-                    if dw.exists != (len(direct) == 1) or \
-                            (dw.exists and dw.value != direct[0]):
-                        raise VerificationError(
-                            "Djordjevic-Wei inverse disagrees with brute "
-                            "force")
-                    rann_p = annihilator(p, RIGHT)
-                    if dw.exists and (
-                            rann_p != phi_preimage(a, qr)
-                            or principal(q, LEFT)
-                            != phi_preimage(a, annihilator(p, LEFT))):
-                        raise VerificationError(
-                            "rann(p) != phi_a^{-1}(qR) or "
-                            "Rq != a_phi^{-1}(lann(p))")
-                    # the Djordjevic-Wei items, which must agree at every x
-                    rann_q = annihilator(q, RIGHT)
-                    weak_right = multiply_ideal(
-                        a, principal(one - p, RIGHT)).is_subideal_of(qr)
-                    weak_left = multiply_ideal(
-                        a, principal(q, LEFT)).is_subideal_of(
-                            principal(one - p, LEFT))
-                    for x in ring.elements():
-                        ax, xa = a * x, x * a
-                        items = {
-                            "definition":
-                                x in in_a2 and xa == p and ax == one - q,
-                            "weakened_right":
-                                weak_right and x * a * p == p
-                                and one - q == ax and x * q == zero,
-                            "weakened_left":
-                                weak_left and p == xa and p * x == x
-                                and (one - q) * a * x == one - q,
-                            "ideal_inclusions": x in in_a2 and
-                                _pq_ideal_inclusions(xa, ax, pr, qr,
-                                                     rann_p, rann_q),
-                        }
-                        _require_agree("(p,q) characterizations", items)
-                yield _checked(label, run)
+def _pq(ctx, a, p, q):
+    one, zero = a.ring.one, a.ring.zero
+    outer = ctx.outers(a)
+    pr, qr = principal(p, RIGHT), principal(q, RIGHT)
+    ik = special.image_kernel_inverse(a, p, q)
+    want = [x for x in outer if principal(x, RIGHT) == pr
+            and annihilator(x, RIGHT) == qr]
+    if ik.exists != (len(want) == 1) or \
+            (ik.exists and ik.value != want[0]):
+        raise VerificationError(
+            "image-kernel inverse disagrees with brute force")
+    dw = special.djordjevic_wei_inverse(a, p, q)
+    direct = [x for x in outer if x * a == p and a * x == one - q]
+    if dw.exists != (len(direct) == 1) or \
+            (dw.exists and dw.value != direct[0]):
+        raise VerificationError(
+            "Djordjevic-Wei inverse disagrees with brute force")
+    rann_p = annihilator(p, RIGHT)
+    if dw.exists and (
+            rann_p != phi_preimage(a, qr)
+            or principal(q, LEFT) != phi_preimage(a, annihilator(p, LEFT))):
+        raise VerificationError(
+            "rann(p) != phi_a^{-1}(qR) or Rq != a_phi^{-1}(lann(p))")
+    # the Djordjevic-Wei items, which must agree at every x
+    in_a2 = set(outer)
+    rann_q = annihilator(q, RIGHT)
+    weak_right = multiply_ideal(
+        a, principal(one - p, RIGHT)).is_subideal_of(qr)
+    weak_left = multiply_ideal(a, principal(q, LEFT)).is_subideal_of(
+        principal(one - p, LEFT))
+    for x in ctx.elements:
+        ax, xa = a * x, x * a
+        items = {
+            "definition": x in in_a2 and xa == p and ax == one - q,
+            "weakened_right": weak_right and x * a * p == p
+                and one - q == ax and x * q == zero,
+            "weakened_left": weak_left and p == xa and p * x == x
+                and (one - q) * a * x == one - q,
+            "ideal_inclusions": x in in_a2 and _pq_ideal_inclusions(
+                xa, ax, pr, qr, rann_p, rann_q),
+        }
+        _require_agree("(p,q) characterizations", items)
+    return True
 
 
 def _pq_ideal_inclusions(xa, ax, pr, qr, rann_p, rann_q):
@@ -1228,35 +1100,27 @@ def _pq_ideal_inclusions(xa, ax, pr, qr, rann_p, rann_q):
         or (rann_q.is_subideal_of(axr) and qr.is_subideal_of(rann_ax)))
 
 
-def _check_bott_duffin(ring):
-    one = ring.one
-    for a in _elements(ring):
-        for p in _idempotents(ring):
-            label = "a=%s,p=%s" % (ring.render(a), ring.render(p))
-            def run(a=a, p=p):
-                rep = special.bott_duffin_inverse(a, p)
-                invertible = is_invertible(one - p + a * p)
-                if rep.exists != invertible:
-                    raise VerificationError(
-                        "Bott-Duffin existence mismatch")
-                rep2 = special.bott_duffin_inverse(a, p, p)
-                if rep.exists and (not rep2.exists
-                                   or rep2.value != rep.value):
-                    raise VerificationError(
-                        "Bott-Duffin (p, 1-p) inverse mismatch")
-            yield _checked(label, run)
+def _bott_duffin(ctx, a, p):
+    rep = special.bott_duffin_inverse(a, p)
+    if rep.exists != is_invertible(a.ring.one - p + a * p):
+        raise VerificationError("Bott-Duffin existence mismatch")
+    rep2 = special.bott_duffin_inverse(a, p, p)
+    if rep.exists and (not rep2.exists or rep2.value != rep.value):
+        raise VerificationError("Bott-Duffin (p, 1-p) inverse mismatch")
+    return True
 
 
-def regular_reflexive_iff_idempotent_ideals(a):
+def regular_reflexive_iff_idempotent_ideals(a, ctx=None):
     """a{1,2} nonempty iff idempotents p, q realize rann(a) = rann(p)
-    and aR = qR; returns the four clause values."""
-    ring = a.ring
-    idems = [p for p in ring.elements() if p * p == p]
+    and aR = qR; returns the four clause values.  ctx is the verify
+    call's context, if any."""
+    ctx = ctx or _Context(a.ring)
+    idems = ctx.idempotents
     rann_a, lann_a = annihilator(a, RIGHT), annihilator(a, LEFT)
     ar, ra = principal(a, RIGHT), principal(a, LEFT)
     clauses = {
         "a12_nonempty": any(satisfies(a, x, ("1", "2"))
-                            for x in ring.elements()),
+                            for x in ctx.elements),
         "rann+right_range": any(
             annihilator(p, RIGHT) == rann_a and principal(q, RIGHT) == ar
             for p in idems for q in idems),
@@ -1271,13 +1135,6 @@ def regular_reflexive_iff_idempotent_ideals(a):
     return clauses
 
 
-def _check_regular_idempotent_ideals(ring):
-    for a in _elements(ring):
-        yield _checked(
-            "a=%s" % ring.render(a),
-            lambda a=a: regular_reflexive_iff_idempotent_ideals(a))
-
-
 def _power_preperiod(a):
     """Least k with a^k in the cycle of a^0, a^1, ...: the Drazin index
     of an element of a finite ring, from its definition."""
@@ -1289,136 +1146,160 @@ def _power_preperiod(a):
     return seen[power]
 
 
-def _check_named_inverses(ring):
-    for a in _elements(ring):
-        label = "a=%s" % ring.render(a)
-        def run(a=a):
-            grp = group_inverse(a)
-            want = enumerate_inverse_set(a, ("1", "2", "5"))
-            if grp.exists != (len(want) == 1) or \
-                    (grp.exists and grp.value != want[0]):
-                raise VerificationError("group inverse mismatch")
-            drz = drazin_inverse(a)
-            if not drz.exists:
-                raise VerificationError("Drazin inverse missing")
-            k = drazin_index(a)
-            if k != _power_preperiod(a):
-                raise VerificationError("Drazin index mismatch")
-            wantd = enumerate_inverse_set(a, ("2", "5", "1k"), k=max(k, 1))
-            if wantd != [drz.value]:
-                raise VerificationError("Drazin inverse mismatch")
-            if ring.has_involution:
-                for rep, eqs in (
-                        (moore_penrose(a), ("1", "2", "3", "4")),
-                        (core_inverse(a), ("1", "2", "3", "6", "7")),
-                        (dual_core_inverse(a), ("1", "2", "4", "8", "9"))):
-                    want = enumerate_inverse_set(a, eqs)
-                    if rep.exists != (len(want) == 1) or \
-                            (rep.exists and rep.value != want[0]):
-                        raise VerificationError(
-                            "%s disagrees with brute force" % rep.name)
-        yield _checked(label, run)
+def _named_inverses(ctx, a):
+    grp = group_inverse(a)
+    want = enumerate_inverse_set(a, ("1", "2", "5"))
+    if grp.exists != (len(want) == 1) or \
+            (grp.exists and grp.value != want[0]):
+        raise VerificationError("group inverse mismatch")
+    drz = drazin_inverse(a)
+    if not drz.exists:
+        raise VerificationError("Drazin inverse missing")
+    k = drazin_index(a)
+    if k != _power_preperiod(a):
+        raise VerificationError("Drazin index mismatch")
+    wantd = enumerate_inverse_set(a, ("2", "5", "1k"), k=max(k, 1))
+    if wantd != [drz.value]:
+        raise VerificationError("Drazin inverse mismatch")
+    if ctx.star:
+        for rep, eqs in (
+                (moore_penrose(a), ("1", "2", "3", "4")),
+                (core_inverse(a), ("1", "2", "3", "6", "7")),
+                (dual_core_inverse(a), ("1", "2", "4", "8", "9"))):
+            want = enumerate_inverse_set(a, eqs)
+            if rep.exists != (len(want) == 1) or \
+                    (rep.exists and rep.value != want[0]):
+                raise VerificationError(
+                    "%s disagrees with brute force" % rep.name)
+    return True
 
+
+_PAIRS = _scope("a", "x")
+_PRESCRIBED = _scope("a", ("shape", lambda ctx, a: ctx.memo(
+    _ideal_quadruples, ctx.ring)))
 
 CATALOG = (
     TheoremCase("T-invertible-lemma",
                 "all elements a",
-                _check_invertible),
+                _scope("a"), _invertible),
     TheoremCase("L-idempotent-ideals",
                 "all idempotent pairs (p, q)",
-                _check_idempotent_ideals),
+                _idempotent_cases, _idempotent_ideals),
     TheoremCase("L-regular-ideal-inclusions",
                 "all element pairs (a, b)",
-                _check_regular_inclusions),
+                _scope("a", "b"), _regular_inclusions),
     TheoremCase("L-star-ideal-duality",
                 "all element pairs (a, b); *-rings only",
-                _check_star_ideal_duality),
+                _scope("a", "b", star=True), _star_ideal_duality),
     TheoremCase("L-orthogonal-range",
                 "all elements a; *-rings only",
-                _check_orthogonal_range),
+                _scope("a", star=True), _orthogonal_range),
     TheoremCase("L-projector-algebra",
                 "all direct-sum ideal pairs x all elements",
-                _check_projector_algebra),
+                _scope(("side", (RIGHT, LEFT)),
+                       ("S", lambda ctx, side: ctx.memo(
+                           all_ideals, ctx.ring, side)),
+                       ("T", _complements)),
+                _projector_algebra),
     TheoremCase("L-inverse-product-ideals",
                 "all pairs (a, x)",
-                _check_inverse_product_ideals),
+                _PAIRS, _inverse_product_ideals),
     TheoremCase("L-core-equation-systems",
                 "all elements a (equation subsets {6,7},{3,6,7},...)",
-                _check_core_equation_systems),
+                _scope("a"), _core_equation_systems),
     TheoremCase("L-inner-of-product",
                 "all pairs (a, b) x all inner inverses of ab",
-                _check_inner_of_product),
+                _scope("a", ("b", _with_inner_product)), _inner_of_product),
     TheoremCase("R-reflexive-upgrade",
                 "all pairs (a, x)",
-                _check_reflexive_remark),
+                _PAIRS, _reflexive_upgrade),
     TheoremCase("T-1I-projectors", "all pairs (a, x)",
-                _projector_block_checker(_one_inverse_block)),
+                _PAIRS, _blocks_agree(_one_inverse_block)),
     TheoremCase("T-2I-projectors", "all pairs (a, x)",
-                _projector_block_checker(_outer_inverse_block)),
+                _PAIRS, _blocks_agree(_outer_inverse_block)),
     TheoremCase("T-12I-projectors", "all pairs (a, x)",
-                _projector_block_checker(_reflexive_inverse_block)),
+                _PAIRS, _blocks_agree(_reflexive_inverse_block)),
     TheoremCase("T-15-projectors", "all pairs (a, x)",
-                _projector_block_checker(_commuting_inverse_block)),
+                _PAIRS, _blocks_agree(_commuting_inverse_block)),
     TheoremCase("T-drazin-projectors", "all pairs (a, x)",
-                _projector_block_checker(_drazin_block)),
+                _PAIRS, _blocks_agree(_drazin_block)),
     TheoremCase("T-one-prescribed-families",
                 "all a x inner inverses x 8 constraint shapes",
-                _check_one_families),
+                _scope("a", ("x", lambda ctx, a: ctx.inners(a)),
+                       ("shape", _ALL_SHAPES)),
+                _one_family),
     TheoremCase("P-one-solution-sets",
                 "all a x inner inverses x 8 constraint shapes",
-                _check_one_solution_sets),
+                _scope("a", ("g", lambda ctx, a: ctx.inners(a)),
+                       ("shape", _ALL_SHAPES)),
+                _one_solution_set),
     TheoremCase("T-mitsch-order",
                 "order axioms over all element triples",
-                _check_mitsch_order),
+                _mitsch_cases, _mitsch_order),
     TheoremCase("T-mitsch-extremes",
                 "all a x outer inverses x 4 two-ideal shapes",
-                _check_mitsch_extremes),
+                _scope("a", ("x", lambda ctx, a: ctx.outers(a)),
+                       ("shape", _TWO_SHAPES)),
+                _mitsch_extremes),
     TheoremCase("T-2I-prescribed",
                 "all a x ideal pairs from the full ideal lattice",
-                lambda ring: _check_prescribed(ring, False)),
+                _PRESCRIBED,
+                lambda ctx, a, cons: _prescribed(ctx, a, cons, False)),
     TheoremCase("T-12I-prescribed",
                 "all a x ideal pairs from the full ideal lattice",
-                lambda ring: _check_prescribed(ring, True)),
+                _PRESCRIBED,
+                lambda ctx, a, cons: _prescribed(ctx, a, cons, True)),
     TheoremCase("T-12I-clause-grid",
                 "all pairs (a, x) x 4 two-ideal shapes",
-                _check_reflexive_clause_grid),
+                _scope("a", "x", ("shape", _TWO_SHAPES)),
+                _reflexive_clause_grid),
     TheoremCase("T-star-classes",
                 "all a x 7 equation classes; *-rings only",
-                _check_star_classes),
+                _scope("a", ("class", tuple(sorted(special.STAR_CLASS_EQS))),
+                       star=True),
+                _star_class),
     TheoremCase("T-weighted-mp-grid",
                 "all a x weight pairs x all x; *-rings only",
-                _check_weighted_mp_grid),
+                _scope("a", "e", "f", "x", star=True),
+                _grid(_weighted_mp_grids)),
     TheoremCase("T-e-core-grid",
                 "all a x weights x all x; *-rings only",
-                _check_e_core_grid),
+                _scope("a", "e", "x", star=True), _grid(_e_core_grids)),
     TheoremCase("T-w-core-grid",
                 "all a x w x all x; *-rings only",
-                _check_w_core_grid),
+                _scope("a", "w", "x", star=True), _grid(_w_core_grids)),
     TheoremCase("T-one-sided-core",
                 "all pairs (a, w); *-rings only",
-                _check_one_sided_core),
+                _scope("a", "w", star=True), _one_sided_core),
     TheoremCase("T-bc-inverses",
                 "all triples (a, b, c), all inner inverses of cab, all x",
-                _check_bc),
+                _scope("a", "b", "c"), _bc),
     TheoremCase("T-pq-inverses",
                 "all a x idempotent pairs x all x",
-                _check_pq),
+                _scope("a", "p", "q"), _pq),
     TheoremCase("T-bott-duffin",
                 "all a x idempotents p",
-                _check_bott_duffin),
+                _scope("a", "p"), _bott_duffin),
     TheoremCase("T-regular-idempotent-ideals",
                 "all elements a",
-                _check_regular_idempotent_ideals),
+                _scope("a"), lambda ctx, a: bool(
+                    regular_reflexive_iff_idempotent_ideals(a, ctx))),
     TheoremCase("O-named-inverses",
                 "all elements a, named inverses vs brute force",
-                _check_named_inverses),
+                _scope("a"), _named_inverses),
 )
 
 CATALOG_BY_ID = {case.id: case for case in CATALOG}
 
 
 def verify(theorem_id, ring, max_cases=None, max_seconds=None):
-    """Run one catalog entry exhaustively; first counterexample wins."""
+    """Run one catalog entry exhaustively; first counterexample wins.
+
+    This is the one loop over an entry's cases.  It takes the scope's
+    next (label, args), checks the budget and only then runs the clause.
+    A library error raised by the clause fails that case under its
+    label; one raised by the scope fails the next case, numbered.
+    """
     if theorem_id not in CATALOG_BY_ID:
         raise PreconditionError(
             "unknown theorem id %r; catalog: %s" % (
@@ -1430,28 +1311,31 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
         ring.memo.setdefault("mul", {})
     case = CATALOG_BY_ID[theorem_id]
     start = time.monotonic()
+    ctx = _Context(ring)
     checked = 0
     counterexample = None
     complete = True
-    cases = case.checker(ring)
+    cases = case.scope(ctx)
     while True:
         try:
-            label, ok = next(cases)
+            label, args = next(cases)
         except StopIteration:
             break
         except RingInvError as exc:
-            # a library error that escapes the checker ends it as one
-            # more failing case
-            label, ok = "case %d raised %s: %s" % (
-                checked + 1, type(exc).__name__, exc), False
-        # the budget is checked before a case is counted, so a theorem
-        # with exactly max_cases cases runs to completion
+            label, args = "case %d raised %s: %s" % (
+                checked + 1, type(exc).__name__, exc), None
+        # the budget is checked before the clause runs, so no case starts
+        # past it, and a theorem with exactly max_cases cases completes
         if (max_cases is not None and checked >= max_cases) or (
                 max_seconds is not None
                 and time.monotonic() - start > max_seconds):
             complete = False
             break
         checked += 1
+        try:
+            ok = args is not None and case.clause(ctx, *args)
+        except RingInvError:
+            ok = False
         if not ok:
             counterexample = label
             break

@@ -1,7 +1,8 @@
 """No dead code in src/ringinv: every module-level import is used in its
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
-stands apart from the theorem checks.  Stdlib ast only."""
+stands apart from the theorem checks, and the oracle reads its ring only
+in its scope layer.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,28 @@ def compute_path_imports(trees):
     return out
 
 
+# the oracle lists a ring's elements and asks for its involution once per
+# verify call, in the context its scopes and clauses read
+SCOPE_LAYER = "_Context"
+
+
+def ring_reads(tree):
+    """(top-level definition, read) for each .elements() call and each
+    has_involution read in a module, in source order."""
+    out = []
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and \
+                    isinstance(sub.func, ast.Attribute) and \
+                    sub.func.attr == "elements":
+                out.append((sub.lineno, name, "elements()"))
+            elif isinstance(sub, ast.Attribute) and \
+                    sub.attr == "has_involution":
+                out.append((sub.lineno, name, "has_involution"))
+    return [(name, read) for _, name, read in sorted(out)]
+
+
 def test_no_unused_module_imports():
     assert unused_imports(_trees()) == []
 
@@ -101,6 +124,11 @@ def test_no_unreferenced_private_names():
 
 def test_compute_path_imports_no_checks():
     assert compute_path_imports(_trees()) == []
+
+
+def test_oracle_reads_its_ring_in_the_scope_layer_only():
+    assert ring_reads(_trees()["oracle.py"]) == [
+        (SCOPE_LAYER, "has_involution"), (SCOPE_LAYER, "elements()")]
 
 
 def test_guards_flag_dead_code():
@@ -132,3 +160,17 @@ def test_guard_flags_a_check_import_on_the_compute_path():
     assert compute_path_imports(trees) == [
         "geninv.py:3 oracle", "prescribed.py:1 projectors",
         "special.py:1 oracle"]
+
+
+def test_guard_flags_a_ring_read_outside_the_scope_layer():
+    tree = ast.parse(
+        "class _Context:\n"
+        "    def __init__(self, ring):\n"
+        "        self.star = ring.has_involution\n"
+        "        self.elements = tuple(ring.elements())\n"
+        "def _clause(ctx, a):\n"
+        "    if a.ring.has_involution:\n"
+        "        return [x for x in a.ring.elements() if x == a]\n")
+    assert ring_reads(tree) == [
+        ("_Context", "has_involution"), ("_Context", "elements()"),
+        ("_clause", "has_involution"), ("_clause", "elements()")]

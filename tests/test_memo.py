@@ -6,7 +6,6 @@ ring a product table."""
 import gc
 import io
 import json
-import re
 import sys
 import weakref
 from itertools import product
@@ -14,7 +13,8 @@ from itertools import product
 import pytest
 
 from ringinv import cli, ideals, oracle, rings
-from ringinv.errors import NotEnumerableError
+from ringinv.errors import (NotEnumerableError, RingInvError,
+                            VerificationError)
 from ringinv.geninv import any_inner
 from ringinv.ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                             principal)
@@ -112,19 +112,32 @@ def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
     rep = oracle.verify("L-regular-ideal-inclusions", MatF(2, 2))
     assert rep.counterexample == "a=[0 0; 0 1],b=[0 0; 1 0]"
     # the ideals of the wrong side make other entries raise library
-    # errors; each of those is a counterexample too, and the whole
-    # catalog still reports and exits 2
+    # errors besides a clause's own VerificationError; each of those fails
+    # the case that raised it, under its own label, and the whole catalog
+    # still reports and exits 2
+    calls, raised = {}, {}
+    for entry in oracle.CATALOG:
+        def recording(ctx, *args, theorem=entry.id, clause=entry.clause):
+            calls[theorem] = calls.get(theorem, 0) + 1
+            try:
+                return clause(ctx, *args)
+            except VerificationError:
+                raise
+            except RingInvError as exc:
+                raised[theorem] = calls[theorem], type(exc).__name__
+                raise
+        monkeypatch.setattr(entry, "clause", recording)
     out = io.StringIO()
     monkeypatch.setattr("sys.stdout", out)
     assert cli.main(["verify", "--ring", "m2f2", "--max-cases", "400"]) == 2
     reports = json.loads(out.getvalue())
     assert [r["theorem"] for r in reports] == [c.id for c in oracle.CATALOG]
-    raised = [r for r in reports if " raised " in (r["counterexample"] or "")]
     assert raised
-    for r in raised:
-        number, error = re.match(r"case (\d+) raised (\w+): ",
-                                 r["counterexample"]).groups()
-        assert int(number) == r["cases_checked"] and not r["passed"]
+    by_id = {r["theorem"]: r for r in reports}
+    for theorem, (number, error) in raised.items():
+        r = by_id[theorem]
+        assert " raised " not in r["counterexample"]
+        assert number == r["cases_checked"] and not r["passed"]
         assert error in ("PreconditionError", "RingMismatchError")
 
 
@@ -200,3 +213,20 @@ def test_zn_gets_no_product_table():
     ring = Zn(6)
     assert oracle.verify("T-bc-inverses", ring).counterexample is None
     assert "mul" not in ring.memo
+
+
+def test_oracle_lists_the_elements_once_per_verify(monkeypatch):
+    # the library's own scans (families, inverse sets) still list the
+    # ring; the oracle's scopes and clauses read one tuple per call
+    real = rings.MatrixRing.elements
+    callers = []
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        return real(self)
+
+    monkeypatch.setattr(rings.MatrixRing, "elements", recording)
+    reports = oracle.verify_all(MatF(2, 2))
+    assert all(rep.passed for rep in reports)
+    from_oracle = [name for name in callers if name == oracle.__file__]
+    assert 0 < len(from_oracle) <= len(oracle.CATALOG) == 32

@@ -1,6 +1,8 @@
 """Exhaustive theorem verification on finite backends."""
 
+import hashlib
 import json
+from itertools import islice
 
 import pytest
 
@@ -12,10 +14,19 @@ from ringinv.ideals import LEFT, RIGHT, annihilator, principal
 from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase, verify,
                             verify_all)
 from ringinv.prescribed import mitsch_leq
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.rings import MatF, MatQ, Zn, is_invertible, ring_from_name
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
+
+
+def _cases(theorem, ring):
+    """(label, ok) of each case of a catalog entry, in order, each case
+    run only when it is asked for."""
+    entry = CATALOG_BY_ID[theorem]
+    ctx = oracle._Context(ring)
+    for label, args in entry.scope(ctx):
+        yield label, entry.clause(ctx, *args)
 
 
 def test_catalog_ids_are_unique_and_scoped():
@@ -38,19 +49,43 @@ def test_unknown_theorem_id():
 
 
 def test_error_escaping_a_checker_is_the_next_case(monkeypatch):
-    def checker(ring):
-        yield "first", True
-        yield "second", True
+    def scope(ctx):
+        yield "first", ()
+        yield "second", ()
         raise PreconditionError("ideals of different sides")
 
     monkeypatch.setitem(CATALOG_BY_ID, "T-invertible-lemma",
-                        TheoremCase("T-invertible-lemma", "test", checker))
+                        TheoremCase("T-invertible-lemma", "test", scope,
+                                    lambda ctx: True))
     rep = verify("T-invertible-lemma", Z6)
     assert rep.counterexample == ("case 3 raised PreconditionError: "
                                   "ideals of different sides")
     assert rep.cases_checked == 3 and not rep.passed
     rep = verify("T-invertible-lemma", Z6, max_cases=2)
     assert rep.counterexample is None and not rep.complete
+
+
+def test_error_in_a_clause_fails_its_own_case(monkeypatch):
+    def broken(a, side):
+        raise PreconditionError("mutant")
+
+    monkeypatch.setattr(oracle, "principal", broken)
+    rep = verify("T-invertible-lemma", Z6)
+    assert rep.counterexample == "a=0" and rep.cases_checked == 1
+
+
+@pytest.mark.parametrize("max_cases", [0, 2, 5])
+def test_budget_is_checked_before_the_clause_runs(monkeypatch, max_cases):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return is_invertible(a)
+
+    monkeypatch.setattr(oracle, "is_invertible", counting)
+    rep = verify("T-invertible-lemma", Z6, max_cases=max_cases)
+    assert not rep.complete and rep.cases_checked == max_cases
+    assert len(calls) == max_cases
 
 
 def test_invertible_lemma_case_count():
@@ -104,7 +139,8 @@ def test_reflexive_clauses_agree_with_definition():
             continue
         ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
                   principal(x, LEFT), annihilator(x, LEFT))
-        clauses = oracle._reflexive_clauses(a, x, ("S", "T"), ideals)
+        clauses = oracle._reflexive_clauses(a, x, ("S", "T"), ideals,
+                                            oracle._Context(M2F2))
         assert all(clauses.values())
         assert set(clauses) == {
             "projectors+x_in_S", "projectors+lann(S)<=lann(x)",
@@ -135,7 +171,7 @@ def test_mitsch_order_yields_before_tabulating(monkeypatch):
         return mitsch_leq(y, z)
 
     monkeypatch.setattr(oracle, "mitsch_leq", counting)
-    label, ok = next(CATALOG_BY_ID["T-mitsch-order"].checker(M2F2))
+    label, ok = next(_cases("T-mitsch-order", M2F2))
     assert label.startswith("reflexive y=") and ok
     assert len(calls) == 1
 
@@ -158,13 +194,37 @@ def _eager_mitsch_order(ring):
 
 @pytest.mark.parametrize("ring", [Z6, Zn(8), M2F2])
 def test_mitsch_order_cases_match_eager_table(ring):
-    checker = CATALOG_BY_ID["T-mitsch-order"].checker
-    assert list(checker(ring)) == list(_eager_mitsch_order(ring))
+    assert list(_cases("T-mitsch-order", ring)) == \
+        list(_eager_mitsch_order(ring))
 
 
 def test_infinite_ring_rejected():
     with pytest.raises(NotEnumerableError):
         verify("T-invertible-lemma", MatQ(2))
+
+
+# sha256 of every entry's (label, ok) sequence, entries in catalog order
+# and each case as "id<TAB>label<TAB>ok" on a line; m2f2 keeps the first
+# 200 cases of each entry.  Recorded before the scope layer replaced the
+# per-entry checkers, whose sequences these are.
+_CASE_SEQUENCES = {
+    ("zn:6", None):
+        "b22c9d14e6dccc4a1098089e1d315ed95bbedf5b4d500374e74f23c322466a2d",
+    ("zn:8", None):
+        "2d9829ef9fa004b989d2a8f238bbd5fec92f7150f703970b2957fc127b1907b3",
+    ("m2f2", 200):
+        "363ca2be47b8958bee3f8a15731445d0908b90c05b7be09416a35714dc752adf",
+}
+
+
+@pytest.mark.parametrize("name, limit", sorted(_CASE_SEQUENCES, key=str))
+def test_case_sequences_are_pinned(name, limit):
+    ring = ring_from_name(name)
+    text = "\n".join(
+        "%s\t%s\t%d" % (entry.id, label, ok) for entry in CATALOG
+        for label, ok in islice(_cases(entry.id, ring), limit))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        _CASE_SEQUENCES[name, limit]
 
 
 def test_report_json_is_deterministic_and_excludes_timing():
@@ -213,11 +273,8 @@ def test_selected_entries_pass_on_m2f2():
 
 def test_counterexample_detection():
     # a deliberately false claim must surface its first failing case
-    def bogus_checker(ring):
-        for a in ring.elements():
-            yield "a=%s" % ring.render(a), a * a == a
-
-    entry = TheoremCase("T-bogus", "all a", bogus_checker)
+    entry = TheoremCase("T-bogus", "all a", oracle._scope("a"),
+                        lambda ctx, a: a * a == a)
     CATALOG_BY_ID[entry.id] = entry
     try:
         rep = verify("T-bogus", Z6)
@@ -318,7 +375,7 @@ def test_one_sided_member_mutants_are_counterexamples(monkeypatch, name,
     _counterexample("T-one-sided-core", M2F2, 40)
 
 
-# -- a library error inside a checker is a counterexample, never a raise --
+# -- a library error inside a clause is a counterexample, never a raise ---
 
 def _raise_verification_error(*args, **kwargs):
     raise VerificationError("mutant")
@@ -330,11 +387,11 @@ def _raise_verification_error(*args, **kwargs):
     ("T-mitsch-extremes", Z6, "mitsch_extremes"),
     ("L-core-equation-systems", M2F2, "core_inverse"),
     ("T-one-prescribed-families", Z6, "one_inverse_family"),
-    # raised while the regularity table is built, before the first case
+    # raised by the first case's regularity test
     ("L-regular-ideal-inclusions", Z6, "any_inner"),
 ])
 def test_library_error_is_the_raising_case(monkeypatch, theorem, ring, name):
-    first, ok = next(CATALOG_BY_ID[theorem].checker(ring))
+    first, ok = next(_cases(theorem, ring))
     assert ok
     monkeypatch.setattr(oracle, name, _raise_verification_error)
     rep = _counterexample(theorem, ring, 5)
@@ -351,7 +408,7 @@ def test_bc_case_solves_each_flavor_once(monkeypatch):
         return prescribed.outer_with(a, cons, reflexive=reflexive)
 
     monkeypatch.setattr(special, "outer_with", counting)
-    label, ok = next(CATALOG_BY_ID["T-bc-inverses"].checker(Z6))
+    label, ok = next(_cases("T-bc-inverses", Z6))
     assert ok and len(calls) == len(special.BC_FLAVORS) == 4
 
 
@@ -388,16 +445,18 @@ def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
             reports.setdefault(x + a.ring.one, reports[x])
         return reports
 
-    def recording(label, thunk):
+    entry = CATALOG_BY_ID["T-bc-inverses"]
+    clause = entry.clause
+
+    def recording(ctx, *args):
         try:
-            thunk()
+            return clause(ctx, *args)
         except VerificationError as exc:
             messages.append(str(exc))
-            return label, False
-        return label, True
+            raise
 
     monkeypatch.setattr(oracle, "bc_construction_clauses", one_more)
-    monkeypatch.setattr(oracle, "_checked", recording)
+    monkeypatch.setattr(entry, "clause", recording)
     rep = _counterexample("T-bc-inverses", Z6, 60)
     assert rep.cases_checked == 1
     assert messages[0].startswith("(b,c) equality clauses disagree")
