@@ -711,15 +711,13 @@ def star_class_membership(a, x, tag):
     return member, clauses
 
 
-def star_class_identity_report(a, tag, ctx=None):
+def star_class_identity_report(a, tag, ctx):
     """Compare the class with its {1}-inverse ideal descriptions.
 
     Returns the class members, the described set(s), and whether they are
     equal; for {1,3,6}/{1,4,8} only containment of the described set is
-    asserted and equality is recorded.  ctx is the verify call's context,
-    if any.
+    asserted and equality is recorded.  ctx is the context of a's ring.
     """
-    ctx = ctx or _Context(a.ring)
     astar = a.star
     ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
     ra, ras = principal(a, LEFT), principal(astar, LEFT)
@@ -1110,11 +1108,10 @@ def _bott_duffin(ctx, a, p):
     return True
 
 
-def regular_reflexive_iff_idempotent_ideals(a, ctx=None):
+def regular_reflexive_iff_idempotent_ideals(a, ctx):
     """a{1,2} nonempty iff idempotents p, q realize rann(a) = rann(p)
-    and aR = qR; returns the four clause values.  ctx is the verify
-    call's context, if any."""
-    ctx = ctx or _Context(a.ring)
+    and aR = qR; returns the four clause values, which the catalog
+    requires to agree.  ctx is the context of a's ring."""
     idems = ctx.idempotents
     rann_a, lann_a = annihilator(a, RIGHT), annihilator(a, LEFT)
     ar, ra = principal(a, RIGHT), principal(a, LEFT)
@@ -1131,7 +1128,6 @@ def regular_reflexive_iff_idempotent_ideals(a, ctx=None):
             principal(p, LEFT) == ra and principal(q, RIGHT) == ar
             for p in idems for q in idems),
     }
-    _require_agree("reflexive-existence characterizations", clauses)
     return clauses
 
 
@@ -1282,7 +1278,8 @@ CATALOG = (
                 _scope("a", "p"), _bott_duffin),
     TheoremCase("T-regular-idempotent-ideals",
                 "all elements a",
-                _scope("a"), lambda ctx, a: bool(
+                _scope("a"), lambda ctx, a: _require_agree(
+                    "reflexive-existence characterizations",
                     regular_reflexive_iff_idempotent_ideals(a, ctx))),
     TheoremCase("O-named-inverses",
                 "all elements a, named inverses vs brute force",

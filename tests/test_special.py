@@ -47,9 +47,10 @@ def test_star_class_sets_on_m2f2():
 
 
 def test_star_class_identity_reports():
+    ctx = oracle._Context(M2F2)
     for a in (M2F2.parse([[1, 1], [0, 0]]), M2F2.parse([[0, 0], [0, 1]])):
         for tag in ("13", "14", "134", "136", "148", "137", "149"):
-            report = star_class_identity_report(a, tag)
+            report = star_class_identity_report(a, tag, ctx)
             if report["sufficient_only"]:
                 assert all(x in report["members"]
                            for x in report["described"])
