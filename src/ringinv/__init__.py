@@ -15,11 +15,11 @@ from .geninv import (EQUATION_TOKENS, InverseReport, NAMED_INVERSES,
                      NAMED_SYSTEMS, any_inner, core_inverse, drazin_index,
                      drazin_inverse, dual_core_inverse,
                      enumerate_inverse_set, group_inverse, inner_inverse,
-                     iter_inverse_set, moore_penrose, parse_equations,
-                     reflexive_inverse, satisfies)
-from .prescribed import (IdealConstraints, ParamFamily, mitsch_extremes,
-                         mitsch_leq, one_inverse_family,
-                         one_inverse_solution_set, outer_with)
+                     moore_penrose, parse_equations, reflexive_inverse,
+                     satisfies)
+from .prescribed import (IdealConstraints, ParamFamily, mitsch_leq,
+                         one_inverse_family, one_inverse_solution_set,
+                         outer_with)
 from .special import (bc_inverse, bott_duffin_inverse,
                       djordjevic_wei_inverse, e_core, f_dual_core,
                       image_kernel_inverse, left_v_dual_core, pq_inverse,

@@ -90,18 +90,13 @@ def satisfies(a, x, equations, k=None):
     return True
 
 
-def iter_inverse_set(a, equations, k=None):
-    """Stream the solutions x of the listed equations, canonical order."""
+def enumerate_inverse_set(a, equations, k=None):
+    """a{equations}: all solutions x in a finite ring, canonical order."""
     ring = a.ring
     if not ring.finite:
         raise NotEnumerableError(
             "cannot enumerate solutions over %s" % ring.short_name)
-    return (x for x in ring.elements() if satisfies(a, x, equations, k=k))
-
-
-def enumerate_inverse_set(a, equations, k=None):
-    """a{equations}: all solutions x in a finite ring, canonical order."""
-    return list(iter_inverse_set(a, equations, k=k))
+    return [x for x in ring.elements() if satisfies(a, x, equations, k=k)]
 
 
 class InverseReport:

@@ -14,13 +14,13 @@ from functools import cached_property, lru_cache
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
 from .geninv import (any_inner, core_inverse, drazin_index, drazin_inverse,
-                     dual_core_inverse, enumerate_inverse_set, group_inverse,
-                     iter_inverse_set, moore_penrose, satisfies)
+                     dual_core_inverse, group_inverse, moore_penrose,
+                     satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, orthogonal,
                      phi_preimage, principal)
 from .prescribed import (IdealConstraints, _check_constraints_on_x,
-                         mitsch_extremes, mitsch_leq, one_inverse_family,
+                         mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
 from .rings import MatrixRing, RingElement, inverse_of_unit, is_invertible
@@ -88,7 +88,9 @@ class VerificationReport:
 class _Context:
     """What one verify call knows of its ring: the element tuple, the
     idempotents and symmetric unit weights drawn from it on first use,
-    each element's rendering, and memos that live for the call.
+    each element's rendering, and memos that live for the call.  Every
+    brute-force solution set of the oracle comes from one of them,
+    solutions.
 
     A memo keeps no error, so a group computation that raises fails each
     case that asks for it; verify stops at the first.
@@ -101,12 +103,10 @@ class _Context:
         self.name = lru_cache(maxsize=None)(ring.render)
         # fn(*args), computed once per call
         self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
-        # v{1} in canonical order
-        self.inners = lru_cache(maxsize=None)(
-            lambda v: [g for g in elements if v * g * v == v])
-        # a{2} in canonical order
-        self.outers = lru_cache(maxsize=None)(
-            lambda a: [x for x in elements if satisfies(a, x, ("2",))])
+        # a{equations} in canonical order
+        self.solutions = lru_cache(maxsize=None)(
+            lambda a, equations, k=None: [
+                x for x in elements if satisfies(a, x, equations, k=k)])
 
     @cached_property
     def idempotents(self):
@@ -300,21 +300,21 @@ def _inverse_product_ideals(ctx, a, x):
 
 def _core_equation_systems(ctx, a):
     ok = all(satisfies(a, x, ("1", "2"))
-             for x in iter_inverse_set(a, ("6", "7")))
+             for x in ctx.solutions(a, ("6", "7")))
     if ctx.star:
         rep, repd = core_inverse(a), dual_core_inverse(a)
-        sol367 = enumerate_inverse_set(a, ("3", "6", "7"))
+        sol367 = ctx.solutions(a, ("3", "6", "7"))
         ok = ok and (sol367 == ([rep.value] if rep.exists else []))
         ok = ok and all(satisfies(a, x, ("1", "2"))
-                        for x in iter_inverse_set(a, ("8", "9")))
-        sol489 = enumerate_inverse_set(a, ("4", "8", "9"))
+                        for x in ctx.solutions(a, ("8", "9")))
+        sol489 = ctx.solutions(a, ("4", "8", "9"))
         ok = ok and (sol489 == ([repd.value] if repd.exists else []))
     return ok
 
 
 def _with_inner_product(ctx, a):
     """The b with ab regular."""
-    return [b for b in ctx.elements if ctx.inners(a * b)]
+    return [b for b in ctx.elements if ctx.solutions(a * b, ("1",))]
 
 
 def _inner_of_product(ctx, a, b):
@@ -324,7 +324,7 @@ def _inner_of_product(ctx, a, b):
     left_ann = (annihilator(ab, LEFT) == annihilator(a, LEFT))
     right_ann = (annihilator(ab, RIGHT) == annihilator(b, RIGHT))
     right_eq = (principal(ab, LEFT) == principal(b, LEFT))
-    for g in ctx.inners(ab):
+    for g in ctx.solutions(ab, ("1",)):
         ok = ok and ((ab * g * a == a) == left_eq == left_ann)
         ok = ok and ((b * g * ab == b) == right_ann == right_eq)
     return ok
@@ -454,7 +454,7 @@ def _product_cons(a, x, tags):
 def _one_family(ctx, a, x, tags):
     cons = _product_cons(a, x, tags)
     fam = one_inverse_family(a, cons)
-    want = [y for y in ctx.inners(a)
+    want = [y for y in ctx.solutions(a, ("1",))
             if _check_constraints_on_x(a, y, cons, True)]
     return fam is not None and fam.members() == want
 
@@ -462,7 +462,7 @@ def _one_family(ctx, a, x, tags):
 def _one_solution_set(ctx, a, g, tags):
     cons = _product_cons(a, g, tags)
     got = one_inverse_solution_set(a, cons, g)
-    want = [y for y in ctx.inners(a)
+    want = [y for y in ctx.solutions(a, ("1",))
             if _check_constraints_on_x(a, y, cons, True)]
     return got == want
 
@@ -490,17 +490,34 @@ def _mitsch_order(ctx, kind, y, z):
     return y == z if kind == "equal" else ctx.memo(mitsch_leq, y, z)
 
 
+# the side clauses that pick Y and Z out of a{2}, by two-ideal shape
+_MITSCH_SETS = {
+    ("S", "T"): (("x_in_S", "T<=rann(x)"), ("S<=xR", "rann(x)<=T")),
+    ("Sp", "Tp"): (("x_in_S'", "T'<=lann(x)"), ("S'<=Rx", "lann(x)<=T'")),
+    ("S", "Sp"): (("x_in_S", "x_in_S'"), ("S<=xR", "S'<=Rx")),
+    ("T", "Tp"): (("T<=rann(x)", "T'<=lann(x)"),
+                  ("rann(x)<=T", "lann(x)<=T'")),
+}
+
+
 def _mitsch_extremes(ctx, a, x, tags):
-    cons = _cons_from(
-        tags,
-        principal(x, RIGHT), annihilator(x, RIGHT),
-        principal(x, LEFT), annihilator(x, LEFT))
-    rep = mitsch_extremes(a, cons)
-    ok = rep["pairs_ordered"]
-    if rep["outer_exists"]:
-        ok = ok and rep["intersection_is_outer"] \
-            and rep["is_max_of_Y"] and rep["is_min_of_Z"]
-    return ok
+    """Y and Z are the outer inverses inside and around the ideals that x
+    in a{2} prescribes in the shape tags.  x is the prescribed outer
+    inverse, the one common member of Y and Z, the maximum of Y and the
+    minimum of Z, and every y in Y lies below every z in Z."""
+    ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
+              principal(x, LEFT), annihilator(x, LEFT))
+    y_set, z_set = ([y for y in ctx.solutions(a, ("2",))
+                     if all(_SIDE_CLAUSES[label](y, *ideals)
+                            for label in labels)]
+                    for labels in _MITSCH_SETS[tags])
+    leq = lambda y, z: ctx.memo(mitsch_leq, y, z)
+    rep = outer_with(a, _cons_from(tags, *ideals), reflexive=False)
+    return (rep.exists and rep.value == x
+            and [y for y in y_set if y in z_set] == [x]
+            and all(leq(y, x) for y in y_set)
+            and all(leq(x, z) for z in z_set)
+            and all(leq(y, z) for y in y_set for z in z_set))
 
 
 # -- prescribed outer and reflexive inverses --------------------------------
@@ -523,9 +540,8 @@ def _ideal_quadruples(ring):
 def _prescribed(ctx, a, cons, reflexive):
     eqs = ("1", "2") if reflexive else ("2",)
     rep = outer_with(a, cons, reflexive=reflexive)
-    want = [x for x in ctx.elements
-            if satisfies(a, x, eqs)
-            and _check_constraints_on_x(a, x, cons, False)]
+    want = [x for x in ctx.solutions(a, eqs)
+            if _check_constraints_on_x(a, x, cons, False)]
     ok = len(want) <= 1 and rep.exists == (len(want) == 1)
     if rep.exists:
         ok = ok and rep.value == want[0]
@@ -568,6 +584,14 @@ _SIDE_CLAUSES = {
     "x_in_S'": lambda x, s, t, sp, tp: sp.contains(x),
     "x_in_S_or_S'": lambda x, s, t, sp, tp:
         s.contains(x) or sp.contains(x),
+    "S<=xR": lambda x, s, t, sp, tp:
+        s.is_subideal_of(principal(x, RIGHT)),
+    "rann(x)<=T": lambda x, s, t, sp, tp:
+        annihilator(x, RIGHT).is_subideal_of(t),
+    "S'<=Rx": lambda x, s, t, sp, tp:
+        sp.is_subideal_of(principal(x, LEFT)),
+    "lann(x)<=T'": lambda x, s, t, sp, tp:
+        annihilator(x, LEFT).is_subideal_of(tp),
     "lann(S)<=lann(x)": lambda x, s, t, sp, tp:
         ideal_annihilator(s, LEFT).is_subideal_of(annihilator(x, LEFT)),
     "rann(S')<=rann(x)": lambda x, s, t, sp, tp:
@@ -764,9 +788,8 @@ def star_class_identity_report(a, tag, ctx):
         "149": (["xaR=a*R", "rann(a)<=rann(x)"],
                 ["lann(xa)=lann(a*)", "x_in_Ra"]),
     }[tag]
-    members = special.star_class_set(a, tag)
-    inners = [(x, ideal_desc(x)) for x in ctx.elements
-              if satisfies(a, x, ("1",))]
+    members = ctx.solutions(a, special.STAR_CLASS_EQS[tag])
+    inners = [(x, ideal_desc(x)) for x in ctx.solutions(a, ("1",))]
     # every variant must describe the same set
     described = {"+".join(variant): tuple(
         x for x, desc in inners if all(desc[f] for f in variant))
@@ -872,9 +895,9 @@ def _one_sided_core(ctx, a, w):
     # the right set is (aw){1,3,7} when aR <= awR, else empty; the left
     # set mirrors it with (wa){1,4,9} and Ra <= Rwa
     b, c = a * w, w * a
-    right = special.star_class_set(b, "137") \
+    right = ctx.solutions(b, special.STAR_CLASS_EQS["137"]) \
         if principal(a, RIGHT).is_subideal_of(principal(b, RIGHT)) else []
-    left = special.star_class_set(c, "149") \
+    left = ctx.solutions(c, special.STAR_CLASS_EQS["149"]) \
         if principal(a, LEFT).is_subideal_of(principal(c, LEFT)) else []
     rep = special.right_w_core(a, w)
     if rep.exists != bool(right) or \
@@ -965,7 +988,7 @@ _BC_FLAVOR_CLAUSES = {
 def _bc(ctx, a, b, c):
     cab = c * a * b
     # b g c -> its clause report, g in (cab){1}
-    closed = bc_construction_clauses(a, b, c, ctx.inners(cab))
+    closed = bc_construction_clauses(a, b, c, ctx.solutions(cab, ("1",)))
     hyps = dict(zip(("right_hybrid", "left_hybrid"),
                     special.bc_invertibility_hypotheses(a, b, c)))
     if any(hyps.values()) and not is_invertible(cab):
@@ -982,7 +1005,7 @@ def _bc(ctx, a, b, c):
         raise VerificationError("the closed form is not b (cab)^(1) c")
     for flavor, rep in reps.items():
         cons = special._bc_constraints(b, c, flavor)
-        want = [x for x in ctx.outers(a)
+        want = [x for x in ctx.solutions(a, ("2",))
                 if _check_constraints_on_x(a, x, cons, False)]
         if rep.exists != (len(want) == 1) or \
                 (rep.exists and rep.value != want[0]):
@@ -1041,7 +1064,7 @@ def _require_bc_equality_clauses(a, b, c, reps, closed, ctx):
 
 def _pq(ctx, a, p, q):
     one, zero = a.ring.one, a.ring.zero
-    outer = ctx.outers(a)
+    outer = ctx.solutions(a, ("2",))
     pr, qr = principal(p, RIGHT), principal(q, RIGHT)
     ik = special.image_kernel_inverse(a, p, q)
     want = [x for x in outer if principal(x, RIGHT) == pr
@@ -1116,8 +1139,7 @@ def regular_reflexive_iff_idempotent_ideals(a, ctx):
     rann_a, lann_a = annihilator(a, RIGHT), annihilator(a, LEFT)
     ar, ra = principal(a, RIGHT), principal(a, LEFT)
     clauses = {
-        "a12_nonempty": any(satisfies(a, x, ("1", "2"))
-                            for x in ctx.elements),
+        "a12_nonempty": bool(ctx.solutions(a, ("1", "2"))),
         "rann+right_range": any(
             annihilator(p, RIGHT) == rann_a and principal(q, RIGHT) == ar
             for p in idems for q in idems),
@@ -1144,7 +1166,7 @@ def _power_preperiod(a):
 
 def _named_inverses(ctx, a):
     grp = group_inverse(a)
-    want = enumerate_inverse_set(a, ("1", "2", "5"))
+    want = ctx.solutions(a, ("1", "2", "5"))
     if grp.exists != (len(want) == 1) or \
             (grp.exists and grp.value != want[0]):
         raise VerificationError("group inverse mismatch")
@@ -1154,7 +1176,7 @@ def _named_inverses(ctx, a):
     k = drazin_index(a)
     if k != _power_preperiod(a):
         raise VerificationError("Drazin index mismatch")
-    wantd = enumerate_inverse_set(a, ("2", "5", "1k"), k=max(k, 1))
+    wantd = ctx.solutions(a, ("2", "5", "1k"), k=max(k, 1))
     if wantd != [drz.value]:
         raise VerificationError("Drazin inverse mismatch")
     if ctx.star:
@@ -1162,7 +1184,7 @@ def _named_inverses(ctx, a):
                 (moore_penrose(a), ("1", "2", "3", "4")),
                 (core_inverse(a), ("1", "2", "3", "6", "7")),
                 (dual_core_inverse(a), ("1", "2", "4", "8", "9"))):
-            want = enumerate_inverse_set(a, eqs)
+            want = ctx.solutions(a, eqs)
             if rep.exists != (len(want) == 1) or \
                     (rep.exists and rep.value != want[0]):
                 raise VerificationError(
@@ -1221,12 +1243,12 @@ CATALOG = (
                 _PAIRS, _blocks_agree(_drazin_block)),
     TheoremCase("T-one-prescribed-families",
                 "all a x inner inverses x 8 constraint shapes",
-                _scope("a", ("x", lambda ctx, a: ctx.inners(a)),
+                _scope("a", ("x", lambda ctx, a: ctx.solutions(a, ("1",))),
                        ("shape", _ALL_SHAPES)),
                 _one_family),
     TheoremCase("P-one-solution-sets",
                 "all a x inner inverses x 8 constraint shapes",
-                _scope("a", ("g", lambda ctx, a: ctx.inners(a)),
+                _scope("a", ("g", lambda ctx, a: ctx.solutions(a, ("1",))),
                        ("shape", _ALL_SHAPES)),
                 _one_solution_set),
     TheoremCase("T-mitsch-order",
@@ -1234,7 +1256,7 @@ CATALOG = (
                 _mitsch_cases, _mitsch_order),
     TheoremCase("T-mitsch-extremes",
                 "all a x outer inverses x 4 two-ideal shapes",
-                _scope("a", ("x", lambda ctx, a: ctx.outers(a)),
+                _scope("a", ("x", lambda ctx, a: ctx.solutions(a, ("2",))),
                        ("shape", _TWO_SHAPES)),
                 _mitsch_extremes),
     TheoremCase("T-2I-prescribed",

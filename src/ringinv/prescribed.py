@@ -392,67 +392,3 @@ def mitsch_leq(y, z):
     yy_stack = y.payload + y.payload
     w = solve_matrix(field, zy_stack, yy_stack)
     return w is not None
-
-
-def _mitsch_sets(a, cons):
-    """The Y and Z sets of the matching constraint shape (finite rings)."""
-    ring = a.ring
-    shape = cons.shape()
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
-    outer = [x for x in ring.elements() if x * a * x == x]
-    if shape == ("S", "Sp"):
-        y_set = [x for x in outer if s.contains(x) and sp.contains(x)]
-        z_set = [x for x in outer
-                 if s.is_subideal_of(principal(x, RIGHT))
-                 and sp.is_subideal_of(principal(x, LEFT))]
-    elif shape == ("S", "T"):
-        y_set = [x for x in outer if s.contains(x)
-                 and t.is_subideal_of(annihilator(x, RIGHT))]
-        z_set = [x for x in outer
-                 if s.is_subideal_of(principal(x, RIGHT))
-                 and annihilator(x, RIGHT).is_subideal_of(t)]
-    elif shape == ("Sp", "Tp"):
-        y_set = [x for x in outer if sp.contains(x)
-                 and tp.is_subideal_of(annihilator(x, LEFT))]
-        z_set = [x for x in outer
-                 if sp.is_subideal_of(principal(x, LEFT))
-                 and annihilator(x, LEFT).is_subideal_of(tp)]
-    elif shape == ("T", "Tp"):
-        y_set = [x for x in outer
-                 if t.is_subideal_of(annihilator(x, RIGHT))
-                 and tp.is_subideal_of(annihilator(x, LEFT))]
-        z_set = [x for x in outer
-                 if annihilator(x, RIGHT).is_subideal_of(t)
-                 and annihilator(x, LEFT).is_subideal_of(tp)]
-    else:
-        raise PreconditionError(
-            "Mitsch extremes need two prescribed ideals, got %r" % (shape,))
-    return y_set, z_set
-
-
-def mitsch_extremes(a, cons):
-    """Materialize Y/Z, check y M z pairwise, and locate the extremes."""
-    ring = a.ring
-    if not ring.finite:
-        raise NotEnumerableError("Mitsch extremes need a finite ring")
-    y_set, z_set = _mitsch_sets(a, cons)
-    pairs_ok = all(mitsch_leq(y, z) for y in y_set for z in z_set)
-    inter = sorted(set(y_set) & set(z_set), key=ring.sort_key)
-    rep = outer_with(a, cons, reflexive=False)
-    report = {
-        "Y_size": len(y_set),
-        "Z_size": len(z_set),
-        "pairs_ordered": pairs_ok,
-        "intersection": inter,
-        "outer_exists": rep.exists,
-    }
-    if rep.exists:
-        x = rep.value
-        report["outer_value"] = x
-        report["intersection_is_outer"] = inter == [x]
-        report["is_max_of_Y"] = all(mitsch_leq(y, x) for y in y_set)
-        report["is_min_of_Z"] = all(mitsch_leq(x, z) for z in z_set)
-    else:
-        report["intersection_is_outer"] = inter == []
-    return report

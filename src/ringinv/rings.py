@@ -45,11 +45,16 @@ class RingElement:
         return self.ring.mul(self, other)
 
     def __pow__(self, k):
+        # square and multiply: about 2 log2(k) products
         if k < 0:
             raise ValueError("negative powers are not defined")
-        out = self.ring.one
-        for _ in range(k):
-            out = out * self
+        out, square = self.ring.one, self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     @property
@@ -127,7 +132,9 @@ class ModularRing(Ring):
         return a.payload
 
     def parse(self, obj):
-        return self.element(int(obj))
+        # through str, as PrimeField.parse, so that 1.5, true and 1e3
+        # are refused rather than truncated
+        return self.element(int(str(obj)))
 
     def render(self, a):
         return str(a.payload)

@@ -4,7 +4,7 @@
 from .errors import (PreconditionError, UnsupportedInvolutionError,
                      VerificationError)
 from .geninv import (InverseReport, any_inner, core_inverse,
-                     dual_core_inverse, iter_inverse_set)
+                     dual_core_inverse, enumerate_inverse_set)
 from .ideals import LEFT, RIGHT, annihilator, principal
 from .prescribed import IdealConstraints, outer_with
 from .rings import inverse_of_unit, is_invertible
@@ -31,7 +31,7 @@ def star_class_set(a, tag):
     if tag not in STAR_CLASS_EQS:
         raise PreconditionError("unknown star class %r" % tag)
     _require_involution(a.ring, "star class %s" % tag)
-    return list(iter_inverse_set(a, STAR_CLASS_EQS[tag]))
+    return enumerate_inverse_set(a, STAR_CLASS_EQS[tag])
 
 
 def _require_weight(w, name):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -116,6 +117,17 @@ def test_enumerate_inner_inverses(capsys):
     assert "members" not in json.loads(out)
 
 
+def test_enumerate_with_a_huge_k_is_quick(capsys):
+    # a^k of an idempotent is a for every k >= 1
+    argv = ("enumerate", "--ring", "m2f2", "--element",
+            '[["1","1"],["0","0"]]', "--equations", "1k", "--k")
+    start = time.monotonic()
+    huge = run_cli(capsys, *argv, "1000000000000000000")
+    assert time.monotonic() - start < 1.0
+    assert huge == run_cli(capsys, *argv, "1")
+    assert huge[0] == EXIT_OK and json.loads(huge[1])["count"] == 4
+
+
 def test_enumerate_named_system(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--ring", "m2f2",
                            "--element", '[["1","1"],["0","0"]]',
@@ -192,6 +204,28 @@ def test_bad_constraint_element_is_a_usage_error(capsys, ring, desc):
                              "--mode", "one")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ring, element", [
+    ("zn:6", "1.5"), ("zn:6", "true"), ("zn:6", "1e3"),
+    ("m2f2", '[[1.5, 0], [0, 0]]'), ("m2f2", '[[true, 0], [0, 0]]'),
+    ("m2f2", '[["1e3", "0"], ["0", "0"]]'),
+])
+def test_non_integer_scalar_is_a_usage_error(capsys, ring, element):
+    code, out, err = run_cli(capsys, "compute", "--ring", ring,
+                             "--element", element, "--inverse", "group")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_residue_spellings_agree(capsys):
+    outs = {run_cli(capsys, "compute", "--ring", "zn:6", "--element",
+                    element, "--inverse", "group")
+            for element in ("5", '"5"', "-1", "11", '"-7"')}
+    assert len(outs) == 1
+    code, out, err = outs.pop()
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["value"] == "5"
 
 
 def test_prescribe_modes(capsys):

@@ -2,7 +2,8 @@
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
 stands apart from the theorem checks, and the oracle reads its ring only
-in its scope layer.  Stdlib ast only."""
+in its scope layer and lists no solution set through the library.
+Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -114,6 +115,28 @@ def ring_reads(tree):
     return [(name, read) for _, name, read in sorted(out)]
 
 
+# the library's solution-set listings, which the oracle must not use: its
+# reference sets are scans of its context
+LISTINGS = frozenset(("enumerate_inverse_set", "iter_inverse_set",
+                      "star_class_set", "mitsch_extremes"))
+
+
+def listing_uses(tree):
+    """'line name' for each import or read of a listing in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = (node.name, node.asname)
+        elif isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        else:
+            continue
+        out.update((node.lineno, name) for name in names if name in LISTINGS)
+    return ["%d %s" % use for use in sorted(out)]
+
+
 def test_no_unused_module_imports():
     assert unused_imports(_trees()) == []
 
@@ -129,6 +152,10 @@ def test_compute_path_imports_no_checks():
 def test_oracle_reads_its_ring_in_the_scope_layer_only():
     assert ring_reads(_trees()["oracle.py"]) == [
         (SCOPE_LAYER, "has_involution"), (SCOPE_LAYER, "elements()")]
+
+
+def test_oracle_uses_no_library_listing():
+    assert listing_uses(_trees()["oracle.py"]) == []
 
 
 def test_guards_flag_dead_code():
@@ -174,3 +201,18 @@ def test_guard_flags_a_ring_read_outside_the_scope_layer():
     assert ring_reads(tree) == [
         ("_Context", "has_involution"), ("_Context", "elements()"),
         ("_clause", "has_involution"), ("_clause", "elements()")]
+
+
+def test_guard_flags_a_library_listing_in_the_oracle():
+    tree = ast.parse(
+        "from .geninv import enumerate_inverse_set as listing\n"
+        "from . import prescribed, special\n"
+        "import ringinv.geninv\n"
+        "def _clause(ctx, a, cons):\n"
+        "    return (special.star_class_set(a, '13'),\n"
+        "            prescribed.mitsch_extremes(a, cons),\n"
+        "            list(ringinv.geninv.iter_inverse_set(a, ('1',))),\n"
+        "            ctx.solutions(a, ('2',)), listing(a, ('1',)))\n")
+    assert listing_uses(tree) == [
+        "1 enumerate_inverse_set", "5 star_class_set", "6 mitsch_extremes",
+        "7 iter_inverse_set"]

@@ -8,7 +8,9 @@ import io
 import json
 import sys
 import weakref
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -216,17 +218,24 @@ def test_zn_gets_no_product_table():
 
 
 def test_oracle_lists_the_elements_once_per_verify(monkeypatch):
-    # the library's own scans (families, inverse sets) still list the
-    # ring; the oracle's scopes and clauses read one tuple per call
+    # the library's own scans (families, one-sided core sets) still list
+    # the ring; the oracle's scopes and clauses read one tuple per call,
+    # and its solution sets are scans of that tuple
     real = rings.MatrixRing.elements
-    callers = []
+    callers = Counter()
 
     def recording(self):
-        callers.append(sys._getframe(1).f_code.co_filename)
+        code = sys._getframe(1).f_code
+        callers[Path(code.co_filename).name, code.co_name] += 1
         return real(self)
 
     monkeypatch.setattr(rings.MatrixRing, "elements", recording)
     reports = oracle.verify_all(MatF(2, 2))
     assert all(rep.passed for rep in reports)
-    from_oracle = [name for name in callers if name == oracle.__file__]
-    assert 0 < len(from_oracle) <= len(oracle.CATALOG) == 32
+
+    def calls_from(module):
+        return sum(n for (name, _), n in callers.items() if name == module)
+
+    assert 0 < calls_from("oracle.py") <= len(oracle.CATALOG) == 32
+    assert calls_from("geninv.py") == 0
+    assert callers["prescribed.py", "_mitsch_sets"] == 0

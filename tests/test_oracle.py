@@ -198,6 +198,18 @@ def test_mitsch_order_cases_match_eager_table(ring):
         list(_eager_mitsch_order(ring))
 
 
+def test_mitsch_extremes_report():
+    ctx = oracle._Context(M2F2)
+    a = M2F2.parse([[0, 0], [0, 1]])
+    # a is idempotent: its own outer inverse, prescribed by its ideals in
+    # every two-ideal shape
+    for tags in oracle._TWO_SHAPES:
+        assert oracle._mitsch_extremes(ctx, a, a, tags)
+    # 1 prescribes xR = R and rann(x) = 0, which no outer inverse of the
+    # singular a has
+    assert not oracle._mitsch_extremes(ctx, a, M2F2.one, ("S", "T"))
+
+
 def test_infinite_ring_rejected():
     with pytest.raises(NotEnumerableError):
         verify("T-invertible-lemma", MatQ(2))
@@ -297,6 +309,17 @@ def _counterexample(theorem, ring, max_cases):
     return rep
 
 
+def test_outer_with_without_an_inverse_is_a_counterexample(monkeypatch):
+    # each case's x is the outer inverse its own ideals prescribe, so an
+    # outer_with that finds none fails the first case
+    monkeypatch.setattr(oracle, "outer_with", lambda a, cons, reflexive:
+                        InverseReport("outer-prescribed", False,
+                                      reason="mutant"))
+    rep = _counterexample("T-mitsch-extremes", Z6, 60)
+    assert rep.counterexample == "a=0,x=0,shape=S+T"
+    assert rep.cases_checked == 1
+
+
 def test_disagreeing_bundle_is_a_counterexample(monkeypatch):
     real = prescribed.outer_with
 
@@ -384,7 +407,7 @@ def _raise_verification_error(*args, **kwargs):
 @pytest.mark.parametrize("theorem, ring, name", [
     ("T-2I-prescribed", Z6, "outer_with"),
     ("T-12I-prescribed", Z6, "outer_with"),
-    ("T-mitsch-extremes", Z6, "mitsch_extremes"),
+    ("T-mitsch-extremes", Z6, "outer_with"),
     ("L-core-equation-systems", M2F2, "core_inverse"),
     ("T-one-prescribed-families", Z6, "one_inverse_family"),
     # raised by the first case's regularity test

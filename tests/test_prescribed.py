@@ -2,11 +2,11 @@
 
 import pytest
 
-from ringinv.errors import NotEnumerableError, PreconditionError
+from ringinv.errors import PreconditionError
 from ringinv.geninv import any_inner, drazin_inverse, satisfies
 from ringinv.ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from ringinv.linalg import PrimeField, Subspace
-from ringinv.prescribed import (IdealConstraints, mitsch_extremes, mitsch_leq,
+from ringinv.prescribed import (IdealConstraints, mitsch_leq,
                                 one_inverse_family, one_inverse_solution_set,
                                 outer_with)
 from ringinv.rings import (MatF, MatQ, MatrixRing, ModularRing, Zn,
@@ -222,20 +222,6 @@ def test_mitsch_leq_matches_the_definition(name):
     elems = ring.elements()
     got = {(y, z) for y in elems for z in elems if mitsch_leq(y, z)}
     assert got == _mitsch_by_definition(ring)
-
-
-def test_mitsch_extremes_report():
-    a = M2F2.parse([[0, 0], [0, 1]])
-    x = a  # a is idempotent: its own reflexive inverse
-    cons = IdealConstraints(right_principal=principal(x, RIGHT),
-                            right_annihilator=annihilator(x, RIGHT))
-    report = mitsch_extremes(a, cons)
-    assert report["outer_exists"]
-    assert report["pairs_ordered"]
-    assert report["intersection_is_outer"]
-    assert report["is_max_of_Y"] and report["is_min_of_Z"]
-    with pytest.raises(NotEnumerableError):
-        mitsch_extremes(MatQ(2).parse([[1, 0], [0, 0]]), cons=cons)
 
 
 # 2^3 * 3^2 * 13 * 1000003 * 1000000007: 18 digits, repeated prime factors.

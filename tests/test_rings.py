@@ -22,6 +22,16 @@ def test_zn_arithmetic():
     assert ring.one * a == a
 
 
+@pytest.mark.parametrize("name", ["zn:12", "m2f3"])
+def test_power_equals_repeated_multiplication(name):
+    ring = ring_from_name(name)
+    for a in ring.elements():
+        power = ring.one
+        for k in range(21):
+            assert a ** k == power
+            power = power * a
+
+
 def test_zn_has_no_involution():
     ring = Zn(6)
     assert not ring.has_involution
