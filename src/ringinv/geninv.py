@@ -47,47 +47,61 @@ def parse_equations(spec):
 
 def satisfies(a, x, equations, k=None):
     """Check every listed equation for the pair (a, x)."""
+    return _solution_test(a, equations, k)(x)
+
+
+def _solution_test(a, equations, k=None):
+    """The test x -> satisfies(a, x, equations, k) for one subject a.
+
+    a^k and a^(k+1) are computed when a 1k or k1 token is first reached
+    and then kept, so a scan of many x pays for them once.  As for one
+    satisfies call, a token raises its error only when it is reached.
+    """
     ring = a.ring
-    for eq in equations:
-        if eq == "1":
-            ok = a * x * a == a
-        elif eq == "2":
-            ok = x * a * x == x
-        elif eq == "3":
-            if not ring.has_involution:
-                raise UnsupportedInvolutionError(
-                    "equation (3) needs an involution")
-            ax = a * x
-            ok = ax.star == ax
-        elif eq == "4":
-            if not ring.has_involution:
-                raise UnsupportedInvolutionError(
-                    "equation (4) needs an involution")
-            xa = x * a
-            ok = xa.star == xa
-        elif eq == "5":
-            ok = a * x == x * a
-        elif eq == "6":
-            ok = x * a * a == a
-        elif eq == "7":
-            ok = a * x * x == x
-        elif eq == "8":
-            ok = a * a * x == a
-        elif eq == "9":
-            ok = x * x * a == x
-        elif eq == "1k":
-            if k is None:
-                raise PreconditionError("equation 1k needs k")
-            ok = x * a ** (k + 1) == a ** k
-        elif eq == "k1":
-            if k is None:
-                raise PreconditionError("equation k1 needs k")
-            ok = a ** (k + 1) * x == a ** k
-        else:
-            raise ValueError("unknown equation token %r" % eq)
-        if not ok:
-            return False
-    return True
+    powers = []
+
+    def test(x):
+        for eq in equations:
+            if eq == "1":
+                ok = a * x * a == a
+            elif eq == "2":
+                ok = x * a * x == x
+            elif eq == "3":
+                if not ring.has_involution:
+                    raise UnsupportedInvolutionError(
+                        "equation (3) needs an involution")
+                ax = a * x
+                ok = ax.star == ax
+            elif eq == "4":
+                if not ring.has_involution:
+                    raise UnsupportedInvolutionError(
+                        "equation (4) needs an involution")
+                xa = x * a
+                ok = xa.star == xa
+            elif eq == "5":
+                ok = a * x == x * a
+            elif eq == "6":
+                ok = x * a * a == a
+            elif eq == "7":
+                ok = a * x * x == x
+            elif eq == "8":
+                ok = a * a * x == a
+            elif eq == "9":
+                ok = x * x * a == x
+            elif eq in ("1k", "k1"):
+                if k is None:
+                    raise PreconditionError("equation %s needs k" % eq)
+                if not powers:
+                    powers.extend((a ** k, a ** (k + 1)))
+                ak, ak1 = powers
+                ok = (x * ak1 if eq == "1k" else ak1 * x) == ak
+            else:
+                raise ValueError("unknown equation token %r" % eq)
+            if not ok:
+                return False
+        return True
+
+    return test
 
 
 def enumerate_inverse_set(a, equations, k=None):
@@ -96,7 +110,8 @@ def enumerate_inverse_set(a, equations, k=None):
     if not ring.finite:
         raise NotEnumerableError(
             "cannot enumerate solutions over %s" % ring.short_name)
-    return [x for x in ring.elements() if satisfies(a, x, equations, k=k)]
+    test = _solution_test(a, equations, k)
+    return [x for x in ring.elements() if test(x)]
 
 
 class InverseReport:

@@ -2,9 +2,16 @@
 
 Matrices are tuples of row tuples; scalars are Fraction (over Q) or ints in
 range(p) (over GF(p)).  Everything here is exact -- no floats anywhere.
+
+A field is zero, one, reduce, inv, convert and parse.  Scalars combine
+with Python's own + - *, and reduce(v) brings each computed entry back
+into the field once (v itself over Q, v % p over GF(p)).  Every solve is
+one elimination: rref of [a | b].
 """
 
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 
 def _is_prime(n):
@@ -27,20 +34,11 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
+    def reduce(self, v):
+        return v
+
     def convert(self, v):
         return Fraction(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -49,12 +47,6 @@ class Rationals:
 
     def parse(self, s):
         return Fraction(str(s))
-
-    def render(self, v):
-        return str(v)
-
-    def sort_key(self, v):
-        return v
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -79,20 +71,11 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
+    def reduce(self, v):
+        return v % self.p
+
     def convert(self, v):
         return int(v) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         a %= self.p
@@ -105,12 +88,6 @@ class PrimeField:
 
     def parse(self, s):
         return int(str(s)) % self.p
-
-    def render(self, v):
-        return str(v)
-
-    def sort_key(self, v):
-        return v
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -138,38 +115,26 @@ def zero_matrix(field, rows, cols):
     return tuple(tuple(field.zero for _ in range(cols)) for _ in range(rows))
 
 def mat_add(field, a, b):
-    return tuple(tuple(field.add(x, y) for x, y in zip(ra, rb))
+    reduce = field.reduce
+    return tuple(tuple(reduce(x + y) for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
 
 def mat_neg(field, a):
-    return tuple(tuple(field.neg(x) for x in r) for r in a)
+    reduce = field.reduce
+    return tuple(tuple(reduce(-x) for x in r) for r in a)
 
 def mat_mul(field, a, b):
+    reduce = field.reduce
     bt = transpose(b)
-    out = []
-    for ra in a:
-        row = []
-        for cb in bt:
-            s = field.zero
-            for x, y in zip(ra, cb):
-                s = field.add(s, field.mul(x, y))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(reduce(sum(map(mul, ra, cb))) for cb in bt)
+                 for ra in a)
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 def mat_vec(field, a, v):
-    return tuple(
-        _dot(field, row, v) for row in a
-    )
-
-def _dot(field, u, v):
-    s = field.zero
-    for x, y in zip(u, v):
-        s = field.add(s, field.mul(x, y))
-    return s
+    reduce = field.reduce
+    return tuple(reduce(sum(map(mul, row, v))) for row in a)
 
 
 def rref(field, rows):
@@ -177,6 +142,7 @@ def rref(field, rows):
 
     rref_rows keeps the original row count (zero rows at the bottom).
     """
+    reduce = field.reduce
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -192,11 +158,11 @@ def rref(field, rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = field.inv(m[r][c])
-        m[r] = [field.mul(pv, x) for x in m[r]]
+        m[r] = [reduce(pv * x) for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != field.zero:
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [reduce(x - f * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -221,34 +187,34 @@ def nullspace_basis(field, a):
         v = [field.zero] * ncols
         v[f] = field.one
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r[i][f])
+            v[pc] = field.reduce(-r[i][f])
         basis.append(tuple(v))
     return tuple(basis)
 
 
 def solve(field, a, b):
     """One solution x of a x = b (vectors), or None if inconsistent."""
-    nrows, ncols = mat_shape(a)
-    aug = tuple(tuple(row) + (bv,) for row, bv in zip(a, b))
-    r, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][ncols]
-    return tuple(x)
+    x = solve_matrix(field, a, tuple((v,) for v in b))
+    return None if x is None else tuple(row[0] for row in x)
 
 
 def solve_matrix(field, a, b):
-    """One solution X of a X = b (matrix right-hand side), or None."""
-    cols = []
-    for j in range(len(b[0])):
-        col = tuple(row[j] for row in b)
-        x = solve(field, a, col)
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(tuple(cols))
+    """One solution X of a X = b (matrix right-hand side), or None.
+
+    One rref of [a | b]: a pivot in b's columns means no solution, and
+    otherwise row i of the reduced b is row p_i of X, p_i the pivot
+    column of row i, with the other rows zero.  The row operations depend
+    on a's columns only, so X is the solution each column of b would get
+    on its own.
+    """
+    ncols = mat_shape(a)[1]
+    r, pivots = rref(field, tuple(ra + rb for ra, rb in zip(a, b)))
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [(field.zero,) * len(b[0])] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][ncols:]
+    return tuple(x)
 
 
 def mat_inverse(field, a):
@@ -256,11 +222,7 @@ def mat_inverse(field, a):
     n, m = mat_shape(a)
     if n != m:
         raise ValueError("matrix is not square")
-    aug = tuple(row + irow for row, irow in zip(a, identity(field, n)))
-    r, pivots = rref(field, aug)
-    if tuple(pivots)[:n] != tuple(range(n)):
-        return None
-    return tuple(row[n:] for row in r[:n])
+    return solve_matrix(field, a, identity(field, n))
 
 
 class Subspace:
@@ -354,17 +316,11 @@ class Subspace:
         field = self.field
         if not field.finite:
             raise ValueError("cannot enumerate a subspace over an infinite field")
-        from itertools import product
-        out = set()
-        for coeffs in product(field.elements(), repeat=self.dim):
-            v = [field.zero] * self.ambient
-            for c, b in zip(coeffs, self.basis):
-                for i, x in enumerate(b):
-                    v[i] = field.add(v[i], field.mul(c, x))
-            out.add(tuple(v))
-        if not out:
-            out.add(tuple(field.zero for _ in range(self.ambient)))
-        return sorted(out, key=lambda v: tuple(field.sort_key(x) for x in v))
+        # a basis is independent, so each coefficient tuple is one vector
+        cols = [[b[i] for b in self.basis] for i in range(self.ambient)]
+        return sorted(tuple(field.reduce(sum(map(mul, coeffs, col)))
+                            for col in cols)
+                      for coeffs in product(field.elements(), repeat=self.dim))
 
 
 def zero_subspace(field, ambient):

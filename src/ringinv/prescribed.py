@@ -14,8 +14,8 @@ from math import gcd
 
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
-from .ideals import (LEFT, RIGHT, SidedIdeal, annihilator, direct_sum,
-                     ideal_annihilator, multiply_ideal, principal)
+from .ideals import (LEFT, RIGHT, annihilator, direct_sum, ideal_annihilator,
+                     multiply_ideal, principal)
 from .linalg import mat_mul, solve_matrix, transpose
 from .rings import MatrixRing, least_solution_mod
 
@@ -211,15 +211,17 @@ def one_inverse_solution_set(a, cons, fixed_inner):
     return fam.members()
 
 
-def _unique_outer_right(a, s, t):
+def _unique_outer(a, s, t):
     """The unique x in S with ax = rho_{aS,T}(1), or None.
 
-    Existence: R = aS (+) T and rann(a) cap S = {0}.
+    For left ideals S', T' the mirror: the unique x in S' with
+    xa = rho_{S'a,T'}(1).  Existence: R = aS (+) T and rann(a) cap S = {0}
+    (R = S'a (+) T' and lann(a) cap S' = {0}).
     """
     u = direct_sum(multiply_ideal(a, s), t)
     if u is None:
         return None, "R = aS + T is not a direct sum"
-    if not annihilator(a, RIGHT).intersect(s).is_zero():
+    if not annihilator(a, s.side).intersect(s).is_zero():
         return None, "rann(a) meets S nontrivially"
     x = _solve_in_ideal(a, s, u)
     if x is None:  # pragma: no cover - excluded by the existence theorem
@@ -228,45 +230,28 @@ def _unique_outer_right(a, s, t):
 
 
 def _solve_in_ideal(a, s, u):
-    """Some x in the right ideal s with a*x == u."""
+    """Some x in the ideal s with a*x == u (right) or x*a == u (left)."""
     ring = a.ring
     if isinstance(ring, MatrixRing):
         field = ring.field
-        basis = s.subspace.basis  # x columns are combinations of these
+        basis = s.subspace.basis  # x columns (rows) are combinations of these
         if not basis:
             return ring.zero if u == ring.zero else None
-        # x = B^T c with (a B^T) c = u
+        # x = B^T c with (a B^T) c = u; a left ideal solves the transpose
+        # x^T a^T = u^T the same way
+        m, target = a.payload, u.payload
+        if s.side == LEFT:
+            m, target = transpose(m), transpose(target)
         bt = transpose(basis)
-        c = solve_matrix(field, mat_mul(field, a.payload, bt), u.payload)
-        return None if c is None else ring.element(mat_mul(field, bt, c))
+        c = solve_matrix(field, mat_mul(field, m, bt), target)
+        if c is None:
+            return None
+        x = mat_mul(field, bt, c)
+        return ring.element(x if s.side == RIGHT else transpose(x))
     # x = d*y with a*d*y = u (mod n); the least y gives the least x
     d = s.divisor
     y = least_solution_mod(a.payload * d, u.payload, ring.n)
     return None if y is None else ring.element(d * y)
-
-
-def _transpose_ideal(ideal):
-    """Mirror an ideal through the transpose anti-isomorphism."""
-    other = RIGHT if ideal.side == LEFT else LEFT
-    return SidedIdeal(ideal.ring, other, divisor=ideal.divisor,
-                      subspace=ideal.subspace)
-
-
-def _unique_outer_left(a, sp, tp):
-    """Left-sided analogue via the transpose anti-isomorphism.
-
-    x solves (lprin=S', lann=T') for a iff x* solves (rprin, rann) for a*
-    on matrix rings; commutative finite rings need no mirroring.
-    """
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        x, why = _unique_outer_right(a.star, _transpose_ideal(sp),
-                                     _transpose_ideal(tp))
-        return (None, why) if x is None else (x.star, "")
-    # commutative backend: sides coincide
-    x, why = _unique_outer_right(a, _transpose_ideal(sp),
-                                 _transpose_ideal(tp))
-    return x, why
 
 
 def outer_with(a, cons, reflexive=False):
@@ -278,12 +263,10 @@ def outer_with(a, cons, reflexive=False):
     s, t = cons.right_principal, cons.right_annihilator
     sp, tp = cons.left_principal, cons.left_annihilator
     name = "outer-prescribed"
-    if shape == ("S", "T"):
-        x, why = _unique_outer_right(a, s, t)
-    elif shape == ("Sp", "Tp"):
-        x, why = _unique_outer_left(a, sp, tp)
+    if shape in (("S", "T"), ("Sp", "Tp")):
+        x, why = _unique_outer(a, s or sp, t or tp)
     elif shape == ("S", "Sp"):
-        x, why = _unique_outer_right(a, s, ideal_annihilator(sp, RIGHT))
+        x, why = _unique_outer(a, s, ideal_annihilator(sp, RIGHT))
         if x is not None and principal(x, LEFT) != sp:
             x, why = None, "Rx != S' for the right-constructed candidate"
     elif shape == ("T", "Tp"):
@@ -307,7 +290,7 @@ def _outer_from_annihilators(a, t, tp):
     so we recover S from T' and reuse the (S, T) path.
     """
     s = ideal_annihilator(tp, RIGHT)  # right ideal with lann(S) ⊇ T'
-    x, why = _unique_outer_right(a, s, t)
+    x, why = _unique_outer(a, s, t)
     if x is not None and annihilator(x, LEFT) != tp:
         x, why = None, "lann(x) != T' for the forced candidate"
     if x is None and not isinstance(a.ring, MatrixRing):

@@ -220,7 +220,8 @@ class MatrixRing(Ring):
         return self.field.p ** (self.k * self.k)
 
     def sort_key(self, a):
-        return tuple(self.field.sort_key(x) for row in a.payload for x in row)
+        # row tuples compare in row-major order
+        return a.payload
 
     def parse(self, obj):
         f = self.field
@@ -228,11 +229,11 @@ class MatrixRing(Ring):
 
     def render(self, a):
         return "[" + "; ".join(
-            " ".join(self.field.render(x) for x in row)
+            " ".join(map(str, row))
             for row in a.payload) + "]"
 
     def to_json(self, a):
-        return [[self.field.render(x) for x in row] for row in a.payload]
+        return [list(map(str, row)) for row in a.payload]
 
     def __eq__(self, other):
         return (isinstance(other, MatrixRing) and other.k == self.k

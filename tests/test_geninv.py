@@ -15,7 +15,8 @@ from ringinv.geninv import (any_inner, core_inverse, drazin_index,
                             enumerate_inverse_set, group_inverse,
                             inner_inverse, moore_penrose, parse_equations,
                             reflexive_inverse, satisfies)
-from ringinv.rings import MatF, MatQ, ModularRing, Zn, ring_from_name
+from ringinv.rings import (MatF, MatQ, ModularRing, RingElement, Zn,
+                           ring_from_name)
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -37,6 +38,27 @@ def test_satisfies_equations():
     assert not satisfies(a, g, ("3",))
     with pytest.raises(UnsupportedInvolutionError):
         satisfies(Z6.parse(2), Z6.parse(5), ("3",))
+
+
+def test_enumeration_computes_each_power_once(monkeypatch):
+    # a^k and a^(k+1) do not depend on the candidate: 162 powers on the
+    # 81 candidates of m2f3 when each candidate recomputes both
+    calls = []
+    power = RingElement.__pow__
+
+    def counting(self, k):
+        calls.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(RingElement, "__pow__", counting)
+    m2f3 = MatF(2, 3)
+    a = m2f3.parse([[1, 1], [0, 0]])
+    for eqs in (("1k",), ("k1",), ("1k", "k1")):
+        calls.clear()
+        sols = enumerate_inverse_set(a, eqs, k=10 ** 18)
+        assert len(calls) <= 2
+        assert sols == [x for x in m2f3.elements()
+                        if satisfies(a, x, eqs, k=10 ** 18)]
 
 
 def test_inner_inverses_of_2_mod_6():

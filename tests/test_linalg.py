@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringinv import linalg
 from ringinv.linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
                             is_direct_sum, mat_inverse, mat_mul, mat_vec,
                             nullspace_basis, projection_matrix, rank, rref,
@@ -25,7 +26,9 @@ def test_prime_field_requires_prime():
 
 
 def test_field_arithmetic():
-    assert F5.mul(3, 4) == 2
+    assert F5.reduce(3 * 4) == 2
+    assert F5.reduce(-3) == 2
+    assert QQ.reduce(Fraction(1, 2)) == Fraction(1, 2)
     assert F5.inv(3) == 2
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
@@ -56,6 +59,24 @@ def test_solve_and_solve_matrix():
     b = q([[1, 0], [0, 1]])
     xm = solve_matrix(QQ, a, b)
     assert mat_mul(QQ, a, xm) == b
+
+
+def test_each_solve_is_one_elimination(monkeypatch):
+    calls = []
+    reduce_rows = linalg.rref
+
+    def counting(field, rows):
+        calls.append(len(rows[0]))
+        return reduce_rows(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    a = q([[1, 2, 0], [3, 5, 1], [0, 1, 1]])
+    b = q([[1, 0, 2], [0, 1, 0], [4, 0, 1]])
+    assert mat_mul(QQ, a, solve_matrix(QQ, a, b)) == b
+    assert calls == [6]
+    calls.clear()
+    assert mat_mul(QQ, a, mat_inverse(QQ, a)) == identity(QQ, 3)
+    assert calls == [6]
 
 
 def test_mat_inverse():
@@ -127,3 +148,140 @@ def test_image_preimage_galois(rows):
     a = tuple(tuple((i + 2 * j) % 5 for j in range(3)) for i in range(3))
     assert u.image(a).is_subspace_of(full_subspace(F5, 3))
     assert u.is_subspace_of(u.image(a).preimage(a))
+
+
+# -- differential checks of the kernels --------------------------------------
+
+SCALARS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def q_matrix(draw, rows=None, cols=None):
+    """A rows x cols product B C of inner size r, so singular ones are
+    common."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    r = draw(st.integers(0, min(rows, cols)))
+    b = [[draw(SCALARS) for _ in range(r)] for _ in range(rows)]
+    c = [[draw(SCALARS) for _ in range(cols)] for _ in range(r)]
+    return tuple(tuple(sum((b[i][t] * c[t][j] for t in range(r)),
+                           Fraction(0)) for j in range(cols))
+                 for i in range(rows))
+
+
+def _sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows])
+
+
+def _from_sympy(vector):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_matrix())
+def test_rank_and_nullspace_agree_with_sympy_over_q(a):
+    s = _sympy(a)
+    assert rank(QQ, a) == s.rank()
+    # the RREF is unique, and so is the basis read off its free columns
+    assert nullspace_basis(QQ, a) == tuple(_from_sympy(v)
+                                           for v in s.nullspace())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: q_matrix(n, n)))
+def test_mat_inverse_agrees_with_sympy_over_q(a):
+    s = _sympy(a)
+    inv = mat_inverse(QQ, a)
+    if s.det() == 0:
+        assert inv is None
+    else:
+        assert tuple(_from_sympy(row) for row in s.inv().tolist()) == inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+       .flatmap(lambda d: st.tuples(q_matrix(d[0], d[1]),
+                                    q_matrix(d[0], d[2]))))
+def test_solve_matrix_exactly_when_consistent_over_q(ab):
+    a, b = ab
+    x = solve_matrix(QQ, a, b)
+    consistent = _sympy(a).row_join(_sympy(b)).rank() == _sympy(a).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert mat_mul(QQ, a, x) == b
+
+
+FIELDS = [PrimeField(p) for p in (2, 3, 5)]
+
+
+@st.composite
+def fp_matrices(draw):
+    """(field, a, b, c) with a m x n, b n x l and c m x l over GF(p)."""
+    field = draw(st.sampled_from(FIELDS))
+    m, n, l = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(st.integers(0, field.p - 1))
+                           for _ in range(cols)) for _ in range(rows))
+    return field, matrix(m, n), matrix(n, l), matrix(m, l)
+
+
+def _reference_solve(p, a, b):
+    """Column by column: a plain Gauss-Jordan on [a | b_j] for each column,
+    every product and sum reduced mod p.  Free unknowns are zero."""
+    ncols = len(a[0])
+    cols = []
+    for j in range(len(b[0])):
+        m = [list(row) + [brow[j]] for row, brow in zip(a, b)]
+        pivots, r = [], 0
+        for c in range(ncols + 1):
+            i = next((i for i in range(r, len(m)) if m[i][c] % p), None)
+            if i is None:
+                continue
+            m[r], m[i] = m[i], m[r]
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = [(inv * v) % p for v in m[r]]
+            for i in range(len(m)):
+                if i != r:
+                    f = m[i][c]
+                    m[i] = [(v - (f * w) % p) % p for v, w in zip(m[i], m[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(m):
+                break
+        if ncols in pivots:
+            return None
+        x = [0] * ncols
+        for i, c in enumerate(pivots):
+            x[c] = m[i][ncols]
+        cols.append(x)
+    return tuple(zip(*cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_matrices())
+def test_mat_mul_agrees_with_a_reduced_triple_loop(fabc):
+    field, a, b, _ = fabc
+    p = field.p
+    want = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            s = 0
+            for t in range(len(b)):
+                s = (s + (a[i][t] * b[t][j]) % p) % p
+            row.append(s)
+        want.append(tuple(row))
+    assert mat_mul(field, a, b) == tuple(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_matrices())
+def test_solve_matrix_agrees_with_column_by_column_elimination(fabc):
+    field, a, _, c = fabc
+    x = solve_matrix(field, a, c)
+    assert x == _reference_solve(field.p, a, c)
+    if x is not None:
+        assert mat_mul(field, a, x) == c

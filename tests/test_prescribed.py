@@ -52,6 +52,27 @@ def test_prescribed_outer_inverses_all_equal_e21():
         assert rep.exists and rep.value == E21
 
 
+@pytest.mark.parametrize("ring", [MatQ(2), MatF(2, 3)])
+def test_left_prescribed_outer_needs_no_involution(monkeypatch, ring):
+    # the (S', T') answer is built from the left ideals themselves, so it
+    # does not depend on * being the transpose
+    a = ring.parse([[1, 2], [0, 0]])
+    gens = [ring.parse(m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                     [[1, 1], [0, 0]], [[0, 0], [2, 1]],
+                                     [[1, 0], [0, 1]], [[0, 0], [0, 0]])]
+    bundles = [IdealConstraints(left_principal=principal(g, LEFT),
+                                left_annihilator=annihilator(h, LEFT))
+               for g in gens for h in gens]
+    want = [outer_with(a, cons).to_json() for cons in bundles]
+    assert any(doc["exists"] for doc in want)
+    assert any(not doc["exists"] for doc in want)
+
+    def refuse(self, x):
+        raise AssertionError("used the involution")
+    monkeypatch.setattr(MatrixRing, "involute", refuse)
+    assert [outer_with(a, cons).to_json() for cons in bundles] == want
+
+
 def test_prescribed_outer_none_when_split_fails():
     # T = rann(A) makes R = aR + T fail for A = E12 (aR = rann(A))
     bad = IdealConstraints(right_principal=S,
