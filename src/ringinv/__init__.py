@@ -12,11 +12,11 @@ from .ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
 from .projectors import (Projector, phi_equals_projector, projector,
                          projector_from_idempotent)
 from .geninv import (EQUATION_TOKENS, InverseReport, NAMED_INVERSES,
-                     NAMED_SYSTEMS, any_inner, core_inverse, drazin_index,
-                     drazin_inverse, dual_core_inverse,
-                     enumerate_inverse_set, group_inverse, inner_inverse,
-                     moore_penrose, parse_equations, reflexive_inverse,
-                     satisfies)
+                     NAMED_SYSTEMS, any_inner, core_inverse,
+                     count_inverse_set, drazin_index, drazin_inverse,
+                     dual_core_inverse, enumerate_inverse_set,
+                     group_inverse, inner_inverse, moore_penrose,
+                     parse_equations, reflexive_inverse, satisfies)
 from .prescribed import (IdealConstraints, ParamFamily, mitsch_leq,
                          one_inverse_family, one_inverse_solution_set,
                          outer_with)

@@ -10,7 +10,8 @@ import sys
 
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError, VerificationError)
-from .geninv import (NAMED_INVERSES, enumerate_inverse_set, parse_equations)
+from .geninv import (NAMED_INVERSES, count_inverse_set,
+                     enumerate_inverse_set, parse_equations)
 from .ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from .linalg import Subspace
 from .prescribed import IdealConstraints, one_inverse_family, outer_with
@@ -205,15 +206,16 @@ def cmd_enumerate(args):
         equations = parse_equations(args.equations)
     except ValueError as exc:
         raise UsageError(str(exc))
-    k = args.k
-    members = enumerate_inverse_set(a, equations, k=k)
     out = {
         "ring": ring.short_name,
         "element": ring.to_json(a),
         "equations": list(equations),
-        "count": len(members),
     }
-    if not args.count_only:
+    if args.count_only:
+        out["count"] = count_inverse_set(a, equations, k=args.k)
+    else:
+        members = enumerate_inverse_set(a, equations, k=args.k)
+        out["count"] = len(members)
         out["members"] = [ring.to_json(x) for x in members]
     emit(out)
     return EXIT_OK

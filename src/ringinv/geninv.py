@@ -16,8 +16,10 @@ from math import gcd
 
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
+from .ideals import RIGHT, all_ideals
 from .linalg import rank, rref
-from .rings import MatrixRing, RingElement, least_solution_mod, memoized
+from .rings import (Coset, MatrixRing, RingElement, least_solution_mod,
+                    linear_solutions, memoized)
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -104,14 +106,111 @@ def _solution_test(a, equations, k=None):
     return test
 
 
-def enumerate_inverse_set(a, equations, k=None):
-    """a{equations}: all solutions x in a finite ring, canonical order."""
+# the tokens whose equation is linear in x
+_LINEAR = frozenset(("1", "3", "4", "5", "6", "8", "1k", "k1"))
+
+
+def _linear_equations(a, tokens, k):
+    """Each linear token as (f, c), f additive: x satisfies the token iff
+    f(x) = c.  a^2, a^k and a^(k+1) are computed once, when needed."""
+    zero = a.ring.zero
+    aa = a * a if {"6", "8"} & set(tokens) else None
+    ak = ak1 = None
+    if {"1k", "k1"} & set(tokens):
+        ak, ak1 = a ** k, a ** (k + 1)
+    table = {
+        "1": (lambda x: a * x * a, a),
+        "3": (lambda x: _skew(a * x), zero),
+        "4": (lambda x: _skew(x * a), zero),
+        "5": (lambda x: a * x - x * a, zero),
+        "6": (lambda x: x * aa, a),
+        "8": (lambda x: aa * x, a),
+        "1k": (lambda x: x * ak1, ak),
+        "k1": (lambda x: ak1 * x, ak),
+    }
+    return [table[eq] for eq in tokens]
+
+
+def _skew(y):
+    return y.star - y
+
+
+def _raises(ring, eq, k):
+    """Does the test of token eq raise rather than answer?"""
+    return (eq not in EQUATION_TOKENS
+            or eq in ("3", "4") and not ring.has_involution
+            or eq in ("1k", "k1") and k is None)
+
+
+def _candidates(a, equations, k):
+    """(space, rest): a{equations} is the members of space, in canonical
+    order, that satisfy the tokens rest.
+
+    With a linear token, space is the Coset its equations cut out.  Else
+    with (2), space is a{2}: at most one outer inverse per pair (S, T) of
+    right ideals, the one with xR = S and rann(x) = T (outer_with), and
+    only pairs with |S| |T| = |R| hold one, since r -> xr maps R onto xR
+    with kernel rann(x).  Only a{7}, a{9} and a{7,9} scan the ring.
+
+    A token whose test raises does so in a scan on the first x that
+    satisfies the tokens before it, so here it raises exactly when they
+    have a solution.
+    """
     ring = a.ring
     if not ring.finite:
         raise NotEnumerableError(
             "cannot enumerate solutions over %s" % ring.short_name)
-    test = _solution_test(a, equations, k)
-    return [x for x in ring.elements() if test(x)]
+    for i, eq in enumerate(equations):
+        if _raises(ring, eq, k):
+            for x in _solutions(a, equations[:i], k):
+                _solution_test(a, (eq,), k)(x)  # raises
+            return [], ()
+    linear = [eq for eq in equations if eq in _LINEAR]
+    if linear or not equations:
+        space = linear_solutions(ring, _linear_equations(a, linear, k))
+        rest = tuple(eq for eq in equations if eq not in _LINEAR)
+        return [] if space is None else space, rest
+    if "2" in equations:
+        return (_outer_inverses(a),
+                tuple(eq for eq in equations if eq != "2"))
+    return ring.elements(), equations
+
+
+def _outer_inverses(a):
+    from .prescribed import IdealConstraints, outer_with
+    ring = a.ring
+    ideals = all_ideals(ring, RIGHT)
+    by_size = {}
+    for t in ideals:
+        by_size.setdefault(t.size(), []).append(t)
+    out = []
+    for s in ideals:
+        for t in by_size.get(ring.size // s.size(), ()):
+            rep = outer_with(a, IdealConstraints(right_principal=s,
+                                                 right_annihilator=t))
+            if rep.exists:
+                out.append(rep.value)
+    return sorted(out, key=ring.sort_key)
+
+
+def _solutions(a, equations, k):
+    space, rest = _candidates(a, equations, k)
+    test = _solution_test(a, rest, k)
+    return (x for x in space if test(x))
+
+
+def enumerate_inverse_set(a, equations, k=None):
+    """a{equations}: all solutions x in a finite ring, canonical order."""
+    return list(_solutions(a, equations, k))
+
+
+def count_inverse_set(a, equations, k=None):
+    """|a{equations}|, read from the solution space when every token is
+    linear, so that such a set is never listed."""
+    space, rest = _candidates(a, equations, k)
+    if rest:
+        return sum(1 for _ in filter(_solution_test(a, rest, k), space))
+    return space.size() if isinstance(space, Coset) else len(space)
 
 
 class InverseReport:

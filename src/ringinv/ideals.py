@@ -11,14 +11,13 @@ One representation per backend:
     subspace computations.
 """
 
-from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import (NotEnumerableError, PreconditionError, RingMismatchError,
                      UnsupportedInvolutionError)
 from .linalg import (Subspace, full_subspace, is_direct_sum, mat_mul,
                      projection_matrix, transpose, zero_subspace)
-from .rings import MatrixRing, ModularRing, RingElement, memoized
+from .rings import Coset, MatrixRing, ModularRing, RingElement, memoized
 
 RIGHT = "right"
 LEFT = "left"
@@ -131,19 +130,22 @@ class SidedIdeal:
         """All elements in canonical order (finite rings only)."""
         ring = self.ring
         if self.divisor is not None:
-            return [RingElement(ring, v)
-                    for v in range(0, ring.n, self.divisor)]
+            return Coset(ring.zero, step=self.divisor).members()
         if not ring.finite:
             raise NotEnumerableError("ideal of an infinite ring")
-        field, k = ring.field, ring.k
-        cols = self.subspace.vectors()
-        out = []
-        for choice in product(cols, repeat=k):
-            rows = transpose(choice)
-            if self.side == LEFT:
-                rows = transpose(rows)
-            out.append(RingElement(ring, tuple(tuple(r) for r in rows)))
-        return sorted(set(out), key=ring.sort_key)
+        # q, the basis over zero rows, has the ideal's subspace as its row
+        # space and p = q^T as its column space: the ideal is Rq (left) or
+        # pR (right), spanned by the E_ij q or the p E_ij
+        basis = self.subspace.basis
+        rows = basis + ring.zero.payload[len(basis):]
+        gens = ring.additive_generators()
+        if self.side == LEFT:
+            q = RingElement(ring, rows)
+            gens = [e * q for e in gens]
+        else:
+            p = RingElement(ring, transpose(rows))
+            gens = [p * e for e in gens]
+        return Coset.spanned(ring.zero, gens).members()
 
     def size(self):
         ring = self.ring
@@ -151,7 +153,7 @@ class SidedIdeal:
             return ring.n // self.divisor
         if not ring.finite:
             raise NotEnumerableError("ideal of an infinite ring")
-        return len(self.subspace.vectors()) ** ring.k
+        return ring.field.p ** (self.subspace.dim * ring.k)
 
 
 # -- principal ideals and annihilators ---------------------------------

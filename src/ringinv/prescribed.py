@@ -17,7 +17,7 @@ from .geninv import InverseReport, any_inner, satisfies
 from .ideals import (LEFT, RIGHT, annihilator, direct_sum, ideal_annihilator,
                      multiply_ideal, principal)
 from .linalg import mat_mul, solve_matrix, transpose
-from .rings import MatrixRing, least_solution_mod
+from .rings import Coset, MatrixRing, least_solution_mod
 
 
 class IdealConstraints:
@@ -84,11 +84,15 @@ class ParamFamily:
         return self.base + self.left_mult * y * self.right_mult
 
     def members(self):
+        """The coset in canonical order: base plus the additive group
+        spanned by left_mult * e * right_mult over the additive
+        generators e (the span of L E_ij R, or gcd(lr, n)Z_n)."""
         ring = self.subject.ring
         if not ring.finite:
             raise NotEnumerableError("family over an infinite ring")
-        out = {self.element(y) for y in ring.elements()}
-        return sorted(out, key=ring.sort_key)
+        return Coset.spanned(self.base, [
+            self.left_mult * e * self.right_mult
+            for e in ring.additive_generators()]).members()
 
     def __repr__(self):
         return "ParamFamily(base=%r)" % (self.base,)

@@ -5,13 +5,14 @@ residues ascending; matrices in row-major lexicographic scalar order.
 """
 
 from functools import wraps
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from .errors import (NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError)
-from .linalg import (QQ, PrimeField, identity, mat_add, mat_mul, mat_neg,
-                     transpose, zero_matrix)
+from .linalg import (QQ, PrimeField, Subspace, identity, mat_add, mat_mul,
+                     mat_neg, nullspace_basis, transpose,
+                     zero_matrix)
 
 
 class RingElement:
@@ -124,6 +125,9 @@ class ModularRing(Ring):
     def elements(self):
         return [RingElement(self, v) for v in range(self.n)]
 
+    def additive_generators(self):
+        return (self.one,)
+
     @property
     def size(self):
         return self.n
@@ -219,6 +223,14 @@ class MatrixRing(Ring):
             raise NotEnumerableError("%s is not enumerable" % self.short_name)
         return self.field.p ** (self.k * self.k)
 
+    def additive_generators(self):
+        """The k^2 matrix units E_ij, in row-major order of (i, j)."""
+        k = self.k
+        zero_row, units = self.zero.payload[0], self.one.payload
+        return tuple(RingElement(self, tuple(units[j] if r == i else zero_row
+                                             for r in range(k)))
+                     for i in range(k) for j in range(k))
+
     def sort_key(self, a):
         # row tuples compare in row-major order
         return a.payload
@@ -244,6 +256,114 @@ class MatrixRing(Ring):
 
     def __repr__(self):
         return "M_%d(%r)" % (self.k, self.field)
+
+
+class Coset:
+    """base + D for an additive subgroup D of a finite ring.
+
+    One representation per backend, as for ideals: on Z_n, D = mZ_n for
+    the step m | n; on M_k(GF(p)), D is spanned by basis, vectors of
+    GF(p)^(k^2) in RREF, each matrix read as its entries in row-major
+    order.  The members iterate lazily in canonical order, and size()
+    counts them without listing.
+    """
+
+    __slots__ = ("base", "step", "basis")
+
+    def __init__(self, base, step=None, basis=None):
+        self.base = base
+        self.step = step
+        self.basis = basis
+
+    @classmethod
+    def spanned(cls, base, generators):
+        """base + the additive subgroup that generators generate."""
+        ring = base.ring
+        if isinstance(ring, ModularRing):
+            return cls(base, step=gcd(ring.n, *(g.payload
+                                                for g in generators)))
+        return cls(base, basis=Subspace(
+            ring.field, ring.k * ring.k,
+            tuple(_entries(g) for g in generators)).basis)
+
+    def size(self):
+        ring = self.base.ring
+        if self.step is not None:
+            return ring.n // self.step
+        return ring.field.p ** len(self.basis)
+
+    def members(self):
+        return list(self)
+
+    def __iter__(self):
+        ring = self.base.ring
+        if self.step is not None:
+            m = self.step
+            for v in range(self.base.payload % m, ring.n, m):
+                yield RingElement(ring, v)
+            return
+        # The basis is in RREF.  With the base moved to 0 at the pivot
+        # columns, the coefficients of a member are its entries there, and
+        # the first entry in which two members differ is a pivot entry:
+        # coefficient tuples in product order list the members in
+        # canonical order.
+        p, k = ring.field.p, ring.k
+        base = _entries(self.base)
+        steps = []
+        for b in self.basis:
+            lead = base[next(i for i, v in enumerate(b) if v)]
+            if lead:
+                base = tuple((x - lead * y) % p for x, y in zip(base, b))
+            steps.append([tuple(c * y for y in b) for c in range(p)])
+        for choice in product(*steps):
+            flat = iter([v % p for v in map(sum, zip(base, *choice))])
+            yield RingElement(ring, tuple(zip(*[flat] * k)))
+
+
+def _entries(a):
+    return tuple(chain.from_iterable(a.payload))
+
+
+def linear_solutions(ring, equations):
+    """The x of a finite ring with f(x) = c for every (f, c) in
+    equations, as a Coset, or None when there is none.
+
+    Each f must be additive, and it is read through ring operations only:
+    at each additive generator.  On M_k(GF(p)) the k^2 entries of every
+    equation give k^2 scalar equations, all solved at once.  On Z_n each
+    equation is f(1) x = c, and the congruences fold one by one into the
+    coset x0 + mZ_n.
+    """
+    if isinstance(ring, ModularRing):
+        n, x0, m = ring.n, 0, 1
+        for f, c in equations:
+            u = f(ring.one).payload
+            # x = x0 + m y with u m y = c - u x0 (mod n)
+            y = least_solution_mod(u * m, c.payload - u * x0, n)
+            if y is None:
+                return None
+            x0 += m * y
+            m = n // gcd(u, n // m)
+        return Coset(RingElement(ring, x0), step=m)
+    field, k = ring.field, ring.k
+    units = ring.additive_generators()[::-1]
+    rows = []
+    for f, c in equations:
+        rows.extend(zip(*[_entries(f(e)) for e in units], _entries(c)))
+    if not rows:
+        return Coset(ring.zero, basis=identity(field, k * k))
+    # x solves A x = c iff (x, -1) lies in the nullspace of [A | c].  Its
+    # basis has one vector per free column, and only the one of the last
+    # column can end in a nonzero: it does iff that column has no pivot.
+    # The columns of A are taken in reverse order, so that the other
+    # vectors, read forward, are an RREF basis of the nullspace of A, and
+    # x is zero at their pivots.
+    basis = nullspace_basis(field, tuple(rows))
+    if not basis or not basis[-1][-1]:
+        return None
+    x = iter([field.reduce(-v) for v in basis[-1][-2::-1]])
+    return Coset(RingElement(ring, tuple(zip(*[x] * k))),
+                 basis=tuple(v[-2::-1] for v in reversed(basis[:-1])))
 
 
 def memoized(key):

@@ -7,7 +7,7 @@ from .geninv import (InverseReport, any_inner, core_inverse,
                      dual_core_inverse, enumerate_inverse_set)
 from .ideals import LEFT, RIGHT, annihilator, principal
 from .prescribed import IdealConstraints, outer_with
-from .rings import inverse_of_unit, is_invertible
+from .rings import inverse_of_unit, is_invertible, linear_solutions
 
 STAR_CLASS_EQS = {
     "13": ("1", "3"),
@@ -180,7 +180,13 @@ def right_w_core(a, w):
     _require_involution(ring, "right w-core inverse")
     b = a * w
     if ring.finite:
-        members = [x for x in ring.elements()
+        # a member solves the linear awxa = a and lies in awR (x =
+        # awx x), where (1 - e)x = 0 for the idempotent e = aw (aw)^(1);
+        # the member test, the one definition of the set, picks them out
+        f = ring.one - b * any_inner(b)
+        space = linear_solutions(ring, [(lambda x: b * x * a, a),
+                                        (lambda x: f * x, ring.zero)])
+        members = [x for x in space or ()
                    if right_w_core_member(a, w, x)]
         if not members:
             return InverseReport("right-w-core", False,
@@ -214,7 +220,12 @@ def left_v_dual_core(a, v):
     _require_involution(ring, "left v-dual core inverse")
     c = v * a
     if ring.finite:
-        members = [x for x in ring.elements()
+        # a member solves the linear axva = a and lies in Rva (x =
+        # x xva), where x(1 - e) = 0 for the idempotent e = (va)^(1) va
+        f = ring.one - any_inner(c) * c
+        space = linear_solutions(ring, [(lambda x: a * x * c, a),
+                                        (lambda x: x * f, ring.zero)])
+        members = [x for x in space or ()
                    if left_v_dual_core_member(a, v, x)]
         if not members:
             return InverseReport("left-v-dual-core", False,

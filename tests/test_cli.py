@@ -21,7 +21,7 @@ from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, UsageError, main,
                          parse_constraints, parse_element, parse_ring)
 from ringinv.errors import VerificationError
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.rings import MatF, MatQ, ModularRing, Zn
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,37 @@ def test_enumerate_named_system(capsys):
                            "--equations", "moore-penrose")
     assert code == EXIT_OK
     assert json.loads(out)["count"] == 0
+
+
+def test_enumerate_raises_a_token_error_only_when_it_is_reached(capsys):
+    # 2 has no inner inverse mod 8, so (3) is never reached; 3 has one
+    argv = ("enumerate", "--ring", "zn:8", "--equations", "1,3")
+    code, out, _ = run_cli(capsys, *argv, "--element", "2")
+    assert code == EXIT_OK and json.loads(out)["count"] == 0
+    code, out, _ = run_cli(capsys, *argv, "--element", "2", "--count-only")
+    assert code == EXIT_OK and json.loads(out)["count"] == 0
+    code, _, err = run_cli(capsys, *argv, "--element", "3")
+    assert code == EXIT_INVOLUTION and "involution" in err
+
+
+BIG_N = 936002814552019656
+
+
+def test_large_modulus_requests_need_no_enumeration(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    ring = "zn:%d" % BIG_N
+    code, out, _ = run_cli(capsys, "enumerate", "--ring", ring,
+                           "--element", "0", "--equations", "1",
+                           "--count-only")
+    assert code == EXIT_OK and json.loads(out)["count"] == BIG_N
+    code, out, _ = run_cli(capsys, "prescribe", "--ring", ring,
+                           "--element", "13", "--constraints",
+                           '{"right_principal": {"principal": "13"}}',
+                           "--mode", "one")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["count"] == len(doc["members"]) == 13
 
 
 def test_involution_exit_code(capsys):

@@ -2,21 +2,25 @@
 
 import hashlib
 import json
+import os
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringinv import geninv
-from ringinv.errors import UnsupportedInvolutionError
-from ringinv.geninv import (any_inner, core_inverse, drazin_index,
+from ringinv.errors import PreconditionError, UnsupportedInvolutionError
+from ringinv.geninv import (EQUATION_TOKENS, NAMED_SYSTEMS, any_inner,
+                            core_inverse, count_inverse_set, drazin_index,
                             drazin_inverse, dual_core_inverse,
                             enumerate_inverse_set, group_inverse,
                             inner_inverse, moore_penrose, parse_equations,
                             reflexive_inverse, satisfies)
-from ringinv.rings import (MatF, MatQ, ModularRing, RingElement, Zn,
-                           ring_from_name)
+from ringinv.linalg import rank
+from ringinv.rings import (MatF, MatQ, MatrixRing, ModularRing, RingElement,
+                           Zn, ring_from_name)
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -300,3 +304,131 @@ def test_large_modulus_needs_no_enumeration(monkeypatch):
         if regular:
             assert satisfies(a, inner.value, ("1",))
             assert satisfies(a, refl.value, ("1", "2"))
+
+
+# -- listing a{...} from its linear structure --------------------------------
+
+def _outcome(listing):
+    """The list a listing returns, or the type and message it raises."""
+    try:
+        return listing()
+    except (UnsupportedInvolutionError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_listing_is_the_scan(elements, a, eqs, k):
+    want = _outcome(lambda: [x for x in elements
+                             if satisfies(a, x, eqs, k=k)])
+    assert _outcome(lambda: enumerate_inverse_set(a, eqs, k=k)) == want, \
+        (a, eqs)
+    count = _outcome(lambda: count_inverse_set(a, eqs, k=k))
+    assert count == (len(want) if isinstance(want, list) else want), \
+        (a, eqs)
+
+
+SMALL_SYSTEMS = [eqs for size in range(4)
+                 for eqs in combinations(EQUATION_TOKENS, size)] + \
+    sorted(NAMED_SYSTEMS.values())
+
+
+@pytest.mark.parametrize("name", ["zn:12", "zn:30", "m2f2"])
+def test_listing_matches_the_scan_on_small_systems(name):
+    ring = ring_from_name(name)
+    elements = ring.elements()
+    for a in elements:
+        for eqs in SMALL_SYSTEMS:
+            _assert_listing_is_the_scan(elements, a, eqs, 2)
+
+
+SLOW = pytest.mark.skipif(not os.environ.get("RINGINV_SLOW"),
+                          reason="set RINGINV_SLOW=1 to run")
+
+
+@SLOW
+def test_listing_matches_the_scan_on_every_system_of_m2f3():
+    ring = MatF(2, 3)
+    elements = ring.elements()
+    systems = [eqs for size in range(len(EQUATION_TOKENS) + 1)
+               for eqs in combinations(EQUATION_TOKENS, size)]
+    for a in elements:
+        for eqs in systems:
+            _assert_listing_is_the_scan(elements, a, eqs, 2)
+
+
+@SLOW
+def test_listing_matches_the_scan_on_a_sample_of_m3f2():
+    ring = MatF(3, 2)
+    elements = ring.elements()
+    rng = random.Random(2024)
+    systems = [eqs for size in range(len(EQUATION_TOKENS) + 1)
+               for eqs in combinations(EQUATION_TOKENS, size)]
+    for a in rng.sample(elements, 24):
+        for eqs in rng.sample(systems, 60) + sorted(NAMED_SYSTEMS.values()):
+            _assert_listing_is_the_scan(elements, a, eqs, rng.randint(1, 3))
+
+
+# Z8 has no involution and no k is given: the first token that cannot be
+# tested raises when the tokens before it have a solution, else a{...} is
+# empty.  a{1} is empty for 2, 4 and 6, and a{2}, a{5} hold 0.
+LAZY_ERRORS = {
+    ("1", "3"): ({0, 1, 3, 5, 7}, UnsupportedInvolutionError),
+    ("3", "1"): (set(range(8)), UnsupportedInvolutionError),
+    ("2", "4"): (set(range(8)), UnsupportedInvolutionError),
+    ("4", "2"): (set(range(8)), UnsupportedInvolutionError),
+    ("1k", "5"): (set(range(8)), PreconditionError),
+    ("5", "1k"): (set(range(8)), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("eqs", sorted(LAZY_ERRORS))
+def test_a_token_that_cannot_be_tested_raises_as_the_scan_does(eqs):
+    ring = Zn(8)
+    raising, error = LAZY_ERRORS[eqs]
+    for a in ring.elements():
+        for listing in (enumerate_inverse_set, count_inverse_set):
+            if a.payload in raising:
+                with pytest.raises(error):
+                    listing(a, eqs)
+            else:
+                assert listing(a, eqs) in ([], 0)
+        _assert_listing_is_the_scan(ring.elements(), a, eqs, None)
+
+
+MATRIX_WORKLOAD_SYSTEMS = ("1", "1,2", "1,3", "1,4", "1,5", "1,2,3,4", "2",
+                           "1,2,5", "2,5,1k")
+
+
+def test_m3f3_sets_are_listed_without_a_scan(monkeypatch):
+    # the workload's systems on m3f3, with a{1} counted by rank (p^(9-r^2)
+    # members) and the unique sets checked against the named inverses
+    ring = MatF(3, 3)
+    subjects = [ring.parse(m) for m in (
+        [[1, 2, 0], [0, 1, 1], [2, 0, 1]], [[1, 1, 0], [0, 1, 2], [1, 2, 2]],
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[2, 1, 1], [1, 2, 0], [0, 0, 0]])]
+    monkeypatch.setattr(MatrixRing, "elements", _refuse_to_list)
+    named = {"1,2,3,4": moore_penrose, "1,2,5": group_inverse}
+    for a in subjects:
+        for spec in MATRIX_WORKLOAD_SYSTEMS:
+            eqs = parse_equations(spec)
+            sols = enumerate_inverse_set(a, eqs, k=2)
+            assert sols == sorted(set(sols), key=ring.sort_key)
+            assert len(sols) == count_inverse_set(a, eqs, k=2)
+            assert all(satisfies(a, x, eqs, k=2) for x in sols)
+            if spec in named:
+                rep = named[spec](a)
+                assert sols == ([rep.value] if rep.exists else [])
+        r = rank(ring.field, a.payload)
+        assert count_inverse_set(a, ("1",)) == 3 ** (9 - r * r)
+
+
+def _refuse_to_list(ring):
+    raise AssertionError("listed the elements of %s" % ring.short_name)
+
+
+def test_linear_sets_are_counted_without_listing(monkeypatch):
+    monkeypatch.setattr(ModularRing, "elements", _refuse_to_list)
+    ring = Zn(BIG_N)
+    assert count_inverse_set(ring.zero, ("1",)) == BIG_N
+    assert count_inverse_set(ring.element(13), ("1",)) == 13
+    assert count_inverse_set(ring.element(6), ("1", "5")) == 0

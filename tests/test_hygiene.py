@@ -1,9 +1,9 @@
 """No dead code in src/ringinv: every module-level import is used in its
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
-stands apart from the theorem checks, and the oracle reads its ring only
-in its scope layer and lists no solution set through the library.
-Stdlib ast only."""
+stands apart from the theorem checks and scans a ring only for the sets
+with no linear structure, and the oracle reads its ring only in its scope
+layer and lists no solution set through the library.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,19 @@ def ring_reads(tree):
     return [(name, read) for _, name, read in sorted(out)]
 
 
+# the compute path lists a ring only for a{7}, a{9} and a{7,9}: every other
+# set is listed from its linear equations or its pairs of ideals
+SCAN_FALLBACK = ("geninv.py", "_candidates", "elements()")
+
+
+def compute_path_scans(trees):
+    """(module, top-level definition, read) for each .elements() call in
+    a compute module."""
+    return [(module, name, read) for module in COMPUTE_MODULES
+            for name, read in ring_reads(trees[module])
+            if read == "elements()"]
+
+
 # the library's solution-set listings, which the oracle must not use: its
 # reference sets are scans of its context
 LISTINGS = frozenset(("enumerate_inverse_set", "iter_inverse_set",
@@ -156,6 +169,28 @@ def test_oracle_reads_its_ring_in_the_scope_layer_only():
 
 def test_oracle_uses_no_library_listing():
     assert listing_uses(_trees()["oracle.py"]) == []
+
+
+def test_compute_path_scans_only_the_sets_with_no_linear_structure():
+    assert compute_path_scans(_trees()) == [SCAN_FALLBACK]
+
+
+def test_guard_flags_a_scan_on_the_compute_path():
+    trees = {
+        "geninv.py": ast.parse(
+            "def _candidates(a, eqs, k):\n"
+            "    return a.ring.elements(), eqs\n"),
+        "prescribed.py": ast.parse(
+            "def members(fam):\n"
+            "    if fam.base.ring.has_involution:\n"
+            "        return []\n"
+            "    return [fam.element(y) for y in fam.base.ring.elements()]\n"),
+        "special.py": ast.parse("def f(field):\n"
+                                "    return list(field.elements())\n"),
+    }
+    assert compute_path_scans(trees) == [
+        SCAN_FALLBACK, ("prescribed.py", "members", "elements()"),
+        ("special.py", "f", "elements()")]
 
 
 def test_guards_flag_dead_code():

@@ -7,6 +7,7 @@ from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             complement, direct_sum, ideal_annihilator,
                             multiply_ideal, orthogonal, phi_preimage,
                             principal)
+from ringinv.linalg import Subspace
 from ringinv.rings import MatF, MatQ, Zn
 
 Z6 = Zn(6)
@@ -160,6 +161,14 @@ def test_members_canonical_order():
     assert len(ms) == j.size()
     keys = [M2F2.sort_key(m) for m in ms]
     assert keys == sorted(keys)
+
+
+def test_size_counts_without_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("listed the vectors of a subspace")
+    monkeypatch.setattr(Subspace, "vectors", refuse)
+    assert principal(MatF(6, 7).one, RIGHT).size() == 7 ** 36
+    assert principal(M2F2.parse([[1, 0], [0, 0]]), LEFT).size() == 4
 
 
 def test_extensional_vs_subspace_equality():

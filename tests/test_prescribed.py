@@ -150,6 +150,23 @@ def test_one_inverse_family_matches_brute_force(ring, a_raw):
             assert fam.members() == want
 
 
+@pytest.mark.parametrize("name, stride", [("zn:12", 1), ("zn:8", 1),
+                                          ("m2f2", 1), ("m2f3", 4)])
+def test_family_members_are_base_plus_every_perturbation(name, stride):
+    # the listed coset against base + L y R over every y of the ring, for
+    # every (or every stride-th) subject
+    ring = ring_from_name(name)
+    elements = ring.elements()
+    for a in elements[::stride]:
+        if any_inner(a) is None:
+            continue
+        for cons in all_constraint_bundles(a):
+            fam = one_inverse_family(a, cons)
+            want = sorted({fam.element(y) for y in elements},
+                          key=ring.sort_key)
+            assert fam.members() == want, (a, cons.shape())
+
+
 def test_one_inverse_family_none_for_irregular():
     a = Zn(8).parse(2)  # 2x2 is 0 or 4 mod 8, never 2: a{1} is empty
     cons = IdealConstraints(right_principal=principal(a, RIGHT))
@@ -306,3 +323,22 @@ def test_large_modulus_prescribed_inverses_need_no_enumeration(monkeypatch):
         left_annihilator=principal(ring.zero, LEFT)))
     assert not rep.exists
     assert rep.reason == "no element satisfies the annihilator conditions"
+
+
+def test_large_modulus_family_members_need_no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    ring = Zn(BIG_N)
+    a = ring.element(13)   # 13 divides BIG_N once, so a is regular
+    g = any_inner(a)
+    s, t = principal(g * a, RIGHT), annihilator(a * g, RIGHT)
+    for kw in (dict(right_principal=s), dict(right_annihilator=t),
+               dict(right_principal=s, right_annihilator=t)):
+        members = one_inverse_family(a, IdealConstraints(**kw)).members()
+        assert len(members) == 13
+        assert members == sorted(members, key=ring.sort_key)
+        for x in members:
+            assert satisfies(a, x, ("1",))
+            assert principal(x * a, RIGHT) == s
+            assert annihilator(a * x, RIGHT) == t

@@ -13,7 +13,7 @@ from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
                              left_v_dual_core, pq_inverse, right_w_core,
                              star_class_set, v_dual_core, w_core,
                              weighted_mp)
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.rings import MatF, MatQ, MatrixRing, Zn
 
 M2Q = MatQ(2)
 M2F2 = MatF(2, 2)
@@ -273,20 +273,62 @@ def test_bc_inverse_does_not_rerun_the_construction_clauses(monkeypatch):
     assert len(calls) == len(BC_FLAVORS) + 1
 
 
-def test_right_w_core_member_checks_the_equations_only(monkeypatch):
-    # on a finite ring the member set is one equation test per element;
-    # on Q the witness is (aw)^core, tested once
+def test_right_w_core_member_tests_the_linear_solutions_only(monkeypatch):
+    # on a finite ring the member test runs only on the x in awR that solve
+    # the linear awxa = a, and the ring is never listed; on Q the witness
+    # is (aw)^core, tested once
     members = _count_calls(monkeypatch, special, "right_w_core_member",
                            special.right_w_core_member)
     cores = _count_calls(monkeypatch, special, "core_inverse", core_inverse)
     a = M2F2.parse([[1, 1], [0, 0]])
+    elements = M2F2.elements()
+    monkeypatch.setattr(MatrixRing, "elements", _refuse_to_list)
     rep = right_w_core(a, M2F2.one)
     assert rep.exists
-    assert len(members) == M2F2.size and cores == []
-    for x in M2F2.elements():
+    in_ar = ideals.principal(a, ideals.RIGHT)
+    assert len(members) == 2 == sum(a * x * a == a and in_ar.contains(x)
+                                    for x in elements)
+    assert cores == []
+    for x in elements:
         bx = a * x
         want = bx * a == a and bx.star == bx and bx * x == x
         assert (x in rep.extra["members"]) == want
     del members[:]
     assert right_w_core(A, I2).exists
     assert len(members) == 1 and len(cores) == 1
+
+
+def _refuse_to_list(ring):
+    raise AssertionError("listed the elements of %s" % ring.short_name)
+
+
+@pytest.mark.parametrize("ring", [M2F2, MatF(2, 3)],
+                         ids=lambda ring: ring.short_name)
+def test_one_sided_core_sets_agree_with_brute_force(ring):
+    # every (a, w), against the defining equations tested on every x of
+    # the ring through a table of products: awxa = a, (awx)* = awx,
+    # awx^2 = x on the right and axwa = a, (xwa)* = xwa, x^2wa = x on the
+    # left
+    elements = ring.elements()
+    index = {x: i for i, x in enumerate(elements)}
+    mul = [[index[x * y] for y in elements] for x in elements]
+    star = [index[x.star] for x in elements]
+    everything = range(len(elements))
+    for a in everything:
+        for w in everything:
+            b, c = mul[a][w], mul[w][a]
+            bx = [mul[b][x] for x in everything]
+            xc = [mul[x][c] for x in everything]
+            right = [elements[x] for x in everything
+                     if mul[bx[x]][a] == a and star[bx[x]] == bx[x]
+                     and mul[bx[x]][x] == x]
+            left = [elements[x] for x in everything
+                    if mul[a][xc[x]] == a and star[xc[x]] == xc[x]
+                    and mul[x][xc[x]] == x]
+            for rep, want in ((right_w_core(elements[a], elements[w]), right),
+                              (left_v_dual_core(elements[a], elements[w]),
+                               left)):
+                assert rep.exists == bool(want), (a, w)
+                if want:
+                    assert rep.extra["members"] == want, (a, w)
+                    assert rep.value == want[0]
