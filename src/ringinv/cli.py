@@ -50,12 +50,14 @@ def parse_ring(spec):
             except ValueError as exc:
                 raise UsageError(str(exc))
         spec = json.loads(text)
+    # integers are read through str, as ModularRing.parse reads them, so
+    # that 6.9, true and 1e3 are refused rather than truncated
     try:
         kind = spec.get("kind")
         if kind == "zn":
-            return Zn(int(spec["n"]))
+            return Zn(int(str(spec["n"])))
         if kind == "matrix":
-            k = int(spec["size"])
+            k = int(str(spec["size"]))
             scalars = spec.get("scalars", {})
             skind = scalars.get("kind")
             involution = spec.get("involution", "transpose")
@@ -65,7 +67,7 @@ def parse_ring(spec):
             if skind == "q":
                 return MatQ(k)
             if skind in ("fp", "f", "gf"):
-                return MatF(k, int(scalars["p"]))
+                return MatF(k, int(str(scalars["p"])))
     except KeyError as exc:
         raise UsageError("ring spec %r is missing key %s" % (spec, exc))
     except (AttributeError, TypeError, ValueError) as exc:

@@ -10,14 +10,14 @@ Equation tokens (a is the subject, x the candidate inverse):
 Named systems: inner {1}, outer {2}, reflexive {1,2}, group {1,2,5},
 Drazin {2,5,1k}, Moore-Penrose {1,2,3,4}, core {1,2,3,6,7},
 dual core {1,2,4,8,9}.
-"""
 
-from math import gcd
+Only any_inner reads a backend; the rest is ring and ideal operations.
+"""
 
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
-from .ideals import RIGHT, all_ideals
-from .linalg import rank, rref
+from .ideals import RIGHT, all_ideals, principal
+from .linalg import rref
 from .rings import (Coset, MatrixRing, RingElement, least_solution_mod,
                     linear_solutions, memoized)
 
@@ -313,56 +313,27 @@ def reflexive_inverse(a):
     return _validated("reflexive", a, g * a * g, ("1", "2"))
 
 
-def _zn_split(a):
-    """(n0, n1) with n = n0 n1 coprime, a nilpotent mod n0, a unit mod n1.
-
-    n0 = gcd(a^L, n) with L = bit_length(n) collects every prime power of
-    n whose prime divides a, so n is never factored.
-    """
-    n = a.ring.n
-    n0 = gcd(pow(a.payload, n.bit_length(), n), n)
-    return n0, n // n0
-
-
 def drazin_index(a):
-    """Least k >= 0 with a^k in a^(k+1)R; every element has one.
-
-    On matrix rings this is the least k with rank(a^k) = rank(a^(k+1)).
-    On Z_n it is the least k with a^k = 0 (mod n0), see _zn_split.  On
-    finite rings both equal the preperiod of the power sequence
-    a^0, a^1, ...
-    """
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        prev = rank(ring.field, ring.one.payload)
-        power = ring.one
-        for k in range(ring.k + 1):
-            nxt = rank(ring.field, (power * a).payload)
-            if nxt == prev:
-                return k
-            prev = nxt
-            power = power * a
-        return ring.k
-    n0, _ = _zn_split(a)
-    k = 0
-    while pow(a.payload, k, n0):
-        k += 1
-    return k
+    """Least k >= 0 with a^k R = a^(k+1) R: rank(a^k) = rank(a^(k+1)) on
+    matrix rings, a^k = 0 modulo the prime powers of n whose primes divide
+    a on Z_n.  The chain a^k R descends, so it stops on these rings."""
+    power = a.ring.one
+    ideal, k = principal(power, RIGHT), 0
+    while True:
+        power = power * a
+        nxt = principal(power, RIGHT)
+        if nxt == ideal:
+            return k
+        ideal, k = nxt, k + 1
 
 
 def _drazin(a):
-    """(a^D, index), not yet validated.
-
-    Over a field a^D = a^l (a^(2l+1))^(1) a^l with l = max(k, 1); on Z_n
-    it is the CRT of 0 mod n0 and a^-1 mod n1 (see _zn_split).
-    """
-    ring = a.ring
+    """(a^D, index), not yet validated: a^D = a^l (a^(2l+1))^(1) a^l with
+    l = max(index, 1) and any inner inverse, as a^l = (a^D)^(l+1) a^(2l+1)
+    = a^(2l+1) (a^D)^(l+1)."""
     k = drazin_index(a)
-    if isinstance(ring, MatrixRing):
-        l = max(k, 1)
-        return a ** l * any_inner(a ** (2 * l + 1)) * a ** l, k
-    n0, n1 = _zn_split(a)
-    return ring.element(n0 * pow(a.payload * n0, -1, n1)), k
+    l = max(k, 1)
+    return a ** l * any_inner(a ** (2 * l + 1)) * a ** l, k
 
 
 def _no_group_reason(index):

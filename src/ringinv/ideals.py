@@ -126,26 +126,28 @@ class SidedIdeal:
         return SidedIdeal(self.ring, self.side,
                           subspace=self.subspace.intersect(other.subspace))
 
-    def members(self):
-        """All elements in canonical order (finite rings only)."""
+    def generator(self):
+        """Some g with gR (right) or Rg (left) equal to this ideal: d on
+        Z_n; on a matrix ring q, the basis over zero rows, whose row space
+        is the subspace (Rq), or its transpose (q^T R)."""
         ring = self.ring
         if self.divisor is not None:
-            return Coset(ring.zero, step=self.divisor).members()
-        if not ring.finite:
-            raise NotEnumerableError("ideal of an infinite ring")
-        # q, the basis over zero rows, has the ideal's subspace as its row
-        # space and p = q^T as its column space: the ideal is Rq (left) or
-        # pR (right), spanned by the E_ij q or the p E_ij
+            return ring.element(self.divisor)
         basis = self.subspace.basis
         rows = basis + ring.zero.payload[len(basis):]
-        gens = ring.additive_generators()
-        if self.side == LEFT:
-            q = RingElement(ring, rows)
-            gens = [e * q for e in gens]
-        else:
-            p = RingElement(ring, transpose(rows))
-            gens = [p * e for e in gens]
-        return Coset.spanned(ring.zero, gens).members()
+        return RingElement(ring, rows if self.side == LEFT
+                           else transpose(rows))
+
+    def members(self):
+        """All elements in canonical order (finite rings only): the span
+        of the e g (left) or g e (right) over the additive generators e."""
+        ring = self.ring
+        if not ring.finite:
+            raise NotEnumerableError("ideal of an infinite ring")
+        g = self.generator()
+        return Coset.spanned(ring.zero, [
+            e * g if self.side == LEFT else g * e
+            for e in ring.additive_generators()]).members()
 
     def size(self):
         ring = self.ring

@@ -8,16 +8,15 @@ For {1}-inverse families the constraints bind the ideals of xa/ax
 (xaR = S, rann(ax) = T, Rax = S', lann(xa) = T'); for outer and reflexive
 inverses they bind x's own ideals (xR = S, rann(x) = T, Rx = S',
 lann(x) = T').
-"""
 
-from math import gcd
+Written in ring and ideal operations only, once for every backend.
+"""
 
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
 from .ideals import (LEFT, RIGHT, annihilator, direct_sum, ideal_annihilator,
                      multiply_ideal, principal)
-from .linalg import mat_mul, solve_matrix, transpose
-from .rings import Coset, MatrixRing, least_solution_mod
+from .rings import Coset, MatrixRing
 
 
 class IdealConstraints:
@@ -234,28 +233,17 @@ def _unique_outer(a, s, t):
 
 
 def _solve_in_ideal(a, s, u):
-    """Some x in the ideal s with a*x == u (right) or x*a == u (left)."""
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        field = ring.field
-        basis = s.subspace.basis  # x columns (rows) are combinations of these
-        if not basis:
-            return ring.zero if u == ring.zero else None
-        # x = B^T c with (a B^T) c = u; a left ideal solves the transpose
-        # x^T a^T = u^T the same way
-        m, target = a.payload, u.payload
-        if s.side == LEFT:
-            m, target = transpose(m), transpose(target)
-        bt = transpose(basis)
-        c = solve_matrix(field, mat_mul(field, m, bt), target)
-        if c is None:
-            return None
-        x = mat_mul(field, bt, c)
-        return ring.element(x if s.side == RIGHT else transpose(x))
-    # x = d*y with a*d*y = u (mod n); the least y gives the least x
-    d = s.divisor
-    y = least_solution_mod(a.payload * d, u.payload, ring.n)
-    return None if y is None else ring.element(d * y)
+    """Some x in the ideal s with a*x == u (right) or x*a == u (left).
+
+    x = e (ae)^(1) u for s = eR, as u = ae r in aS gives ax = u, and the
+    mirror u (ea)^(1) e for s = Re; ae is regular as aS is a summand.
+    """
+    e = s.generator()
+    if s.side == RIGHT:
+        g = any_inner(a * e)
+        return None if g is None else e * g * u
+    g = any_inner(e * a)
+    return None if g is None else u * g * e
 
 
 def outer_with(a, cons, reflexive=False):
@@ -356,26 +344,12 @@ def _reflexive_dispatch(a, cons):
 def mitsch_leq(y, z):
     """y <=_M z: exists v, w with vz = vy = y = yw = zw.
 
-    On Z_n, vy = y reads v = 1 + t m with m = n/gcd(y, n), and then
-    vz = y reads t m d = -d for d = z - y; w solves the same equation.
-    On matrix rings v and w solve two exact linear systems.
+    With d = z - y, vz = vy reads v in lann(d) and zw = yw reads w in
+    rann(d), so y <=_M z iff y lies in lann(d) y and in y rann(d).  These
+    lie in Ry and yR, so y lies in them iff they equal Ry and yR.
     """
-    ring = y.ring
-    if y == z or y == ring.zero:
+    if y == z or y == y.ring.zero:
         return True
-    if not isinstance(ring, MatrixRing):
-        n = ring.n
-        m = n // gcd(y.payload, n)
-        d = (z - y).payload
-        return least_solution_mod(m * d, -d, n) is not None
-    # v(z|y) = (y|y) and (z over y) w = (y over y): two exact linear systems.
-    field = ring.field
-    zy = tuple(rz + ry for rz, ry in zip(z.payload, y.payload))
-    yy = tuple(ry + ry for ry in y.payload)
-    v = solve_matrix(field, transpose(zy), transpose(yy))
-    if v is None:
-        return False
-    zy_stack = z.payload + y.payload
-    yy_stack = y.payload + y.payload
-    w = solve_matrix(field, zy_stack, yy_stack)
-    return w is not None
+    d = z - y
+    return all(multiply_ideal(y, annihilator(d, side)) == principal(y, side)
+               for side in (LEFT, RIGHT))

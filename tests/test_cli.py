@@ -203,6 +203,20 @@ def test_usage_errors(capsys):
      "--element", "0", "--inverse", "group"),
     ("compute", "--ring", '{"kind": "matrix", "size": 2, '
      '"scalars": {"kind": "fp"}}', "--element", "0", "--inverse", "group"),
+    # a number that is not an integer is refused, not truncated
+    ("compute", "--ring", '{"kind": "zn", "n": 6.9}', "--element", "0",
+     "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "matrix", "size": 2.7, '
+     '"scalars": {"kind": "fp", "p": 2.5}}',
+     "--element", '[["0", "0"], ["0", "0"]]', "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "matrix", "size": 2, '
+     '"scalars": {"kind": "fp", "p": 2.5}}',
+     "--element", '[["0", "0"], ["0", "0"]]', "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "matrix", "size": true, '
+     '"scalars": {"kind": "fp", "p": 2}}', "--element", '[["0"]]',
+     "--inverse", "group"),
+    ("compute", "--ring", '{"kind": "zn", "n": 1e3}', "--element", "0",
+     "--inverse", "group"),
     ("--job", "/nonexistent/job.json"),
 ])
 def test_bad_ring_spec_or_job_file_is_a_usage_error(capsys, argv):
@@ -247,6 +261,22 @@ def test_non_integer_scalar_is_a_usage_error(capsys, ring, element):
                              "--element", element, "--inverse", "group")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("element, specs", [
+    ("2", ("zn:6", '{"kind": "zn", "n": 6}', '{"kind": "zn", "n": "6"}')),
+    ('[["1", "1"], ["0", "0"]]',
+     ("m2f2", '{"kind": "matrix", "size": 2, "scalars": {"kind": "fp", '
+      '"p": 2}}', '{"kind": "matrix", "size": "2", "scalars": '
+      '{"kind": "fp", "p": "2"}}')),
+])
+def test_integer_ring_spec_spellings_agree(capsys, element, specs):
+    outs = {run_cli(capsys, "compute", "--ring", spec, "--element", element,
+                    "--inverse", "group")
+            for spec in specs}
+    assert len(outs) == 1
+    code, _, err = outs.pop()
+    assert code == EXIT_OK and err == ""
 
 
 def test_integer_residue_spellings_agree(capsys):

@@ -1,9 +1,10 @@
 """No dead code in src/ringinv: every module-level import is used in its
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
-stands apart from the theorem checks and scans a ring only for the sets
-with no linear structure, and the oracle reads its ring only in its scope
-layer and lists no solution set through the library.  Stdlib ast only."""
+stands apart from the theorem checks, scans a ring only for the sets with
+no linear structure and reads a ring's representation only for its inner
+inverse, and the oracle reads its ring only in its scope layer and lists
+no solution set through the library.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -128,6 +129,39 @@ def compute_path_scans(trees):
             if read == "elements()"]
 
 
+# the compute modules are written in ring and ideal operations: only the
+# inner inverse reads a backend's representation, and one reason string
+# names its backend
+REPRESENTATION_ATTRS = frozenset(("payload", "divisor", "subspace"))
+BACKENDS = frozenset(("MatrixRing", "ModularRing"))
+REPRESENTATION_READERS = ["geninv.any_inner", "geninv._matrix_inner",
+                          "prescribed._outer_from_annihilators"]
+
+
+def representation_reads(trees):
+    """'module.definition' for each top-level definition of a compute
+    module that reads .payload, .divisor or .subspace, or names a backend
+    class or anything imported from linalg."""
+    out = []
+    for module in COMPUTE_MODULES:
+        tree = trees[module]
+        names = BACKENDS.union(
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if "linalg" in (node.module or "").split(".") + [alias.name])
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any(isinstance(sub, ast.Attribute)
+                   and sub.attr in REPRESENTATION_ATTRS
+                   or isinstance(sub, ast.Name) and sub.id in names
+                   for sub in ast.walk(node)):
+                out.append("%s.%s" % (module[:-3],
+                                      getattr(node, "name", "<module>")))
+    return out
+
+
 # the library's solution-set listings, which the oracle must not use: its
 # reference sets are scans of its context
 LISTINGS = frozenset(("enumerate_inverse_set", "iter_inverse_set",
@@ -191,6 +225,35 @@ def test_guard_flags_a_scan_on_the_compute_path():
     assert compute_path_scans(trees) == [
         SCAN_FALLBACK, ("prescribed.py", "members", "elements()"),
         ("special.py", "f", "elements()")]
+
+
+def test_compute_path_reads_no_representation_but_the_inner_inverse():
+    assert representation_reads(_trees()) == REPRESENTATION_READERS
+
+
+def test_guard_flags_a_representation_read_on_the_compute_path():
+    trees = {
+        "geninv.py": ast.parse(
+            "from .linalg import rank as _rank\n"
+            "def any_inner(a):\n    return a.payload\n"
+            "def drazin_index(a):\n    return _rank(a.ring.field, a)\n"
+            "def _drazin(a):\n    return a * a\n"),
+        "prescribed.py": ast.parse(
+            "from . import linalg\n"
+            "from .rings import MatrixRing\n"
+            "def _solve_in_ideal(a, s, u):\n    return s.divisor\n"
+            "def mitsch_leq(y, z):\n"
+            "    return isinstance(y.ring, MatrixRing)\n"
+            "class Family:\n"
+            "    def members(self):\n"
+            "        return linalg.transpose(self.base)\n"),
+        "special.py": ast.parse("def f(ideal):\n"
+                                "    return ideal.subspace.dim\n"),
+    }
+    assert representation_reads(trees) == [
+        "geninv.any_inner", "geninv.drazin_index",
+        "prescribed._solve_in_ideal", "prescribed.mitsch_leq",
+        "prescribed.Family", "special.f"]
 
 
 def test_guards_flag_dead_code():

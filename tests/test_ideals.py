@@ -1,5 +1,7 @@
 """One-sided ideals: principal, annihilators, lattice, direct sums."""
 
+from fractions import Fraction
+
 import pytest
 
 from ringinv.errors import PreconditionError, UnsupportedInvolutionError
@@ -8,7 +10,7 @@ from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             multiply_ideal, orthogonal, phi_preimage,
                             principal)
 from ringinv.linalg import Subspace
-from ringinv.rings import MatF, MatQ, Zn
+from ringinv.rings import MatF, MatQ, Zn, ring_from_name
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -274,3 +276,23 @@ def test_zn_generated_ideal_is_the_gcd():
                          for r in range(36) for s in range(36))
         gens = [ring.element(g1), ring.element(g2)]
         assert _set(SidedIdeal.from_elements(ring, RIGHT, gens)) == span
+
+
+@pytest.mark.parametrize("side", (RIGHT, LEFT))
+@pytest.mark.parametrize("name", ("zn:12", "m2f2", "m2f3"))
+def test_generator_generates_every_finite_ideal(name, side):
+    ring = ring_from_name(name)
+    for ideal in all_ideals(ring, side):
+        assert principal(ideal.generator(), side) == ideal
+
+
+@pytest.mark.parametrize("side", (RIGHT, LEFT))
+@pytest.mark.parametrize("vectors", [
+    (), ((1, 2, 3),), ((1, 0, -1), (2, 1, 0)), ((0, 0, 1), (0, 0, 2)),
+    ((Fraction(1, 2), 1, 0), (0, Fraction(-3, 4), 5), (1, 1, 1)),
+])
+def test_generator_generates_q_span_ideals(vectors, side):
+    ring = MatQ(3)
+    ideal = SidedIdeal.from_subspace(ring, side, Subspace.from_vectors(
+        ring.field, 3, [tuple(map(Fraction, v)) for v in vectors]))
+    assert principal(ideal.generator(), side) == ideal
