@@ -1,8 +1,8 @@
 """Exact generalized inverses in Z_n and matrix rings over Q / F_p."""
 
-from .errors import (NotEnumerableError, PreconditionError, RingInvError,
-                     RingMismatchError, UnsupportedInvolutionError,
-                     VerificationError)
+from .errors import (BudgetError, NotEnumerableError, PreconditionError,
+                     RingInvError, RingMismatchError,
+                     UnsupportedInvolutionError, VerificationError)
 from .rings import (MatF, MatQ, MatrixRing, ModularRing, RingElement, Zn,
                     classify, inverse_of_unit, is_invertible,
                     ring_from_name)

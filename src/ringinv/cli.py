@@ -8,10 +8,10 @@ import argparse
 import json
 import sys
 
-from .errors import (NotEnumerableError, PreconditionError,
+from .errors import (BudgetError, NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError, VerificationError)
 from .geninv import (NAMED_INVERSES, count_inverse_set,
-                     enumerate_inverse_set, parse_equations)
+                     listed_inverse_set, parse_equations)
 from .ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
 from .linalg import Subspace
 from .prescribed import IdealConstraints, one_inverse_family, outer_with
@@ -139,8 +139,29 @@ def parse_constraints(ring, text):
     return IdealConstraints(**kwargs)
 
 
-def emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def emit(obj, members=None):
+    """Write obj as one line of JSON with sorted keys.  members, when
+    given, is an iterable of JSON values written as obj["members"] one at
+    a time, so that a large answer is never held as one list or string."""
+    if members is None:
+        sys.stdout.write(_encode(obj) + "\n")
+        return
+    write = sys.stdout.write
+    sep = "{"
+    for key in sorted([*obj, "members"]):
+        write("%s%s: " % (sep, _encode(key)))
+        sep = ", "
+        if key != "members":
+            write(_encode(obj[key]))
+            continue
+        write("[")
+        for i, item in enumerate(members):
+            write(", " + _encode(item) if i else _encode(item))
+        write("]")
+    write("}\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -215,11 +236,10 @@ def cmd_enumerate(args):
     }
     if args.count_only:
         out["count"] = count_inverse_set(a, equations, k=args.k)
+        emit(out)
     else:
-        members = enumerate_inverse_set(a, equations, k=args.k)
-        out["count"] = len(members)
-        out["members"] = [ring.to_json(x) for x in members]
-    emit(out)
+        out["count"], members = listed_inverse_set(a, equations, k=args.k)
+        emit(out, members=map(ring.to_json, members))
     return EXIT_OK
 
 
@@ -407,6 +427,8 @@ def main(argv=None):
         return _fail(EXIT_INVOLUTION, "error: %s" % exc)
     except NotEnumerableError as exc:
         return _fail(EXIT_NOT_ENUMERABLE, "error: %s" % exc)
+    except BudgetError as exc:
+        return _fail(EXIT_BUDGET, "error: %s" % exc)
     except VerificationError as exc:
         return _fail(EXIT_INTERNAL, "internal error: %s" % exc)
 

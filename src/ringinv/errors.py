@@ -21,5 +21,10 @@ class PreconditionError(RingInvError):
     """An explicit precondition of the operation does not hold."""
 
 
+class BudgetError(RingInvError):
+    """An exact answer is out of the library's reach (such as a modulus
+    too large to factor with certainty)."""
+
+
 class VerificationError(RingInvError):
     """A constructed result failed its own defining equations (library bug)."""

@@ -210,6 +210,20 @@ def count_inverse_set(a, equations, k=None):
     space, rest = _candidates(a, equations, k)
     if rest:
         return sum(1 for _ in filter(_solution_test(a, rest, k), space))
+    return _size(space)
+
+
+def listed_inverse_set(a, equations, k=None):
+    """(|a{equations}|, its members in canonical order).  When every
+    token is linear the members are the solution Coset itself, listed
+    lazily, so a large set is never held whole."""
+    space, rest = _candidates(a, equations, k)
+    if rest:
+        space = list(filter(_solution_test(a, rest, k), space))
+    return _size(space), space
+
+
+def _size(space):
     return space.size() if isinstance(space, Coset) else len(space)
 
 

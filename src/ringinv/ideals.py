@@ -11,10 +11,11 @@ One representation per backend:
     subspace computations.
 """
 
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import gcd, lcm
 
-from .errors import (NotEnumerableError, PreconditionError, RingMismatchError,
-                     UnsupportedInvolutionError)
+from .errors import (BudgetError, NotEnumerableError, PreconditionError,
+                     RingMismatchError, UnsupportedInvolutionError)
 from .linalg import (Subspace, full_subspace, is_direct_sum, mat_mul,
                      projection_matrix, transpose, zero_subspace)
 from .rings import Coset, MatrixRing, ModularRing, RingElement, memoized
@@ -23,10 +24,24 @@ RIGHT = "right"
 LEFT = "left"
 
 
-class SidedIdeal:
-    """A left or right ideal of a ring."""
+def _pair(s, t):
+    """The memo key of a pair of ideals of one ring and side: the
+    compatibility check runs first, so that a warm memo still refuses a
+    pair from different rings or sides."""
+    s._compatible(t)
+    return s.key, t.key
 
-    __slots__ = ("ring", "side", "divisor", "subspace")
+
+class SidedIdeal:
+    """A left or right ideal of a ring.
+
+    key is (side, divisor) on Z_n and (side, subspace basis) on a matrix
+    ring, the basis being in canonical RREF: two ideals of one ring are
+    equal iff their keys are.  On a finite ring, <=, + and cap are
+    memoized per pair of keys.
+    """
+
+    __slots__ = ("ring", "side", "divisor", "subspace", "key")
 
     def __init__(self, ring, side, divisor=None, subspace=None):
         if side not in (LEFT, RIGHT):
@@ -37,6 +52,7 @@ class SidedIdeal:
         self.subspace = subspace    # Subspace, or None
         if (divisor is None) == (subspace is None):
             raise ValueError("exactly one representation required")
+        self.key = (side, divisor if subspace is None else subspace.basis)
 
     # -- constructors --------------------------------------------------
 
@@ -80,27 +96,28 @@ class SidedIdeal:
             return self.divisor == 1
         return self.subspace.dim == self.subspace.ambient
 
+    @memoized(_pair)
     def is_subideal_of(self, other):
-        self._compatible(other)
         if self.divisor is not None:
             return self.divisor % other.divisor == 0
         return self.subspace.is_subspace_of(other.subspace)
 
     def _compatible(self, other):
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("ideals of different rings")
         if other.side != self.side:
             raise PreconditionError("ideals of different sides")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, SidedIdeal):
             return NotImplemented
-        return (other.ring == self.ring and other.side == self.side
-                and other.divisor == self.divisor
-                and other.subspace == self.subspace)
+        return other.key == self.key and (other.ring is self.ring
+                                          or other.ring == self.ring)
 
     def __hash__(self):
-        return hash((self.ring, self.side, self.divisor, self.subspace))
+        return hash(self.key)
 
     def __repr__(self):
         tag = "R" if self.side == RIGHT else "L"
@@ -110,16 +127,16 @@ class SidedIdeal:
 
     # -- lattice operations ----------------------------------------------
 
+    @memoized(_pair)
     def sum(self, other):
-        self._compatible(other)
         if self.divisor is not None:
             return SidedIdeal(self.ring, self.side,
                               divisor=gcd(self.divisor, other.divisor))
         return SidedIdeal(self.ring, self.side,
                           subspace=self.subspace.sum(other.subspace))
 
+    @memoized(_pair)
     def intersect(self, other):
-        self._compatible(other)
         if self.divisor is not None:
             return SidedIdeal(self.ring, self.side,
                               divisor=lcm(self.divisor, other.divisor))
@@ -237,8 +254,7 @@ def phi_preimage(a, ideal):
 
 # -- direct sums and projector units -----------------------------------
 
-@memoized(lambda s, t: (s.side, s.divisor, s.subspace,
-                        t.ring, t.side, t.divisor, t.subspace))
+@memoized(_pair)
 def direct_sum(s, t):
     """rho_{S,T}(1) if R = s (+) t, else None.
 
@@ -247,7 +263,6 @@ def direct_sum(s, t):
     rho(r) = r rho(1) for left ideals, so r = rho(r) + (r - rho(r)) is the
     split of r.
     """
-    s._compatible(t)
     ring = s.ring
     if s.divisor is not None:
         # dZ_n (+) eZ_n = Z_n iff de = n with d, e coprime; rho(1) is the
@@ -324,11 +339,92 @@ def all_subspaces(field, n):
 def all_ideals(ring, side):
     """Every one-sided ideal of a finite backend, smallest first."""
     if isinstance(ring, ModularRing):
-        n = ring.n
-        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-        divisors = sorted({*small, *(n // d for d in small)}, reverse=True)
-        return [SidedIdeal(ring, side, divisor=d) for d in divisors]
+        return [SidedIdeal(ring, side, divisor=d)
+                for d in sorted(divisors(ring.n), reverse=True)]
     if isinstance(ring, MatrixRing) and ring.finite:
         return [SidedIdeal(ring, side, subspace=sp)
                 for sp in all_subspaces(ring.field, ring.k)]
     raise NotEnumerableError("ideal lattice of %s" % ring.short_name)
+
+
+# -- divisors of a modulus ------------------------------------------------
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def divisors(n):
+    """Every positive divisor of n, from its factorization: the primes of
+    _MR_BASES by trial division, then Pollard rho and Miller-Rabin on the
+    cofactors.  A cofactor at or above _MR_EXACT raises BudgetError, so
+    no divisor list rests on a probable prime."""
+    primes, rest = {}, n
+    for p in _MR_BASES:
+        while rest % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            rest //= p
+    stack = [rest] if rest > 1 else []
+    while stack:
+        m = stack.pop()
+        if m >= _MR_EXACT:
+            raise BudgetError("cannot factor the modulus exactly: a "
+                              "%d-bit cofactor is past the Miller-Rabin "
+                              "bound" % m.bit_length())
+        if _is_prime(m):
+            primes[m] = primes.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            stack += (d, m // d)
+    out = [1]
+    for p, e in primes.items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return out
+
+
+def _is_prime(m):
+    """Miller-Rabin for m > 41 with no factor in _MR_BASES, m < _MR_EXACT."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(m):
+    """A proper divisor of a composite m with no factor in _MR_BASES:
+    Pollard rho with Brent's cycle search, the products of 128 steps
+    taken into one gcd."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g

@@ -371,20 +371,21 @@ def memoized(key):
 
     The results live in ring.memo, one dict per function keyed by
     key(*args), so they are freed with the ring.  An infinite ring has
-    no memo and always calls the function.
+    no memo and always calls the function.  key runs on every call, so a
+    check it makes holds on a warm memo and on an infinite ring alike.
     """
     def decorate(fn):
         name = fn.__name__
 
         @wraps(fn)
         def wrapper(*args):
+            k = key(*args)
             memo = args[0].ring.memo
             if memo is None:
                 return fn(*args)
             table = memo.get(name)
             if table is None:
                 table = memo[name] = {}
-            k = key(*args)
             try:
                 return table[k]
             except KeyError:

@@ -1,12 +1,14 @@
 """CLI contract: JSON in, canonical JSON out, stable exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,8 @@ from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, UsageError, main,
                          parse_constraints, parse_element, parse_ring)
 from ringinv.errors import VerificationError
-from ringinv.rings import MatF, MatQ, ModularRing, Zn
+from ringinv.geninv import enumerate_inverse_set, parse_equations, satisfies
+from ringinv.rings import MatF, MatQ, ModularRing, Zn, ring_from_name
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +168,98 @@ def test_large_modulus_requests_need_no_enumeration(capsys, monkeypatch):
                            "--mode", "one")
     doc = json.loads(out)
     assert code == EXIT_OK and doc["count"] == len(doc["members"]) == 13
+
+
+def test_large_modulus_outer_inverses_come_from_its_factorization(
+        capsys, monkeypatch):
+    # a{2} is one outer inverse per pair of the 96 divisor ideals
+    def refuse(self):
+        raise AssertionError("scanned the elements of %s" % self.short_name)
+    monkeypatch.setattr(ModularRing, "elements", refuse)
+    argv = ("enumerate", "--ring", "zn:%d" % BIG_N, "--element", "5",
+            "--equations", "2")
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, *argv, "--count-only")
+    assert time.monotonic() - start < 5.0
+    assert code == EXIT_OK and json.loads(out)["count"] == 32
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["count"] == len(doc["members"]) == 32
+    ring, a = Zn(BIG_N), Zn(BIG_N).element(5)
+    assert all(satisfies(a, ring.parse(x), ("2",)) for x in doc["members"])
+
+
+def test_modulus_past_the_exact_factoring_bound_exits_3(capsys):
+    n = 10 ** 40 + 1    # 17 times a cofactor of 39 digits
+    code, out, err = run_cli(capsys, "enumerate", "--ring", "zn:%d" % n,
+                             "--element", "5", "--equations", "2")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: cannot factor") and err.count("\n") == 1
+
+
+# -- enumerate writes its members one at a time --------------------------
+
+RANK_ONE_M3F3 = '[["1","0","0"],["0","0","0"],["0","0","0"]]'
+
+
+@pytest.mark.parametrize("ring, element, equations", [
+    ("zn:12", "2", "2"),
+    ("zn:8", "2", "1"),
+    ("zn:8", "2", "1,2"),    # empty
+    ("m2f2", '[["1","1"],["0","0"]]', "1,2"),
+    ("m2f2", '[["1","1"],["0","0"]]', "moore-penrose"),
+    ("m2f3", '[["1","2"],["0","0"]]', "2,5"),
+    ("m3f2", '[["1","1","0"],["0","0","1"],["0","0","0"]]', "1,7"),
+])
+def test_streamed_members_are_the_whole_document(capsys, ring, element,
+                                                 equations):
+    code, out, _ = run_cli(capsys, "enumerate", "--ring", ring,
+                           "--element", element, "--equations", equations)
+    r = ring_from_name(ring)
+    members = enumerate_inverse_set(parse_element(r, element),
+                                    parse_equations(equations))
+    assert code == EXIT_OK
+    assert out == json.dumps({
+        "count": len(members), "element": json.loads(element)
+        if element.startswith("[") else element,
+        "equations": list(parse_equations(equations)),
+        "members": [r.to_json(x) for x in members],
+        "ring": ring}, sort_keys=True) + "\n"
+
+
+class _Digest:
+    """A stdout that keeps only the sha256 of what it is given."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+def test_large_listing_holds_no_copy_of_the_set(monkeypatch):
+    # the 6,561 members of a rank-1 a{1} in M3(F3) peaked at 11 MB when
+    # they were held as elements, JSON lists and one string at once
+    argv = ["enumerate", "--ring", "m3f3", "--element", RANK_ONE_M3F3,
+            "--equations", "1"]
+    ring = MatF(3, 3)
+    members = enumerate_inverse_set(parse_element(ring, RANK_ONE_M3F3), ("1",))
+    assert len(members) == 3 ** 8
+    want = hashlib.sha256((json.dumps({
+        "count": len(members), "element": json.loads(RANK_ONE_M3F3),
+        "equations": ["1"], "members": [ring.to_json(x) for x in members],
+        "ring": "m3f3"}, sort_keys=True) + "\n").encode()).hexdigest()
+    del members
+    out = _Digest()
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.sha.hexdigest() == want
+    assert peak < 2 * 10 ** 6
 
 
 def test_involution_exit_code(capsys):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from ringinv.errors import PreconditionError, UnsupportedInvolutionError
-from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
-                            complement, direct_sum, ideal_annihilator,
-                            multiply_ideal, orthogonal, phi_preimage,
-                            principal)
+from ringinv.errors import (BudgetError, PreconditionError,
+                            UnsupportedInvolutionError)
+from ringinv.ideals import (_MR_EXACT, LEFT, RIGHT, SidedIdeal, all_ideals,
+                            annihilator, complement, direct_sum, divisors,
+                            ideal_annihilator, multiply_ideal, orthogonal,
+                            phi_preimage, principal)
 from ringinv.linalg import Subspace
 from ringinv.rings import MatF, MatQ, Zn, ring_from_name
 
@@ -153,6 +154,40 @@ def test_all_ideals_counts():
     first = [repr(i) for i in all_ideals(M2F2, RIGHT)]
     second = [repr(i) for i in all_ideals(M2F2, RIGHT)]
     assert first == second
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 2000):
+        assert sorted(divisors(n)) == [d for d in range(1, n + 1)
+                                       if n % d == 0]
+
+
+@pytest.mark.parametrize("n, count", [
+    # 2^3 3^2 13 1000003 1000000007
+    (936002814552019656, 96),
+    # two 13-digit primes: the worst case for rho below the bound
+    (1800000000047 * 1820000000011, 4),
+    (1000000007 ** 2, 3),
+    (2 ** 100, 101),
+    # above the bound, but every cofactor left is below it
+    (3 ** 60 * 1000000007, 122),
+    (_MR_EXACT - 2, 16),
+])
+def test_divisors_of_large_moduli(n, count):
+    found = divisors(n)
+    assert len(found) == len(set(found)) == count
+    assert all(n % d == 0 for d in found)
+
+
+@pytest.mark.parametrize("n", [_MR_EXACT, 10 ** 40 + 1, 43 * (10 ** 30 + 57)])
+def test_divisors_refuse_a_cofactor_past_the_exact_bound(n):
+    with pytest.raises(BudgetError):
+        divisors(n)
+
+
+def test_zn_lattice_lists_the_largest_divisor_first():
+    assert [i.divisor for i in all_ideals(Zn(12), RIGHT)] == \
+        [12, 6, 4, 3, 2, 1]
 
 
 def test_members_canonical_order():

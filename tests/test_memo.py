@@ -1,7 +1,7 @@
-"""The per-ring memo of principal, annihilator, direct_sum and any_inner:
-each memoized answer equals a fresh construction, infinite rings keep no
-memo, and the memo dies with its ring.  Only the oracle gives a matrix
-ring a product table."""
+"""The per-ring memo of principal, annihilator, any_inner and the ideal
+lattice (<=, +, cap and direct_sum): each memoized answer equals a fresh
+construction, infinite rings keep no memo, and the memo dies with its
+ring.  Only the oracle gives a matrix ring a product table."""
 
 import gc
 import io
@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from ringinv import cli, ideals, oracle, rings
-from ringinv.errors import (NotEnumerableError, RingInvError,
+from ringinv.errors import (NotEnumerableError, PreconditionError,
+                            RingInvError, RingMismatchError,
                             VerificationError)
 from ringinv.geninv import any_inner
-from ringinv.ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
-                            principal)
+from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
+                            direct_sum, principal)
 from ringinv.linalg import mat_mul
 from ringinv.rings import MatF, MatQ, Zn, memoized, ring_from_name
 
@@ -56,6 +57,83 @@ def test_memoized_direct_sum_equals_fresh_construction(side):
                 x = u * r if side == RIGHT else r * u
                 assert s.contains(x) and t.contains(r - x)
     assert len(ring.memo["direct_sum"]) == len(lattice) ** 2
+
+
+# -- the ideal lattice: <=, +, cap and direct_sum once per pair of keys
+
+_LATTICE = ("is_subideal_of", "sum", "intersect", "direct_sum")
+
+
+def _lattice_answers(s, t):
+    return (s.is_subideal_of(t), s.sum(t), s.intersect(t), s == t,
+            direct_sum(s, t))
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_memoized_lattice_equals_a_cold_computation(name):
+    ring = ring_from_name(name)
+    for side in (RIGHT, LEFT):
+        lattice = all_ideals(ring, side)
+        warm = {(s.key, t.key): _lattice_answers(s, t)
+                for s, t in product(lattice, repeat=2)}
+        for s, t in product(lattice, repeat=2):
+            again = _lattice_answers(s, t)
+            assert all(x is y for x, y in zip(again, warm[s.key, t.key])
+                       if not isinstance(x, bool))
+        for s, t in product(all_ideals(ring_from_name(name), side),
+                            repeat=2):
+            leq, total, meet, equal, unit = warm[s.key, t.key]
+            assert leq == SidedIdeal.is_subideal_of.__wrapped__(s, t)
+            assert equal == (leq and t.is_subideal_of(s))
+            for got, op in ((total, SidedIdeal.sum),
+                            (meet, SidedIdeal.intersect)):
+                cold = op.__wrapped__(s, t)
+                assert got == cold and got.key == cold.key
+                assert got.ring is ring and got.side == side
+            assert unit == direct_sum.__wrapped__(s, t)
+    for table in _LATTICE:
+        for side in (RIGHT, LEFT):
+            assert sum(s[0] == side for s, _ in ring.memo[table]) == \
+                len(all_ideals(ring, side)) ** 2
+
+
+def test_a_warm_memo_still_refuses_another_ring_or_side():
+    z6, z8 = Zn(6), Zn(8)
+    s, t = principal(z6.element(2), RIGHT), principal(z8.element(2), RIGHT)
+    assert s.key == t.key
+    _lattice_answers(s, s)
+    assert all((s.key, s.key) in z6.memo[table] for table in _LATTICE)
+    assert s != t
+    for op in (SidedIdeal.is_subideal_of, SidedIdeal.sum,
+               SidedIdeal.intersect, direct_sum):
+        with pytest.raises(RingMismatchError):
+            op(s, t)
+        with pytest.raises(RingMismatchError):
+            op(t, s)
+        with pytest.raises(PreconditionError):
+            op(s, principal(z6.element(2), LEFT))
+    # an equal ring shares the answers, with the caller's ring in them
+    other = principal(Zn(6).element(3), RIGHT)
+    assert s.sum(other).ring is z6 and other.sum(s).ring is other.ring
+    q = MatQ(2)
+    a = q.element([[1, 0], [0, 0]])
+    with pytest.raises(PreconditionError):
+        principal(a, RIGHT).is_subideal_of(principal(a, LEFT))
+    assert q.memo is None
+
+
+def test_catalog_pass_keeps_each_lattice_table_within_its_pairs():
+    ring = MatF(2, 2)
+    assert all(rep.passed for rep in oracle.verify_all(ring))
+    keys = {side: {i.key for i in all_ideals(ring, side)}
+            for side in (RIGHT, LEFT)}
+    assert {"is_subideal_of", "intersect", "direct_sum"} <= set(ring.memo)
+    for table in _LATTICE:
+        for side, lattice in keys.items():
+            pairs = [(s, t) for s, t in ring.memo.get(table, ())
+                     if s[0] == side]
+            assert len(pairs) <= len(lattice) ** 2 == 25
+            assert all(s in lattice and t in lattice for s, t in pairs)
 
 
 @pytest.fixture

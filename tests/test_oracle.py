@@ -16,8 +16,15 @@ from ringinv.oracle import (CATALOG, CATALOG_BY_ID, TheoremCase, verify,
 from ringinv.prescribed import mitsch_leq
 from ringinv.rings import MatF, MatQ, Zn, is_invertible, ring_from_name
 
+# Shared rings for tests that patch nothing.  A ring keeps the answers of
+# principal, annihilator, any_inner and the ideal lattice in its memo, so
+# a test that patches a library function builds its own ring (_fresh).
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
+
+
+def _fresh(ring):
+    return ring_from_name(ring.short_name)
 
 
 def _cases(theorem, ring):
@@ -66,11 +73,13 @@ def test_error_escaping_a_checker_is_the_next_case(monkeypatch):
 
 
 def test_error_in_a_clause_fails_its_own_case(monkeypatch):
+    z6 = Zn(6)
+
     def broken(a, side):
         raise PreconditionError("mutant")
 
     monkeypatch.setattr(oracle, "principal", broken)
-    rep = verify("T-invertible-lemma", Z6)
+    rep = verify("T-invertible-lemma", z6)
     assert rep.counterexample == "a=0" and rep.cases_checked == 1
 
 
@@ -119,6 +128,7 @@ def test_projector_blocks_agree_with_the_equations():
 
 @pytest.mark.parametrize("ring", [Zn(8), M2F2])
 def test_drazin_block_defect_is_blamed_on_its_entry_only(monkeypatch, ring):
+    ring = _fresh(ring)
     index_zero = lambda a: 0
     monkeypatch.setattr(geninv, "drazin_index", index_zero)
     monkeypatch.setattr(oracle, "drazin_index", index_zero)
@@ -310,17 +320,19 @@ def _counterexample(theorem, ring, max_cases):
 
 
 def test_outer_with_without_an_inverse_is_a_counterexample(monkeypatch):
+    z6 = Zn(6)
     # each case's x is the outer inverse its own ideals prescribe, so an
     # outer_with that finds none fails the first case
     monkeypatch.setattr(oracle, "outer_with", lambda a, cons, reflexive:
                         InverseReport("outer-prescribed", False,
                                       reason="mutant"))
-    rep = _counterexample("T-mitsch-extremes", Z6, 60)
+    rep = _counterexample("T-mitsch-extremes", z6, 60)
     assert rep.counterexample == "a=0,x=0,shape=S+T"
     assert rep.cases_checked == 1
 
 
 def test_disagreeing_bundle_is_a_counterexample(monkeypatch):
+    m2f2 = MatF(2, 2)
     real = prescribed.outer_with
 
     def one_bundle_off(a, cons, reflexive=False):
@@ -330,27 +342,30 @@ def test_disagreeing_bundle_is_a_counterexample(monkeypatch):
 
     monkeypatch.setattr(special, "outer_with", one_bundle_off)
     monkeypatch.setattr(oracle, "outer_with", one_bundle_off)
-    zero = M2F2.render(M2F2.zero)
+    zero = m2f2.render(m2f2.zero)
     for theorem in ("T-weighted-mp-grid", "T-e-core-grid"):
-        rep = _counterexample(theorem, M2F2, 20)
+        rep = _counterexample(theorem, m2f2, 20)
         assert rep.cases_checked == 1
         assert rep.counterexample.startswith("a=%s," % zero)
 
 
 def test_wrong_grid_side_clause_is_a_counterexample(monkeypatch):
+    m2f2 = MatF(2, 2)
     monkeypatch.setitem(oracle._SIDE_CLAUSES, "xR<=S",
                         lambda x, s, t, sp, tp: True)
-    rep = _counterexample("T-w-core-grid", M2F2, 20)
+    rep = _counterexample("T-w-core-grid", m2f2, 20)
     assert rep.cases_checked == 2
 
 
 def test_failing_group_compute_is_its_first_case(monkeypatch):
+    m2f2 = MatF(2, 2)
+
     def broken(a, w):
         raise VerificationError("constructed w-core inverse fails")
 
     monkeypatch.setattr(special, "w_core", broken)
-    rep = _counterexample("T-w-core-grid", M2F2, 20)
-    zero = M2F2.render(M2F2.zero)
+    rep = _counterexample("T-w-core-grid", m2f2, 20)
+    zero = m2f2.render(m2f2.zero)
     assert rep.cases_checked == 1
     assert rep.counterexample == "a=%s,w=%s,x=%s" % (zero, zero, zero)
 
@@ -374,14 +389,16 @@ def _shifted_closed_form(a, b, c, flavor="full"):
     (oracle, "inverse_of_unit", lambda u: u.ring.one),
 ])
 def test_bc_mutants_are_counterexamples(monkeypatch, module, name, mutant):
+    z6 = Zn(6)
     monkeypatch.setattr(module, name, mutant)
-    _counterexample("T-bc-inverses", Z6, 60)
+    _counterexample("T-bc-inverses", z6, 60)
 
 
 def test_phi_preimage_mutant_is_a_counterexample(monkeypatch):
+    z6 = Zn(6)
     monkeypatch.setattr(oracle, "phi_preimage",
                         lambda a, ideal: principal(a.ring.one, ideal.side))
-    _counterexample("T-pq-inverses", Z6, 40)
+    _counterexample("T-pq-inverses", z6, 40)
 
 
 @pytest.mark.parametrize("name, mutant", [
@@ -394,8 +411,9 @@ def test_phi_preimage_mutant_is_a_counterexample(monkeypatch):
 ])
 def test_one_sided_member_mutants_are_counterexamples(monkeypatch, name,
                                                       mutant):
+    m2f2 = MatF(2, 2)
     monkeypatch.setattr(special, name, mutant)
-    _counterexample("T-one-sided-core", M2F2, 40)
+    _counterexample("T-one-sided-core", m2f2, 40)
 
 
 # -- a library error inside a clause is a counterexample, never a raise ---
@@ -414,6 +432,7 @@ def _raise_verification_error(*args, **kwargs):
     ("L-regular-ideal-inclusions", Z6, "any_inner"),
 ])
 def test_library_error_is_the_raising_case(monkeypatch, theorem, ring, name):
+    ring = _fresh(ring)
     first, ok = next(_cases(theorem, ring))
     assert ok
     monkeypatch.setattr(oracle, name, _raise_verification_error)
@@ -436,13 +455,15 @@ def test_bc_case_solves_each_flavor_once(monkeypatch):
 
 
 def test_multiply_ideal_mutant_breaks_a_djordjevic_wei_item(monkeypatch):
+    z6 = Zn(6)
     monkeypatch.setattr(oracle, "multiply_ideal",
                         lambda a, ideal: principal(a.ring.one, ideal.side))
-    rep = _counterexample("T-pq-inverses", Z6, 40)
+    rep = _counterexample("T-pq-inverses", z6, 40)
     assert rep.counterexample == "a=1,p=1,q=0" and rep.cases_checked == 21
 
 
 def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
+    z6 = Zn(6)
     real = oracle._bc_ideal_formulations
 
     def flipped(a, b, c):
@@ -452,11 +473,12 @@ def test_flipped_bc_ideal_formulation_is_a_counterexample(monkeypatch):
         return forms
 
     monkeypatch.setattr(oracle, "_bc_ideal_formulations", flipped)
-    rep = _counterexample("T-bc-inverses", Z6, 60)
+    rep = _counterexample("T-bc-inverses", z6, 60)
     assert rep.cases_checked == 1
 
 
 def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
+    z6 = Zn(6)
     # with one b (cab)^(1) c too many, only the closed-form equality
     # clause changes: every brute-force comparison still passes
     real = oracle.bc_construction_clauses
@@ -480,6 +502,6 @@ def test_bc_equality_clauses_catch_a_stray_closed_form(monkeypatch):
 
     monkeypatch.setattr(oracle, "bc_construction_clauses", one_more)
     monkeypatch.setattr(entry, "clause", recording)
-    rep = _counterexample("T-bc-inverses", Z6, 60)
+    rep = _counterexample("T-bc-inverses", z6, 60)
     assert rep.cases_checked == 1
     assert messages[0].startswith("(b,c) equality clauses disagree")
