@@ -262,10 +262,11 @@ def cmd_prescribe(args):
         out["left_mult"] = ring.to_json(fam.left_mult)
         out["right_mult"] = ring.to_json(fam.right_mult)
         if ring.finite:
-            members = fam.members()
-            out["count"] = len(members)
-            out["members"] = [ring.to_json(x) for x in members]
-        emit(out)
+            coset = fam.coset()
+            out["count"] = coset.size()
+            emit(out, members=map(ring.to_json, coset))
+        else:
+            emit(out)
         return EXIT_OK
     if args.mode not in ("outer", "reflexive"):
         raise UsageError("mode must be one, outer, or reflexive")

@@ -226,15 +226,16 @@ def mat_inverse(field, a):
 
 
 class Subspace:
-    """A subspace of F^n held as a canonical RREF row basis."""
+    """A subspace of F^n held as a canonical RREF row basis, with the
+    pivot column of each row."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field, ambient, basis=()):
         self.field = field
         self.ambient = ambient
-        r, pivots = rref(field, basis) if basis else ((), ())
-        self.basis = tuple(r[i] for i in range(len(pivots)))
+        r, self.pivots = rref(field, basis) if basis else ((), ())
+        self.basis = r[:len(self.pivots)]
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -245,14 +246,17 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v):
-        stacked = self.basis + (tuple(v),)
-        return rank(self.field, stacked) == self.dim
+        # Row i is 1 at its pivot and 0 at the other rows' pivots, so v is
+        # in the span iff v minus v[p_i] times row i, over all i, is zero.
+        r = list(v)
+        for c, row in zip(self.pivots, self.basis):
+            f = r[c]
+            if f:
+                r = [x - f * y for x, y in zip(r, row)]
+        return not any(map(self.field.reduce, r))
 
     def is_subspace_of(self, other):
-        if self.dim == 0:
-            return True
-        stacked = other.basis + self.basis
-        return rank(self.field, stacked) == other.dim
+        return all(other.contains(b) for b in self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -282,20 +286,12 @@ class Subspace:
 
     def complement(self):
         """A complement built by greedy standard-basis extension."""
-        field = self.field
-        current = list(self.basis)
-        cur_rank = self.dim
-        extra = []
-        for i in range(self.ambient):
-            if cur_rank == self.ambient:
-                break
-            e = tuple(field.one if j == i else field.zero
-                      for j in range(self.ambient))
-            if rank(field, tuple(current) + (e,)) > cur_rank:
-                current.append(e)
-                extra.append(e)
-                cur_rank += 1
-        return Subspace(field, self.ambient, tuple(extra))
+        span, extra = self, ()
+        for e in identity(self.field, self.ambient):
+            if not span.contains(e):
+                extra += (e,)
+                span = Subspace(self.field, self.ambient, self.basis + extra)
+        return Subspace(self.field, self.ambient, extra)
 
     def image(self, a):
         """Image subspace {a v : v in self} for a matrix a."""

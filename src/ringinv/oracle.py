@@ -86,11 +86,15 @@ class VerificationReport:
 # -- the scope layer --------------------------------------------------------
 
 class _Context:
-    """What one verify call knows of its ring: the element tuple, the
+    """What the oracle knows of a finite ring: the element tuple, the
     idempotents and symmetric unit weights drawn from it on first use,
-    each element's rendering, and memos that live for the call.  Every
-    brute-force solution set of the oracle comes from one of them,
-    solutions.
+    each element's rendering, and memos that live as long as the
+    context.  Every brute-force solution set of the oracle comes from one
+    of them, solutions.
+
+    verify takes the ring's own context (of), so these are computed once
+    per ring object and die with it; a caller who patches a library
+    function needs a fresh ring.  _Context(ring) is a private one.
 
     A memo keeps no error, so a group computation that raises fails each
     case that asks for it; verify stops at the first.
@@ -101,12 +105,20 @@ class _Context:
         self.star = ring.has_involution
         elements = self.elements = tuple(ring.elements())
         self.name = lru_cache(maxsize=None)(ring.render)
-        # fn(*args), computed once per call
+        # fn(*args), computed once per context
         self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
         # a{equations} in canonical order
         self.solutions = lru_cache(maxsize=None)(
             lambda a, equations, k=None: [
                 x for x in elements if satisfies(a, x, equations, k=k)])
+
+    @classmethod
+    def of(cls, ring):
+        """The context kept in ring.memo, built on first use."""
+        ctx = ring.memo.get("context")
+        if ctx is None:
+            ctx = ring.memo["context"] = cls(ring)
+        return ctx
 
     @cached_property
     def idempotents(self):
@@ -886,7 +898,7 @@ def _w_core_grids(a, w):
 
 def _grid(grids_of):
     """The clause of a grid entry: x passes the grids of its group, which
-    grids_of lists once per verify call."""
+    grids_of lists once per context."""
     return lambda ctx, *args: _require_grids(
         ctx.memo(grids_of, *args[:-1]), args[-1])
 
@@ -1330,7 +1342,7 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
         ring.memo.setdefault("mul", {})
     case = CATALOG_BY_ID[theorem_id]
     start = time.monotonic()
-    ctx = _Context(ring)
+    ctx = _Context.of(ring)
     checked = 0
     counterexample = None
     complete = True

@@ -82,16 +82,21 @@ class ParamFamily:
     def element(self, y):
         return self.base + self.left_mult * y * self.right_mult
 
-    def members(self):
-        """The coset in canonical order: base plus the additive group
-        spanned by left_mult * e * right_mult over the additive
-        generators e (the span of L E_ij R, or gcd(lr, n)Z_n)."""
+    def coset(self):
+        """The family as a Coset, whose members iterate in canonical
+        order: base plus the additive group spanned by
+        left_mult * e * right_mult over the additive generators e (the
+        span of L E_ij R, or gcd(lr, n)Z_n)."""
         ring = self.subject.ring
         if not ring.finite:
             raise NotEnumerableError("family over an infinite ring")
         return Coset.spanned(self.base, [
             self.left_mult * e * self.right_mult
-            for e in ring.additive_generators()]).members()
+            for e in ring.additive_generators()])
+
+    def members(self):
+        """The coset's members as a list, in canonical order."""
+        return self.coset().members()
 
     def __repr__(self):
         return "ParamFamily(base=%r)" % (self.base,)

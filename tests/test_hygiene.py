@@ -95,7 +95,7 @@ def compute_path_imports(trees):
 
 
 # the oracle lists a ring's elements and asks for its involution once per
-# verify call, in the context its scopes and clauses read
+# ring, in the context its scopes and clauses read
 SCOPE_LAYER = "_Context"
 
 

@@ -1,9 +1,11 @@
 """Exact linear algebra: RREF, nullspaces, subspaces, projections."""
 
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringinv import linalg
@@ -285,3 +287,56 @@ def test_solve_matrix_agrees_with_column_by_column_elimination(fabc):
     assert x == _reference_solve(field.p, a, c)
     if x is not None:
         assert mat_mul(field, a, x) == c
+
+
+# -- pivot membership against the rank definition ----------------------------
+
+@st.composite
+def membership_case(draw):
+    """(field, n, generators of U, generators of W, v) over GF(2), GF(3),
+    GF(5) or Q.  U is zero, the whole space or spanned by drawn vectors;
+    v and the generators of W are drawn vectors or combinations of U's
+    generators."""
+    field = draw(st.sampled_from((F2, PrimeField(3), F5, QQ)))
+    n = draw(st.integers(1, 4))
+    scalar = SCALARS if field == QQ else st.integers(0, field.p - 1)
+    vector = st.tuples(*[scalar] * n)
+    gens = draw(st.one_of(st.just(()), st.just(identity(field, n)),
+                          st.lists(vector, max_size=n + 1).map(tuple)))
+
+    def member():
+        if not gens or draw(st.booleans()):
+            return draw(vector)
+        coeffs = draw(st.tuples(*[scalar] * len(gens)))
+        return tuple(field.reduce(sum(map(operator.mul, coeffs, col)))
+                     for col in zip(*gens))
+
+    others = tuple(member() for _ in range(draw(st.integers(0, n))))
+    return field, n, gens, others, member()
+
+
+@settings(max_examples=300)
+@given(membership_case())
+@example((QQ, 2, (), identity(QQ, 2), (Fraction(1, 2), Fraction(0))))
+@example((QQ, 3, identity(QQ, 3), (), (Fraction(-2, 3),) * 3))
+def test_pivot_membership_matches_the_rank_definition(case):
+    field, n, gens, others, v = case
+    u, w = Subspace(field, n, gens), Subspace(field, n, others)
+    assert u.contains(v) == (rank(field, u.basis + (v,)) == u.dim)
+    assert w.is_subspace_of(u) == (rank(field, u.basis + w.basis) == u.dim)
+    assert u.is_subspace_of(w) == (rank(field, w.basis + u.basis) == w.dim)
+    assert u.is_subspace_of(u) and zero_subspace(field, n).is_subspace_of(u)
+    assert u.is_subspace_of(full_subspace(field, n))
+
+
+@pytest.mark.parametrize("field, n", [(F2, 3), (PrimeField(3), 2), (F5, 2)])
+def test_pivot_membership_matches_the_rank_definition_exhaustively(field, n):
+    vectors = list(itertools.product(range(field.p), repeat=n))
+    for gens in itertools.combinations_with_replacement(vectors, 2):
+        u = Subspace(field, n, gens)
+        for v in vectors:
+            assert u.contains(v) == (rank(field, u.basis + (v,)) == u.dim)
+            w = Subspace(field, n, (v,))
+            assert w.is_subspace_of(u) == u.contains(v)
+            assert u.is_subspace_of(w) == (
+                rank(field, w.basis + u.basis) == w.dim)

@@ -1,7 +1,8 @@
 """The per-ring memo of principal, annihilator, any_inner and the ideal
 lattice (<=, +, cap and direct_sum): each memoized answer equals a fresh
 construction, infinite rings keep no memo, and the memo dies with its
-ring.  Only the oracle gives a matrix ring a product table."""
+ring.  Only the oracle gives a matrix ring a product table, and its
+context: one per ring object, shared by every verify call on it."""
 
 import gc
 import io
@@ -14,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from ringinv import cli, ideals, oracle, rings
+from ringinv import cli, ideals, oracle, prescribed, rings, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             RingInvError, RingMismatchError,
                             VerificationError)
-from ringinv.geninv import any_inner
+from ringinv.geninv import InverseReport, any_inner
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             direct_sum, principal)
 from ringinv.linalg import mat_mul
@@ -295,10 +296,10 @@ def test_zn_gets_no_product_table():
     assert "mul" not in ring.memo
 
 
-def test_oracle_lists_the_elements_once_per_verify(monkeypatch):
-    # the library's own scans (families, one-sided core sets) still list
-    # the ring; the oracle's scopes and clauses read one tuple per call,
-    # and its solution sets are scans of that tuple
+@pytest.fixture
+def element_callers(monkeypatch):
+    """(file, function) -> the number of MatrixRing.elements calls made
+    from it."""
     real = rings.MatrixRing.elements
     callers = Counter()
 
@@ -308,12 +309,112 @@ def test_oracle_lists_the_elements_once_per_verify(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(rings.MatrixRing, "elements", recording)
+    return callers
+
+
+def _calls_from(callers, module):
+    return sum(n for (name, _), n in callers.items() if name == module)
+
+
+def test_oracle_lists_the_elements_once_per_verify(element_callers):
+    # the library's own scans (families, one-sided core sets) still list
+    # the ring; the oracle's scopes and clauses read one tuple per call,
+    # and its solution sets are scans of that tuple
     reports = oracle.verify_all(MatF(2, 2))
     assert all(rep.passed for rep in reports)
+    assert 0 < _calls_from(element_callers, "oracle.py") \
+        <= len(oracle.CATALOG) == 32
+    assert _calls_from(element_callers, "geninv.py") == 0
+    assert element_callers["prescribed.py", "_mitsch_sets"] == 0
 
-    def calls_from(module):
-        return sum(n for (name, _), n in callers.items() if name == module)
 
-    assert 0 < calls_from("oracle.py") <= len(oracle.CATALOG) == 32
-    assert calls_from("geninv.py") == 0
-    assert callers["prescribed.py", "_mitsch_sets"] == 0
+# -- the oracle context: one per ring object
+
+def test_oracle_lists_the_elements_once_per_ring(element_callers):
+    ring = MatF(2, 2)
+    oracle.verify_all(ring)
+    oracle.verify_all(ring, max_cases=7)
+    assert _calls_from(element_callers, "oracle.py") == 1
+    oracle.verify_all(MatF(2, 2), max_cases=7)
+    assert _calls_from(element_callers, "oracle.py") == 2
+
+
+def _report_json(reports):
+    return [rep.to_json() for rep in reports]
+
+
+@pytest.mark.parametrize("name", ["zn:6", "zn:8", "zn:12", "m2f2"])
+def test_a_warm_context_gives_the_reports_of_a_fresh_ring(name):
+    ring = ring_from_name(name)
+    cold = _report_json(oracle.verify_all(ring))
+    ctx = ring.memo["context"]
+    assert _report_json(oracle.verify_all(ring)) == cold
+    assert ring.memo["context"] is ctx
+    assert _report_json(oracle.verify_all(ring, max_cases=7)) == \
+        _report_json(oracle.verify_all(ring_from_name(name), max_cases=7))
+
+
+def test_a_private_context_is_not_the_rings():
+    ring = Zn(6)
+    ctx = oracle._Context.of(ring)
+    assert oracle._Context.of(ring) is ctx
+    assert oracle._Context(ring) is not ctx
+    assert oracle._Context.of(Zn(6)) is not ctx
+
+
+def test_a_mutant_is_caught_on_a_fresh_ring_after_an_equal_one_is_warm(
+        monkeypatch):
+    # the grids of T-weighted-mp-grid live in the context's memo; a warm
+    # MatF(2, 2) keeps the true ones, a fresh one computes the mutant's
+    theorem = "T-weighted-mp-grid"
+    warm = MatF(2, 2)
+    assert oracle.verify(theorem, warm, max_cases=20).counterexample is None
+    real = prescribed.outer_with
+
+    def one_bundle_off(a, cons, reflexive=False):
+        if reflexive and cons.shape() == ("Sp", "Tp"):
+            return InverseReport("reflexive", False, reason="mutant")
+        return real(a, cons, reflexive=reflexive)
+
+    monkeypatch.setattr(special, "outer_with", one_bundle_off)
+    monkeypatch.setattr(oracle, "outer_with", one_bundle_off)
+    fresh = MatF(2, 2)
+    assert fresh == warm
+    rep = oracle.verify(theorem, fresh, max_cases=20)
+    assert rep.counterexample is not None and rep.cases_checked == 1
+    assert oracle.verify(theorem, warm, max_cases=20).counterexample is None
+
+
+def test_a_clause_that_raises_on_a_warm_context_fails_its_first_case(
+        monkeypatch):
+    ring = Zn(6)
+    assert oracle.verify("T-invertible-lemma", ring).passed
+
+    def broken(a, side):
+        raise PreconditionError("mutant")
+
+    monkeypatch.setattr(oracle, "principal", broken)
+    rep = oracle.verify("T-invertible-lemma", ring)
+    assert rep.counterexample == "a=0" and rep.cases_checked == 1
+
+
+def test_a_warm_context_memo_keeps_no_error(monkeypatch):
+    calls = []
+
+    def flaky(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise PreconditionError("mutant")
+        return True
+
+    entry = oracle.TheoremCase("T-flaky", "all a", oracle._scope("a"),
+                               lambda ctx, a: ctx.memo(flaky, a))
+    monkeypatch.setitem(oracle.CATALOG_BY_ID, entry.id, entry)
+    ring = Zn(6)
+    assert all(rep.passed for rep in oracle.verify_all(ring))
+    rep = oracle.verify(entry.id, ring)
+    assert rep.counterexample == "a=0" and rep.cases_checked == 1
+    # the error was not kept: a=0 is asked again, then each answer is
+    assert oracle.verify(entry.id, ring).passed
+    assert oracle.verify(entry.id, ring).passed
+    assert len(calls) == 1 + ring.size
