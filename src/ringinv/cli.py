@@ -114,8 +114,8 @@ def _parse_ideal(ring, side, desc):
             vectors = [tuple(field.parse(x) for x in v) for v in val]
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError("bad %s vector: %s" % (key, exc))
-        return SidedIdeal.from_subspace(
-            ring, side, Subspace.from_vectors(field, ring.k, vectors))
+        return SidedIdeal(ring, side,
+                          Subspace.from_vectors(field, ring.k, vectors))
     raise UsageError("unknown ideal descriptor key %r" % key)
 
 

@@ -11,15 +11,14 @@ Named systems: inner {1}, outer {2}, reflexive {1,2}, group {1,2,5},
 Drazin {2,5,1k}, Moore-Penrose {1,2,3,4}, core {1,2,3,6,7},
 dual core {1,2,4,8,9}.
 
-Only any_inner reads a backend; the rest is ring and ideal operations.
+Written in ring and ideal operations only: an inner inverse is the
+backend's own construction (Ring.inner), and the rest is built from it.
 """
 
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
 from .ideals import RIGHT, all_ideals, principal
-from .linalg import rref
-from .rings import (Coset, MatrixRing, RingElement, least_solution_mod,
-                    linear_solutions, memoized)
+from .rings import Coset, RingElement, linear_solutions, memoized
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -273,41 +272,9 @@ def _validated(name, a, x, equations, k=None, extra=None):
 
 @memoized(lambda a: a.payload)
 def any_inner(a):
-    """Some x with axa = a, or None.  Constructive on both backends.
-
-    On Z_n, axa = a reads a^2 x = a (mod n); the answer is its least
-    solution, the first inner inverse in canonical order.
-    """
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        return _matrix_inner(a)
-    v = a.payload
-    x = least_solution_mod(v * v, v, ring.n)
-    return None if x is None else ring.element(x)
-
-
-def _matrix_inner(a):
-    """Inner inverse of a square matrix over a field: x = P E.
-
-    Row-reduce [a | I] to get E with E a = R in RREF.  Row i of E goes to
-    row p_i of x, p_i the pivot column of row i of R, and the other rows
-    of x are zero.  Then R x = diag(I_r, 0) E, so E a x a = R = E a, and
-    such an x exists for every matrix.
-    """
-    ring = a.ring
-    field, n = ring.field, ring.k
-    aug = tuple(row + irow
-                for row, irow in zip(a.payload, ring.one.payload))
-    red, pivots = rref(field, aug)
-    rows = [(field.zero,) * n] * n
-    for i, pc in enumerate(pivots):
-        if pc < n:
-            rows[pc] = red[i][n:]
-    x = RingElement(ring, tuple(rows))
-    if a * x * a != a:  # pragma: no cover - algebraic identity
-        from .errors import VerificationError
-        raise VerificationError("inner inverse construction failed")
-    return x
+    """Some x with axa = a, or None: the backend's own construction
+    (see Ring.inner)."""
+    return a.ring.inner(a)
 
 
 def inner_inverse(a):

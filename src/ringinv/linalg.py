@@ -192,12 +192,6 @@ def nullspace_basis(field, a):
     return tuple(basis)
 
 
-def solve(field, a, b):
-    """One solution x of a x = b (vectors), or None if inconsistent."""
-    x = solve_matrix(field, a, tuple((v,) for v in b))
-    return None if x is None else tuple(row[0] for row in x)
-
-
 def solve_matrix(field, a, b):
     """One solution X of a X = b (matrix right-hand side), or None.
 
@@ -292,11 +286,6 @@ class Subspace:
                 extra += (e,)
                 span = Subspace(self.field, self.ambient, self.basis + extra)
         return Subspace(self.field, self.ambient, extra)
-
-    def image(self, a):
-        """Image subspace {a v : v in self} for a matrix a."""
-        vecs = tuple(mat_vec(self.field, a, v) for v in self.basis)
-        return Subspace(self.field, len(a), vecs)
 
     def preimage(self, a):
         """Preimage {v : a v in self}."""

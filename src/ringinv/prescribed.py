@@ -240,15 +240,16 @@ def _unique_outer(a, s, t):
 def _solve_in_ideal(a, s, u):
     """Some x in the ideal s with a*x == u (right) or x*a == u (left).
 
-    x = e (ae)^(1) u for s = eR, as u = ae r in aS gives ax = u, and the
-    mirror u (ea)^(1) e for s = Re; ae is regular as aS is a summand.
+    x = e y for s = eR and any y with (ae) y = u, which exists as u lies
+    in aS = aeR, and the mirror x = y e with y (ea) = u for s = Re.  x is
+    the same for every such y when rann(a) meets S only in 0.
     """
     e = s.generator()
     if s.side == RIGHT:
-        g = any_inner(a * e)
-        return None if g is None else e * g * u
-    g = any_inner(e * a)
-    return None if g is None else u * g * e
+        y = a.ring.solve(a * e, u, RIGHT)
+        return None if y is None else e * y
+    y = a.ring.solve(e * a, u, LEFT)
+    return None if y is None else y * e
 
 
 def outer_with(a, cons, reflexive=False):

@@ -2,17 +2,23 @@
 
 Elements are immutable and hashable.  All enumeration orders are canonical:
 residues ascending; matrices in row-major lexicographic scalar order.
+Only a backend knows how its elements and ideals are stored: the other
+modules are written in its arithmetic and the protocol of Ring.
 """
 
 from functools import wraps
-from itertools import chain, product
-from math import gcd
+from itertools import chain, count, product
+from math import gcd, lcm
 
-from .errors import (NotEnumerableError, RingMismatchError,
-                     UnsupportedInvolutionError)
-from .linalg import (QQ, PrimeField, Subspace, identity, mat_add, mat_mul,
-                     mat_neg, nullspace_basis, transpose,
-                     zero_matrix)
+from .errors import (BudgetError, NotEnumerableError, RingMismatchError,
+                     UnsupportedInvolutionError, VerificationError)
+from .linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
+                     is_direct_sum, mat_add, mat_inverse, mat_mul, mat_neg,
+                     nullspace_basis, projection_matrix, rref, solve_matrix,
+                     transpose, zero_matrix, zero_subspace)
+
+RIGHT = "right"
+LEFT = "left"
 
 
 class RingElement:
@@ -78,7 +84,19 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; see ModularRing and MatrixRing."""
+    """Common interface; see ModularRing and MatrixRing.
+
+    A backend stores a one-sided ideal S in its own form, the rep, and
+    its ideal primitives take and return reps: ideal_key (canonical and
+    hashable), ideal_text, ideal_span(side, elements),
+    ideal_annihilator(a, side), ideal_contains, ideal_meet,
+    ideal_generator (some g with S = gR, or Rg), ideal_preimage (of S
+    under r -> ar, or ra), ideal_split (rho_{S,T}(1), or None),
+    ideal_complement, ideal_size and ideal_reps (every S, smallest
+    first).  On elements it gives inner(a) (some x with axa = a),
+    solve(a, u, side) (some x with ax = u, or xa = u) and unit_inverse,
+    each None when there is none.
+    """
 
     has_involution = False
     finite = False
@@ -145,6 +163,66 @@ class ModularRing(Ring):
 
     def to_json(self, a):
         return str(a.payload)
+
+    # -- ideals: dZ_n for exactly one d | n, the rep, on either side.  aR
+    # is gcd(a, n)Z_n, rann(a) is (n/gcd(a, n))Z_n, membership is
+    # divisibility and the meet is lcm, so no operation lists the ring.
+
+    def ideal_key(self, d):
+        return d
+
+    def ideal_text(self, d):
+        return "%dZ_%d" % (d, self.n)
+
+    def ideal_span(self, side, elements):
+        return gcd(self.n, *(a.payload for a in elements))
+
+    def ideal_annihilator(self, a, side):
+        return self.n // gcd(a.payload, self.n)
+
+    def ideal_contains(self, side, d, a):
+        return a.payload % d == 0
+
+    def ideal_meet(self, d, e):
+        return lcm(d, e)
+
+    def ideal_generator(self, side, d):
+        return self.element(d)
+
+    def ideal_preimage(self, a, side, d):
+        # d | ar iff d/gcd(a, d) divides r
+        return d // gcd(a.payload, d)
+
+    def ideal_split(self, side, d, e):
+        # dZ_n (+) eZ_n = Z_n iff de = n with d, e coprime; rho(1) is the
+        # CRT idempotent that is 0 mod d and 1 mod e.
+        if d * e != self.n or gcd(d, e) != 1:
+            return None
+        return RingElement(self, d * pow(d, -1, e))
+
+    def ideal_complement(self, side, d):
+        e = self.n // d
+        return e if gcd(d, e) == 1 else None
+
+    def ideal_size(self, side, d):
+        return self.n // d
+
+    def ideal_reps(self, side):
+        return sorted(divisors(self.n), reverse=True)
+
+    def inner(self, a):
+        # axa = a reads a^2 x = a (mod n); the least solution is the first
+        # inner inverse in canonical order
+        return self.solve(a * a, a, RIGHT)
+
+    def solve(self, a, u, side):
+        x = least_solution_mod(a.payload, u.payload, self.n)
+        return None if x is None else self.element(x)
+
+    def unit_inverse(self, a):
+        if gcd(a.payload, self.n) != 1:
+            return None
+        return self.element(pow(a.payload, -1, self.n))
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.n == self.n
@@ -246,6 +324,108 @@ class MatrixRing(Ring):
 
     def to_json(self, a):
         return [list(map(str, row)) for row in a.payload]
+
+    # -- ideals: a right ideal is {x : colspace(x) <= V} and a left ideal
+    # {x : rowspace(x) <= W}, the rep being the Subspace V or W of F^k.  x
+    # lies in Rx' iff x^T lies in x'^T R, so a left ideal is handled as
+    # the right ideal of the transposes.
+
+    @staticmethod
+    def _oriented(side, m):
+        return m if side == RIGHT else transpose(m)
+
+    def ideal_key(self, v):
+        return v.basis
+
+    def ideal_text(self, v):
+        return "dim %d" % v.dim
+
+    def ideal_span(self, side, elements):
+        vecs = []
+        for a in elements:
+            vecs.extend(transpose(self._oriented(side, a.payload)))
+        return Subspace(self.field, self.k, tuple(vecs))
+
+    def ideal_annihilator(self, a, side):
+        m = self._oriented(side, a.payload)
+        return Subspace(self.field, self.k, nullspace_basis(self.field, m))
+
+    def ideal_contains(self, side, v, a):
+        return all(v.contains(col)
+                   for col in transpose(self._oriented(side, a.payload)))
+
+    def ideal_meet(self, v, w):
+        return v.intersect(w)
+
+    def ideal_generator(self, side, v):
+        # q, the basis over zero rows, has row space v: Rq, or q^T R
+        rows = v.basis + self.zero.payload[len(v.basis):]
+        return RingElement(self, rows if side == LEFT else transpose(rows))
+
+    def ideal_preimage(self, a, side, v):
+        return v.preimage(self._oriented(side, a.payload))
+
+    def ideal_split(self, side, v, w):
+        if not is_direct_sum(v, w):
+            return None
+        return RingElement(self,
+                           self._oriented(side, projection_matrix(v, w)))
+
+    def ideal_complement(self, side, v):
+        return v.complement()
+
+    def ideal_size(self, side, v):
+        if not self.finite:
+            raise NotEnumerableError("ideal of an infinite ring")
+        return self.field.p ** (v.dim * self.k)
+
+    def ideal_reps(self, side):
+        """Every subspace of F^k, smallest dimension first."""
+        field, k = self.field, self.k
+        if not self.finite:
+            raise NotEnumerableError("ideal lattice of %s" % self.short_name)
+        vectors = [v for v in full_subspace(field, k).vectors()
+                   if any(x != field.zero for x in v)]
+        seen = {zero_subspace(field, k)}
+        frontier = [zero_subspace(field, k)]
+        while frontier:
+            sp = frontier.pop()
+            for v in vectors:
+                if not sp.contains(v):
+                    bigger = Subspace(field, k, sp.basis + (v,))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        frontier.append(bigger)
+        return sorted(seen, key=lambda s: (s.dim, s.basis))
+
+    def inner(self, a):
+        """x = P E: row-reduce [a | I] to get E with E a = R in RREF.  Row
+        i of E goes to row p_i of x, p_i the pivot column of row i of R,
+        and the other rows of x are zero.  Then R x = diag(I_r, 0) E, so
+        E a x a = R = E a, and such an x exists for every matrix."""
+        field, n = self.field, self.k
+        aug = tuple(row + irow
+                    for row, irow in zip(a.payload, self.one.payload))
+        red, pivots = rref(field, aug)
+        rows = [(field.zero,) * n] * n
+        for i, pc in enumerate(pivots):
+            if pc < n:
+                rows[pc] = red[i][n:]
+        x = RingElement(self, tuple(rows))
+        if a * x * a != a:  # pragma: no cover - algebraic identity
+            raise VerificationError("inner inverse construction failed")
+        return x
+
+    def solve(self, a, u, side):
+        # one elimination, on the transposes for xa = u
+        x = solve_matrix(self.field, self._oriented(side, a.payload),
+                         self._oriented(side, u.payload))
+        return None if x is None else RingElement(
+            self, self._oriented(side, x))
+
+    def unit_inverse(self, a):
+        inv = mat_inverse(self.field, a.payload)
+        return None if inv is None else RingElement(self, inv)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixRing) and other.k == self.k
@@ -450,26 +630,14 @@ def classify(a):
 
 
 def is_invertible(a):
-    ring = a.ring
-    if isinstance(ring, ModularRing):
-        return gcd(a.payload, ring.n) == 1
-    if isinstance(ring, MatrixRing):
-        from .linalg import mat_inverse
-        return mat_inverse(ring.field, a.payload) is not None
-    raise TypeError("unknown ring type")
+    return a.ring.unit_inverse(a) is not None
 
 
 def inverse_of_unit(a):
-    ring = a.ring
-    if isinstance(ring, ModularRing):
-        return ring.element(pow(a.payload, -1, ring.n))
-    if isinstance(ring, MatrixRing):
-        from .linalg import mat_inverse
-        inv = mat_inverse(ring.field, a.payload)
-        if inv is None:
-            raise ValueError("element is not invertible")
-        return RingElement(ring, inv)
-    raise TypeError("unknown ring type")
+    inv = a.ring.unit_inverse(a)
+    if inv is None:
+        raise ValueError("element is not invertible")
+    return inv
 
 
 def least_solution_mod(c, u, n):
@@ -493,3 +661,86 @@ def _is_nilpotent(a):
             return True
         x = x * a
     return x == ring.zero
+
+
+# -- divisors of a modulus ------------------------------------------------
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def divisors(n):
+    """Every positive divisor of n, from its factorization: the primes of
+    _MR_BASES by trial division, then Pollard rho and Miller-Rabin on the
+    cofactors.  A cofactor at or above _MR_EXACT raises BudgetError, so
+    no divisor list rests on a probable prime."""
+    primes, rest = {}, n
+    for p in _MR_BASES:
+        while rest % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            rest //= p
+    stack = [rest] if rest > 1 else []
+    while stack:
+        m = stack.pop()
+        if m >= _MR_EXACT:
+            raise BudgetError("cannot factor the modulus exactly: a "
+                              "%d-bit cofactor is past the Miller-Rabin "
+                              "bound" % m.bit_length())
+        if _is_prime(m):
+            primes[m] = primes.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            stack += (d, m // d)
+    out = [1]
+    for p, e in primes.items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return out
+
+
+def _is_prime(m):
+    """Miller-Rabin for m > 41 with no factor in _MR_BASES, m < _MR_EXACT."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(m):
+    """A proper divisor of a composite m with no factor in _MR_BASES:
+    Pollard rho with Brent's cycle search, the products of 128 steps
+    taken into one gcd."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g

@@ -22,7 +22,7 @@ from ringinv.geninv import (core_inverse, dual_core_inverse,
                             moore_penrose, satisfies)
 from ringinv.ideals import RIGHT, LEFT, SidedIdeal, annihilator, principal
 from ringinv.linalg import (QQ, PrimeField, Subspace, mat_mul,
-                            nullspace_basis, solve)
+                            nullspace_basis, solve_matrix)
 from ringinv.oracle import CATALOG, verify_all
 from ringinv.prescribed import (IdealConstraints, one_inverse_family,
                                 outer_with)
@@ -73,10 +73,10 @@ def affine_solution_space(conditions):
         for k in range(4):
             rows.append(tuple(Fraction(cols[j][k]) for j in range(4)))
             rhs.append(-Fraction(zero_out[ci][k]))
-    part = solve(QQ, tuple(rows), tuple(rhs))
+    part = solve_matrix(QQ, tuple(rows), tuple((v,) for v in rhs))
     if part is None:
         return None, None
-    x0 = M2Q.parse([[part[0], part[1]], [part[2], part[3]]])
+    x0 = M2Q.parse([[part[0][0], part[1][0]], [part[2][0], part[3][0]]])
     null = Subspace.from_vectors(QQ, 4, nullspace_basis(QQ, tuple(rows)))
     return x0, null
 
@@ -134,8 +134,8 @@ def scalar_mul(c, m):
 def criterion_2_report():
     s_sub = Subspace.from_vectors(PrimeField(5), 2, [(0, 1)])
     sp_sub = Subspace.from_vectors(PrimeField(5), 2, [(1, 0)])
-    s = SidedIdeal.from_subspace(M2F5, RIGHT, s_sub)
-    sp = SidedIdeal.from_subspace(M2F5, LEFT, sp_sub)
+    s = SidedIdeal(M2F5, RIGHT, s_sub)
+    sp = SidedIdeal(M2F5, LEFT, sp_sub)
     t, tp = s, sp
 
     one_set = enumerate_inverse_set(E12, ("1",))

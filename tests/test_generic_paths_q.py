@@ -155,7 +155,7 @@ def reference_solve_in_ideal(a, s, u):
     """x = B^T c with (a B^T) c = u for the basis B of s; a left ideal
     solves the transpose x^T a^T = u^T the same way."""
     ring, field = a.ring, a.ring.field
-    basis = s.subspace.basis
+    basis = s.rep.basis
     if not basis:
         return ring.zero if u == ring.zero else None
     m, target = a.payload, u.payload
@@ -179,8 +179,8 @@ def reference_outer(a, s, t):
 def _span_ideal(rng, ring, side, dim):
     k = ring.k
     vectors = [tuple(_fraction(rng) for _ in range(k)) for _ in range(dim)]
-    return SidedIdeal.from_subspace(
-        ring, side, Subspace.from_vectors(ring.field, k, vectors))
+    return SidedIdeal(ring, side,
+                      Subspace.from_vectors(ring.field, k, vectors))
 
 
 def test_outer_with_matches_the_linear_system():

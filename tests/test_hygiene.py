@@ -1,10 +1,11 @@
 """No dead code in src/ringinv: every module-level import is used in its
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
-stands apart from the theorem checks, scans a ring only for the sets with
-no linear structure and reads a ring's representation only for its inner
-inverse, and the oracle reads its ring only in its scope layer and lists
-no solution set through the library.  Stdlib ast only."""
+stands apart from the theorem checks and scans a ring only for the sets
+with no linear structure; it and the ideal layer read a ring's
+representation only in memo keys, and the oracle reads its ring only in
+its scope layer and lists no solution set through the library.  Stdlib
+ast only."""
 
 import ast
 from pathlib import Path
@@ -129,21 +130,32 @@ def compute_path_scans(trees):
             if read == "elements()"]
 
 
-# the compute modules are written in ring and ideal operations: only the
-# inner inverse reads a backend's representation, and one reason string
-# names its backend
+# the ideal layer and the compute modules are written in ring operations
+# and the backends' primitives: a memo key may read an element's payload,
+# and one reason string names its backend
+RING_OPERATION_MODULES = COMPUTE_MODULES + ("ideals.py",)
 REPRESENTATION_ATTRS = frozenset(("payload", "divisor", "subspace"))
 BACKENDS = frozenset(("MatrixRing", "ModularRing"))
-REPRESENTATION_READERS = ["geninv.any_inner", "geninv._matrix_inner",
-                          "prescribed._outer_from_annihilators"]
+REPRESENTATION_READERS = ["prescribed._outer_from_annihilators"]
+
+
+def _memo_key_reads(node):
+    """The .payload reads in the memoized(...) decorators within node."""
+    return {id(sub) for fn in ast.walk(node)
+            for dec in getattr(fn, "decorator_list", ())
+            if isinstance(dec, ast.Call)
+            and getattr(dec.func, "id", None) == "memoized"
+            for sub in ast.walk(dec)
+            if isinstance(sub, ast.Attribute) and sub.attr == "payload"}
 
 
 def representation_reads(trees):
-    """'module.definition' for each top-level definition of a compute
-    module that reads .payload, .divisor or .subspace, or names a backend
-    class or anything imported from linalg."""
+    """'module.definition' for each top-level definition of a ring
+    operation module that reads .payload (outside a memo key), .divisor
+    or .subspace, or names a backend class or anything imported from
+    linalg."""
     out = []
-    for module in COMPUTE_MODULES:
+    for module in RING_OPERATION_MODULES:
         tree = trees[module]
         names = BACKENDS.union(
             alias.asname or alias.name for node in ast.walk(tree)
@@ -153,8 +165,10 @@ def representation_reads(trees):
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
+            keys = _memo_key_reads(node)
             if any(isinstance(sub, ast.Attribute)
                    and sub.attr in REPRESENTATION_ATTRS
+                   and id(sub) not in keys
                    or isinstance(sub, ast.Name) and sub.id in names
                    for sub in ast.walk(node)):
                 out.append("%s.%s" % (module[:-3],
@@ -227,7 +241,7 @@ def test_guard_flags_a_scan_on_the_compute_path():
         ("special.py", "f", "elements()")]
 
 
-def test_compute_path_reads_no_representation_but_the_inner_inverse():
+def test_ring_operation_modules_read_no_representation_but_memo_keys():
     assert representation_reads(_trees()) == REPRESENTATION_READERS
 
 
@@ -249,11 +263,26 @@ def test_guard_flags_a_representation_read_on_the_compute_path():
             "        return linalg.transpose(self.base)\n"),
         "special.py": ast.parse("def f(ideal):\n"
                                 "    return ideal.subspace.dim\n"),
+        "ideals.py": ast.parse(
+            "from .linalg import transpose\n"
+            "@memoized(lambda a, side: (a.payload, side))\n"
+            "def annihilator(a, side):\n"
+            "    return a.ring.ideal_annihilator(a, side)\n"
+            "@memoized(lambda a, side: (a.payload, side))\n"
+            "def principal(a, side):\n    return transpose(a)\n"
+            "class SidedIdeal:\n"
+            "    @memoized(lambda s, t: (s.key, t.divisor))\n"
+            "    def sum(self, other):\n        return self\n"
+            "def all_ideals(ring, side):\n"
+            "    return isinstance(ring, ModularRing)\n"
+            "@memoized(lambda s, t: (s.key, t.key))\n"
+            "def direct_sum(s, t):\n    return s.payload\n"),
     }
     assert representation_reads(trees) == [
         "geninv.any_inner", "geninv.drazin_index",
         "prescribed._solve_in_ideal", "prescribed.mitsch_leq",
-        "prescribed.Family", "special.f"]
+        "prescribed.Family", "special.f", "ideals.principal",
+        "ideals.SidedIdeal", "ideals.all_ideals", "ideals.direct_sum"]
 
 
 def test_guards_flag_dead_code():

@@ -6,12 +6,12 @@ import pytest
 
 from ringinv.errors import (BudgetError, PreconditionError,
                             UnsupportedInvolutionError)
-from ringinv.ideals import (_MR_EXACT, LEFT, RIGHT, SidedIdeal, all_ideals,
-                            annihilator, complement, direct_sum, divisors,
-                            ideal_annihilator, multiply_ideal, orthogonal,
-                            phi_preimage, principal)
+from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
+                            complement, direct_sum, ideal_annihilator,
+                            multiply_ideal, orthogonal, phi_preimage,
+                            principal)
 from ringinv.linalg import Subspace
-from ringinv.rings import MatF, MatQ, Zn, ring_from_name
+from ringinv.rings import _MR_EXACT, MatF, MatQ, Zn, divisors, ring_from_name
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -186,7 +186,7 @@ def test_divisors_refuse_a_cofactor_past_the_exact_bound(n):
 
 
 def test_zn_lattice_lists_the_largest_divisor_first():
-    assert [i.divisor for i in all_ideals(Zn(12), RIGHT)] == \
+    assert [i.rep for i in all_ideals(Zn(12), RIGHT)] == \
         [12, 6, 4, 3, 2, 1]
 
 
@@ -215,90 +215,115 @@ def test_extensional_vs_subspace_equality():
     assert via_subspace == via_elements
 
 
-# -- Z_n ideals as divisors, against sets built from the ring ------------
+# -- the ideal lattice against sets built from the ring --------------------
+#
+# The three brute-force tests below are written in ring operations only, so
+# they hold for any backend: the Z_n moduli and two matrix rings.
 
 ZN_MODULI = (2, 6, 8, 12, 30, 36, 72, 97, 100)
+LATTICE_RINGS = ZN_MODULI + ("m2f2", "m2f3")
+
+
+def _ring(name):
+    return Zn(name) if isinstance(name, int) else ring_from_name(name)
+
+
+def _act(a, r, side):
+    """a r (side='right') or r a (side='left')."""
+    return a * r if side == RIGHT else r * a
 
 
 def _set(ideal):
-    return frozenset(x.payload for x in ideal.members())
+    return frozenset(ideal.members())
 
 
-def _brute_ideals(ring):
-    """Every ideal of Z_n as a set of residues: the principal sets aZ_n."""
-    n = ring.n
-    return {frozenset(a * r % n for r in range(n)) for a in range(n)}
+def _brute_ideals(ring, side):
+    """Every one-sided ideal as a set: on Z_n and M_k(F) every one-sided
+    ideal is principal, so these are the aR (or Ra)."""
+    elements = ring.elements()
+    return {frozenset(_act(a, r, side) for r in elements) for a in elements}
 
 
-@pytest.mark.parametrize("n", ZN_MODULI)
+@pytest.mark.parametrize("n", LATTICE_RINGS)
 def test_zn_principal_and_annihilators_match_brute_force(n):
-    ring = Zn(n)
-    for a in ring.elements():
-        v = a.payload
-        right = frozenset(v * r % n for r in range(n))
-        killed = frozenset(r for r in range(n) if v * r % n == 0)
+    ring = _ring(n)
+    elements = ring.elements()
+    for a in elements:
         for side in (RIGHT, LEFT):
+            span = frozenset(_act(a, r, side) for r in elements)
+            killed = frozenset(r for r in elements
+                               if _act(a, r, side) == ring.zero)
             ideal = principal(a, side)
-            assert _set(ideal) == right and ideal.size() == len(right)
+            assert _set(ideal) == span and ideal.size() == len(span)
             assert _set(annihilator(a, side)) == killed
-            assert all(ideal.contains(ring.element(r)) == (r in right)
-                       for r in range(n))
-            assert ideal.is_zero() == (right == {0})
-            assert ideal.is_full() == (len(right) == n)
+            assert all(ideal.contains(r) == (r in span) for r in elements)
+            assert ideal.is_zero() == (span == {ring.zero})
+            assert ideal.is_full() == (len(span) == len(elements))
+            # a x = u (x a = u) has a solution iff u lies in aR (Ra)
+            for u in elements:
+                x = ring.solve(a, u, side)
+                assert (x is not None) == (u in span)
+                assert x is None or _act(a, x, side) == u
 
 
 @pytest.mark.parametrize("side", (RIGHT, LEFT))
-@pytest.mark.parametrize("n", ZN_MODULI)
+@pytest.mark.parametrize("n", LATTICE_RINGS)
 def test_zn_lattice_and_maps_match_brute_force(n, side):
-    ring = Zn(n)
+    ring = _ring(n)
+    elements = ring.elements()
     ideals = all_ideals(ring, side)
     sets = [_set(i) for i in ideals]
     # every ideal once, smallest first
-    assert set(sets) == _brute_ideals(ring)
+    assert set(sets) == _brute_ideals(ring, side)
     assert [len(s) for s in sets] == sorted(len(s) for s in sets)
     assert len(set(sets)) == len(sets)
     for i, si in zip(ideals, sets):
         assert SidedIdeal.from_elements(ring, side, i.members()) == i
-        killer = frozenset(r for r in range(n)
-                           if all(s * r % n == 0 for s in si))
-        assert _set(ideal_annihilator(i, RIGHT)) == killer
-        assert _set(ideal_annihilator(i, LEFT)) == killer
+        # rann(S) = {r : sr = 0 for all s}, lann(S) = {r : rs = 0}, on
+        # both sides of S
+        for ann_side in (RIGHT, LEFT):
+            killer = frozenset(r for r in elements if all(
+                _act(s, r, ann_side) == ring.zero for s in si))
+            assert _set(ideal_annihilator(i, ann_side)) == killer
         for j, sj in zip(ideals, sets):
-            assert _set(i.sum(j)) == frozenset((x + y) % n
-                                               for x in si for y in sj)
+            assert _set(i.sum(j)) == frozenset(x + y for x in si for y in sj)
             assert _set(i.intersect(j)) == si & sj
             assert i.is_subideal_of(j) == (si <= sj)
-        for a in ring.elements():
-            v = a.payload
-            assert _set(multiply_ideal(a, i)) == frozenset(v * s % n
-                                                           for s in si)
+            if ring.has_involution:
+                assert orthogonal(i, j, RIGHT) == all(
+                    x.star * y == ring.zero for x in si for y in sj)
+                assert orthogonal(i, j, LEFT) == all(
+                    x * y.star == ring.zero for x in si for y in sj)
+        for a in elements:
+            assert _set(multiply_ideal(a, i)) == frozenset(
+                _act(a, s, side) for s in si)
             assert _set(phi_preimage(a, i)) == frozenset(
-                r for r in range(n) if v * r % n in si)
+                r for r in elements if _act(a, r, side) in si)
 
 
 @pytest.mark.parametrize("side", (RIGHT, LEFT))
-@pytest.mark.parametrize("n", ZN_MODULI)
+@pytest.mark.parametrize("n", LATTICE_RINGS)
 def test_zn_direct_sums_and_complements_match_brute_force(n, side):
-    ring = Zn(n)
+    ring = _ring(n)
+    elements = ring.elements()
     ideals = all_ideals(ring, side)
     for s in ideals:
         ss = _set(s)
         partners = []
         for t in ideals:
             st = _set(t)
-            splits = (ss & st == {0}
-                      and {(x + y) % n for x in ss for y in st}
-                      == set(range(n)))
+            splits = (ss & st == {ring.zero}
+                      and {x + y for x in ss for y in st} == set(elements))
             u = direct_sum(s, t)
             assert (u is not None) == splits
             if u is None:
                 continue
             partners.append(t)
             assert u * u == u
-            for r in ring.elements():
-                x = u * r if side == RIGHT else r * u
+            for r in elements:
+                x = _act(u, r, side)
                 y = r - x
-                assert x + y == r and x.payload in ss and y.payload in st
+                assert x + y == r and x in ss and y in st
         c = complement(s)
         assert (c is None) == (not partners)
         assert c is None or c in partners
@@ -307,7 +332,7 @@ def test_zn_direct_sums_and_complements_match_brute_force(n, side):
 def test_zn_generated_ideal_is_the_gcd():
     ring = Zn(36)
     for g1, g2 in ((4, 6), (9, 12), (0, 0), (8, 27), (18, 24)):
-        span = frozenset((g1 * r + g2 * s) % 36
+        span = frozenset(ring.element(g1 * r + g2 * s)
                          for r in range(36) for s in range(36))
         gens = [ring.element(g1), ring.element(g2)]
         assert _set(SidedIdeal.from_elements(ring, RIGHT, gens)) == span
@@ -328,6 +353,6 @@ def test_generator_generates_every_finite_ideal(name, side):
 ])
 def test_generator_generates_q_span_ideals(vectors, side):
     ring = MatQ(3)
-    ideal = SidedIdeal.from_subspace(ring, side, Subspace.from_vectors(
+    ideal = SidedIdeal(ring, side, Subspace.from_vectors(
         ring.field, 3, [tuple(map(Fraction, v)) for v in vectors]))
     assert principal(ideal.generator(), side) == ideal

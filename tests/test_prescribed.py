@@ -25,7 +25,7 @@ E22 = M2F5.parse([[0, 0], [0, 1]])
 
 def f5_ideal(side, vectors):
     sp = Subspace.from_vectors(PrimeField(5), 2, vectors)
-    return SidedIdeal.from_subspace(M2F5, side, sp)
+    return SidedIdeal(M2F5, side, sp)
 
 
 # complements of A F^{2x2} and F^{2x2} A for A = E12
