@@ -18,7 +18,7 @@ backend's own construction (Ring.inner), and the rest is built from it.
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
 from .ideals import RIGHT, all_ideals, principal
-from .rings import Coset, RingElement, linear_solutions, memoized
+from .rings import Coset, RingElement, memoized
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -166,7 +166,7 @@ def _candidates(a, equations, k):
             return [], ()
     linear = [eq for eq in equations if eq in _LINEAR]
     if linear or not equations:
-        space = linear_solutions(ring, _linear_equations(a, linear, k))
+        space = ring.linear_solutions(_linear_equations(a, linear, k))
         rest = tuple(eq for eq in equations if eq not in _LINEAR)
         return [] if space is None else space, rest
     if "2" in equations:

@@ -10,8 +10,6 @@ spanned by the two generators, I <= J iff J holds I's generator, and
 a(gR) = (ag)R.
 """
 
-from functools import reduce
-
 from .errors import (NotEnumerableError, PreconditionError,
                      RingMismatchError, UnsupportedInvolutionError)
 from .rings import LEFT, RIGHT, Coset, memoized
@@ -139,14 +137,18 @@ def ideal_annihilator(ideal, side):
     Across sides, lann(gR) = lann(g) and rann(Rg) = rann(g).  On S's own
     side, gR is spanned by the g e over the additive generators e, so
     rann(gR) is the meet of the rann(g e), and lann(Rg) that of the
-    lann(e g).
+    lann(e g), taken until it is zero.
     """
     g = ideal.generator()
     if side != ideal.side:
         return annihilator(g, side)
-    return reduce(SidedIdeal.intersect, [
-        annihilator(g * e if side == RIGHT else e * g, side)
-        for e in ideal.ring.additive_generators()])
+    meet = None
+    for e in ideal.ring.additive_generators():
+        ann = annihilator(g * e if side == RIGHT else e * g, side)
+        meet = ann if meet is None else meet.intersect(ann)
+        if meet.is_zero():
+            break
+    return meet
 
 
 # -- maps on ideals ----------------------------------------------------

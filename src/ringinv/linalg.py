@@ -132,11 +132,6 @@ def mat_mul(field, a, b):
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
-def mat_vec(field, a, v):
-    reduce = field.reduce
-    return tuple(reduce(sum(map(mul, row, v))) for row in a)
-
-
 def rref(field, rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
 
@@ -248,9 +243,6 @@ class Subspace:
             if f:
                 r = [x - f * y for x, y in zip(r, row)]
         return not any(map(self.field.reduce, r))
-
-    def is_subspace_of(self, other):
-        return all(other.contains(b) for b in self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

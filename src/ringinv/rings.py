@@ -14,8 +14,8 @@ from .errors import (BudgetError, NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError, VerificationError)
 from .linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
                      is_direct_sum, mat_add, mat_inverse, mat_mul, mat_neg,
-                     nullspace_basis, projection_matrix, rref, solve_matrix,
-                     transpose, zero_matrix, zero_subspace)
+                     nullspace_basis, projection_matrix, rank, rref,
+                     solve_matrix, transpose, zero_matrix, zero_subspace)
 
 RIGHT = "right"
 LEFT = "left"
@@ -93,9 +93,14 @@ class Ring:
     ideal_generator (some g with S = gR, or Rg), ideal_preimage (of S
     under r -> ar, or ra), ideal_split (rho_{S,T}(1), or None),
     ideal_complement, ideal_size and ideal_reps (every S, smallest
-    first).  On elements it gives inner(a) (some x with axa = a),
-    solve(a, u, side) (some x with ax = u, or xa = u) and unit_inverse,
-    each None when there is none.
+    first).  A finite backend stores an additive subgroup D in its own
+    form too, for the Coset x + D: coset_span(generators), coset_size and
+    coset_members(base, rep), a lazy iterator in canonical order; and
+    linear_solutions(equations) gives the Coset of the x with f(x) = c
+    for every (f, c), f additive, or None.  On elements it gives inner(a)
+    (some x with axa = a), solve(a, u, side) (some x with ax = u, or
+    xa = u) and unit_inverse, each None when there is none, and
+    element_flags(a), the backend's own entries of classify.
     """
 
     has_involution = False
@@ -105,6 +110,9 @@ class Ring:
     def involute(self, a):
         raise UnsupportedInvolutionError(
             "%s has no involution" % self.short_name)
+
+    def element_flags(self, a):
+        return {}
 
     def elements(self):
         raise NotEnumerableError("%s is not enumerable" % self.short_name)
@@ -209,6 +217,33 @@ class ModularRing(Ring):
 
     def ideal_reps(self, side):
         return sorted(divisors(self.n), reverse=True)
+
+    # -- cosets: every additive subgroup of Z_n is an ideal, so a coset is
+    # x + mZ_n, the rep being the step m | n
+
+    def coset_span(self, generators):
+        return self.ideal_span(RIGHT, generators)
+
+    def coset_size(self, m):
+        return self.n // m
+
+    def coset_members(self, base, m):
+        return (RingElement(self, v)
+                for v in range(base.payload % m, self.n, m))
+
+    def linear_solutions(self, equations):
+        # each equation is f(1) x = c, and the congruences fold one by one
+        # into the coset x0 + mZ_n
+        n, x0, m = self.n, 0, 1
+        for f, c in equations:
+            u = f(self.one).payload
+            # x = x0 + m y with u m y = c - u x0 (mod n)
+            y = least_solution_mod(u * m, c.payload - u * x0, n)
+            if y is None:
+                return None
+            x0 += m * y
+            m = n // gcd(u, n // m)
+        return Coset(RingElement(self, x0), m)
 
     def inner(self, a):
         # axa = a reads a^2 x = a (mod n); the least solution is the first
@@ -398,6 +433,62 @@ class MatrixRing(Ring):
                         frontier.append(bigger)
         return sorted(seen, key=lambda s: (s.dim, s.basis))
 
+    # -- cosets: the rep of an additive subgroup is its basis in RREF, of
+    # vectors of GF(p)^(k^2), each matrix read as its entries in row-major
+    # order
+
+    @staticmethod
+    def _entries(a):
+        return tuple(chain.from_iterable(a.payload))
+
+    def coset_span(self, generators):
+        return Subspace(self.field, self.k * self.k,
+                        tuple(map(self._entries, generators))).basis
+
+    def coset_size(self, basis):
+        return self.field.p ** len(basis)
+
+    def coset_members(self, base, basis):
+        # The basis is in RREF.  With the base moved to 0 at the pivot
+        # columns, the coefficients of a member are its entries there, and
+        # the first entry in which two members differ is a pivot entry:
+        # coefficient tuples in product order list the members in
+        # canonical order.
+        p, k = self.field.p, self.k
+        base = self._entries(base)
+        steps = []
+        for b in basis:
+            lead = base[next(i for i, v in enumerate(b) if v)]
+            if lead:
+                base = tuple((x - lead * y) % p for x, y in zip(base, b))
+            steps.append([tuple(c * y for y in b) for c in range(p)])
+        for choice in product(*steps):
+            flat = iter([v % p for v in map(sum, zip(base, *choice))])
+            yield RingElement(self, tuple(zip(*[flat] * k)))
+
+    def linear_solutions(self, equations):
+        # the k^2 entries of every equation give k^2 scalar equations in
+        # the entries of x, all solved at once
+        field, k, entries = self.field, self.k, self._entries
+        units = self.additive_generators()[::-1]
+        rows = []
+        for f, c in equations:
+            rows.extend(zip(*[entries(f(e)) for e in units], entries(c)))
+        if not rows:
+            return Coset(self.zero, identity(field, k * k))
+        # x solves A x = c iff (x, -1) lies in the nullspace of [A | c].
+        # Its basis has one vector per free column, and only the one of the
+        # last column can end in a nonzero: it does iff that column has no
+        # pivot.  The columns of A are taken in reverse order, so that the
+        # other vectors, read forward, are an RREF basis of the nullspace
+        # of A, and x is zero at their pivots.
+        basis = nullspace_basis(field, tuple(rows))
+        if not basis or not basis[-1][-1]:
+            return None
+        x = iter([field.reduce(-v) for v in basis[-1][-2::-1]])
+        return Coset(RingElement(self, tuple(zip(*[x] * k))),
+                     tuple(v[-2::-1] for v in reversed(basis[:-1])))
+
     def inner(self, a):
         """x = P E: row-reduce [a | I] to get E with E a = R in RREF.  Row
         i of E goes to row p_i of x, p_i the pivot column of row i of R,
@@ -427,6 +518,9 @@ class MatrixRing(Ring):
         inv = mat_inverse(self.field, a.payload)
         return None if inv is None else RingElement(self, inv)
 
+    def element_flags(self, a):
+        return {"rank": rank(self.field, a.payload)}
+
     def __eq__(self, other):
         return (isinstance(other, MatrixRing) and other.k == self.k
                 and other.field == self.field)
@@ -439,111 +533,29 @@ class MatrixRing(Ring):
 
 
 class Coset:
-    """base + D for an additive subgroup D of a finite ring.
+    """base + D for an additive subgroup D of a finite ring, D held as
+    the backend's rep (see Ring).  The members iterate lazily in canonical
+    order, and size() counts them without listing."""
 
-    One representation per backend, as for ideals: on Z_n, D = mZ_n for
-    the step m | n; on M_k(GF(p)), D is spanned by basis, vectors of
-    GF(p)^(k^2) in RREF, each matrix read as its entries in row-major
-    order.  The members iterate lazily in canonical order, and size()
-    counts them without listing.
-    """
+    __slots__ = ("base", "rep")
 
-    __slots__ = ("base", "step", "basis")
-
-    def __init__(self, base, step=None, basis=None):
+    def __init__(self, base, rep):
         self.base = base
-        self.step = step
-        self.basis = basis
+        self.rep = rep
 
     @classmethod
     def spanned(cls, base, generators):
         """base + the additive subgroup that generators generate."""
-        ring = base.ring
-        if isinstance(ring, ModularRing):
-            return cls(base, step=gcd(ring.n, *(g.payload
-                                                for g in generators)))
-        return cls(base, basis=Subspace(
-            ring.field, ring.k * ring.k,
-            tuple(_entries(g) for g in generators)).basis)
+        return cls(base, base.ring.coset_span(generators))
 
     def size(self):
-        ring = self.base.ring
-        if self.step is not None:
-            return ring.n // self.step
-        return ring.field.p ** len(self.basis)
+        return self.base.ring.coset_size(self.rep)
 
     def members(self):
         return list(self)
 
     def __iter__(self):
-        ring = self.base.ring
-        if self.step is not None:
-            m = self.step
-            for v in range(self.base.payload % m, ring.n, m):
-                yield RingElement(ring, v)
-            return
-        # The basis is in RREF.  With the base moved to 0 at the pivot
-        # columns, the coefficients of a member are its entries there, and
-        # the first entry in which two members differ is a pivot entry:
-        # coefficient tuples in product order list the members in
-        # canonical order.
-        p, k = ring.field.p, ring.k
-        base = _entries(self.base)
-        steps = []
-        for b in self.basis:
-            lead = base[next(i for i, v in enumerate(b) if v)]
-            if lead:
-                base = tuple((x - lead * y) % p for x, y in zip(base, b))
-            steps.append([tuple(c * y for y in b) for c in range(p)])
-        for choice in product(*steps):
-            flat = iter([v % p for v in map(sum, zip(base, *choice))])
-            yield RingElement(ring, tuple(zip(*[flat] * k)))
-
-
-def _entries(a):
-    return tuple(chain.from_iterable(a.payload))
-
-
-def linear_solutions(ring, equations):
-    """The x of a finite ring with f(x) = c for every (f, c) in
-    equations, as a Coset, or None when there is none.
-
-    Each f must be additive, and it is read through ring operations only:
-    at each additive generator.  On M_k(GF(p)) the k^2 entries of every
-    equation give k^2 scalar equations, all solved at once.  On Z_n each
-    equation is f(1) x = c, and the congruences fold one by one into the
-    coset x0 + mZ_n.
-    """
-    if isinstance(ring, ModularRing):
-        n, x0, m = ring.n, 0, 1
-        for f, c in equations:
-            u = f(ring.one).payload
-            # x = x0 + m y with u m y = c - u x0 (mod n)
-            y = least_solution_mod(u * m, c.payload - u * x0, n)
-            if y is None:
-                return None
-            x0 += m * y
-            m = n // gcd(u, n // m)
-        return Coset(RingElement(ring, x0), step=m)
-    field, k = ring.field, ring.k
-    units = ring.additive_generators()[::-1]
-    rows = []
-    for f, c in equations:
-        rows.extend(zip(*[_entries(f(e)) for e in units], _entries(c)))
-    if not rows:
-        return Coset(ring.zero, basis=identity(field, k * k))
-    # x solves A x = c iff (x, -1) lies in the nullspace of [A | c].  Its
-    # basis has one vector per free column, and only the one of the last
-    # column can end in a nonzero: it does iff that column has no pivot.
-    # The columns of A are taken in reverse order, so that the other
-    # vectors, read forward, are an RREF basis of the nullspace of A, and
-    # x is zero at their pivots.
-    basis = nullspace_basis(field, tuple(rows))
-    if not basis or not basis[-1][-1]:
-        return None
-    x = iter([field.reduce(-v) for v in basis[-1][-2::-1]])
-    return Coset(RingElement(ring, tuple(zip(*[x] * k))),
-                 basis=tuple(v[-2::-1] for v in reversed(basis[:-1])))
+        return self.base.ring.coset_members(self.base, self.rep)
 
 
 def memoized(key):
@@ -609,6 +621,7 @@ def ring_from_name(name):
 
 def classify(a):
     """Structural flags of a single element."""
+    from .geninv import drazin_index
     ring = a.ring
     flags = {
         "zero": a == ring.zero,
@@ -622,10 +635,9 @@ def classify(a):
         flags["symmetric"] = None
         flags["projection"] = None
     flags["invertible"] = is_invertible(a)
-    if isinstance(ring, MatrixRing):
-        from .linalg import rank as _rank
-        flags["rank"] = _rank(ring.field, a.payload)
-    flags["nilpotent"] = _is_nilpotent(a)
+    flags.update(ring.element_flags(a))
+    # a^j R stops descending at j = ind(a), and at 0 iff a is nilpotent
+    flags["nilpotent"] = a ** drazin_index(a) == ring.zero
     return flags
 
 
@@ -647,20 +659,6 @@ def least_solution_mod(c, u, n):
         return None
     m = n // g
     return u // g * pow(c // g, -1, m) % m
-
-
-def _is_nilpotent(a):
-    ring = a.ring
-    if isinstance(ring, MatrixRing):
-        bound = ring.k
-    else:
-        bound = ring.n.bit_length()
-    x = a
-    for _ in range(bound):
-        if x == ring.zero:
-            return True
-        x = x * a
-    return x == ring.zero
 
 
 # -- divisors of a modulus ------------------------------------------------

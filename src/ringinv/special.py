@@ -7,7 +7,7 @@ from .geninv import (InverseReport, any_inner, core_inverse,
                      dual_core_inverse, enumerate_inverse_set)
 from .ideals import LEFT, RIGHT, annihilator, principal
 from .prescribed import IdealConstraints, outer_with
-from .rings import inverse_of_unit, is_invertible, linear_solutions
+from .rings import inverse_of_unit, is_invertible
 
 STAR_CLASS_EQS = {
     "13": ("1", "3"),
@@ -184,8 +184,8 @@ def right_w_core(a, w):
         # awx x), where (1 - e)x = 0 for the idempotent e = aw (aw)^(1);
         # the member test, the one definition of the set, picks them out
         f = ring.one - b * any_inner(b)
-        space = linear_solutions(ring, [(lambda x: b * x * a, a),
-                                        (lambda x: f * x, ring.zero)])
+        space = ring.linear_solutions([(lambda x: b * x * a, a),
+                                       (lambda x: f * x, ring.zero)])
         members = [x for x in space or ()
                    if right_w_core_member(a, w, x)]
         if not members:
@@ -223,8 +223,8 @@ def left_v_dual_core(a, v):
         # a member solves the linear axva = a and lies in Rva (x =
         # x xva), where x(1 - e) = 0 for the idempotent e = (va)^(1) va
         f = ring.one - any_inner(c) * c
-        space = linear_solutions(ring, [(lambda x: a * x * c, a),
-                                        (lambda x: x * f, ring.zero)])
+        space = ring.linear_solutions([(lambda x: a * x * c, a),
+                                       (lambda x: x * f, ring.zero)])
         members = [x for x in space or ()
                    if left_v_dual_core_member(a, v, x)]
         if not members:

@@ -4,8 +4,8 @@ _private name is referenced somewhere in the package.  The compute path
 stands apart from the theorem checks and scans a ring only for the sets
 with no linear structure; it and the ideal layer read a ring's
 representation only in memo keys, and the oracle reads its ring only in
-its scope layer and lists no solution set through the library.  Stdlib
-ast only."""
+its scope layer and lists no solution set through the library.  In
+rings.py only a backend class knows how it is stored.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -176,6 +176,56 @@ def representation_reads(trees):
     return out
 
 
+# in rings.py only the backend classes and their constructors know how a
+# backend is stored; Coset, classify and the rest go through Ring's protocol
+BACKEND_DEFINITIONS = BACKENDS.union(("Zn", "MatQ", "MatF"))
+BACKEND_FIELDS = frozenset(("n", "k", "field"))
+# a backend class is tested for only where its own ring is compared, and in
+# three places: cli's vector-span input check, the oracle's matrix product
+# table and a Z_n reason string in prescribed
+BACKEND_TYPE_TESTS = [
+    "cli._parse_ideal", "oracle.verify",
+    "prescribed._outer_from_annihilators", "rings.ModularRing.__eq__",
+    "rings.MatrixRing.__eq__"]
+
+
+def backend_reads(tree):
+    """Each top-level definition of rings.py, other than the backends and
+    their constructors, that names a backend class or reads .n, .k or
+    .field."""
+    out = []
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name in BACKEND_DEFINITIONS or \
+                isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(isinstance(sub, ast.Attribute) and sub.attr in BACKEND_FIELDS
+               or isinstance(sub, ast.Name) and sub.id in BACKENDS
+               for sub in ast.walk(node)):
+            out.append(name)
+    return out
+
+
+def backend_type_tests(trees):
+    """'module.definition' for each isinstance(..., backend class), a
+    method named with its class."""
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            defs = [(node.name + "." + sub.name, sub) for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)] \
+                if isinstance(node, ast.ClassDef) else \
+                [(getattr(node, "name", "<module>"), node)]
+            out.extend(
+                "%s.%s" % (module[:-3], name) for name, body in defs
+                if any(isinstance(sub, ast.Call)
+                       and getattr(sub.func, "id", None) == "isinstance"
+                       and any(isinstance(arg, ast.Name) and arg.id in BACKENDS
+                               for arg in ast.walk(sub.args[1]))
+                       for sub in ast.walk(body)))
+    return sorted(out)
+
+
 # the library's solution-set listings, which the oracle must not use: its
 # reference sets are scans of its context
 LISTINGS = frozenset(("enumerate_inverse_set", "iter_inverse_set",
@@ -283,6 +333,38 @@ def test_guard_flags_a_representation_read_on_the_compute_path():
         "prescribed._solve_in_ideal", "prescribed.mitsch_leq",
         "prescribed.Family", "special.f", "ideals.principal",
         "ideals.SidedIdeal", "ideals.all_ideals", "ideals.direct_sum"]
+
+
+def test_rings_knows_a_backend_only_in_its_class():
+    assert backend_reads(_trees()["rings.py"]) == []
+
+
+def test_backend_classes_are_tested_for_only_where_listed():
+    assert backend_type_tests(_trees()) == sorted(BACKEND_TYPE_TESTS)
+
+
+def test_guard_flags_a_backend_read_outside_its_class():
+    tree = ast.parse(
+        "from .linalg import rank\n"
+        "class ModularRing(Ring):\n"
+        "    def size(self):\n        return self.n\n"
+        "    def __eq__(self, other):\n"
+        "        return isinstance(other, ModularRing) and other.n == self.n\n"
+        "class Coset:\n"
+        "    def size(self):\n        return self.base.ring.n // self.step\n"
+        "def linear_solutions(ring, equations):\n"
+        "    return isinstance(ring, (Ring, MatrixRing))\n"
+        "def classify(a):\n    return rank(a.ring.field, a.payload)\n"
+        "def _is_nilpotent(a):\n    return a ** a.ring.k\n"
+        "def Zn(n):\n    return ModularRing(n)\n"
+        "def MatF(k, p):\n    return MatrixRing(k, PrimeField(p))\n"
+        "_BACKENDS = (ModularRing, MatrixRing)\n"
+        "def ring_from_name(name):\n    return Zn(int(name[3:]))\n")
+    assert backend_reads(tree) == [
+        "Coset", "linear_solutions", "classify", "_is_nilpotent",
+        "<module>"]
+    assert backend_type_tests({"rings.py": tree}) == [
+        "rings.ModularRing.__eq__", "rings.linear_solutions"]
 
 
 def test_guards_flag_dead_code():

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringinv.errors import NotEnumerableError, UnsupportedInvolutionError
-from ringinv.rings import (MatF, MatQ, Zn, classify, inverse_of_unit,
-                           is_invertible, ring_from_name)
+from ringinv.geninv import enumerate_inverse_set
+from ringinv.ideals import LEFT, RIGHT, all_ideals
+from ringinv.linalg import PrimeField
+from ringinv.rings import (MatF, MatQ, MatrixRing, ModularRing, Ring, Zn,
+                           classify, inverse_of_unit, is_invertible,
+                           ring_from_name)
 
 
 def test_zn_arithmetic():
@@ -114,6 +118,36 @@ def test_classify_flags():
     assert flags["nilpotent"] and not flags["invertible"]
     assert flags["rank"] == 1
     assert classify(ring.parse([[1, 0], [0, 0]]))["projection"]
+
+
+def _other_backend(cls):
+    """A copy of a backend class that shares its methods but passes no
+    isinstance check on it, as a new backend would."""
+    return type("Other" + cls.__name__, (Ring,), {
+        k: v for k, v in vars(cls).items()
+        if k not in ("__dict__", "__weakref__")})
+
+
+def _payloads(elements):
+    return [x.payload for x in elements]
+
+
+@pytest.mark.parametrize("cls, args", [
+    (ModularRing, (8,)), (ModularRing, (12,)), (ModularRing, (30,)),
+    (MatrixRing, (2, PrimeField(2)))], ids=["zn:8", "zn:12", "zn:30", "m2f2"])
+def test_a_copy_of_a_backend_answers_as_the_backend(cls, args):
+    # the other modules reach a backend through the protocol of Ring only,
+    # so a new backend is one class and needs no edit elsewhere
+    real, other = cls(*args), _other_backend(cls)(*args)
+    for a, b in zip(real.elements(), other.elements(), strict=True):
+        assert b.payload == a.payload
+        assert classify(b) == classify(a)
+        for equations in (("1",), ("1", "2"), ("1", "5"), ("2",)):
+            assert _payloads(enumerate_inverse_set(b, equations)) == \
+                _payloads(enumerate_inverse_set(a, equations))
+    for side in (RIGHT, LEFT):
+        assert [_payloads(s.members()) for s in all_ideals(other, side)] \
+            == [_payloads(s.members()) for s in all_ideals(real, side)]
 
 
 def test_invertibility_and_unit_inverse():
