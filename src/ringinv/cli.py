@@ -12,9 +12,10 @@ from .errors import (BudgetError, NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError, VerificationError)
 from .geninv import (NAMED_INVERSES, count_inverse_set,
                      listed_inverse_set, parse_equations)
-from .ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
+from .ideals import SidedIdeal, annihilator, principal
 from .linalg import Subspace
-from .prescribed import IdealConstraints, one_inverse_family, outer_with
+from .prescribed import (SLOTS, IdealConstraints, one_inverse_family,
+                         outer_with)
 from .rings import MatF, MatQ, MatrixRing, Zn, ring_from_name
 from . import special
 
@@ -126,8 +127,7 @@ def parse_constraints(ring, text):
         raise UsageError("bad constraints JSON: %s" % exc)
     if not isinstance(obj, dict):
         raise UsageError("constraints must be a JSON object")
-    slots = {"right_principal": RIGHT, "right_annihilator": RIGHT,
-             "left_principal": LEFT, "left_annihilator": LEFT}
+    slots = {slot.name: slot.side for slot in SLOTS}
     kwargs = {}
     for slot, desc in obj.items():
         if slot not in slots:

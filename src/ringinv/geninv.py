@@ -262,8 +262,11 @@ class InverseReport:
         return out
 
 
-def _validated(name, a, x, equations, k=None, extra=None):
+def _validated(name, a, x, k=None, extra=None):
+    """The report of x as the named inverse, checked against its system
+    NAMED_SYSTEMS[name]."""
     from .errors import VerificationError
+    equations = NAMED_SYSTEMS[name]
     if not satisfies(a, x, equations, k=k):
         raise VerificationError(
             "constructed %s inverse fails its defining equations" % name)
@@ -282,7 +285,7 @@ def inner_inverse(a):
     if x is None:
         return InverseReport("inner", False,
                              reason="a is not regular: a{1} is empty")
-    return _validated("inner", a, x, ("1",))
+    return _validated("inner", a, x)
 
 
 def reflexive_inverse(a):
@@ -291,7 +294,7 @@ def reflexive_inverse(a):
     if g is None:
         return InverseReport("reflexive", False,
                              reason="a is not regular: a{1} is empty")
-    return _validated("reflexive", a, g * a * g, ("1", "2"))
+    return _validated("reflexive", a, g * a * g)
 
 
 def drazin_index(a):
@@ -324,8 +327,7 @@ def _no_group_reason(index):
 def drazin_inverse(a):
     """a^D: the unique x in a{2,5,1k} for k the Drazin index."""
     x, k = _drazin(a)
-    return _validated("drazin", a, x, ("2", "5", "1k"), k=k,
-                      extra={"index": k})
+    return _validated("drazin", a, x, k=k, extra={"index": k})
 
 
 def group_inverse(a):
@@ -334,8 +336,7 @@ def group_inverse(a):
     if idx > 1:
         return InverseReport("group", False, reason=_no_group_reason(idx),
                              extra={"index": idx})
-    return _validated("group", a, x, ("1", "2", "5"),
-                      extra={"index": idx})
+    return _validated("group", a, x, extra={"index": idx})
 
 
 def moore_penrose(a):
@@ -355,8 +356,7 @@ def moore_penrose(a):
             "moore-penrose", False,
             reason="a{1,2,3,4} is empty: rank(a* a) or rank(a a*) "
                    "drops below rank(a)")
-    return _validated("moore-penrose", a, g14.star * a * g13,
-                      ("1", "2", "3", "4"))
+    return _validated("moore-penrose", a, g14.star * a * g13)
 
 
 def _inner_13(a):
@@ -373,9 +373,9 @@ def _inner_13(a):
     return x if a * x * a == a else None
 
 
-def _no_core_type(name, a, equations, index):
+def _no_core_type(name, a, index):
     if a.ring.finite:
-        reason = "no element satisfies {%s}" % ",".join(equations)
+        reason = "no element satisfies {%s}" % ",".join(NAMED_SYSTEMS[name])
     else:  # over Q a^(1,3) and a^(1,4) always exist
         reason = _no_group_reason(index)
     return InverseReport(name, False, reason=reason)
@@ -392,12 +392,11 @@ def core_inverse(a):
     if not ring.has_involution:
         raise UnsupportedInvolutionError(
             "core inverse needs an involution; %s has none" % ring.short_name)
-    eqs = ("1", "2", "3", "6", "7")
     grp, idx = _drazin(a)
     g13 = _inner_13(a) if idx <= 1 else None
     if g13 is None:
-        return _no_core_type("core", a, eqs, idx)
-    return _validated("core", a, grp * a * g13, eqs)
+        return _no_core_type("core", a, idx)
+    return _validated("core", a, grp * a * g13)
 
 
 def dual_core_inverse(a):
@@ -411,12 +410,11 @@ def dual_core_inverse(a):
         raise UnsupportedInvolutionError(
             "dual core inverse needs an involution; %s has none"
             % ring.short_name)
-    eqs = ("1", "2", "4", "8", "9")
     grp, idx = _drazin(a)
     g14 = _inner_13(a.star) if idx <= 1 else None
     if g14 is None:
-        return _no_core_type("dual-core", a, eqs, idx)
-    return _validated("dual-core", a, g14.star * a * grp, eqs)
+        return _no_core_type("dual-core", a, idx)
+    return _validated("dual-core", a, g14.star * a * grp)
 
 
 NAMED_INVERSES = {

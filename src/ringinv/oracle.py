@@ -13,14 +13,14 @@ from functools import cached_property, lru_cache
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
-from .geninv import (any_inner, core_inverse, drazin_index, drazin_inverse,
-                     dual_core_inverse, group_inverse, moore_penrose,
-                     satisfies)
+from .geninv import (NAMED_SYSTEMS, any_inner, core_inverse, drazin_index,
+                     drazin_inverse, dual_core_inverse, group_inverse,
+                     moore_penrose, satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, orthogonal,
                      phi_preimage, principal)
-from .prescribed import (IdealConstraints, _check_constraints_on_x,
-                         mitsch_leq, one_inverse_family,
+from .prescribed import (SLOTS, IdealConstraints, _check_constraints_on_x,
+                         _realized, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
 from .rings import MatrixRing, RingElement, inverse_of_unit, is_invertible
@@ -444,23 +444,15 @@ def _blocks_agree(block):
 
 # -- prescribed {1}-inverse families ---------------------------------------
 
-_TWO_SHAPES = (("S", "T"), ("Sp", "Tp"), ("S", "Sp"), ("T", "Tp"))
+_TWO_SHAPES = IdealConstraints.TWO_SHAPES
 _ALL_SHAPES = IdealConstraints.SUPPORTED_SHAPES
-
-
-def _cons_from(tags, s, t, sp, tp):
-    return IdealConstraints(
-        right_principal=s if "S" in tags else None,
-        right_annihilator=t if "T" in tags else None,
-        left_principal=sp if "Sp" in tags else None,
-        left_annihilator=tp if "Tp" in tags else None)
 
 
 def _product_cons(a, x, tags):
     """Constraints binding the xa/ax ideals realized by x."""
-    return _cons_from(tags,
-                      principal(x * a, RIGHT), annihilator(a * x, RIGHT),
-                      principal(a * x, LEFT), annihilator(x * a, LEFT))
+    return IdealConstraints(*[
+        _realized(a, x, slot, True) if slot.tag in tags else None
+        for slot in SLOTS])
 
 
 def _one_family(ctx, a, x, tags):
@@ -524,7 +516,7 @@ def _mitsch_extremes(ctx, a, x, tags):
                             for label in labels)]
                     for labels in _MITSCH_SETS[tags])
     leq = lambda y, z: ctx.memo(mitsch_leq, y, z)
-    rep = outer_with(a, _cons_from(tags, *ideals), reflexive=False)
+    rep = outer_with(a, IdealConstraints.of(tags, *ideals), reflexive=False)
     return (rep.exists and rep.value == x
             and [y for y in y_set if y in z_set] == [x]
             and all(leq(y, x) for y in y_set)
@@ -538,14 +530,14 @@ def _ideal_quadruples(ring):
     """The constraints of each two-ideal shape over the full ideal
     lattices, in canonical order."""
     lattice = {RIGHT: all_ideals(ring, RIGHT), LEFT: all_ideals(ring, LEFT)}
-    side = {"S": RIGHT, "T": RIGHT, "Sp": LEFT, "Tp": LEFT}
+    side = {slot.tag: slot.side for slot in SLOTS}
     quadruples = []
     for tags in _TWO_SHAPES:
         for i in lattice[side[tags[0]]]:
             for j in lattice[side[tags[1]]]:
                 by_tag = {tags[0]: i, tags[1]: j}
-                quadruples.append(_cons_from(
-                    tags, *map(by_tag.get, ("S", "T", "Sp", "Tp"))))
+                quadruples.append(IdealConstraints(*[
+                    by_tag.get(slot.tag) for slot in SLOTS]))
     return quadruples
 
 
@@ -623,7 +615,7 @@ _REFLEXIVE_SIDES = {
 def _reflexive_clauses(a, x, tags, ideals, ctx):
     """The equivalent clauses characterizing x = a^(1,2) with the ideals
     tags of ideals = (S, T, S', T') prescribed, by label."""
-    cons = _cons_from(tags, *ideals)
+    cons = IdealConstraints.of(tags, *ideals)
     pair = _projector_identities(a, x, tags, *ideals)
     a1_ideals = satisfies(a, x, ("1",)) and _check_constraints_on_x(
         a, x, cons, True)
@@ -831,7 +823,8 @@ def _star_class(ctx, a, tag):
 def _require_bundles_agree(a, ideals):
     """The four equivalent prescribed bundles over (S, T, S', T') must
     give the same reflexive inverse."""
-    reports = [outer_with(a, _cons_from(tags, *ideals), reflexive=True)
+    reports = [outer_with(a, IdealConstraints.of(tags, *ideals),
+                          reflexive=True)
                for tags in _TWO_SHAPES]
     if len({(rep.exists, rep.value) for rep in reports}) > 1:
         raise VerificationError(
@@ -1178,7 +1171,7 @@ def _power_preperiod(a):
 
 def _named_inverses(ctx, a):
     grp = group_inverse(a)
-    want = ctx.solutions(a, ("1", "2", "5"))
+    want = ctx.solutions(a, NAMED_SYSTEMS["group"])
     if grp.exists != (len(want) == 1) or \
             (grp.exists and grp.value != want[0]):
         raise VerificationError("group inverse mismatch")
@@ -1188,15 +1181,13 @@ def _named_inverses(ctx, a):
     k = drazin_index(a)
     if k != _power_preperiod(a):
         raise VerificationError("Drazin index mismatch")
-    wantd = ctx.solutions(a, ("2", "5", "1k"), k=max(k, 1))
+    wantd = ctx.solutions(a, NAMED_SYSTEMS["drazin"], k=max(k, 1))
     if wantd != [drz.value]:
         raise VerificationError("Drazin inverse mismatch")
     if ctx.star:
-        for rep, eqs in (
-                (moore_penrose(a), ("1", "2", "3", "4")),
-                (core_inverse(a), ("1", "2", "3", "6", "7")),
-                (dual_core_inverse(a), ("1", "2", "4", "8", "9"))):
-            want = ctx.solutions(a, eqs)
+        for rep in (moore_penrose(a), core_inverse(a),
+                    dual_core_inverse(a)):
+            want = ctx.solutions(a, NAMED_SYSTEMS[rep.name])
             if rep.exists != (len(want) == 1) or \
                     (rep.exists and rep.value != want[0]):
                 raise VerificationError(

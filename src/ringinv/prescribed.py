@@ -7,10 +7,14 @@ Constraint bundles name up to four ideals:
 For {1}-inverse families the constraints bind the ideals of xa/ax
 (xaR = S, rann(ax) = T, Rax = S', lann(xa) = T'); for outer and reflexive
 inverses they bind x's own ideals (xR = S, rann(x) = T, Rx = S',
-lann(x) = T').
+lann(x) = T').  SLOTS holds what each slot needs, and the {1}-family
+base and the reflexive inverse are the one projector-built element
+rho_{S,rann(a)}(1) a^(1) rho_{aR,T}(1), or a mirror of it, read from it.
 
 Written in ring and ideal operations only, once for every backend.
 """
+
+from collections import namedtuple
 
 from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
@@ -18,50 +22,68 @@ from .ideals import (LEFT, RIGHT, annihilator, direct_sum, ideal_annihilator,
                      multiply_ideal, principal)
 from .rings import Coset, MatrixRing
 
+# One row per slot, in the order of IdealConstraints' fields: its keyword,
+# shape tag and side, whether it prescribes a principal ideal (else an
+# annihilator), whether a {1}-inverse binds it through xa (else ax), and
+# the direct sum that a {1}-inverse realizing it needs.  Its unit
+# rho(1) is the left factor of the family base when the slot binds xa,
+# the right factor when it binds ax.
+_Slot = namedtuple("Slot", "name tag side is_principal binds_xa split")
+SLOTS = (
+    _Slot("right_principal", "S", RIGHT, True, True, "R = S + rann(a)"),
+    _Slot("right_annihilator", "T", RIGHT, False, False, "R = aR + T"),
+    _Slot("left_principal", "Sp", LEFT, True, False, "R = S' + lann(a)"),
+    _Slot("left_annihilator", "Tp", LEFT, False, True, "R = Ra + T'"),
+)
+# the order in which the splits are tested, which picks the reason a
+# reflexive inverse reports: T, S, T', S'
+_SPLIT_ORDER = (1, 0, 3, 2)
+
 
 class IdealConstraints:
     """Prescribed ideal bundle; at least one field must be set."""
 
     __slots__ = ("right_principal", "right_annihilator",
-                 "left_principal", "left_annihilator")
+                 "left_principal", "left_annihilator", "ideals", "_shape")
 
     def __init__(self, right_principal=None, right_annihilator=None,
                  left_principal=None, left_annihilator=None):
-        for ideal, side, name in (
-                (right_principal, RIGHT, "right_principal"),
-                (right_annihilator, RIGHT, "right_annihilator"),
-                (left_principal, LEFT, "left_principal"),
-                (left_annihilator, LEFT, "left_annihilator")):
-            if ideal is not None and ideal.side != side:
-                raise PreconditionError("%s must be a %s ideal" % (name, side))
-        if (right_principal is None and right_annihilator is None
-                and left_principal is None and left_annihilator is None):
+        ideals = (right_principal, right_annihilator, left_principal,
+                  left_annihilator)
+        tags = []
+        for slot, ideal in zip(SLOTS, ideals):
+            if ideal is not None:
+                if ideal.side != slot.side:
+                    raise PreconditionError(
+                        "%s must be a %s ideal" % (slot.name, slot.side))
+                tags.append(slot.tag)
+        if not tags:
             raise PreconditionError("at least one constraint is required")
         self.right_principal = right_principal
         self.right_annihilator = right_annihilator
         self.left_principal = left_principal
         self.left_annihilator = left_annihilator
+        self.ideals = ideals    # (S, T, S', T'), None where not prescribed
+        self._shape = tuple(tags)
+
+    @classmethod
+    def of(cls, shape, s, t, sp, tp):
+        """The bundle prescribing the ideals of (S, T, S', T') whose tags
+        are in shape."""
+        return cls(*[ideal if slot.tag in shape else None
+                     for slot, ideal in zip(SLOTS, (s, t, sp, tp))])
 
     def shape(self):
         """Tuple of constraint tags, e.g. ('S', 'T') or ('Sp',)."""
-        tags = []
-        if self.right_principal is not None:
-            tags.append("S")
-        if self.right_annihilator is not None:
-            tags.append("T")
-        if self.left_principal is not None:
-            tags.append("Sp")
-        if self.left_annihilator is not None:
-            tags.append("Tp")
-        return tuple(tags)
+        return self._shape
 
-    SUPPORTED_SHAPES = (("S", "T"), ("Sp", "Tp"), ("S", "Sp"), ("T", "Tp"),
-                        ("S",), ("T",), ("Sp",), ("Tp",))
+    TWO_SHAPES = (("S", "T"), ("Sp", "Tp"), ("S", "Sp"), ("T", "Tp"))
+    SUPPORTED_SHAPES = TWO_SHAPES + tuple((slot.tag,) for slot in SLOTS)
 
     def require_supported(self):
-        if self.shape() not in self.SUPPORTED_SHAPES:
+        if self._shape not in self.SUPPORTED_SHAPES:
             raise PreconditionError(
-                "unsupported constraint shape %r" % (self.shape(),))
+                "unsupported constraint shape %r" % (self._shape,))
 
 
 class ParamFamily:
@@ -102,57 +124,60 @@ class ParamFamily:
         return "ParamFamily(base=%r)" % (self.base,)
 
 
+def _realized(a, x, slot, bind_products):
+    """The ideal that slot prescribes, as x realizes it: of xa or ax
+    ({1}-inverse mode, bind_products=True) or of x itself."""
+    if bind_products:
+        x = x * a if slot.binds_xa else a * x
+    if slot.is_principal:
+        return principal(x, slot.side)
+    return annihilator(x, slot.side)
+
+
 def _check_constraints_on_x(a, x, cons, bind_products):
     """Do the prescribed ideal equalities hold for x?
 
     bind_products=True checks xaR/rann(ax)/Rax/lann(xa) ({1}-inverse mode);
     otherwise xR/rann(x)/Rx/lann(x).
     """
-    c = cons
-    if bind_products:
-        checks = (
-            (c.right_principal, lambda: principal(x * a, RIGHT)),
-            (c.right_annihilator, lambda: annihilator(a * x, RIGHT)),
-            (c.left_principal, lambda: principal(a * x, LEFT)),
-            (c.left_annihilator, lambda: annihilator(x * a, LEFT)),
-        )
-    else:
-        checks = (
-            (c.right_principal, lambda: principal(x, RIGHT)),
-            (c.right_annihilator, lambda: annihilator(x, RIGHT)),
-            (c.left_principal, lambda: principal(x, LEFT)),
-            (c.left_annihilator, lambda: annihilator(x, LEFT)),
-        )
-    return all(ideal is None or ideal == actual()
-               for ideal, actual in checks)
+    return all(ideal is None or ideal == _realized(a, x, slot, bind_products)
+               for slot, ideal in zip(SLOTS, cons.ideals))
+
+
+def _units(a, ideals):
+    """The split step: (left, right, None) with left = rho(1) of the
+    slot binding xa (S or T') and right = rho(1) of the slot binding ax
+    (T or S'), each 1 where no slot is given; or (None, None, i) for the
+    first slot i, in _SPLIT_ORDER, whose direct sum of R fails.  ideals
+    is (S, T, S', T') with None where not prescribed."""
+    units = [a.ring.one, a.ring.one]
+    for i in _SPLIT_ORDER:
+        ideal = ideals[i]
+        if ideal is None:
+            continue
+        slot = SLOTS[i]
+        if slot.is_principal:
+            u = direct_sum(ideal, annihilator(a, slot.side))
+        else:
+            u = direct_sum(principal(a, slot.side), ideal)
+        if u is None:
+            return None, None, i
+        units[not slot.binds_xa] = u
+    return units[0], units[1], None
 
 
 def one_inverse_family(a, cons):
     """{1}-inverses with prescribed xa/ax ideals, as a ParamFamily or None.
 
-    The base element is the projector-built candidate
-    rho(1) * a^(1) * rho'(1) (absent factors replaced by 1); the coset
+    The base element is the projector-built candidate left * a^(1) * right
+    from the split step (absent factors replaced by 1); the coset
     multipliers come from _family_multipliers, leaving the unpinned side
     of the perturbation free when only one ideal is prescribed.
     """
     cons.require_supported()
-    ring = a.ring
-    one = ring.one
-    g = any_inner(a)
+    left, right, failed = _units(a, cons.ideals)
+    g = None if failed is not None else any_inner(a)
     if g is None:
-        return None
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
-    left = right = one
-    if s is not None:
-        left = direct_sum(s, annihilator(a, RIGHT))
-    if tp is not None:
-        left = direct_sum(principal(a, LEFT), tp)
-    if t is not None:
-        right = direct_sum(principal(a, RIGHT), t)
-    if sp is not None:
-        right = direct_sum(sp, annihilator(a, LEFT))
-    if left is None or right is None:
         return None
     base = left * g * right
     if not satisfies(a, base, ("1",)):
@@ -166,18 +191,16 @@ def one_inverse_family(a, cons):
 def _family_multipliers(a, base, cons):
     """(left, right) coset multipliers for the constraint shape.
 
-    A single constraint pins only one of the products xa, ax to a
-    projector unit, so the other side of the perturbation is free:
-    {x : xa = base*a} is base + y(1 - a*base), and {x : ax = a*base}
-    is base + (1 - base*a)y.  Two constraints pin both products.
+    A slot binding xa pins xa to a projector unit, and {x : xa = base*a}
+    is base + y(1 - a*base); a slot binding ax pins ax, and
+    {x : ax = a*base} is base + (1 - base*a)y.  A side no slot pins stays
+    free; two constraints pin both products.
     """
     one = a.ring.one
-    shape = cons.shape()
-    if shape in (("S",), ("Tp",)):
-        return one, one - a * base
-    if shape in (("T",), ("Sp",)):
-        return one - base * a, one
-    return one - base * a, one - a * base
+    binds = {slot.binds_xa for slot, ideal in zip(SLOTS, cons.ideals)
+             if ideal is not None}
+    return (one - base * a if False in binds else one,
+            one - a * base if True in binds else one)
 
 
 def one_inverse_solution_set(a, cons, fixed_inner):
@@ -185,10 +208,10 @@ def one_inverse_solution_set(a, cons, fixed_inner):
 
     Requires the matching solution-set hypotheses: g must be an inner
     inverse whose xa/ax ideals realize every prescribed constraint, and
-    the prescribed ideals must split the ring as the proposition demands.
-    With two constraints the coset is g + (1-ga)y(1-ag); with a single
-    constraint only one product is pinned and the matching side of the
-    perturbation is free.
+    the prescribed ideals must split the ring as the proposition demands
+    (the split step succeeds).  With two constraints the coset is
+    g + (1-ga)y(1-ag); with a single constraint only one product is
+    pinned and the matching side of the perturbation is free.
     """
     cons.require_supported()
     ring = a.ring
@@ -197,22 +220,8 @@ def one_inverse_solution_set(a, cons, fixed_inner):
     g = fixed_inner
     if not satisfies(a, g, ("1",)):
         raise PreconditionError("fixed_inner is not an inner inverse")
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
-    ok = True
-    if s is not None:
-        ok = ok and direct_sum(s, annihilator(a, RIGHT)) is not None
-        ok = ok and principal(g * a, RIGHT) == s
-    if t is not None:
-        ok = ok and direct_sum(principal(a, RIGHT), t) is not None
-        ok = ok and annihilator(a * g, RIGHT) == t
-    if sp is not None:
-        ok = ok and direct_sum(sp, annihilator(a, LEFT)) is not None
-        ok = ok and principal(a * g, LEFT) == sp
-    if tp is not None:
-        ok = ok and direct_sum(principal(a, LEFT), tp) is not None
-        ok = ok and annihilator(g * a, LEFT) == tp
-    if not ok:
+    if _units(a, cons.ideals)[2] is not None or \
+            not _check_constraints_on_x(a, g, cons, True):
         raise PreconditionError(
             "fixed_inner does not satisfy the solution-set hypotheses")
     fam = ParamFamily(a, g, *_family_multipliers(a, g, cons))
@@ -258,8 +267,7 @@ def outer_with(a, cons, reflexive=False):
     if reflexive:
         return _reflexive_dispatch(a, cons)
     shape = cons.shape()
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
+    s, t, sp, tp = cons.ideals
     name = "outer-prescribed"
     if shape in (("S", "T"), ("Sp", "Tp")):
         x, why = _unique_outer(a, s or sp, t or tp)
@@ -297,46 +305,39 @@ def _outer_from_annihilators(a, t, tp):
     return x, why
 
 
+# the direct sum a reflexive inverse reports as failed, by slot; with xR = S
+# and Rx = S' prescribed, x also has rann(x) = rann(S') and
+# lann(x) = lann(S), which take the T and T' slots
+_SPLITS = tuple(slot.split for slot in SLOTS)
+_S_SP_SPLITS = ("R = S + rann(a)", "R = aR + rann(S')", "R = S' + lann(a)",
+                "R = Ra + lann(S)")
+
+
 def _reflexive_dispatch(a, cons):
+    """a^(1,2) with xR = S, rann(x) = T, Rx = S', lann(x) = T' for the
+    prescribed two: the {1}-family base of the same bundle, as a
+    reflexive inverse has the ideals of its products (xR = xaR,
+    rann(x) = rann(ax), Rx = Rax, lann(x) = lann(xa))."""
     shape = cons.shape()
-    s, t = cons.right_principal, cons.right_annihilator
-    sp, tp = cons.left_principal, cons.left_annihilator
-    if shape == ("S", "T"):
-        conds = [(principal(a, RIGHT), t, "R = aR + T"),
-                 (s, annihilator(a, RIGHT), "R = S + rann(a)")]
-        build = lambda u, g: u[1] * g * u[0]
-    elif shape == ("Sp", "Tp"):
-        conds = [(principal(a, LEFT), tp, "R = Ra + T'"),
-                 (sp, annihilator(a, LEFT), "R = S' + lann(a)")]
-        build = lambda u, g: u[0] * g * u[1]
-    elif shape == ("S", "Sp"):
-        conds = [(principal(a, RIGHT), ideal_annihilator(sp, RIGHT),
-                  "R = aR + rann(S')"),
-                 (s, annihilator(a, RIGHT), "R = S + rann(a)"),
-                 (principal(a, LEFT), ideal_annihilator(s, LEFT),
-                  "R = Ra + lann(S)"),
-                 (sp, annihilator(a, LEFT), "R = S' + lann(a)")]
-        build = lambda u, g: u[1] * g * u[3]
-    elif shape == ("T", "Tp"):
-        conds = [(principal(a, RIGHT), t, "R = aR + T"),
-                 (principal(a, LEFT), tp, "R = Ra + T'")]
-        build = lambda u, g: u[1] * g * u[0]
-    else:
+    if shape not in IdealConstraints.TWO_SHAPES:
         raise PreconditionError(
             "reflexive inverses need two prescribed ideals, got %r"
             % (shape,))
-    units = []
-    for first, second, label in conds:
-        u = direct_sum(first, second)
-        if u is None:
-            return InverseReport("reflexive-prescribed", False,
-                                 reason="%s is not a direct sum" % label)
-        units.append(u)
-    g = any_inner(a)
-    if g is None:
+    ideals, splits = cons.ideals, _SPLITS
+    if shape == ("S", "Sp"):
+        # both slots of a side now give a unit, and the two agree: e with
+        # eR = S, 1 - e in rann(a) and f in Ra, 1 - f in lann(S) have
+        # e = fe = f
+        s, _, sp, _ = ideals
+        ideals = (s, ideal_annihilator(sp, RIGHT), sp,
+                  ideal_annihilator(s, LEFT))
+        splits = _S_SP_SPLITS
+    left, right, failed = _units(a, ideals)
+    if failed is not None:
         return InverseReport("reflexive-prescribed", False,
-                             reason="a is not regular: a{1} is empty")
-    x = build(units, g)
+                             reason="%s is not a direct sum" % splits[failed])
+    # every two-ideal split makes aR or Ra a direct summand, so a is regular
+    x = left * any_inner(a) * right
     if not satisfies(a, x, ("1", "2")):
         raise VerificationError("prescribed reflexive inverse fails {1,2}")
     if not _check_constraints_on_x(a, x, cons, bind_products=False):

@@ -13,7 +13,7 @@ from math import gcd, lcm
 from .errors import (BudgetError, NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError, VerificationError)
 from .linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
-                     is_direct_sum, mat_add, mat_inverse, mat_mul, mat_neg,
+                     is_direct_sum, mat_add, mat_mul, mat_neg,
                      nullspace_basis, projection_matrix, rank, rref,
                      solve_matrix, transpose, zero_matrix, zero_subspace)
 
@@ -99,8 +99,9 @@ class Ring:
     linear_solutions(equations) gives the Coset of the x with f(x) = c
     for every (f, c), f additive, or None.  On elements it gives inner(a)
     (some x with axa = a), solve(a, u, side) (some x with ax = u, or
-    xa = u) and unit_inverse, each None when there is none, and
-    element_flags(a), the backend's own entries of classify.
+    xa = u), each None when there is none, and element_flags(a), the
+    backend's own entries of classify.  unit_inverse is written once,
+    here, with solve.
     """
 
     has_involution = False
@@ -113,6 +114,13 @@ class Ring:
 
     def element_flags(self, a):
         return {}
+
+    def unit_inverse(self, a):
+        """a^-1, or None: the x with ax = 1.  A right inverse is two-sided
+        here, as every backend is finite or finite-dimensional over a
+        field: ax = 1 makes r -> ar onto, so one-to-one, and a(xa - 1) = 0
+        gives xa = 1."""
+        return self.solve(a, self.one, RIGHT)
 
     def elements(self):
         raise NotEnumerableError("%s is not enumerable" % self.short_name)
@@ -253,11 +261,6 @@ class ModularRing(Ring):
     def solve(self, a, u, side):
         x = least_solution_mod(a.payload, u.payload, self.n)
         return None if x is None else self.element(x)
-
-    def unit_inverse(self, a):
-        if gcd(a.payload, self.n) != 1:
-            return None
-        return self.element(pow(a.payload, -1, self.n))
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.n == self.n
@@ -513,10 +516,6 @@ class MatrixRing(Ring):
                          self._oriented(side, u.payload))
         return None if x is None else RingElement(
             self, self._oriented(side, x))
-
-    def unit_inverse(self, a):
-        inv = mat_inverse(self.field, a.payload)
-        return None if inv is None else RingElement(self, inv)
 
     def element_flags(self, a):
         return {"rank": rank(self.field, a.payload)}

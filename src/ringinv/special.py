@@ -60,10 +60,8 @@ def weighted_mp(a, e, f):
     """The (e,f) Moore-Penrose inverse a_dagger_{e,f}, or none."""
     _require_weight(e, "e")
     _require_weight(f, "f")
-    s, t, _, _ = weighted_mp_ideals(a, e, f)
-    rep = outer_with(a, IdealConstraints(right_principal=s,
-                                         right_annihilator=t),
-                     reflexive=True)
+    cons = IdealConstraints.of(("S", "T"), *weighted_mp_ideals(a, e, f))
+    rep = outer_with(a, cons, reflexive=True)
     if not rep.exists:
         return InverseReport("ef-mp", False, reason=rep.reason)
     x = rep.value
@@ -96,9 +94,8 @@ def f_dual_core_ideals(a, f):
 def _core_like(name, a, ideals, sides):
     """The reflexive inverse with xR = S and rann(x) = T, when it also has
     Rx = S' (the e-core and f-dual core inverses)."""
-    s, t, sp, _ = ideals
-    rep = outer_with(a, IdealConstraints(right_principal=s,
-                                         right_annihilator=t),
+    s, _, sp, _ = ideals
+    rep = outer_with(a, IdealConstraints.of(("S", "T"), *ideals),
                      reflexive=True)
     if not rep.exists:
         return InverseReport(name, False, reason=rep.reason)

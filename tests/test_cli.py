@@ -109,6 +109,47 @@ def test_compute_weighted_and_pq(capsys):
     assert json.loads(out)["value"] == [["1/2", "-1/2"], ["0", "0"]]
 
 
+_A = '[["2","-2"],["0","0"]]'
+_P = '[["1","-1"],["0","0"]]'
+_Q = '[["0","0"],["0","1"]]'
+
+
+@pytest.mark.parametrize("ring, element, inverse, flags, compute", [
+    ("m2q", _A, "f-dual-core", {"f": '[["2","0"],["0","1"]]'},
+     lambda a, f: special.f_dual_core(a, f)),
+    ("m2q", _A, "v-dual-core", {"v": '[["1","0"],["0","3"]]'},
+     lambda a, v: special.v_dual_core(a, v)),
+    ("m2q", _A, "right-w-core", {"w": '[["1","0"],["0","3"]]'},
+     lambda a, w: special.right_w_core(a, w)),
+    ("m2q", '[["1","0"],["0","1"]]', "right-w-core",
+     {"w": '[["0","0"],["0","0"]]'},
+     lambda a, w: special.right_w_core(a, w)),
+    ("m2f3", '[["1","1"],["0","0"]]', "right-w-core",
+     {"w": '[["1","0"],["0","2"]]'}, lambda a, w: special.right_w_core(a, w)),
+    ("m2f2", '[["1","1"],["0","0"]]', "left-v-dual-core", {},
+     lambda a: special.left_v_dual_core(a, a.ring.one)),
+    ("m2q", _A, "pq", {"p": _P, "q": _Q},
+     lambda a, p, q: special.pq_inverse(a, p, q)),
+    ("m2q", _A, "pq", {"p": _P, "q": _Q, "flavor": "djordjevic_wei"},
+     lambda a, p, q: special.pq_inverse(a, p, q, "djordjevic_wei")),
+    ("m2q", _A, "pq", {"p": _P, "q": _Q, "flavor": "bott_duffin"},
+     lambda a, p, q: special.pq_inverse(a, p, q, "bott_duffin")),
+])
+def test_compute_special_inverses_print_the_library_report(
+        capsys, ring, element, inverse, flags, compute):
+    argv = [arg for flag, text in flags.items()
+            for arg in ("--" + flag, text)]
+    code, out, err = run_cli(capsys, "compute", "--ring", ring, "--element",
+                             element, "--inverse", inverse, *argv)
+    r = ring_from_name(ring)
+    rep = compute(parse_element(r, element),
+                  *[parse_element(r, text) for flag, text in flags.items()
+                    if flag != "flavor"])
+    assert out == json.dumps(dict(rep.to_json(), ring=r.short_name),
+                             sort_keys=True) + "\n"
+    assert code == (EXIT_OK if rep.exists else EXIT_NONE) and err == ""
+
+
 def test_enumerate_inner_inverses(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--ring", "zn:6",
                            "--element", "2", "--equations", "1")
@@ -369,6 +410,13 @@ def test_bad_ring_spec_or_job_file_is_a_usage_error(capsys, argv):
     ("m2f2", {"colspace": [["1"]]}),
     ("m2f2", {"colspace": [["1", "0", "1"]]}),
     ("m2q", {"colspace": [["1/0", "0"]]}),
+    # a descriptor that is no one-key object, names no kind of ideal, or
+    # asks for a kind the ring cannot give
+    ("zn:6", "1"),
+    ("zn:6", {"principal": "1", "annihilator": "1"}),
+    ("zn:6", {"bogus": "1"}),
+    ("m2q", {"set": [[["0", "0"], ["0", "0"]]]}),
+    ("zn:6", {"colspace": [["1"]]}),
 ])
 def test_bad_constraint_element_is_a_usage_error(capsys, ring, desc):
     code, out, err = run_cli(capsys, "prescribe", "--ring", ring,
@@ -376,6 +424,17 @@ def test_bad_constraint_element_is_a_usage_error(capsys, ring, desc):
                              else '[["0","0"],["0","0"]]',
                              "--constraints",
                              json.dumps({"right_principal": desc}),
+                             "--mode", "one")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("constraints", [
+    "{", "[1]", "{}", '{"bogus": {"principal": "0"}}',
+])
+def test_bad_constraints_are_a_usage_error(capsys, constraints):
+    code, out, err = run_cli(capsys, "prescribe", "--ring", "zn:6",
+                             "--element", "2", "--constraints", constraints,
                              "--mode", "one")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -517,6 +576,13 @@ def test_job_spec_stdin(capsys, monkeypatch):
     ("verify", "--ring", "zn:6", "--max-seconds", "-0.5"),
     ("compute", "--ring", "m2q", "--element", '[["1/0","0"],["0","0"]]',
      "--inverse", "group"),
+    # an inverse whose defining elements are not all given
+    ("compute", "--ring", "zn:6", "--element", "2", "--inverse", "bc",
+     "--b", "1"),
+    ("compute", "--ring", "zn:6", "--element", "2", "--inverse", "pq",
+     "--p", "1"),
+    ("compute", "--ring", "zn:6", "--element", "2", "--inverse",
+     "bott-duffin", "--q", "1"),
 ])
 def test_argv_error_is_one_usage_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

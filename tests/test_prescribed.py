@@ -1,11 +1,16 @@
 """Inverses with prescribed principal/annihilator ideals."""
 
+import hashlib
+import json
+
 import pytest
 
 from ringinv.errors import PreconditionError
 from ringinv.geninv import any_inner, drazin_inverse, satisfies
-from ringinv.ideals import LEFT, RIGHT, SidedIdeal, annihilator, principal
+from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
+                            principal)
 from ringinv.linalg import PrimeField, Subspace
+from ringinv.oracle import _ideal_quadruples
 from ringinv.prescribed import (IdealConstraints, mitsch_leq,
                                 one_inverse_family, one_inverse_solution_set,
                                 outer_with)
@@ -342,3 +347,58 @@ def test_large_modulus_family_members_need_no_enumeration(monkeypatch):
             assert satisfies(a, x, ("1",))
             assert principal(x * a, RIGHT) == s
             assert annihilator(a * x, RIGHT) == t
+
+
+# -- golden digest of every prescribed report ------------------------------
+
+# the keywords of IdealConstraints, spelled out here so that the sweep does
+# not depend on the table it checks
+_SLOT_NAMES = ("right_principal", "right_annihilator", "left_principal",
+               "left_annihilator")
+
+
+def _prescribed_report_lines(ring):
+    """One JSON line for the outer and reflexive report and the {1}-family
+    (base and multipliers) of every element and every two-ideal bundle
+    over the ideal lattices, then for the family of every single-slot
+    bundle, in canonical order."""
+    to_json = ring.to_json
+    bundles = _ideal_quadruples(ring)
+    singles = [IdealConstraints(**{name: ideal})
+               for name in _SLOT_NAMES
+               for ideal in all_ideals(ring, RIGHT if name.startswith("r")
+                                       else LEFT)]
+
+    def family(a, cons):
+        fam = one_inverse_family(a, cons)
+        return None if fam is None else [
+            to_json(fam.base), to_json(fam.left_mult),
+            to_json(fam.right_mult)]
+
+    for a in ring.elements():
+        for cons in bundles:
+            yield json.dumps([outer_with(a, cons).to_json(),
+                              outer_with(a, cons, reflexive=True).to_json(),
+                              family(a, cons)], sort_keys=True)
+        for cons in singles:
+            yield json.dumps(family(a, cons), sort_keys=True)
+
+
+# sha256 of the lines above, recorded before prescribed.py read its slot
+# table; a change of any answer, reason text or split order changes them
+_GOLDEN = {
+    "zn:12":
+        "dc4d08e7fed1af0e7f8be9a9c011d20e256c615ea6210e3b0de6a38b86b959a0",
+    "m2f2":
+        "df4d2fdd97609fed43fc68dfb51fb6667daf715accc1bf85daa0372e74a068ab",
+    "m2f3":
+        "325718749a6150dc3aa85e7ca0db381c9851f4db7d1e4470ea8220576a8e53d1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_prescribed_reports_match_the_golden_digest(name):
+    digest = hashlib.sha256()
+    for line in _prescribed_report_lines(ring_from_name(name)):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == _GOLDEN[name]

@@ -332,3 +332,95 @@ def test_one_sided_core_sets_agree_with_brute_force(ring):
                 if want:
                     assert rep.extra["members"] == want, (a, w)
                     assert rep.value == want[0]
+
+
+@pytest.mark.parametrize("ring, stride", [(M2F2, 1), (MatF(2, 3), 5)],
+                         ids=lambda v: getattr(v, "short_name", str(v)))
+def test_one_sided_core_sets_are_the_core_sets_of_aw_and_va(ring, stride):
+    # the right w-core inverses of a are (aw){1,3,7} when aR <= awR and
+    # none otherwise, and the left v-dual core inverses are (va){1,4,9}
+    # when Ra <= Rva; both are listed here by brute force over a table of
+    # products, and each way an answer can be empty must occur
+    elements = ring.elements()
+    index = {x: i for i, x in enumerate(elements)}
+    mul = [[index[x * y] for y in elements] for x in elements]
+    star = [index[x.star] for x in elements]
+    everything = range(len(elements))
+    right_ideal = [set(row) for row in mul]                 # bR
+    left_ideal = [{mul[y][c] for y in everything} for c in everything]
+
+    def core_set(b):          # b{1,3,7}: bxb = b, (bx)* = bx, bx^2 = x
+        return [x for x in everything
+                if mul[mul[b][x]][b] == b and star[mul[b][x]] == mul[b][x]
+                and mul[mul[b][x]][x] == x]
+
+    def dual_core_set(c):     # c{1,4,9}: cxc = c, (xc)* = xc, x^2c = x
+        return [x for x in everything
+                if mul[c][mul[x][c]] == c and star[mul[x][c]] == mul[x][c]
+                and mul[x][mul[x][c]] == x]
+
+    empties = set()
+    for a in everything[::stride]:
+        for w in everything:
+            b, c = mul[a][w], mul[w][a]
+            for rep, inside, listed, none in (
+                    (right_w_core(elements[a], elements[w]),
+                     a in right_ideal[b], core_set(b),
+                     "no right w-core inverse exists"),
+                    (left_v_dual_core(elements[a], elements[w]),
+                     a in left_ideal[c], dual_core_set(c),
+                     "no left v-dual core inverse exists")):
+                want = [elements[x] for x in listed] if inside else []
+                assert rep.exists == bool(want), (a, w)
+                if want:
+                    assert rep.extra["members"] == want, (a, w)
+                else:
+                    assert rep.reason == none
+                    empties.add((rep.name, inside))
+    assert empties == {(name, inside)
+                       for name in ("right-w-core", "left-v-dual-core")
+                       for inside in (False, True)}
+
+
+def test_one_sided_core_reasons_over_q():
+    nilpotent = M2Q.parse([[0, 1], [0, 0]])
+    for compute, name, why in (
+            (right_w_core, "right-w-core", "aR is not contained in awR"),
+            (left_v_dual_core, "left-v-dual-core",
+             "Ra is not contained in Rva")):
+        rep = compute(I2, M2Q.zero)
+        assert rep.name == name and not rep.exists and rep.reason == why
+    rep = right_w_core(nilpotent, I2)
+    assert not rep.exists
+    assert rep.reason == ("(aw){1,3,7} is empty: %s"
+                          % core_inverse(nilpotent).reason)
+    rep = left_v_dual_core(nilpotent, I2)
+    assert not rep.exists
+    assert rep.reason == ("(va){1,4,9} is empty: %s"
+                          % dual_core_inverse(nilpotent).reason)
+
+
+@pytest.mark.parametrize("ring", [M2F2, Zn(12)],
+                         ids=lambda ring: ring.short_name)
+def test_pq_bott_duffin_flavor_against_brute_force(ring):
+    # the (p,q) Bott-Duffin inverse is the one x with px = x, xq = x,
+    # xap = p and qax = q; with no q it is the (p,p) one
+    elements = ring.elements()
+    idempotents = [p for p in elements if p * p == p]
+    found = set()
+    for a in elements:
+        for p in idempotents:
+            for q in idempotents + [None]:
+                rep = pq_inverse(a, p, q, "bott_duffin")
+                e = p if q is None else q
+                want = [x for x in elements
+                        if p * x == x and x * e == x and x * a * p == p
+                        and e * a * x == e]
+                assert rep.name == "pq-bott-duffin"
+                assert len(want) <= 1
+                assert rep.exists == bool(want), (a, p, q)
+                if want:
+                    assert rep.value == want[0]
+                found.add((q is None, rep.exists))
+    assert found == {(none, exists) for none in (False, True)
+                     for exists in (False, True)}
