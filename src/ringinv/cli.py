@@ -166,31 +166,34 @@ def emit(obj, members=None):
 
 # -- subcommands -----------------------------------------------------------
 
+# the weighted inverses: name -> (function of special, its weight flags),
+# an absent weight being 1.  The function is named, not held, so that
+# rebinding it in special (as perfbench's tracer does) takes effect.
+_WEIGHTED_INVERSES = {
+    "ef-mp": ("weighted_mp", "ef"),
+    "e-core": ("e_core", "e"),
+    "f-dual-core": ("f_dual_core", "f"),
+    "w-core": ("w_core", "w"),
+    "v-dual-core": ("v_dual_core", "v"),
+    "right-w-core": ("right_w_core", "w"),
+    "left-v-dual-core": ("left_v_dual_core", "v"),
+}
+
+
 def cmd_compute(args):
     ring = parse_ring(args.ring)
     a = parse_element(ring, args.element)
     name = args.inverse
 
-    def weight(text, default):
-        return default if text is None else parse_element(ring, text)
+    def weight(flag):
+        text = getattr(args, flag)
+        return ring.one if text is None else parse_element(ring, text)
 
-    one = ring.one
     if name in NAMED_INVERSES:
         rep = NAMED_INVERSES[name](a)
-    elif name == "ef-mp":
-        rep = special.weighted_mp(a, weight(args.e, one), weight(args.f, one))
-    elif name == "e-core":
-        rep = special.e_core(a, weight(args.e, one))
-    elif name == "f-dual-core":
-        rep = special.f_dual_core(a, weight(args.f, one))
-    elif name == "w-core":
-        rep = special.w_core(a, weight(args.w, one))
-    elif name == "v-dual-core":
-        rep = special.v_dual_core(a, weight(args.v, one))
-    elif name == "right-w-core":
-        rep = special.right_w_core(a, weight(args.w, one))
-    elif name == "left-v-dual-core":
-        rep = special.left_v_dual_core(a, weight(args.v, one))
+    elif name in _WEIGHTED_INVERSES:
+        fn, flags = _WEIGHTED_INVERSES[name]
+        rep = getattr(special, fn)(a, *map(weight, flags))
     elif name == "bc":
         if args.b is None or args.c is None:
             raise UsageError("the bc inverse needs --b and --c")
@@ -211,11 +214,8 @@ def cmd_compute(args):
     else:
         raise UsageError(
             "unknown inverse %r (expected one of: %s)" % (
-                name, ", ".join(sorted(
-                    list(NAMED_INVERSES) + [
-                        "ef-mp", "e-core", "f-dual-core", "w-core",
-                        "v-dual-core", "right-w-core", "left-v-dual-core",
-                        "bc", "pq", "bott-duffin"]))))
+                name, ", ".join(sorted([*NAMED_INVERSES, *_WEIGHTED_INVERSES,
+                                        "bc", "pq", "bott-duffin"]))))
     out = rep.to_json()
     out["ring"] = ring.short_name
     emit(out)

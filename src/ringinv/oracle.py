@@ -10,6 +10,7 @@ counterexample.
 
 import time
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
@@ -187,6 +188,12 @@ def _require_agree(what, clauses):
     return True
 
 
+def _is_brute_force(rep, want):
+    """The report's inverse is the one member of the brute-force set
+    want, or it has none and want is empty."""
+    return want == ([rep.value] if rep.exists else [])
+
+
 # -- element and projector lemmas ------------------------------------------
 
 def _invertible(ctx, a):
@@ -316,11 +323,11 @@ def _core_equation_systems(ctx, a):
     if ctx.star:
         rep, repd = core_inverse(a), dual_core_inverse(a)
         sol367 = ctx.solutions(a, ("3", "6", "7"))
-        ok = ok and (sol367 == ([rep.value] if rep.exists else []))
+        ok = ok and _is_brute_force(rep, sol367)
         ok = ok and all(satisfies(a, x, ("1", "2"))
                         for x in ctx.solutions(a, ("8", "9")))
         sol489 = ctx.solutions(a, ("4", "8", "9"))
-        ok = ok and (sol489 == ([repd.value] if repd.exists else []))
+        ok = ok and _is_brute_force(repd, sol489)
     return ok
 
 
@@ -357,52 +364,68 @@ def _reflexive_upgrade(ctx, a, x):
 
 # -- projector characterizations -------------------------------------------
 
-def _one_inverse_block(a, x):
-    """x in a{1}, and the projector identities equivalent to it."""
-    ax, xa = a * x, x * a
-    return {
-        "equations": satisfies(a, x, ("1",)),
-        "phi_ax=rho_{aR,rann(ax)}": phieq(
-            ax, principal(a, RIGHT), annihilator(ax, RIGHT)),
-        "phi_xa=rho_{xaR,rann(a)}": phieq(
-            xa, principal(xa, RIGHT), annihilator(a, RIGHT)),
-        "ax_phi=rho_{Rax,lann(a)}": phieq(
-            ax, principal(ax, LEFT), annihilator(a, LEFT)),
-        "xa_phi=rho_{Ra,lann(xa)}": phieq(
-            xa, principal(a, LEFT), annihilator(xa, LEFT)),
-    }
+class _Row:
+    """One projector identity over the terms a, x, ax, xa and a*:
+    phi_p = rho_{uR,rann(v)} on the right, p_phi = rho_{Ru,lann(v)} on the
+    left.  In ideals it reads pR = uR and rann(p) = rann(v), or Rp = Ru
+    and lann(p) = lann(v)."""
+
+    __slots__ = ("p", "side", "u", "v", "label")
+
+    def __init__(self, p, side, u, v):
+        self.p, self.side, self.u, self.v = p, side, u, v
+        self.label = ("phi_%s=rho_{%sR,rann(%s)}" if side == RIGHT
+                      else "%s_phi=rho_{R%s,lann(%s)}") % (p, u, v)
+
+    def holds(self, t):
+        """The identity itself, on the terms t."""
+        return phieq(t[self.p], principal(t[self.u], self.side),
+                     annihilator(t[self.v], self.side))
+
+    def reads(self, t):
+        """The identity read as two ideal equalities."""
+        p, side = t[self.p], self.side
+        return (principal(p, side) == principal(t[self.u], side)
+                and annihilator(p, side) == annihilator(t[self.v], side))
 
 
-def _outer_inverse_block(a, x):
-    """x in a{2}, and the projector identities equivalent to it."""
-    ax, xa = a * x, x * a
-    return {
-        "equations": satisfies(a, x, ("2",)),
-        "phi_ax=rho_{axR,rann(x)}": phieq(
-            ax, principal(ax, RIGHT), annihilator(x, RIGHT)),
-        "phi_xa=rho_{xR,rann(xa)}": phieq(
-            xa, principal(x, RIGHT), annihilator(xa, RIGHT)),
-        "ax_phi=rho_{Rx,lann(ax)}": phieq(
-            ax, principal(x, LEFT), annihilator(ax, LEFT)),
-        "xa_phi=rho_{Rxa,lann(x)}": phieq(
-            xa, principal(xa, LEFT), annihilator(x, LEFT)),
-    }
+def _terms(a, x, astar=None):
+    """The terms a row names; a* is left out unless a star class asks."""
+    return {"a": a, "x": x, "ax": a * x, "xa": x * a, "a*": astar}
 
 
-def _reflexive_inverse_block(a, x):
-    """x in a{1,2}, and the projector identities equivalent to it."""
-    ax, xa = a * x, x * a
-    return {
-        "equations": satisfies(a, x, ("1", "2")),
-        "phi_ax=rho_{aR,rann(x)}": phieq(
-            ax, principal(a, RIGHT), annihilator(x, RIGHT)),
-        "phi_xa=rho_{xR,rann(a)}": phieq(
-            xa, principal(x, RIGHT), annihilator(a, RIGHT)),
-        "ax_phi=rho_{Rx,lann(a)}": phieq(
-            ax, principal(x, LEFT), annihilator(a, LEFT)),
-        "xa_phi=rho_{Ra,lann(x)}": phieq(
-            xa, principal(a, LEFT), annihilator(x, LEFT)),
-    }
+# the projector rows of the paper by group: the {1}, {2} and {1,2}
+# blocks; c13 and c14 for {1,3} and {1,4}; c6 and c8, the extra rows of
+# {1,3,6} and {1,4,8}
+_ROWS = {group: tuple(_Row(*row) for row in rows) for group, rows in {
+    "1": (("ax", RIGHT, "a", "ax"), ("xa", RIGHT, "xa", "a"),
+          ("ax", LEFT, "ax", "a"), ("xa", LEFT, "a", "xa")),
+    "2": (("ax", RIGHT, "ax", "x"), ("xa", RIGHT, "x", "xa"),
+          ("ax", LEFT, "x", "ax"), ("xa", LEFT, "xa", "x")),
+    "12": (("ax", RIGHT, "a", "x"), ("xa", RIGHT, "x", "a"),
+           ("ax", LEFT, "x", "a"), ("xa", LEFT, "a", "x")),
+    "c13": (("ax", RIGHT, "a", "a*"), ("ax", LEFT, "a*", "a")),
+    "c14": (("xa", RIGHT, "a*", "a"), ("xa", LEFT, "a", "a*")),
+    "c6": (("xa", RIGHT, "a", "a"), ("xa", LEFT, "a", "a")),
+    "c8": (("ax", RIGHT, "a", "a"), ("ax", LEFT, "a", "a")),
+}.items()}
+
+
+def _inverse_block(equations, rows):
+    """The block of x in a{equations}: the equations and the projector
+    identities rows equivalent to them."""
+    def block(a, x):
+        t = _terms(a, x)
+        clauses = {"equations": satisfies(a, x, equations)}
+        for row in rows:
+            clauses[row.label] = row.holds(t)
+        return clauses
+    return block
+
+
+_one_inverse_block = _inverse_block(("1",), _ROWS["1"])
+_outer_inverse_block = _inverse_block(("2",), _ROWS["2"])
+_reflexive_inverse_block = _inverse_block(("1", "2"), _ROWS["12"])
 
 
 def _commuting_inverse_block(a, x):
@@ -455,20 +478,23 @@ def _product_cons(a, x, tags):
         for slot in SLOTS])
 
 
-def _one_family(ctx, a, x, tags):
+def _constrained_inners(ctx, a, x, tags):
+    """The constraints of _product_cons and the {1}-inverses meeting
+    them, by brute force."""
     cons = _product_cons(a, x, tags)
+    return cons, [y for y in ctx.solutions(a, ("1",))
+                  if _check_constraints_on_x(a, y, cons, True)]
+
+
+def _one_family(ctx, a, x, tags):
+    cons, want = _constrained_inners(ctx, a, x, tags)
     fam = one_inverse_family(a, cons)
-    want = [y for y in ctx.solutions(a, ("1",))
-            if _check_constraints_on_x(a, y, cons, True)]
     return fam is not None and fam.members() == want
 
 
 def _one_solution_set(ctx, a, g, tags):
-    cons = _product_cons(a, g, tags)
-    got = one_inverse_solution_set(a, cons, g)
-    want = [y for y in ctx.solutions(a, ("1",))
-            if _check_constraints_on_x(a, y, cons, True)]
-    return got == want
+    cons, want = _constrained_inners(ctx, a, g, tags)
+    return one_inverse_solution_set(a, cons, g) == want
 
 
 # -- Mitsch order -----------------------------------------------------------
@@ -546,9 +572,8 @@ def _prescribed(ctx, a, cons, reflexive):
     rep = outer_with(a, cons, reflexive=reflexive)
     want = [x for x in ctx.solutions(a, eqs)
             if _check_constraints_on_x(a, x, cons, False)]
-    ok = len(want) <= 1 and rep.exists == (len(want) == 1)
+    ok = _is_brute_force(rep, want)
     if rep.exists:
-        ok = ok and rep.value == want[0]
         # idempotent-generated ideal corollary: p = xa, q = ax
         x = rep.value
         p, q = x * a, a * x
@@ -661,63 +686,49 @@ def _reflexive_clause_grid(ctx, a, x, tags):
 _SUFFICIENT_ONLY = ("136", "148")
 
 
+class _Fact:
+    """An ideal fact on x that a star class pairs with a row; it is the
+    same in both readings."""
+
+    __slots__ = ("label", "holds", "reads")
+
+    def __init__(self, label, test):
+        self.label, self.holds, self.reads = label, test, test
+
+
+# each class's conditions by label: a condition is a tuple of rows and
+# facts that hold together
+_STAR_CLASSES = {tag: {"+".join(item.label for item in cond): cond
+                       for cond in conds} for tag, conds in {
+    "13": [(row,) for row in _ROWS["c13"]],
+    "14": [(row,) for row in _ROWS["c14"]],
+    "134": product(_ROWS["c13"], _ROWS["c14"]),
+    "136": product(_ROWS["c13"], _ROWS["c6"]),
+    "148": product(_ROWS["c8"], _ROWS["c14"]),
+    "137": zip(_ROWS["c13"], (
+        _Fact("x_in_aR", lambda t: principal(t["a"], RIGHT).contains(t["x"])),
+        _Fact("lann(a)<=lann(x)", lambda t: annihilator(t["a"], LEFT)
+              .is_subideal_of(annihilator(t["x"], LEFT))))),
+    "149": zip(_ROWS["c14"], (
+        _Fact("rann(a)<=rann(x)", lambda t: annihilator(t["a"], RIGHT)
+              .is_subideal_of(annihilator(t["x"], RIGHT))),
+        _Fact("x_in_Ra", lambda t: principal(t["a"], LEFT).contains(t["x"])))),
+}.items()}
+
+
+def _star_conditions(tag, t, ideals):
+    """Each condition of the class on the terms t, by label: its
+    projector identities, or with ideals their ideal readings."""
+    return {label: all(item.reads(t) if ideals else item.holds(t)
+                       for item in cond)
+            for label, cond in _STAR_CLASSES[tag].items()}
+
+
 def _star_class_clauses(a, x, tag):
     """The projector conditions attached to the class, by label."""
-    ax, xa = a * x, x * a
-    astar = a.star
-    ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
-    ra, ras = principal(a, LEFT), principal(astar, LEFT)
-    rann_a, rann_as = annihilator(a, RIGHT), annihilator(astar, RIGHT)
-    lann_a, lann_as = annihilator(a, LEFT), annihilator(astar, LEFT)
-    c13 = {
-        "phi_ax=rho_{aR,rann(a*)}": phieq(ax, ar, rann_as),
-        "ax_phi=rho_{Ra*,lann(a)}": phieq(ax, ras, lann_a),
-    }
-    c14 = {
-        "phi_xa=rho_{a*R,rann(a)}": phieq(xa, asr, rann_a),
-        "xa_phi=rho_{Ra,lann(a*)}": phieq(xa, ra, lann_as),
-    }
-    if tag == "13":
-        return c13
-    if tag == "14":
-        return c14
-    if tag == "134":
-        out = {}
-        for la, va in c13.items():
-            for lb, vb in c14.items():
-                out["%s+%s" % (la, lb)] = va and vb
-        return out
-    if tag == "136":
-        c6 = {
-            "phi_xa=rho_{aR,rann(a)}": phieq(xa, ar, rann_a),
-            "xa_phi=rho_{Ra,lann(a)}": phieq(xa, ra, lann_a),
-        }
-        return {"%s+%s" % (la, lb): va and vb
-                for la, va in c13.items() for lb, vb in c6.items()}
-    if tag == "148":
-        c8 = {
-            "phi_ax=rho_{aR,rann(a)}": phieq(ax, ar, rann_a),
-            "ax_phi=rho_{Ra,lann(a)}": phieq(ax, ra, lann_a),
-        }
-        return {"%s+%s" % (la, lb): va and vb
-                for la, va in c8.items() for lb, vb in c14.items()}
-    if tag == "137":
-        return {
-            "phi_ax=rho_{aR,rann(a*)}+x_in_aR":
-                c13["phi_ax=rho_{aR,rann(a*)}"] and ar.contains(x),
-            "ax_phi=rho_{Ra*,lann(a)}+lann(a)<=lann(x)":
-                c13["ax_phi=rho_{Ra*,lann(a)}"]
-                and lann_a.is_subideal_of(annihilator(x, LEFT)),
-        }
-    if tag == "149":
-        return {
-            "phi_xa=rho_{a*R,rann(a)}+rann(a)<=rann(x)":
-                c14["phi_xa=rho_{a*R,rann(a)}"]
-                and rann_a.is_subideal_of(annihilator(x, RIGHT)),
-            "xa_phi=rho_{Ra,lann(a*)}+x_in_Ra":
-                c14["xa_phi=rho_{Ra,lann(a*)}"] and ra.contains(x),
-        }
-    raise PreconditionError("unknown star class %r" % tag)
+    if tag not in _STAR_CLASSES:
+        raise PreconditionError("unknown star class %r" % tag)
+    return _star_conditions(tag, _terms(a, x, a.star), False)
 
 
 def star_class_membership(a, x, tag):
@@ -740,69 +751,23 @@ def star_class_membership(a, x, tag):
 
 
 def star_class_identity_report(a, tag, ctx):
-    """Compare the class with its {1}-inverse ideal descriptions.
+    """Compare the class with its {1}-inverse ideal descriptions: the
+    conditions of _star_class_clauses read in ideals.
 
     Returns the class members, the described set(s), and whether they are
     equal; for {1,3,6}/{1,4,8} only containment of the described set is
     asserted and equality is recorded.  ctx is the context of a's ring.
     """
     astar = a.star
-    ar, asr = principal(a, RIGHT), principal(astar, RIGHT)
-    ra, ras = principal(a, LEFT), principal(astar, LEFT)
-    rann_a, rann_as = annihilator(a, RIGHT), annihilator(astar, RIGHT)
-    lann_a, lann_as = annihilator(a, LEFT), annihilator(astar, LEFT)
-
-    def ideal_desc(x):
-        ax, xa = a * x, x * a
-        facts = {
-            "xaR=aR": principal(xa, RIGHT) == ar,
-            "xaR=a*R": principal(xa, RIGHT) == asr,
-            "rann(ax)=rann(a)": annihilator(ax, RIGHT) == rann_a,
-            "rann(ax)=rann(a*)": annihilator(ax, RIGHT) == rann_as,
-            "Rax=Ra": principal(ax, LEFT) == ra,
-            "Rax=Ra*": principal(ax, LEFT) == ras,
-            "lann(xa)=lann(a)": annihilator(xa, LEFT) == lann_a,
-            "lann(xa)=lann(a*)": annihilator(xa, LEFT) == lann_as,
-            "x_in_aR": ar.contains(x),
-            "x_in_Ra": ra.contains(x),
-            "lann(a)<=lann(x)":
-                lann_a.is_subideal_of(annihilator(x, LEFT)),
-            "rann(a)<=rann(x)":
-                rann_a.is_subideal_of(annihilator(x, RIGHT)),
-        }
-        return facts
-
-    variants = {
-        "13": (["rann(ax)=rann(a*)"], ["Rax=Ra*"]),
-        "14": (["xaR=a*R"], ["lann(xa)=lann(a*)"]),
-        "134": (["xaR=a*R", "rann(ax)=rann(a*)"],
-                ["lann(xa)=lann(a*)", "rann(ax)=rann(a*)"],
-                ["xaR=a*R", "Rax=Ra*"],
-                ["Rax=Ra*", "lann(xa)=lann(a*)"]),
-        "136": (["xaR=aR", "rann(ax)=rann(a*)"],
-                ["lann(xa)=lann(a)", "rann(ax)=rann(a*)"],
-                ["xaR=aR", "Rax=Ra*"],
-                ["Rax=Ra*", "lann(xa)=lann(a)"]),
-        "148": (["xaR=a*R", "rann(ax)=rann(a)"],
-                ["lann(xa)=lann(a*)", "rann(ax)=rann(a)"],
-                ["xaR=a*R", "Rax=Ra"],
-                ["Rax=Ra", "lann(xa)=lann(a*)"]),
-        "137": (["rann(ax)=rann(a*)", "x_in_aR"],
-                ["Rax=Ra*", "lann(a)<=lann(x)"]),
-        "149": (["xaR=a*R", "rann(a)<=rann(x)"],
-                ["lann(xa)=lann(a*)", "x_in_Ra"]),
-    }[tag]
     members = ctx.solutions(a, special.STAR_CLASS_EQS[tag])
-    inners = [(x, ideal_desc(x)) for x in ctx.solutions(a, ("1",))]
-    # every variant must describe the same set
-    described = {"+".join(variant): tuple(
-        x for x, desc in inners if all(desc[f] for f in variant))
-        for variant in variants}
+    inners = [(x, _star_conditions(tag, _terms(a, x, astar), True))
+              for x in ctx.solutions(a, ("1",))]
+    # every condition must describe the same set
+    described = {label: tuple(x for x, read in inners if read[label])
+                 for label in _STAR_CLASSES[tag]}
     _require_agree("the ideal descriptions of class %s" % tag, described)
-    described = list(described["+".join(variants[0])])
-    superset = all(x in members for x in described) \
-        if tag in _SUFFICIENT_ONLY else None
-    if tag in _SUFFICIENT_ONLY and not superset:
+    described = list(next(iter(described.values())))
+    if tag in _SUFFICIENT_ONLY and not all(x in members for x in described):
         raise VerificationError(
             "described set escapes the class %s" % tag)
     return {
@@ -1012,8 +977,7 @@ def _bc(ctx, a, b, c):
         cons = special._bc_constraints(b, c, flavor)
         want = [x for x in ctx.solutions(a, ("2",))
                 if _check_constraints_on_x(a, x, cons, False)]
-        if rep.exists != (len(want) == 1) or \
-                (rep.exists and rep.value != want[0]):
+        if not _is_brute_force(rep, want):
             raise VerificationError(
                 "(b,c) %s inverse disagrees with brute force" % flavor)
         if form in closed and rep.value != form and all(
@@ -1074,14 +1038,12 @@ def _pq(ctx, a, p, q):
     ik = special.image_kernel_inverse(a, p, q)
     want = [x for x in outer if principal(x, RIGHT) == pr
             and annihilator(x, RIGHT) == qr]
-    if ik.exists != (len(want) == 1) or \
-            (ik.exists and ik.value != want[0]):
+    if not _is_brute_force(ik, want):
         raise VerificationError(
             "image-kernel inverse disagrees with brute force")
     dw = special.djordjevic_wei_inverse(a, p, q)
     direct = [x for x in outer if x * a == p and a * x == one - q]
-    if dw.exists != (len(direct) == 1) or \
-            (dw.exists and dw.value != direct[0]):
+    if not _is_brute_force(dw, direct):
         raise VerificationError(
             "Djordjevic-Wei inverse disagrees with brute force")
     rann_p = annihilator(p, RIGHT)
@@ -1172,8 +1134,7 @@ def _power_preperiod(a):
 def _named_inverses(ctx, a):
     grp = group_inverse(a)
     want = ctx.solutions(a, NAMED_SYSTEMS["group"])
-    if grp.exists != (len(want) == 1) or \
-            (grp.exists and grp.value != want[0]):
+    if not _is_brute_force(grp, want):
         raise VerificationError("group inverse mismatch")
     drz = drazin_inverse(a)
     if not drz.exists:
@@ -1187,9 +1148,8 @@ def _named_inverses(ctx, a):
     if ctx.star:
         for rep in (moore_penrose(a), core_inverse(a),
                     dual_core_inverse(a)):
-            want = ctx.solutions(a, NAMED_SYSTEMS[rep.name])
-            if rep.exists != (len(want) == 1) or \
-                    (rep.exists and rep.value != want[0]):
+            if not _is_brute_force(
+                    rep, ctx.solutions(a, NAMED_SYSTEMS[rep.name])):
                 raise VerificationError(
                     "%s disagrees with brute force" % rep.name)
     return True

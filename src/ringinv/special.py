@@ -94,13 +94,13 @@ def f_dual_core_ideals(a, f):
 def _core_like(name, a, ideals, sides):
     """The reflexive inverse with xR = S and rann(x) = T, when it also has
     Rx = S' (the e-core and f-dual core inverses)."""
-    s, _, sp, _ = ideals
     rep = outer_with(a, IdealConstraints.of(("S", "T"), *ideals),
                      reflexive=True)
     if not rep.exists:
         return InverseReport(name, False, reason=rep.reason)
     x = rep.value
-    if principal(x, RIGHT) != s or principal(x, LEFT) != sp:
+    # outer_with has checked xR = S
+    if principal(x, LEFT) != ideals[2]:
         return InverseReport(name, False,
                              reason="candidate fails %s" % sides)
     return InverseReport(name, True, x, satisfied=("1", "2"))

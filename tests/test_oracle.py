@@ -126,6 +126,124 @@ def test_projector_blocks_agree_with_the_equations():
             satisfies(a, x, ("2",))
 
 
+_NAMED_BLOCKS = (("1", oracle._one_inverse_block),
+                 ("2", oracle._outer_inverse_block),
+                 ("12", oracle._reflexive_inverse_block),
+                 ("15", oracle._commuting_inverse_block))
+
+# the clause labels of each block and star class, in order
+_BLOCK_LABELS = {
+    "1": ["equations", "phi_ax=rho_{aR,rann(ax)}", "phi_xa=rho_{xaR,rann(a)}",
+          "ax_phi=rho_{Rax,lann(a)}", "xa_phi=rho_{Ra,lann(xa)}"],
+    "2": ["equations", "phi_ax=rho_{axR,rann(x)}", "phi_xa=rho_{xR,rann(xa)}",
+          "ax_phi=rho_{Rx,lann(ax)}", "xa_phi=rho_{Rxa,lann(x)}"],
+    "12": ["equations", "phi_ax=rho_{aR,rann(x)}", "phi_xa=rho_{xR,rann(a)}",
+           "ax_phi=rho_{Rx,lann(a)}", "xa_phi=rho_{Ra,lann(x)}"],
+}
+_STAR_CLASS_LABELS = {
+    "13": ["phi_ax=rho_{aR,rann(a*)}", "ax_phi=rho_{Ra*,lann(a)}"],
+    "14": ["phi_xa=rho_{a*R,rann(a)}", "xa_phi=rho_{Ra,lann(a*)}"],
+    "134": ["phi_ax=rho_{aR,rann(a*)}+phi_xa=rho_{a*R,rann(a)}",
+            "phi_ax=rho_{aR,rann(a*)}+xa_phi=rho_{Ra,lann(a*)}",
+            "ax_phi=rho_{Ra*,lann(a)}+phi_xa=rho_{a*R,rann(a)}",
+            "ax_phi=rho_{Ra*,lann(a)}+xa_phi=rho_{Ra,lann(a*)}"],
+    "136": ["phi_ax=rho_{aR,rann(a*)}+phi_xa=rho_{aR,rann(a)}",
+            "phi_ax=rho_{aR,rann(a*)}+xa_phi=rho_{Ra,lann(a)}",
+            "ax_phi=rho_{Ra*,lann(a)}+phi_xa=rho_{aR,rann(a)}",
+            "ax_phi=rho_{Ra*,lann(a)}+xa_phi=rho_{Ra,lann(a)}"],
+    "148": ["phi_ax=rho_{aR,rann(a)}+phi_xa=rho_{a*R,rann(a)}",
+            "phi_ax=rho_{aR,rann(a)}+xa_phi=rho_{Ra,lann(a*)}",
+            "ax_phi=rho_{Ra,lann(a)}+phi_xa=rho_{a*R,rann(a)}",
+            "ax_phi=rho_{Ra,lann(a)}+xa_phi=rho_{Ra,lann(a*)}"],
+    "137": ["phi_ax=rho_{aR,rann(a*)}+x_in_aR",
+            "ax_phi=rho_{Ra*,lann(a)}+lann(a)<=lann(x)"],
+    "149": ["phi_xa=rho_{a*R,rann(a)}+rann(a)<=rann(x)",
+            "xa_phi=rho_{Ra,lann(a*)}+x_in_Ra"],
+}
+
+
+def test_block_and_star_class_labels_are_pinned():
+    a = x = M2F2.one
+    for name, labels in _BLOCK_LABELS.items():
+        assert list(dict(_NAMED_BLOCKS)[name](a, x)) == labels
+    for tag, labels in _STAR_CLASS_LABELS.items():
+        assert list(oracle._star_class_clauses(a, x, tag)) == labels
+
+
+def _projector_clause_lines(ring):
+    """One line per block clause dict on every pair (a, x) and, on a
+    *-ring, per star-class clause dict and identity report."""
+    ctx = oracle._Context(ring)
+    r = ring.render
+    for name, block in _NAMED_BLOCKS:
+        for a in ctx.elements:
+            for x in ctx.elements:
+                yield "%s\t%s\t%s\t%r" % (name, r(a), r(x),
+                                          list(block(a, x).items()))
+    if not ring.has_involution:
+        return
+    for tag in sorted(special.STAR_CLASS_EQS):
+        for a in ctx.elements:
+            for x in ctx.elements:
+                member, clauses = oracle.star_class_membership(a, x, tag)
+                yield "%s\t%s\t%s\t%r\t%r" % (tag, r(a), r(x), member,
+                                              list(clauses.items()))
+            report = oracle.star_class_identity_report(a, tag, ctx)
+            yield "%s\t%s\t%r" % (tag, r(a), [
+                [r(y) for y in v] if isinstance(v, list) else v
+                for v in report.values()])
+
+
+# sha256 of _projector_clause_lines, recorded before the blocks, the
+# star-class clauses and their ideal descriptions came from one row table
+_PROJECTOR_CLAUSE_DIGESTS = {
+    "zn:12":
+        "55ed92e100e349a37a13327238e88d26d38e6ea9e9553fc143284a02ddf954e0",
+    "m2f2":
+        "74c52148cf2ea7d758be3fe84d0e1b9750528a9dfa426f2b037b0828daf371f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROJECTOR_CLAUSE_DIGESTS))
+def test_projector_clauses_match_the_golden_digest(name):
+    text = "\n".join(_projector_clause_lines(ring_from_name(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        _PROJECTOR_CLAUSE_DIGESTS[name]
+
+
+def test_a_swapped_star_row_breaks_both_readings(monkeypatch):
+    # one row feeds a class's projector clauses and its ideal descriptions,
+    # so swapping u and v in a {1,3} row breaks both
+    row = oracle._ROWS["c13"][0]
+    swapped = oracle._Row(row.p, row.side, row.v, row.u)
+    for conditions in oracle._STAR_CLASSES.values():
+        for label, cond in list(conditions.items()):
+            if row in cond:
+                monkeypatch.setitem(conditions, label, tuple(
+                    swapped if item is row else item for item in cond))
+    ring = MatF(2, 2)
+    rep = verify("T-star-classes", ring)
+    assert (rep.counterexample, rep.cases_checked) == \
+        ("a=[0 0; 1 0],class=13", 15)
+    a, x = ring.parse([[0, 0], [1, 0]]), ring.parse([[0, 1], [0, 0]])
+    with pytest.raises(VerificationError):
+        oracle.star_class_membership(a, x, "13")
+    with pytest.raises(VerificationError):
+        oracle.star_class_identity_report(a, "13", oracle._Context(ring))
+
+
+def test_brute_force_match_needs_the_one_solution():
+    a, b = Z6.parse(2), Z6.parse(5)
+    none = InverseReport("group", False, reason="none")
+    some = InverseReport("group", True, a)
+    assert oracle._is_brute_force(none, [])
+    assert oracle._is_brute_force(some, [a])
+    # "none" while brute force finds two solutions is a mismatch
+    for rep, want in ((none, [a]), (none, [a, b]), (some, []),
+                      (some, [b]), (some, [a, b])):
+        assert not oracle._is_brute_force(rep, want)
+
+
 @pytest.mark.parametrize("ring", [Zn(8), M2F2])
 def test_drazin_block_defect_is_blamed_on_its_entry_only(monkeypatch, ring):
     ring = _fresh(ring)
