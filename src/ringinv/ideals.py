@@ -12,7 +12,7 @@ a(gR) = (ag)R.
 
 from .errors import (NotEnumerableError, PreconditionError,
                      RingMismatchError, UnsupportedInvolutionError)
-from .rings import LEFT, RIGHT, Coset, memoized
+from .rings import LEFT, RIGHT, Coset, memoized, memoized_by_index
 
 
 def _pair(s, t):
@@ -117,12 +117,14 @@ class SidedIdeal:
 
 # -- principal ideals and annihilators ---------------------------------
 
+@memoized_by_index
 @memoized(lambda a, side: (a.payload, side))
 def principal(a, side):
     """aR (side='right') or Ra (side='left')."""
     return SidedIdeal(a.ring, side, a.ring.ideal_span(side, (a,)))
 
 
+@memoized_by_index
 @memoized(lambda a, side: (a.payload, side))
 def annihilator(a, side):
     """rann(a) = {r : ar = 0} (right) or lann(a) = {r : ra = 0} (left)."""

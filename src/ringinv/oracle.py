@@ -6,6 +6,10 @@ unit weights, tags and, where a statement ranges over ideals, every
 one-sided ideal of the finite backend.  The clause checks one case of the
 theorem.  `verify` walks the scope, keeps the budget and reports the first
 counterexample.
+
+The ring's context (_Context) lists the ring once and gives it an
+ElementTable (see rings), so the brute-force checks read the products,
+sums, stars and element ideals of the ring by index.
 """
 
 import time
@@ -24,7 +28,8 @@ from .prescribed import (SLOTS, IdealConstraints, _check_constraints_on_x,
                          _realized, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
-from .rings import MatrixRing, RingElement, inverse_of_unit, is_invertible
+from .rings import (ElementTable, RingElement, inverse_of_unit,
+                    is_invertible)
 from . import special
 
 
@@ -87,15 +92,19 @@ class VerificationReport:
 # -- the scope layer --------------------------------------------------------
 
 class _Context:
-    """What the oracle knows of a finite ring: the element tuple, the
-    idempotents and symmetric unit weights drawn from it on first use,
-    each element's rendering, and memos that live as long as the
-    context.  Every brute-force solution set of the oracle comes from one
-    of them, solutions.
+    """What the oracle knows of a finite ring: the element tuple of the
+    ring's ElementTable, the idempotents and symmetric unit weights drawn
+    from it on first use, each element's rendering, the Mitsch order by
+    pair of indices, and memos that live as long as the context.  Every
+    brute-force solution set of the oracle comes from one of them,
+    solutions.
 
+    The first context of a ring gives it its table, so products, sums,
+    stars and the element ideals are stored by index from then on.
     verify takes the ring's own context (of), so these are computed once
     per ring object and die with it; a caller who patches a library
-    function needs a fresh ring.  _Context(ring) is a private one.
+    function needs a fresh ring.  _Context(ring) is a private one, which
+    shares the ring's table.
 
     A memo keeps no error, so a group computation that raises fails each
     case that asks for it; verify stops at the first.
@@ -104,7 +113,10 @@ class _Context:
     def __init__(self, ring):
         self.ring = ring
         self.star = ring.has_involution
-        elements = self.elements = tuple(ring.elements())
+        self.table = ring.table or ElementTable(ring, ring.elements())
+        elements = self.elements = self.table.elements
+        # mitsch_leq by pair: 0 not known, 1 false, 2 true
+        self._leq = self.table.pairs("B")
         self.name = lru_cache(maxsize=None)(ring.render)
         # fn(*args), computed once per context
         self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
@@ -120,6 +132,14 @@ class _Context:
         if ctx is None:
             ctx = ring.memo["context"] = cls(ring)
         return ctx
+
+    def leq(self, y, z):
+        """y <=_M z, computed once per pair."""
+        k = self.table.pair(y, z)
+        out = self._leq[k]
+        if not out:
+            out = self._leq[k] = 1 + mitsch_leq(y, z)
+        return out == 2
 
     @cached_property
     def idempotents(self):
@@ -503,7 +523,7 @@ def _mitsch_cases(ctx):
     """The order axioms: a scope with three kinds of case.  leq is
     memoized and filled on demand, so the first case comes at once and a
     time budget can stop the check."""
-    leq = lambda y, z: ctx.memo(mitsch_leq, y, z)
+    leq = ctx.leq
     for y in ctx.elements:
         yield "reflexive y=%s" % ctx.name(y), ("leq", y, y)
         for z in ctx.elements:
@@ -517,7 +537,7 @@ def _mitsch_cases(ctx):
 
 
 def _mitsch_order(ctx, kind, y, z):
-    return y == z if kind == "equal" else ctx.memo(mitsch_leq, y, z)
+    return y == z if kind == "equal" else ctx.leq(y, z)
 
 
 # the side clauses that pick Y and Z out of a{2}, by two-ideal shape
@@ -541,7 +561,7 @@ def _mitsch_extremes(ctx, a, x, tags):
                      if all(_SIDE_CLAUSES[label](y, *ideals)
                             for label in labels)]
                     for labels in _MITSCH_SETS[tags])
-    leq = lambda y, z: ctx.memo(mitsch_leq, y, z)
+    leq = ctx.leq
     rep = outer_with(a, IdealConstraints.of(tags, *ideals), reflexive=False)
     return (rep.exists and rep.value == x
             and [y for y in y_set if y in z_set] == [x]
@@ -1288,9 +1308,6 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
                 theorem_id, ", ".join(sorted(CATALOG_BY_ID))))
     if not ring.finite:
         raise NotEnumerableError("verification needs a finite ring")
-    if isinstance(ring, MatrixRing):
-        # brute force repeats products; only verify makes this table
-        ring.memo.setdefault("mul", {})
     case = CATALOG_BY_ID[theorem_id]
     start = time.monotonic()
     ctx = _Context.of(ring)

@@ -4,9 +4,16 @@ Elements are immutable and hashable.  All enumeration orders are canonical:
 residues ascending; matrices in row-major lexicographic scalar order.
 Only a backend knows how its elements and ideals are stored: the other
 modules are written in its arithmetic and the protocol of Ring.
+
+A finite ring that the oracle lists gets an ElementTable: each element's
+position in that order becomes its index, and sums, products, negatives,
+stars and the per-element memos are then stored by index.  A ring without
+one (every ring the CLI builds) computes each of them directly.
 """
 
-from functools import wraps
+from array import array
+from collections import defaultdict
+from functools import partial, wraps
 from itertools import chain, count, product
 from math import gcd, lcm
 
@@ -22,13 +29,15 @@ LEFT = "left"
 
 
 class RingElement:
-    """An element of a Ring; payload is an int (Z_n) or tuple-of-tuples."""
+    """An element of a Ring; payload is an int (Z_n) or tuple-of-tuples.
+    index is its position in the ring's ElementTable, or None."""
 
-    __slots__ = ("ring", "payload")
+    __slots__ = ("ring", "payload", "index")
 
     def __init__(self, ring, payload):
         self.ring = ring
         self.payload = payload
+        self.index = None
 
     def _check(self, other):
         # identity first: the elements of one ring share its object
@@ -36,20 +45,36 @@ class RingElement:
                 other.ring is not self.ring and other.ring != self.ring):
             raise RingMismatchError("elements of different rings")
 
+    # each operation reads the ring's table when it has one, which has
+    # the backend's operations under the same names
+
     def __add__(self, other):
         self._check(other)
-        return self.ring.add(self, other)
+        return (self.ring.table or self.ring).add(self, other)
 
     def __sub__(self, other):
         self._check(other)
-        return self.ring.add(self, -other)
+        ops = self.ring.table or self.ring
+        return ops.add(self, ops.neg(other))
 
     def __neg__(self):
-        return self.ring.neg(self)
+        return (self.ring.table or self.ring).neg(self)
 
     def __mul__(self, other):
-        self._check(other)
-        return self.ring.mul(self, other)
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            self._check(other)
+        table = ring.table
+        if table is None:
+            return ring.mul(self, other)
+        # a stored product, read here: the product is the oracle's
+        # innermost operation
+        i, j = self.index, other.index
+        if i is not None and j is not None:
+            out = table.products[i * table.size + j]
+            if out:
+                return table.elements[out - 1]
+        return table.mul(self, other)
 
     def __pow__(self, k):
         # square and multiply: about 2 log2(k) products
@@ -66,15 +91,17 @@ class RingElement:
 
     @property
     def star(self):
-        return self.ring.involute(self)
+        return (self.ring.table or self.ring).involute(self)
 
     def __eq__(self, other):
-        return (isinstance(other, RingElement)
-                and (other.ring is self.ring or other.ring == self.ring)
-                and other.payload == self.payload)
+        return other is self or (
+            isinstance(other, RingElement)
+            and (other.ring is self.ring or other.ring == self.ring)
+            and other.payload == self.payload)
 
     def __hash__(self):
-        return hash((self.ring, self.payload))
+        # equal elements have equal payloads, in equal rings
+        return hash(self.payload)
 
     def __repr__(self):
         return "%s(%s)" % (self.ring.short_name, self.ring.render(self))
@@ -107,6 +134,7 @@ class Ring:
     has_involution = False
     finite = False
     memo = None     # a dict on finite rings, filled by @memoized functions
+    table = None    # the ElementTable of a finite ring the oracle lists
 
     def involute(self, a):
         raise UnsupportedInvolutionError(
@@ -272,11 +300,6 @@ class ModularRing(Ring):
         return "Z_%d" % self.n
 
 
-# the bound of the product table: about 25 MB, room for all of M2(F2) and
-# M2(F3); a timed verify on M3(F3) would otherwise grow it without end
-_MAX_PRODUCTS = 1 << 16
-
-
 class MatrixRing(Ring):
     """M_k(F) for F = Q or GF(p), with transpose as the involution."""
 
@@ -308,17 +331,7 @@ class MatrixRing(Ring):
         return RingElement(self, mat_neg(self.field, a.payload))
 
     def mul(self, a, b):
-        # only the oracle gives a ring a product table (see verify)
-        table = self.memo.get("mul") if self.memo is not None else None
-        key = (a.payload, b.payload)
-        if table is None:
-            return RingElement(self, mat_mul(self.field, *key))
-        out = table.get(key)
-        if out is None:
-            out = RingElement(self, mat_mul(self.field, *key))
-            if len(table) < _MAX_PRODUCTS:
-                table[key] = out
-        return out
+        return RingElement(self, mat_mul(self.field, a.payload, b.payload))
 
     def involute(self, a):
         return RingElement(self, transpose(a.payload))
@@ -557,6 +570,130 @@ class Coset:
         return self.base.ring.coset_members(self.base, self.rep)
 
 
+# A table stores one small int per pair of indices in a flat array of N^2
+# while the ring has at most _MAX_FLAT elements (8 MB of products at the
+# cap); above it, in a dict of at most _MAX_PRODUCTS entries, so that a
+# timed verify on M3(F3) stays bounded.
+_MAX_FLAT = 1 << 11
+_MAX_PRODUCTS = 1 << 16
+
+# a per-element answer not yet computed (None is an answer of any_inner)
+_UNSET = object()
+
+
+class _Bounded(dict):
+    """A pair store above the flat cap: reads 0 for a key not stored, and
+    stores no new key once it holds _MAX_PRODUCTS."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0
+
+    def __setitem__(self, key, value):
+        if len(self) < _MAX_PRODUCTS:
+            dict.__setitem__(self, key, value)
+
+
+class ElementTable:
+    """The elements of a finite ring by index, and what is computed of
+    them, stored by index.
+
+    It is built from the list of ring.elements(): element i gets index i,
+    and ring.zero, ring.one and ring.table become the indexed ones.  An
+    element without an index (parsed, or built by a backend) finds it by
+    its payload, read only as a dict key.  The stores fill as they are
+    asked: for each pair, 1 + the index of its sum and of its product (0
+    until known); for each element, its negative and its star; and
+    rows[name][side], the answers of a memoized_by_index function.  Every
+    element the table returns is an indexed one.
+    """
+
+    __slots__ = ("ring", "elements", "size", "products", "rows",
+                 "_positions", "_sums", "_negatives", "_stars")
+
+    def __init__(self, ring, elements):
+        elements = self.elements = tuple(elements)
+        for i, a in enumerate(elements):
+            a.index = i
+        self.ring = ring
+        n = self.size = len(elements)
+        self._positions = {a.payload: a.index for a in elements}
+        self._sums, self.products = self.pairs("H"), self.pairs("H")
+        self._negatives, self._stars = [None] * n, [None] * n
+        self.rows = defaultdict(partial(_Rows, n))
+        ring.zero, ring.one = self.indexed(ring.zero), self.indexed(ring.one)
+        ring.table = self
+
+    def pairs(self, typecode):
+        """A fresh store of one small int per pair, at key pair(a, b), that
+        reads 0 until set: flat up to _MAX_FLAT elements, bounded above."""
+        n = self.size
+        if n > _MAX_FLAT:
+            return _Bounded()
+        return array(typecode, bytes(array(typecode).itemsize * n * n))
+
+    def position(self, a):
+        i = a.index
+        return self._positions[a.payload] if i is None else i
+
+    def pair(self, a, b):
+        return self.position(a) * self.size + self.position(b)
+
+    def indexed(self, a):
+        """The indexed element equal to a."""
+        return self.elements[self.position(a)]
+
+    def _pairwise(self, store, op, a, b):
+        i, j = a.index, b.index
+        if i is None:
+            i = self._positions[a.payload]
+        if j is None:
+            j = self._positions[b.payload]
+        k = i * self.size + j
+        out = store[k]
+        if not out:
+            out = store[k] = 1 + self.position(op(a, b))
+        return self.elements[out - 1]
+
+    def _unary(self, store, op, a):
+        i = self.position(a)
+        out = store[i]
+        if out is None:
+            out = store[i] = self.indexed(op(a))
+        return out
+
+    # the backend's operations, under its names
+
+    def add(self, a, b):
+        return self._pairwise(self._sums, self.ring.add, a, b)
+
+    def mul(self, a, b):
+        return self._pairwise(self.products, self.ring.mul, a, b)
+
+    def neg(self, a):
+        return self._unary(self._negatives, self.ring.neg, a)
+
+    def involute(self, a):
+        return self._unary(self._stars, self.ring.involute, a)
+
+
+class _Rows(dict):
+    """The rows of one function in a table, by side (None for a function
+    of the element alone): each a list of answers by index, made on first
+    use, where _UNSET marks an answer not computed."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, key):
+        row = self[key] = [_UNSET] * self.size
+        return row
+
+
 def memoized(key):
     """Memoize a function on the finite ring of its first argument.
 
@@ -584,6 +721,33 @@ def memoized(key):
                 return out
         return wrapper
     return decorate
+
+
+def memoized_by_index(plain):
+    """Over plain, a memoized function of an element, fn(a) or fn(a, side):
+    on a ring with an ElementTable the answers live in the table instead,
+    one row per function and side, indexed by the element; on any other
+    ring plain runs."""
+    fn = plain.__wrapped__
+    name = fn.__name__
+
+    @wraps(fn)
+    def wrapper(a, side=None):
+        table = a.ring.table
+        if table is None:
+            return plain(a) if side is None else plain(a, side)
+        row = table.rows[name][side]
+        i = a.index
+        if i is None:
+            i = table.position(a)
+        out = row[i]
+        if out is _UNSET:
+            out = fn(a) if side is None else fn(a, side)
+            if isinstance(out, RingElement):
+                out = table.indexed(out)
+            row[i] = out
+        return out
+    return wrapper
 
 
 def Zn(n):

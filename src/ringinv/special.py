@@ -91,33 +91,32 @@ def f_dual_core_ideals(a, f):
             principal(a, LEFT), annihilator(fas, LEFT))
 
 
-def _core_like(name, a, ideals, sides):
-    """The reflexive inverse with xR = S and rann(x) = T, when it also has
-    Rx = S' (the e-core and f-dual core inverses)."""
+def _core_like(name, a, ideals):
+    """The reflexive inverse with xR = S and rann(x) = T, which has Rx = S'
+    (the e-core and f-dual core inverses)."""
     rep = outer_with(a, IdealConstraints.of(("S", "T"), *ideals),
                      reflexive=True)
     if not rep.exists:
         return InverseReport(name, False, reason=rep.reason)
     x = rep.value
-    # outer_with has checked xR = S
+    # outer_with has checked xR = S.  Rx = S' follows: rann(x) = T =
+    # rann(g) with S' = Rg, and x and g are regular, so Rx = lann(rann(x))
+    # = lann(rann(g)) = Rg.
     if principal(x, LEFT) != ideals[2]:
-        return InverseReport(name, False,
-                             reason="candidate fails %s" % sides)
+        raise VerificationError("%s candidate fails Rx = S'" % name)
     return InverseReport(name, True, x, satisfied=("1", "2"))
 
 
 def e_core(a, e):
     """The e-core inverse: x in a{1}, xR = aR, Rx = Ra*e."""
     _require_weight(e, "e")
-    return _core_like("e-core", a, e_core_ideals(a, e),
-                      "xR = aR and Rx = Ra*e")
+    return _core_like("e-core", a, e_core_ideals(a, e))
 
 
 def f_dual_core(a, f):
     """The f-dual core inverse: x in a{1}, xR = f^{-1}a*R, Rx = Ra."""
     _require_weight(f, "f")
-    return _core_like("f-dual-core", a, f_dual_core_ideals(a, f),
-                      "xR = f^{-1}a*R and Rx = Ra")
+    return _core_like("f-dual-core", a, f_dual_core_ideals(a, f))
 
 
 # -- w-core and v-dual core ---------------------------------------------

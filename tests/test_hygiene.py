@@ -181,12 +181,11 @@ def representation_reads(trees):
 BACKEND_DEFINITIONS = BACKENDS.union(("Zn", "MatQ", "MatF"))
 BACKEND_FIELDS = frozenset(("n", "k", "field"))
 # a backend class is tested for only where its own ring is compared, and in
-# three places: cli's vector-span input check, the oracle's matrix product
-# table and a Z_n reason string in prescribed
+# two places: cli's vector-span input check and a Z_n reason string in
+# prescribed
 BACKEND_TYPE_TESTS = [
-    "cli._parse_ideal", "oracle.verify",
-    "prescribed._outer_from_annihilators", "rings.ModularRing.__eq__",
-    "rings.MatrixRing.__eq__"]
+    "cli._parse_ideal", "prescribed._outer_from_annihilators",
+    "rings.ModularRing.__eq__", "rings.MatrixRing.__eq__"]
 
 
 def backend_reads(tree):

@@ -1,7 +1,8 @@
 """The per-ring memo of principal, annihilator, any_inner and the ideal
 lattice (<=, +, cap and direct_sum): each memoized answer equals a fresh
 construction, infinite rings keep no memo, and the memo dies with its
-ring.  Only the oracle gives a matrix ring a product table, and its
+ring.  Only the oracle gives a finite ring an element table, which stores
+sums, products, negatives, stars and the element memos by index, and its
 context: one per ring object, shared by every verify call on it."""
 
 import gc
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ringinv import cli, ideals, oracle, prescribed, rings, special
+from ringinv import cli, oracle, prescribed, rings, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             RingInvError, RingMismatchError,
                             VerificationError)
@@ -23,12 +24,12 @@ from ringinv.geninv import InverseReport, any_inner
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             direct_sum, principal)
 from ringinv.linalg import mat_mul
-from ringinv.rings import MatF, MatQ, Zn, memoized, ring_from_name
+from ringinv.rings import MatF, MatQ, Zn, ring_from_name
 
 
-@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
-def test_memoized_equals_fresh_construction(name):
-    ring = ring_from_name(name)
+def _memo_answers_equal_fresh_constructions(ring):
+    # the elements of a fresh listing carry no index, so on an indexed ring
+    # each is found by its payload
     for a in ring.elements():
         for fn in (principal, annihilator):
             for side in (RIGHT, LEFT):
@@ -39,8 +40,30 @@ def test_memoized_equals_fresh_construction(name):
         inner = any_inner(a)
         assert any_inner(a) is inner
         assert inner == any_inner.__wrapped__(a)
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_memoized_equals_fresh_construction(name):
+    # without a table: one ring.memo dict per function, keyed by payload
+    ring = ring_from_name(name)
+    _memo_answers_equal_fresh_constructions(ring)
+    assert ring.table is None
     assert set(ring.memo) == {"principal", "annihilator", "any_inner"}
     assert len(ring.memo["principal"]) == 2 * ring.size
+    # with one: a full row per function and side, and no memo dict
+    ring = ring_from_name(name)
+    table = oracle._Context.of(ring).table
+    _memo_answers_equal_fresh_constructions(ring)
+    assert ring.table is table and set(ring.memo) == {"context"}
+    assert {name: set(rows) for name, rows in table.rows.items()} == {
+        "principal": {RIGHT, LEFT}, "annihilator": {RIGHT, LEFT},
+        "any_inner": {None}}
+    for rows in table.rows.values():
+        for row in rows.values():
+            assert len(row) == ring.size
+            assert all(out is not rings._UNSET for out in row)
+    assert all(x is None or table.elements[x.index] is x
+               for x in table.rows["any_inner"][None])
 
 
 @pytest.mark.parametrize("side", [RIGHT, LEFT])
@@ -174,22 +197,35 @@ def test_memo_dies_with_its_ring():
     ref = weakref.ref(ring)
     for tid in ("T-1I-projectors", "T-bc-inverses", "O-named-inverses"):
         assert oracle.verify(tid, ring, max_cases=30).counterexample is None
-    assert {"principal", "annihilator", "direct_sum", "any_inner"} \
-        <= set(ring.memo)
+    assert {"principal", "annihilator", "any_inner"} <= set(ring.table.rows)
+    assert {"context", "direct_sum"} <= set(ring.memo)
+    # the table holds its ring, so the ring outlives no table
     del ring
     gc.collect()
     assert ref() is None
 
 
+class _SideBlind(rings._Rows):
+    """The rows of a function with one list for both sides: the first side
+    asked of an element answers for the other."""
+
+    __slots__ = ()
+
+    def __getitem__(self, side):
+        return super().__getitem__(None)
+
+
 @pytest.mark.parametrize("name", ["principal", "annihilator"])
 def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
-    real = getattr(ideals, name)
-    mutant = memoized(lambda a, side: a.payload)(real.__wrapped__)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("ringinv"):
-            for attr, val in list(vars(module).items()):
-                if val is real:
-                    monkeypatch.setattr(module, attr, mutant)
+    # the mutant drops the side from the per-index rows of one function,
+    # in every table built from here on (the CLI's ring included)
+    real = rings.ElementTable.__init__
+
+    def side_blind(self, ring, elements):
+        real(self, ring, elements)
+        self.rows[name] = _SideBlind(self.size)
+
+    monkeypatch.setattr(rings.ElementTable, "__init__", side_blind)
     rep = oracle.verify("L-regular-ideal-inclusions", MatF(2, 2))
     assert rep.counterexample == "a=[0 0; 0 1],b=[0 0; 1 0]"
     # the ideals of the wrong side make other entries raise library
@@ -222,26 +258,39 @@ def test_memo_key_without_side_is_a_counterexample(monkeypatch, name):
         assert error in ("PreconditionError", "RingMismatchError")
 
 
-# -- the product table of the oracle
+# -- the element table of the oracle
+
+def _stored_products(table):
+    """(x, y, x y) for each product the table holds, by index."""
+    n, els = table.size, table.elements
+    items = table.products.items() if isinstance(table.products, dict) \
+        else enumerate(table.products)
+    return [(els[k // n], els[k % n], els[out - 1])
+            for k, out in items if out]
+
 
 @pytest.mark.parametrize("name, max_cases", [("m2f2", 40), ("m2f3", 10)])
 def test_memoized_products_equal_fresh_mat_mul(name, max_cases):
     ring = ring_from_name(name)
     reports = oracle.verify_all(ring, max_cases=max_cases)
     assert all(rep.counterexample is None for rep in reports)
-    table = ring.memo["mul"]
-    assert 0 < len(table) <= ring.size ** 2
-    for (x, y), product in table.items():
-        assert product.ring is ring
-        assert product.payload == mat_mul(ring.field, x, y)
+    stored = _stored_products(ring.table)
+    assert 0 < len(stored) <= ring.size ** 2
+    for x, y, product in stored:
+        assert product.ring is ring and product.index is not None
+        assert product.payload == mat_mul(ring.field, x.payload, y.payload)
 
 
 def test_product_table_stops_at_its_bound(monkeypatch):
+    # M2(F2) is past a flat cap of 15 elements, so its products go to the
+    # bounded store, which stops at _MAX_PRODUCTS
+    monkeypatch.setattr(rings, "_MAX_FLAT", 15)
     monkeypatch.setattr(rings, "_MAX_PRODUCTS", 100)
     ring = MatF(2, 2)
     reports = oracle.verify_all(ring, max_cases=40)
     assert all(rep.counterexample is None for rep in reports)
-    assert len(ring.memo["mul"]) == 100
+    assert isinstance(ring.table.products, dict)
+    assert len(ring.table.products) == 100
 
 
 def test_second_verify_makes_no_matrix_products(monkeypatch):
@@ -280,7 +329,8 @@ def test_cli_rings_keep_no_product_table(made, name):
               for mode in ("one", "outer", "reflexive")]
     assert len(made) == 13 and set(codes) <= {cli.EXIT_OK, cli.EXIT_NONE}
     for ring in made:
-        assert isinstance(ring.memo, dict) and "mul" not in ring.memo
+        assert isinstance(ring.memo, dict) and ring.table is None
+        assert "table" not in vars(ring)
 
 
 def test_verify_on_q_keeps_no_memo():
@@ -290,10 +340,13 @@ def test_verify_on_q_keeps_no_memo():
     assert ring.memo is None and "memo" not in vars(ring)
 
 
-def test_zn_gets_no_product_table():
+def test_zn_gets_the_same_product_table():
+    # every backend has the one product cache, and no code tests for one
     ring = Zn(6)
     assert oracle.verify("T-bc-inverses", ring).counterexample is None
-    assert "mul" not in ring.memo
+    stored = _stored_products(ring.table)
+    assert len(stored) == ring.size ** 2
+    assert all(z.payload == x.payload * y.payload % 6 for x, y, z in stored)
 
 
 @pytest.fixture
@@ -318,12 +371,14 @@ def _calls_from(callers, module):
 
 def test_oracle_lists_the_elements_once_per_verify(element_callers):
     # the library's own scans (families, one-sided core sets) still list
-    # the ring; the oracle's scopes and clauses read one tuple per call,
-    # and its solution sets are scans of that tuple
-    reports = oracle.verify_all(MatF(2, 2))
+    # the ring; the oracle's scopes and clauses read the tuple of the
+    # ring's table, and its solution sets are scans of that tuple
+    ring = MatF(2, 2)
+    reports = oracle.verify_all(ring)
     assert all(rep.passed for rep in reports)
     assert 0 < _calls_from(element_callers, "oracle.py") \
         <= len(oracle.CATALOG) == 32
+    assert oracle._Context.of(ring).elements is ring.table.elements
     assert _calls_from(element_callers, "geninv.py") == 0
     assert element_callers["prescribed.py", "_mitsch_sets"] == 0
 
@@ -333,7 +388,10 @@ def test_oracle_lists_the_elements_once_per_verify(element_callers):
 def test_oracle_lists_the_elements_once_per_ring(element_callers):
     ring = MatF(2, 2)
     oracle.verify_all(ring)
+    table = ring.table
     oracle.verify_all(ring, max_cases=7)
+    # a private context shares the ring's table
+    assert oracle._Context(ring).table is table is ring.table
     assert _calls_from(element_callers, "oracle.py") == 1
     oracle.verify_all(MatF(2, 2), max_cases=7)
     assert _calls_from(element_callers, "oracle.py") == 2
@@ -418,3 +476,67 @@ def test_a_warm_context_memo_keeps_no_error(monkeypatch):
     assert oracle.verify(entry.id, ring).passed
     assert oracle.verify(entry.id, ring).passed
     assert len(calls) == 1 + ring.size
+
+
+# -- the element table: the backend's answers, by index
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_table_operations_equal_the_backends(name):
+    ring = ring_from_name(name)
+    els = oracle._Context.of(ring).table.elements
+    # the first pass fills the stores, the second reads them
+    for _ in range(2):
+        for x in els:
+            ops = [(-x, ring.neg(x))]
+            if ring.has_involution:
+                ops.append((x.star, ring.involute(x)))
+            for y in els:
+                ops += [(x + y, ring.add(x, y)), (x * y, ring.mul(x, y)),
+                        (x - y, ring.add(x, ring.neg(y)))]
+            for got, want in ops:
+                assert got == want and want.index is None
+                assert els[got.index] is got
+
+
+def test_indexed_and_unindexed_elements_are_interchangeable():
+    ring = MatF(2, 2)
+    els = oracle._Context.of(ring).table.elements
+    fresh = MatF(2, 2)
+    for x, y in zip(els, fresh.elements()):
+        assert x.index is not None and y.index is None
+        assert x == y and y == x and hash(x) == hash(y)
+        assert y in {x} and x in {y}
+        assert {x: 1}[y] == 1 and {y: 2}[x] == 2
+        assert x * y is x * x and y * x == x * x
+    # equal payloads of unequal rings hash alike and stay apart
+    two, other = Zn(6).element(2), Zn(8).element(2)
+    assert hash(two) == hash(other) and two != other
+    assert len({two, other}) == 2
+
+
+def test_bounded_store_gives_the_flat_tables_reports(monkeypatch):
+    flat = _report_json(oracle.verify_all(MatF(2, 3), max_cases=40))
+    monkeypatch.setattr(rings, "_MAX_FLAT", 80)
+    monkeypatch.setattr(rings, "_MAX_PRODUCTS", 500)
+    ring = MatF(2, 3)
+    assert _report_json(oracle.verify_all(ring, max_cases=40)) == flat
+    table, ctx = ring.table, ring.memo["context"]
+    for store in (table.products, table._sums, ctx._leq):
+        assert isinstance(store, dict) and 0 < len(store) <= 500
+    assert len(table.products) == 500
+
+
+def test_a_private_context_works_on_parsed_elements():
+    ring = MatF(2, 2)
+    ctx = oracle._Context(ring)
+    assert ring.table is ctx.table and "context" not in ring.memo
+    a = ring.parse([[0, 0], [0, 1]])
+    assert a.index is None
+    for tags in oracle._TWO_SHAPES:
+        assert oracle._mitsch_extremes(ctx, a, a, tags)
+    fresh = ring.elements()
+    for y in fresh:
+        for z in fresh:
+            assert ctx.leq(y, z) == prescribed.mitsch_leq(y, z)
+    # each pair was computed once, then read
+    assert sorted(set(ctx._leq)) == [1, 2]

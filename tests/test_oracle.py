@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from itertools import islice
 
 import pytest
@@ -391,6 +392,15 @@ def test_catalog_passes_on_larger_zn(n, skipped):
     ids = [case.id for case in CATALOG if case.id not in skipped]
     for rep in verify_all(Zn(n), theorem_ids=ids):
         assert rep.passed, "%s: %s" % (rep.theorem, rep.counterexample)
+
+
+@pytest.mark.skipif(not os.environ.get("RINGINV_SLOW"),
+                    reason="set RINGINV_SLOW=1 to run")
+@pytest.mark.parametrize("theorem, cases", [
+    ("O-named-inverses", 512), ("T-1I-projectors", 512 ** 2)])
+def test_entries_complete_on_m3f2(theorem, cases):
+    rep = verify(theorem, MatF(3, 2))
+    assert rep.passed and rep.cases_checked == cases
 
 
 def test_selected_entries_pass_on_z8():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from ringinv import ideals, oracle, prescribed, special
+from ringinv import cli, ideals, oracle, prescribed, special
 from ringinv.errors import PreconditionError, VerificationError
-from ringinv.geninv import (core_inverse, dual_core_inverse, group_inverse,
-                            moore_penrose, satisfies)
+from ringinv.geninv import (InverseReport, core_inverse, dual_core_inverse,
+                            group_inverse, moore_penrose, satisfies)
 from ringinv.oracle import star_class_identity_report, star_class_membership
 from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
                              bott_duffin_inverse, djordjevic_wei_inverse,
@@ -234,6 +234,28 @@ def test_weighted_and_core_like_solve_one_bundle(monkeypatch, compute, args):
                          prescribed.outer_with)
     assert compute(A, *args).exists
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("compute, inverse, flag", [
+    (e_core, "e-core", "--e"), (f_dual_core, "f-dual-core", "--f")])
+def test_core_like_candidate_with_the_wrong_rx_raises(
+        monkeypatch, capsys, compute, inverse, flag):
+    # outer_with's x has xR = S and rann(x) = T, which force Rx = S': a
+    # candidate with another Rx (here 0) is an internal error, not "none"
+    def wrong_rx(a, cons, reflexive=False):
+        return InverseReport("reflexive-prescribed", True, a.ring.zero,
+                             satisfied=("1", "2"))
+
+    monkeypatch.setattr(special, "outer_with", wrong_rx)
+    with pytest.raises(VerificationError, match="fails Rx = S'"):
+        compute(A, I2)
+    code = cli.main(["compute", "--ring", "m2q", "--element",
+                     '[["2","-2"],["0","0"]]', "--inverse", inverse,
+                     flag, '[["1","0"],["0","1"]]'])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == "" and "fails Rx = S'" in err
+    assert "Traceback" not in err
 
 
 def test_djordjevic_wei_does_not_recheck_phi_preimages(monkeypatch):
