@@ -538,5 +538,5 @@ def test_a_private_context_works_on_parsed_elements():
     for y in fresh:
         for z in fresh:
             assert ctx.leq(y, z) == prescribed.mitsch_leq(y, z)
-    # each pair was computed once, then read
+    # every pair's byte is now known
     assert sorted(set(ctx._leq)) == [1, 2]
