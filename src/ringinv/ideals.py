@@ -8,11 +8,16 @@ divisor d on Z_n, and on M_k(F) the subspace V with the right ideal
 Every ideal here is principal, so the rest is generators: I + J is
 spanned by the two generators, I <= J iff J holds I's generator, and
 a(gR) = (ag)R.
+
+On a ring with an ElementTable (see rings), the ideals the memoized
+functions return are interned, and each is read by its index: equality,
+membership, the generator and the lattice operations.
 """
 
 from .errors import (NotEnumerableError, PreconditionError,
                      RingMismatchError, UnsupportedInvolutionError)
-from .rings import LEFT, RIGHT, Coset, memoized, memoized_by_index
+from .rings import (LEFT, RIGHT, Coset, memoized, memoized_by_ideal_index,
+                    memoized_by_index)
 
 
 def _pair(s, t):
@@ -28,10 +33,12 @@ class SidedIdeal:
 
     key is (side, the backend's canonical key of rep): two ideals of one
     ring are equal iff their keys are.  On a finite ring, <=, + and cap
-    are memoized per pair of keys.
+    are memoized per pair of keys, or per pair of indices on a ring with
+    a table.  index is the ideal's position in its ring's table when it
+    is the interned one of its key, else None.
     """
 
-    __slots__ = ("ring", "side", "rep", "key")
+    __slots__ = ("ring", "side", "rep", "key", "index")
 
     def __init__(self, ring, side, rep):
         if side not in (LEFT, RIGHT):
@@ -40,6 +47,7 @@ class SidedIdeal:
         self.side = side
         self.rep = rep
         self.key = (side, ring.ideal_key(rep))
+        self.index = None
 
     @classmethod
     def from_elements(cls, ring, side, elements):
@@ -49,9 +57,12 @@ class SidedIdeal:
     # -- basic predicates ----------------------------------------------
 
     def contains(self, a):
-        if a.ring != self.ring:
+        ring = self.ring
+        if a.ring is not ring and a.ring != ring:
             raise RingMismatchError("element of a different ring")
-        return self.ring.ideal_contains(self.side, self.rep, a)
+        if ring.table is None:
+            return ring.ideal_contains(self.side, self.rep, a)
+        return ring.table.contains(self, a)
 
     def is_zero(self):
         return self.generator() == self.ring.zero
@@ -59,6 +70,7 @@ class SidedIdeal:
     def is_full(self):
         return self.contains(self.ring.one)
 
+    @memoized_by_ideal_index
     @memoized(_pair)
     def is_subideal_of(self, other):
         return other.contains(self.generator())
@@ -74,8 +86,11 @@ class SidedIdeal:
             return True
         if not isinstance(other, SidedIdeal):
             return NotImplemented
-        return other.key == self.key and (other.ring is self.ring
-                                          or other.ring == self.ring)
+        if other.ring is self.ring:
+            # two interned ideals of one ring are equal only if identical
+            return (self.index is None or other.index is None) and \
+                other.key == self.key
+        return other.key == self.key and other.ring == self.ring
 
     def __hash__(self):
         return hash(self.key)
@@ -86,11 +101,13 @@ class SidedIdeal:
 
     # -- lattice operations ----------------------------------------------
 
+    @memoized_by_ideal_index
     @memoized(_pair)
     def sum(self, other):
         return SidedIdeal(self.ring, self.side, self.ring.ideal_span(
             self.side, (self.generator(), other.generator())))
 
+    @memoized_by_ideal_index
     @memoized(_pair)
     def intersect(self, other):
         return SidedIdeal(self.ring, self.side,
@@ -98,7 +115,10 @@ class SidedIdeal:
 
     def generator(self):
         """Some g with gR (right) or Rg (left) equal to this ideal."""
-        return self.ring.ideal_generator(self.side, self.rep)
+        ring = self.ring
+        if ring.table is None:
+            return ring.ideal_generator(self.side, self.rep)
+        return ring.table.generator(self)
 
     def members(self):
         """All elements in canonical order (finite rings only): the span
@@ -171,6 +191,7 @@ def phi_preimage(a, ideal):
 
 # -- direct sums and projector units -----------------------------------
 
+@memoized_by_ideal_index
 @memoized(_pair)
 def direct_sum(s, t):
     """rho_{S,T}(1) if R = s (+) t, else None.
@@ -200,7 +221,7 @@ def orthogonal(i, j, flavor=RIGHT):
     if flavor not in (RIGHT, LEFT):
         raise ValueError("flavor must be 'right' or 'left'")
     ring = i.ring
-    if i.ring is not j.ring:
+    if j.ring is not ring and j.ring != ring:
         raise RingMismatchError("ideals live in different rings")
     if not ring.has_involution:
         raise UnsupportedInvolutionError(
@@ -214,5 +235,9 @@ def orthogonal(i, j, flavor=RIGHT):
 # -- enumeration of the ideal lattice -----------------------------------
 
 def all_ideals(ring, side):
-    """Every one-sided ideal of a finite backend, smallest first."""
-    return [SidedIdeal(ring, side, rep) for rep in ring.ideal_reps(side)]
+    """Every one-sided ideal of a finite backend, smallest first: on a
+    ring with a table, the interned ones."""
+    ideals = [SidedIdeal(ring, side, rep) for rep in ring.ideal_reps(side)]
+    if ring.table is None:
+        return ideals
+    return [ring.table.interned(ideal) for ideal in ideals]

@@ -9,7 +9,7 @@ counterexample.
 
 The ring's context (_Context) lists the ring once and gives it an
 ElementTable (see rings), so the brute-force checks read the products,
-sums, stars and element ideals of the ring by index.
+sums, stars, element ideals and ideal lattice of the ring by index.
 """
 
 import time
@@ -97,10 +97,12 @@ class _Context:
     from it on first use, each element's rendering, the Mitsch order by
     pair of indices, and memos that live as long as the context.  Every
     brute-force solution set of the oracle comes from one of them,
-    solutions.
+    solutions, and every such set filtered by ideals from another,
+    filtered.
 
     The first context of a ring gives it its table, so products, sums,
-    stars and the element ideals are stored by index from then on.
+    stars, the element ideals and the ideal lattice are stored by index
+    from then on.
     verify takes the ring's own context (of), so these are computed once
     per ring object and die with it; a caller who patches a library
     function needs a fresh ring.  _Context(ring) is a private one, which
@@ -121,9 +123,15 @@ class _Context:
         # fn(*args), computed once per context
         self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
         # a{equations} in canonical order
-        self.solutions = lru_cache(maxsize=None)(
+        solutions = self.solutions = lru_cache(maxsize=None)(
             lambda a, equations, k=None: [
                 x for x in elements if satisfies(a, x, equations, k=k)])
+        # the x of a{equations} that meet the ideals (S, T, S', T') in
+        # mode (see _meets), in canonical order
+        self.filtered = lru_cache(maxsize=None)(
+            lambda a, equations, ideals, mode: [
+                x for x in solutions(a, equations)
+                if _meets(a, x, ideals, mode)])
 
     @classmethod
     def of(cls, ring):
@@ -206,6 +214,16 @@ def _require_agree(what, clauses):
     if len(set(clauses.values())) > 1:
         raise VerificationError("%s disagree: %r" % (what, clauses))
     return True
+
+
+def _meets(a, x, ideals, mode):
+    """Whether x meets the ideals (S, T, S', T'): with mode True or False,
+    those prescribed (not None) are the ideals of xa/ax or of x (see
+    _check_constraints_on_x); with a tuple of _SIDE_CLAUSES labels, each
+    of those clauses holds."""
+    if isinstance(mode, bool):
+        return _check_constraints_on_x(a, x, IdealConstraints(*ideals), mode)
+    return all(_SIDE_CLAUSES[label](x, *ideals) for label in mode)
 
 
 def _is_brute_force(rep, want):
@@ -502,8 +520,7 @@ def _constrained_inners(ctx, a, x, tags):
     """The constraints of _product_cons and the {1}-inverses meeting
     them, by brute force."""
     cons = _product_cons(a, x, tags)
-    return cons, [y for y in ctx.solutions(a, ("1",))
-                  if _check_constraints_on_x(a, y, cons, True)]
+    return cons, ctx.filtered(a, ("1",), cons.ideals, True)
 
 
 def _one_family(ctx, a, x, tags):
@@ -557,9 +574,7 @@ def _mitsch_extremes(ctx, a, x, tags):
     minimum of Z, and every y in Y lies below every z in Z."""
     ideals = (principal(x, RIGHT), annihilator(x, RIGHT),
               principal(x, LEFT), annihilator(x, LEFT))
-    y_set, z_set = ([y for y in ctx.solutions(a, ("2",))
-                     if all(_SIDE_CLAUSES[label](y, *ideals)
-                            for label in labels)]
+    y_set, z_set = (ctx.filtered(a, ("2",), ideals, labels)
                     for labels in _MITSCH_SETS[tags])
     leq = ctx.leq
     rep = outer_with(a, IdealConstraints.of(tags, *ideals), reflexive=False)
@@ -590,9 +605,7 @@ def _ideal_quadruples(ring):
 def _prescribed(ctx, a, cons, reflexive):
     eqs = ("1", "2") if reflexive else ("2",)
     rep = outer_with(a, cons, reflexive=reflexive)
-    want = [x for x in ctx.solutions(a, eqs)
-            if _check_constraints_on_x(a, x, cons, False)]
-    ok = _is_brute_force(rep, want)
+    ok = _is_brute_force(rep, ctx.filtered(a, eqs, cons.ideals, False))
     if rep.exists:
         # idempotent-generated ideal corollary: p = xa, q = ax
         x = rep.value
@@ -995,8 +1008,7 @@ def _bc(ctx, a, b, c):
         raise VerificationError("the closed form is not b (cab)^(1) c")
     for flavor, rep in reps.items():
         cons = special._bc_constraints(b, c, flavor)
-        want = [x for x in ctx.solutions(a, ("2",))
-                if _check_constraints_on_x(a, x, cons, False)]
+        want = ctx.filtered(a, ("2",), cons.ideals, False)
         if not _is_brute_force(rep, want):
             raise VerificationError(
                 "(b,c) %s inverse disagrees with brute force" % flavor)
@@ -1056,8 +1068,7 @@ def _pq(ctx, a, p, q):
     outer = ctx.solutions(a, ("2",))
     pr, qr = principal(p, RIGHT), principal(q, RIGHT)
     ik = special.image_kernel_inverse(a, p, q)
-    want = [x for x in outer if principal(x, RIGHT) == pr
-            and annihilator(x, RIGHT) == qr]
+    want = ctx.filtered(a, ("2",), (pr, qr, None, None), False)
     if not _is_brute_force(ik, want):
         raise VerificationError(
             "image-kernel inverse disagrees with brute force")

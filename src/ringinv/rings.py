@@ -7,8 +7,11 @@ modules are written in its arithmetic and the protocol of Ring.
 
 A finite ring that the oracle lists gets an ElementTable: each element's
 position in that order becomes its index, and sums, products, negatives,
-stars and the per-element memos are then stored by index.  A ring without
-one (every ring the CLI builds) computes each of them directly.
+stars and the per-element memos are then stored by index.  So are its
+ideals: each one-sided ideal is interned, one object per (side, key),
+and membership, generators and the lattice operations are stored by
+ideal index.  A ring without one (every ring the CLI builds) computes
+each of them directly.
 """
 
 from array import array
@@ -570,10 +573,12 @@ class Coset:
         return self.base.ring.coset_members(self.base, self.rep)
 
 
-# A table stores one small int per pair of indices in a flat array of N^2
+# A table stores one value per pair of indices in a flat array of N^2
 # while the ring has at most _MAX_FLAT elements (8 MB of products at the
 # cap); above it, in a dict of at most _MAX_PRODUCTS entries, so that a
-# timed verify on M3(F3) stays bounded.
+# timed verify on M3(F3) stays bounded.  A store by pair of ideals, or by
+# ideal and element, follows the same rule with M^2 or M N cells, M the
+# number of one-sided ideals of both sides.
 _MAX_FLAT = 1 << 11
 _MAX_PRODUCTS = 1 << 16
 
@@ -582,13 +587,17 @@ _UNSET = object()
 
 
 class _Bounded(dict):
-    """A pair store above the flat cap: reads 0 for a key not stored, and
-    stores no new key once it holds _MAX_PRODUCTS."""
+    """A pair store above the flat cap: reads unset for a key not stored,
+    and stores no new key once it holds _MAX_PRODUCTS."""
 
-    __slots__ = ()
+    __slots__ = ("unset",)
+
+    def __init__(self, unset):
+        super().__init__()
+        self.unset = unset
 
     def __missing__(self, key):
-        return 0
+        return self.unset
 
     def __setitem__(self, key, value):
         if len(self) < _MAX_PRODUCTS:
@@ -607,10 +616,20 @@ class ElementTable:
     until known); for each element, its negative and its star; and
     rows[name][side], the answers of a memoized_by_index function.  Every
     element the table returns is an indexed one.
+
+    The ideals are indexed on first use, both sides at once in the order
+    of ring.ideal_reps, by their (side, key).  The first ideal of a key
+    to arrive is the interned one, whose index attribute is set; the
+    ideals the table returns are interned ones.  Then, by ideal index,
+    it stores each ideal's generator, 1 + whether it holds each element
+    (0 until known), and ideal_pairs[name], the answers of a
+    memoized_by_ideal_index function.
     """
 
     __slots__ = ("ring", "elements", "size", "products", "rows",
-                 "_positions", "_sums", "_negatives", "_stars")
+                 "_positions", "_sums", "_negatives", "_stars",
+                 "interned_ideals", "ideal_pairs", "_ideal_positions",
+                 "_ideal_contains", "_ideal_generators")
 
     def __init__(self, ring, elements):
         elements = self.elements = tuple(elements)
@@ -622,16 +641,25 @@ class ElementTable:
         self._sums, self.products = self.pairs("H"), self.pairs("H")
         self._negatives, self._stars = [None] * n, [None] * n
         self.rows = defaultdict(partial(_Rows, n))
+        self.interned_ideals = None
         ring.zero, ring.one = self.indexed(ring.zero), self.indexed(ring.one)
         ring.table = self
 
-    def pairs(self, typecode):
-        """A fresh store of one small int per pair, at key pair(a, b), that
-        reads 0 until set: flat up to _MAX_FLAT elements, bounded above."""
+    def pairs(self, typecode, rows=None, columns=None):
+        """A fresh store of one value per pair (i, j), i below rows and j
+        below columns (each the table's size by default), at key
+        i * columns + j: a small int of typecode that reads 0 until set,
+        or with typecode None any object, which reads _UNSET.  It is flat
+        up to _MAX_FLAT elements, bounded above; pair(a, b) is the key of
+        two elements."""
         n = self.size
+        unset = _UNSET if typecode is None else 0
         if n > _MAX_FLAT:
-            return _Bounded()
-        return array(typecode, bytes(array(typecode).itemsize * n * n))
+            return _Bounded(unset)
+        cells = (rows or n) * (columns or n)
+        if typecode is None:
+            return [unset] * cells
+        return array(typecode, bytes(array(typecode).itemsize * cells))
 
     def position(self, a):
         i = a.index
@@ -676,6 +704,62 @@ class ElementTable:
 
     def involute(self, a):
         return self._unary(self._stars, self.ring.involute, a)
+
+    # the ideals, by index
+
+    def _index_ideals(self):
+        ring = self.ring
+        keys = [(side, ring.ideal_key(rep)) for side in (RIGHT, LEFT)
+                for rep in ring.ideal_reps(side)]
+        m = len(keys)
+        self._ideal_positions = {key: i for i, key in enumerate(keys)}
+        self.interned_ideals = [None] * m
+        self._ideal_generators = [None] * m
+        self._ideal_contains = self.pairs("B", m)
+        self.ideal_pairs = defaultdict(partial(self.pairs, None, m, m))
+
+    def interned(self, ideal):
+        """The interned ideal equal to ideal, an ideal of this ring."""
+        if ideal.index is not None:
+            return ideal
+        if self.interned_ideals is None:
+            self._index_ideals()
+        i = self._ideal_positions[ideal.key]
+        out = self.interned_ideals[i]
+        if out is None:
+            ideal.index = i
+            out = self.interned_ideals[i] = ideal
+        return out
+
+    def kept(self, out):
+        """An answer as the table keeps it: an element by its indexed one,
+        an ideal by its interned one, anything else as it is."""
+        if isinstance(out, RingElement):
+            return self.indexed(out)
+        if out is None or out is True or out is False:
+            return out
+        return self.interned(out)
+
+    def contains(self, ideal, a):
+        i = ideal.index
+        if i is None:
+            i = self.interned(ideal).index
+        k = i * self.size + self.position(a)
+        out = self._ideal_contains[k]
+        if not out:
+            out = self._ideal_contains[k] = 1 + self.ring.ideal_contains(
+                ideal.side, ideal.rep, a)
+        return out == 2
+
+    def generator(self, ideal):
+        i = ideal.index
+        if i is None:
+            i = self.interned(ideal).index
+        out = self._ideal_generators[i]
+        if out is None:
+            out = self._ideal_generators[i] = self.indexed(
+                self.ring.ideal_generator(ideal.side, ideal.rep))
+        return out
 
 
 class _Rows(dict):
@@ -742,10 +826,37 @@ def memoized_by_index(plain):
             i = table.position(a)
         out = row[i]
         if out is _UNSET:
-            out = fn(a) if side is None else fn(a, side)
-            if isinstance(out, RingElement):
-                out = table.indexed(out)
-            row[i] = out
+            out = row[i] = table.kept(fn(a) if side is None else fn(a, side))
+        return out
+    return wrapper
+
+
+def memoized_by_ideal_index(plain):
+    """Over plain, a memoized function of two ideals of one ring and side,
+    fn(s, t): on a ring with an ElementTable the answers live in the table
+    instead, one store per function by the pair of ideal indices, when t
+    is of s's ring object and side.  On any other ring, or for any other
+    pair, plain runs, and its key refuses a pair of different rings or
+    sides."""
+    fn = plain.__wrapped__
+    name = fn.__name__
+
+    @wraps(fn)
+    def wrapper(s, t):
+        ring = s.ring
+        table = ring.table
+        if table is None or t.ring is not ring or t.side != s.side:
+            return plain(s, t)
+        i, j = s.index, t.index
+        if i is None:
+            i = table.interned(s).index
+        if j is None:
+            j = table.interned(t).index
+        store = table.ideal_pairs[name]
+        k = i * len(table.interned_ideals) + j
+        out = store[k]
+        if out is _UNSET:
+            out = store[k] = table.kept(fn(s, t))
         return out
     return wrapper
 

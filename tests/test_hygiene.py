@@ -5,7 +5,9 @@ stands apart from the theorem checks and scans a ring only for the sets
 with no linear structure; it and the ideal layer read a ring's
 representation only in memo keys, and the oracle reads its ring only in
 its scope layer and lists no solution set through the library.  In
-rings.py only a backend class knows how it is stored.  Stdlib ast only."""
+rings.py only a backend class knows how it is stored, and only rings.py
+and ideals.py read the index of an interned ideal or the table's ideal
+stores.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -247,6 +249,28 @@ def listing_uses(tree):
     return ["%d %s" % use for use in sorted(out)]
 
 
+# an ideal's index and the stores of a table by ideal index are read only
+# where ideals are interned and stored: ideals.py and rings.py.  An
+# element's index is an attribute of the same name, and is read in
+# rings.py only.
+IDEAL_INDEX_MODULES = frozenset(("ideals.py", "rings.py"))
+IDEAL_INDEX_ATTRS = frozenset((
+    "index", "interned_ideals", "ideal_pairs", "interned",
+    "_ideal_positions", "_ideal_contains", "_ideal_generators"))
+
+
+def ideal_index_reads(trees):
+    """'module:line attribute' for each read of an ideal index attribute
+    outside ideals.py and rings.py."""
+    return ["%s:%d %s" % read for read in sorted(
+        (module, node.lineno, node.attr)
+        for module, tree in trees.items()
+        if module not in IDEAL_INDEX_MODULES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in IDEAL_INDEX_ATTRS)]
+
+
 def test_no_unused_module_imports():
     assert unused_imports(_trees()) == []
 
@@ -364,6 +388,30 @@ def test_guard_flags_a_backend_read_outside_its_class():
         "<module>"]
     assert backend_type_tests({"rings.py": tree}) == [
         "rings.ModularRing.__eq__", "rings.linear_solutions"]
+
+
+def test_ideal_index_is_read_only_where_ideals_are_interned():
+    assert ideal_index_reads(_trees()) == []
+
+
+def test_guard_flags_an_ideal_index_read_elsewhere():
+    reads = ("def f(s, t):\n"
+             "    table = s.ring.table\n"
+             "    k = s.index * len(table.interned_ideals) + t.index\n"
+             "    return table.ideal_pairs['sum'][k], table.interned(s)\n")
+    trees = {module: ast.parse(reads) for module in (
+        "ideals.py", "rings.py", "oracle.py")}
+    trees["prescribed.py"] = ast.parse(
+        "def g(table, ideal):\n"
+        "    return table._ideal_contains[ideal.index]\n")
+    trees["special.py"] = ast.parse(
+        "def h(ring, s):\n"
+        "    return ring.table.contains(s, ring.one), s.key\n")
+    assert ideal_index_reads(trees) == [
+        "oracle.py:3 index", "oracle.py:3 index",
+        "oracle.py:3 interned_ideals", "oracle.py:4 ideal_pairs",
+        "oracle.py:4 interned", "prescribed.py:2 _ideal_contains",
+        "prescribed.py:2 index"]
 
 
 def test_guards_flag_dead_code():

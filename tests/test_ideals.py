@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ringinv.errors import (BudgetError, PreconditionError,
-                            UnsupportedInvolutionError)
+                            RingMismatchError, UnsupportedInvolutionError)
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             complement, direct_sum, ideal_annihilator,
                             multiply_ideal, orthogonal, phi_preimage,
@@ -141,6 +141,23 @@ def test_orthogonality():
         or p == M2F2.zero
     with pytest.raises(UnsupportedInvolutionError):
         orthogonal(principal(z6(2), RIGHT), principal(z6(3), RIGHT), RIGHT)
+
+
+def test_orthogonality_takes_ideals_of_equal_rings():
+    # orthogonal takes the ring rule of ==, <=, + and cap: two equal ring
+    # objects are one ring, and unequal rings are refused
+    one, other = MatF(2, 2), MatF(2, 2)
+    e11 = principal(one.parse([[1, 0], [0, 0]]), RIGHT)
+    e22 = principal(other.parse([[0, 0], [0, 1]]), RIGHT)
+    assert not e11.is_subideal_of(e22)
+    assert orthogonal(e11, e22, RIGHT) and orthogonal(e22, e11, RIGHT)
+    assert not orthogonal(e11, principal(other.one, RIGHT), RIGHT)
+    assert orthogonal(e11, principal(other.parse([[0, 1], [0, 0]]), LEFT),
+                      RIGHT) is False
+    e33 = principal(MatF(2, 3).parse([[0, 0], [0, 1]]), RIGHT)
+    for i, j in ((e11, e33), (e33, e11)):
+        with pytest.raises(RingMismatchError):
+            orthogonal(i, j, RIGHT)
 
 
 def test_all_ideals_counts():

@@ -147,17 +147,25 @@ def test_a_warm_memo_still_refuses_another_ring_or_side():
 
 
 def test_catalog_pass_keeps_each_lattice_table_within_its_pairs():
+    # on the oracle's ring the lattice lives in the table, one store per
+    # function by pair of ideal indices, and none in ring.memo
     ring = MatF(2, 2)
     assert all(rep.passed for rep in oracle.verify_all(ring))
-    keys = {side: {i.key for i in all_ideals(ring, side)}
-            for side in (RIGHT, LEFT)}
-    assert {"is_subideal_of", "intersect", "direct_sum"} <= set(ring.memo)
-    for table in _LATTICE:
-        for side, lattice in keys.items():
-            pairs = [(s, t) for s, t in ring.memo.get(table, ())
-                     if s[0] == side]
-            assert len(pairs) <= len(lattice) ** 2 == 25
-            assert all(s in lattice and t in lattice for s, t in pairs)
+    table = ring.table
+    assert set(ring.memo) == {"context"}
+    assert {"is_subideal_of", "intersect", "direct_sum"} <= \
+        set(table.ideal_pairs) <= set(_LATTICE)
+    interned = table.interned_ideals
+    m = len(interned)
+    assert m == 2 * 5
+    for name, store in table.ideal_pairs.items():
+        assert len(store) == m * m
+        pairs = [divmod(k, m) for k, out in enumerate(store)
+                 if out is not rings._UNSET]
+        for side in (RIGHT, LEFT):
+            stored = [(i, j) for i, j in pairs if interned[i].side == side]
+            assert 0 < len(stored) <= len(all_ideals(ring, side)) ** 2 == 25
+            assert all(interned[j].side == side for _, j in stored)
 
 
 @pytest.fixture
@@ -195,12 +203,18 @@ def test_infinite_ring_keeps_no_memo(made):
 def test_memo_dies_with_its_ring():
     ring = MatF(2, 2)
     ref = weakref.ref(ring)
-    for tid in ("T-1I-projectors", "T-bc-inverses", "O-named-inverses"):
+    for tid in ("T-1I-projectors", "T-bc-inverses", "O-named-inverses",
+                "L-projector-algebra"):
         assert oracle.verify(tid, ring, max_cases=30).counterexample is None
-    assert {"principal", "annihilator", "any_inner"} <= set(ring.table.rows)
-    assert {"context", "direct_sum"} <= set(ring.memo)
-    # the table holds its ring, so the ring outlives no table
-    del ring
+    table = ring.table
+    assert {"principal", "annihilator", "any_inner"} <= set(table.rows)
+    assert {"is_subideal_of", "direct_sum"} <= set(table.ideal_pairs)
+    interned = [i for i in table.interned_ideals if i is not None]
+    assert interned and set(ring.memo) == {"context"}
+    # the table and each interned ideal hold the ring, so none of them
+    # outlives it: the ring, its table and its ideals go together
+    assert table.ring is ring and all(i.ring is ring for i in interned)
+    del ring, table, interned
     gc.collect()
     assert ref() is None
 
@@ -540,3 +554,107 @@ def test_a_private_context_works_on_parsed_elements():
             assert ctx.leq(y, z) == prescribed.mitsch_leq(y, z)
     # every pair's byte is now known
     assert sorted(set(ctx._leq)) == [1, 2]
+
+
+# -- the ideals of the table: interned, and read by index
+
+def _indexed(table, x):
+    return x is None or (x.index is not None and table.elements[x.index] is x)
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_index_path_gives_the_key_path_answers(name):
+    # ideals made before the table existed, then the table
+    ring = ring_from_name(name)
+    early = {side: all_ideals(ring, side) for side in (RIGHT, LEFT)}
+    table = oracle._Context.of(ring).table
+    assert table.interned_ideals is None
+    plain = ring_from_name(name)
+    assert plain.table is None
+    for side in (RIGHT, LEFT):
+        lattice, keyed = all_ideals(ring, side), all_ideals(plain, side)
+        assert [i.key for i in lattice] == [i.key for i in keyed]
+        assert all(i.index is not None
+                   and table.interned_ideals[i.index] is i for i in lattice)
+        for s, t in product(range(len(lattice)), repeat=2):
+            si, ti, sk, tk = lattice[s], lattice[t], keyed[s], keyed[t]
+            assert si.is_subideal_of(ti) == sk.is_subideal_of(tk)
+            assert si.sum(ti).key == sk.sum(tk).key
+            assert si.intersect(ti).key == sk.intersect(tk).key
+            assert si.sum(ti) is table.interned(si.sum(ti))
+            unit = direct_sum(si, ti)
+            assert unit == direct_sum(sk, tk) and _indexed(table, unit)
+            # an ideal made before the table is equal to the interned
+            # one, and gets its answers
+            es, et = early[side][s], early[side][t]
+            assert es == si and si == es and es.index is None
+            assert es.is_subideal_of(et) == si.is_subideal_of(ti)
+            assert es.sum(et) is si.sum(ti)
+            assert es.intersect(et) is si.intersect(ti)
+            assert direct_sum(es, et) is unit
+        for i, k in zip(lattice, keyed):
+            g = i.generator()
+            assert _indexed(table, g) and g == k.generator()
+            assert principal(g, side) is i
+            assert i.is_zero() == k.is_zero() and i.is_full() == k.is_full()
+            for a, b in zip(table.elements, plain.elements()):
+                assert i.contains(a) == k.contains(b) == i.contains(b)
+    assert set(ring.memo) == {"context"}
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_a_warm_index_store_still_refuses_another_ring_or_side(name):
+    ring = ring_from_name(name)
+    oracle._Context.of(ring)
+    right, left = all_ideals(ring, RIGHT), all_ideals(ring, LEFT)
+    for s, t in product(right, repeat=2):
+        _lattice_answers(s, t)
+    alien = all_ideals(MatF(2, 5) if name == "m2f3" else Zn(5), RIGHT)[0]
+    for op in (SidedIdeal.is_subideal_of, SidedIdeal.sum,
+               SidedIdeal.intersect, direct_sum):
+        for s in right:
+            with pytest.raises(RingMismatchError):
+                op(s, alien)
+            with pytest.raises(RingMismatchError):
+                op(alien, s)
+            with pytest.raises(PreconditionError):
+                op(s, left[0])
+            with pytest.raises(PreconditionError):
+                op(left[-1], s)
+    assert set(ring.memo) == {"context"}
+
+
+class _CountedKey(tuple):
+    """An ideal key that records each time it is hashed."""
+
+    hashed = []
+
+    def __hash__(self):
+        self.hashed.append(self)
+        return tuple.__hash__(self)
+
+
+def test_a_warm_lattice_call_hashes_no_ideal_key(monkeypatch):
+    ring = MatF(2, 2)
+    assert oracle.verify("L-projector-algebra", ring).passed
+    table = ring.table
+    lattice = all_ideals(ring, RIGHT)
+    for s, t in product(lattice, repeat=2):
+        _lattice_answers(s, t)
+    for ideal in lattice:
+        ideal.generator()
+        for a in table.elements:
+            ideal.contains(a)
+    monkeypatch.setattr(_CountedKey, "hashed", [])
+    for ideal in lattice:
+        ideal.key = _CountedKey(ideal.key)
+    for s, t in product(lattice, repeat=2):
+        assert _lattice_answers(s, t)[3] == (s is t)
+        assert direct_sum(s, t) is None or \
+            _indexed(table, direct_sum(s, t))
+    for ideal in lattice:
+        assert _indexed(table, ideal.generator())
+        assert [ideal.contains(a) for a in table.elements] == \
+            [ring.ideal_contains(RIGHT, ideal.rep, a)
+             for a in table.elements]
+    assert _CountedKey.hashed == []

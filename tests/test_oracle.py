@@ -346,8 +346,11 @@ def test_infinite_ring_rejected():
 
 # sha256 of every entry's (label, ok) sequence, entries in catalog order
 # and each case as "id<TAB>label<TAB>ok" on a line; m2f2 keeps the first
-# 200 cases of each entry.  Recorded before the scope layer replaced the
-# per-entry checkers, whose sequences these are.
+# 200 cases of each entry, zn:12 and m2f3 the first 100.  The zn:6, zn:8
+# and m2f2 digests were recorded before the scope layer replaced the
+# per-entry checkers, whose sequences these are; the zn:12 and m2f3 ones
+# before the ideals of an indexed ring were interned, so that the index
+# paths are pinned on lattices of 6 ideals per side.
 _CASE_SEQUENCES = {
     ("zn:6", None):
         "b22c9d14e6dccc4a1098089e1d315ed95bbedf5b4d500374e74f23c322466a2d",
@@ -355,6 +358,10 @@ _CASE_SEQUENCES = {
         "2d9829ef9fa004b989d2a8f238bbd5fec92f7150f703970b2957fc127b1907b3",
     ("m2f2", 200):
         "363ca2be47b8958bee3f8a15731445d0908b90c05b7be09416a35714dc752adf",
+    ("zn:12", 100):
+        "285710f839d19bccab335e8565d0b3ecf7a1fc567d6fb71d2cc740b40b7688ca",
+    ("m2f3", 100):
+        "452647fb0a208d19e906a4bfd0d75dcaf0f08f672e9d53091a58279a6da7eced",
 }
 
 
