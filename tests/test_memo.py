@@ -535,9 +535,11 @@ def test_bounded_store_gives_the_flat_tables_reports(monkeypatch):
     ring = MatF(2, 3)
     assert _report_json(oracle.verify_all(ring, max_cases=40)) == flat
     table, ctx = ring.table, ring.memo["context"]
-    for store in (table.products, table._sums, ctx._leq):
+    # the stores by ideal index follow the same rule
+    for store in (table.products, table._sums, ctx._leq,
+                  table._ideal_contains, *table.ideal_pairs.values()):
         assert isinstance(store, dict) and 0 < len(store) <= 500
-    assert len(table.products) == 500
+    assert len(table.products) == 500 and table.ideal_pairs
 
 
 def test_a_private_context_works_on_parsed_elements():
