@@ -129,7 +129,7 @@ class SidedIdeal:
         g = self.generator()
         return Coset.spanned(ring.zero, [
             e * g if self.side == LEFT else g * e
-            for e in ring.additive_generators()]).members()
+            for e in (ring.table or ring).additive_generators()]).members()
 
     def size(self):
         return self.ring.ideal_size(self.side, self.rep)
@@ -164,8 +164,9 @@ def ideal_annihilator(ideal, side):
     g = ideal.generator()
     if side != ideal.side:
         return annihilator(g, side)
+    ring = ideal.ring
     meet = None
-    for e in ideal.ring.additive_generators():
+    for e in (ring.table or ring).additive_generators():
         ann = annihilator(g * e if side == RIGHT else e * g, side)
         meet = ann if meet is None else meet.intersect(ann)
         if meet.is_zero():

@@ -5,7 +5,7 @@ entry's cases in canonical order, as (label, args): elements, idempotents,
 unit weights, tags and, where a statement ranges over ideals, every
 one-sided ideal of the finite backend.  The clause checks one case of the
 theorem.  `verify` walks the scope, keeps the budget and reports the first
-counterexample.
+counterexample; a label's text is built only for it.
 
 The ring's context (_Context) lists the ring once and gives it an
 ElementTable (see rings), so the brute-force checks read the products,
@@ -37,8 +37,9 @@ class TheoremCase:
     """A catalog entry: a stable id, its quantifier scope in words, the
     scope that lists its cases and the clause that checks one.
 
-    scope(ctx) yields (label, args) in canonical order, and
-    clause(ctx, *args) is true when the case holds.
+    scope(ctx) yields (label, args) in canonical order, str(label) being
+    the case's label text, and clause(ctx, *args) is true when the case
+    holds.
     """
 
     __slots__ = ("id", "quantifier_scope", "scope", "clause")
@@ -181,28 +182,44 @@ def _scope(*dims, star=False):
     (name, values) gives its own: a tuple of tags, or a function of the
     context and the values chosen before it.  With star, a ring without
     an involution has no cases."""
+    names = tuple(dim if isinstance(dim, str) else dim[0] for dim in dims)
+
     def scope(ctx):
         if star and not ctx.star:
             return iter(())
-        return _tuples(ctx, dims, (), ())
+        return _tuples(ctx, names, dims, ())
     return scope
 
 
-def _tuples(ctx, dims, labels, args):
-    if not dims:
-        yield ",".join(labels), args
-        return
-    dim = dims[0]
+def _tuples(ctx, names, dims, args):
+    dim, rest = dims[0], dims[1:]
     if isinstance(dim, str):
-        name, values = dim, getattr(ctx, _DOMAINS[dim])
+        values = getattr(ctx, _DOMAINS[dim])
     else:
-        name, values = dim
+        values = dim[1]
         if callable(values):
             values = values(ctx, *args)
     for v in values:
-        yield from _tuples(ctx, dims[1:],
-                           labels + ("%s=%s" % (name, ctx.text(v)),),
-                           args + (v,))
+        if rest:
+            yield from _tuples(ctx, names, rest, args + (v,))
+        else:
+            case = args + (v,)
+            yield _Label(ctx, names, case), case
+
+
+class _Label:
+    """The label of a case of a _scope, built only when it is read: str
+    gives "a=...,x=..."."""
+
+    __slots__ = ("ctx", "names", "args")
+
+    def __init__(self, ctx, names, args):
+        self.ctx, self.names, self.args = ctx, names, args
+
+    def __str__(self):
+        text = self.ctx.text
+        return ",".join("%s=%s" % (name, text(v))
+                        for name, v in zip(self.names, self.args))
 
 
 def _iff(*values):
@@ -751,9 +768,15 @@ _STAR_CLASSES = {tag: {"+".join(item.label for item in cond): cond
 
 def _star_conditions(tag, t, ideals):
     """Each condition of the class on the terms t, by label: its
-    projector identities, or with ideals their ideal readings."""
-    return {label: all(item.reads(t) if ideals else item.holds(t)
-                       for item in cond)
+    projector identities, or with ideals their ideal readings.  A row or
+    fact of several conditions is evaluated once."""
+    values = {}
+
+    def value(item):
+        if item not in values:
+            values[item] = item.reads(t) if ideals else item.holds(t)
+        return values[item]
+    return {label: all(map(value, cond))
             for label, cond in _STAR_CLASSES[tag].items()}
 
 
@@ -1347,7 +1370,7 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
         except RingInvError:
             ok = False
         if not ok:
-            counterexample = label
+            counterexample = str(label)
             break
     return VerificationReport(ring.short_name, theorem_id, checked,
                               counterexample, time.monotonic() - start,

@@ -114,7 +114,7 @@ class ParamFamily:
             raise NotEnumerableError("family over an infinite ring")
         return Coset.spanned(self.base, [
             self.left_mult * e * self.right_mult
-            for e in ring.additive_generators()])
+            for e in (ring.table or ring).additive_generators()])
 
     def members(self):
         """The coset's members as a list, in canonical order."""

@@ -10,8 +10,9 @@ position in that order becomes its index, and sums, products, negatives,
 stars and the per-element memos are then stored by index.  So are its
 ideals: each one-sided ideal is interned, one object per (side, key),
 and membership, generators and the lattice operations are stored by
-ideal index.  A ring without one (every ring the CLI builds) computes
-each of them directly.
+ideal index.  The members of each coset it lists are kept once, as
+indexed elements, and so are the additive generators.  A ring without
+one (every ring the CLI builds) computes each of them directly.
 """
 
 from array import array
@@ -489,7 +490,7 @@ class MatrixRing(Ring):
         # the k^2 entries of every equation give k^2 scalar equations in
         # the entries of x, all solved at once
         field, k, entries = self.field, self.k, self._entries
-        units = self.additive_generators()[::-1]
+        units = (self.table or self).additive_generators()[::-1]
         rows = []
         for f, c in equations:
             rows.extend(zip(*[entries(f(e)) for e in units], entries(c)))
@@ -549,8 +550,9 @@ class MatrixRing(Ring):
 
 class Coset:
     """base + D for an additive subgroup D of a finite ring, D held as
-    the backend's rep (see Ring).  The members iterate lazily in canonical
-    order, and size() counts them without listing."""
+    the backend's rep (see Ring).  The members iterate in canonical
+    order, lazily or from the store of the ring's table, and size()
+    counts them without listing."""
 
     __slots__ = ("base", "rep")
 
@@ -570,7 +572,8 @@ class Coset:
         return list(self)
 
     def __iter__(self):
-        return self.base.ring.coset_members(self.base, self.rep)
+        ring = self.base.ring
+        return (ring.table or ring).coset_members(self.base, self.rep)
 
 
 # A table stores one value per pair of indices in a flat array of N^2
@@ -578,7 +581,8 @@ class Coset:
 # cap); above it, in a dict of at most _MAX_PRODUCTS entries, so that a
 # timed verify on M3(F3) stays bounded.  A store by pair of ideals, or by
 # ideal and element, follows the same rule with M^2 or M N cells, M the
-# number of one-sided ideals of both sides.
+# number of one-sided ideals of both sides.  The coset store holds at
+# most _MAX_PRODUCTS member references on any ring.
 _MAX_FLAT = 1 << 11
 _MAX_PRODUCTS = 1 << 16
 
@@ -624,12 +628,20 @@ class ElementTable:
     it stores each ideal's generator, 1 + whether it holds each element
     (0 until known), and ideal_pairs[name], the answers of a
     memoized_by_ideal_index function.
+
+    It keeps the additive generators as indexed elements, and the members
+    of each coset it lists as one tuple of indexed elements in canonical
+    order, which is index order, by (index of the base, rep): under its
+    first member, and under each other base asked.  A stored member and
+    an other base count one member reference each; a coset that would
+    take them past _MAX_PRODUCTS is listed by the backend, unstored.
     """
 
     __slots__ = ("ring", "elements", "size", "products", "rows",
                  "_positions", "_sums", "_negatives", "_stars",
                  "interned_ideals", "ideal_pairs", "_ideal_positions",
-                 "_ideal_contains", "_ideal_generators")
+                 "_ideal_contains", "_ideal_generators", "_generators",
+                 "_cosets", "_stored_members")
 
     def __init__(self, ring, elements):
         elements = self.elements = tuple(elements)
@@ -643,6 +655,9 @@ class ElementTable:
         self.rows = defaultdict(partial(_Rows, n))
         self.interned_ideals = None
         ring.zero, ring.one = self.indexed(ring.zero), self.indexed(ring.one)
+        self._generators = tuple(map(self.indexed,
+                                     ring.additive_generators()))
+        self._cosets, self._stored_members = {}, 0
         ring.table = self
 
     def pairs(self, typecode, rows=None, columns=None):
@@ -704,6 +719,31 @@ class ElementTable:
 
     def involute(self, a):
         return self._unary(self._stars, self.ring.involute, a)
+
+    def additive_generators(self):
+        return self._generators
+
+    def coset_members(self, base, rep):
+        key = self.position(base), rep
+        members = self._cosets.get(key)
+        if members is None:
+            # a coset is kept once, under its first member, and another
+            # base of it is one more key to the same members
+            listing = self.ring.coset_members(base, rep)
+            first = next(listing)
+            head = self.position(first), rep
+            members = self._cosets.get(head)
+            if members is None:
+                size = self.ring.coset_size(rep)
+                if self._stored_members + size > _MAX_PRODUCTS:
+                    return chain((first,), listing)
+                self._stored_members += size
+                members = self._cosets[head] = tuple(
+                    map(self.indexed, chain((first,), listing)))
+            if key != head and self._stored_members < _MAX_PRODUCTS:
+                self._stored_members += 1
+                self._cosets[key] = members
+        return iter(members)
 
     # the ideals, by index
 

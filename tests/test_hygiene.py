@@ -5,9 +5,10 @@ stands apart from the theorem checks and scans a ring only for the sets
 with no linear structure; it and the ideal layer read a ring's
 representation only in memo keys, and the oracle reads its ring only in
 its scope layer and lists no solution set through the library.  In
-rings.py only a backend class knows how it is stored, and only rings.py
+rings.py only a backend class knows how it is stored, only rings.py
 and ideals.py read the index of an interned ideal or the table's ideal
-stores.  Stdlib ast only."""
+stores, and only rings.py reads the table's coset store.  Stdlib ast
+only."""
 
 import ast
 from pathlib import Path
@@ -259,16 +260,34 @@ IDEAL_INDEX_ATTRS = frozenset((
     "_ideal_positions", "_ideal_contains", "_ideal_generators"))
 
 
-def ideal_index_reads(trees):
-    """'module:line attribute' for each read of an ideal index attribute
-    outside ideals.py and rings.py."""
+# the members of the cosets a table has listed, and their count, are
+# read in rings.py only
+COSET_STORE_MODULES = frozenset(("rings.py",))
+COSET_STORE_ATTRS = frozenset(("_cosets", "_stored_members"))
+
+
+def _attribute_reads(trees, modules, attrs):
+    """'module:line attribute' for each read of one of attrs outside
+    modules."""
     return ["%s:%d %s" % read for read in sorted(
         (module, node.lineno, node.attr)
         for module, tree in trees.items()
-        if module not in IDEAL_INDEX_MODULES
+        if module not in modules
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr in IDEAL_INDEX_ATTRS)]
+        and node.attr in attrs)]
+
+
+def ideal_index_reads(trees):
+    """'module:line attribute' for each read of an ideal index attribute
+    outside ideals.py and rings.py."""
+    return _attribute_reads(trees, IDEAL_INDEX_MODULES, IDEAL_INDEX_ATTRS)
+
+
+def coset_store_reads(trees):
+    """'module:line attribute' for each read of the coset store outside
+    rings.py."""
+    return _attribute_reads(trees, COSET_STORE_MODULES, COSET_STORE_ATTRS)
 
 
 def test_no_unused_module_imports():
@@ -412,6 +431,24 @@ def test_guard_flags_an_ideal_index_read_elsewhere():
         "oracle.py:3 interned_ideals", "oracle.py:4 ideal_pairs",
         "oracle.py:4 interned", "prescribed.py:2 _ideal_contains",
         "prescribed.py:2 index"]
+
+
+def test_coset_store_is_read_only_in_rings():
+    assert coset_store_reads(_trees()) == []
+
+
+def test_guard_flags_a_coset_store_read_elsewhere():
+    reads = ("def f(table, base, rep):\n"
+             "    members = table._cosets[table.position(base), rep]\n"
+             "    return members, table._stored_members\n")
+    trees = {module: ast.parse(reads) for module in (
+        "rings.py", "ideals.py", "oracle.py")}
+    trees["prescribed.py"] = ast.parse(
+        "def g(ring, base, rep):\n"
+        "    return ring.table.coset_members(base, rep)\n")
+    assert coset_store_reads(trees) == [
+        "ideals.py:2 _cosets", "ideals.py:3 _stored_members",
+        "oracle.py:2 _cosets", "oracle.py:3 _stored_members"]
 
 
 def test_guards_flag_dead_code():

@@ -660,3 +660,79 @@ def test_a_warm_lattice_call_hashes_no_ideal_key(monkeypatch):
             [ring.ideal_contains(RIGHT, ideal.rep, a)
              for a in table.elements]
     assert _CountedKey.hashed == []
+
+
+# -- the cosets of the table: each listed coset kept once, indexed
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2", "m2f3"])
+def test_stored_cosets_are_the_backends_listings(monkeypatch, name):
+    ring = ring_from_name(name)
+    table = oracle._Context.of(ring).table
+    real = rings.ElementTable.coset_members
+    asked = []
+
+    def compared(self, base, rep):
+        # whether the store held the coset, then its members against the
+        # backend's own listing, in order
+        asked.append((self.position(base), rep) in self._cosets)
+        members = list(real(self, base, rep))
+        assert members == list(ring.coset_members(base, rep))
+        assert all(_indexed(self, x) for x in members)
+        return iter(members)
+
+    monkeypatch.setattr(rings.ElementTable, "coset_members", compared)
+    first = _report_json(oracle.verify_all(ring, max_cases=40))
+    fills = len(asked)
+    assert fills and not all(asked)
+    # the second pass asks for the same cosets, and reads each from the
+    # store
+    assert _report_json(oracle.verify_all(ring, max_cases=40)) == first
+    assert len(asked) == 2 * fills and all(asked[fills:])
+    units = table.additive_generators()
+    assert units == ring.additive_generators()
+    assert all(_indexed(table, e) for e in units)
+
+
+@pytest.mark.parametrize("name", ["m2f2", "m2f3"])
+def test_coset_store_stops_at_its_bound(monkeypatch, name):
+    unbounded = _report_json(oracle.verify_all(ring_from_name(name),
+                                               max_cases=40))
+    monkeypatch.setattr(rings, "_MAX_PRODUCTS", 20)
+    real = rings.ElementTable.coset_members
+    listed = []
+
+    def recording(self, base, rep):
+        listed.append(list(real(self, base, rep)))
+        return iter(listed[-1])
+
+    monkeypatch.setattr(rings.ElementTable, "coset_members", recording)
+    ring = ring_from_name(name)
+    assert _report_json(oracle.verify_all(ring, max_cases=40)) == unbounded
+    # a member reference per stored member, and one per other base of a
+    # stored coset
+    store = ring.table._cosets
+    kept = {id(members): len(members) for members in store.values()}
+    assert store and \
+        sum(kept.values()) + len(store) - len(kept) <= 20
+    # past the bound, the backend lists the coset
+    assert any(x.index is None for members in listed for x in members)
+
+
+def test_second_catalog_pass_makes_no_coset_member_or_generator(
+        monkeypatch):
+    ring = MatF(2, 2)
+    first = _report_json(oracle.verify_all(ring, max_cases=40))
+    callers = set()
+    real = rings.RingElement.__init__
+
+    def recording(self, ring, payload):
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        real(self, ring, payload)
+
+    monkeypatch.setattr(rings.RingElement, "__init__", recording)
+    assert _report_json(oracle.verify_all(ring, max_cases=40)) == first
+    assert callers and \
+        not callers & {"coset_members", "additive_generators"}

@@ -34,7 +34,7 @@ def _cases(theorem, ring):
     entry = CATALOG_BY_ID[theorem]
     ctx = oracle._Context(ring)
     for label, args in entry.scope(ctx):
-        yield label, entry.clause(ctx, *args)
+        yield str(label), entry.clause(ctx, *args)
 
 
 def test_catalog_ids_are_unique_and_scoped():
@@ -169,6 +169,28 @@ def test_block_and_star_class_labels_are_pinned():
         assert list(dict(_NAMED_BLOCKS)[name](a, x)) == labels
     for tag, labels in _STAR_CLASS_LABELS.items():
         assert list(oracle._star_class_clauses(a, x, tag)) == labels
+
+
+@pytest.mark.parametrize("reading", ["holds", "reads"])
+def test_each_star_class_row_is_evaluated_once_per_case(monkeypatch,
+                                                        reading):
+    # the conditions of 134, 136 and 148 pair each row with two others
+    real = getattr(oracle._Row, reading)
+    calls = []
+
+    def recording(row, t):
+        calls.append(row)
+        return real(row, t)
+
+    monkeypatch.setattr(oracle._Row, reading, recording)
+    elements = M2F2.elements()
+    for tag in ("134", "136", "148"):
+        for a in elements:
+            for x in elements:
+                calls.clear()
+                oracle._star_conditions(tag, oracle._terms(a, x, a.star),
+                                        reading == "reads")
+                assert len(calls) == len(set(calls))
 
 
 def _projector_clause_lines(ring):
@@ -404,7 +426,10 @@ def test_catalog_passes_on_larger_zn(n, skipped):
 @pytest.mark.skipif(not os.environ.get("RINGINV_SLOW"),
                     reason="set RINGINV_SLOW=1 to run")
 @pytest.mark.parametrize("theorem, cases", [
-    ("O-named-inverses", 512), ("T-1I-projectors", 512 ** 2)])
+    ("O-named-inverses", 512), ("T-1I-projectors", 512 ** 2),
+    # 8 shapes for each of the 22,632 pairs (a, g) with g in a{1}
+    ("T-one-prescribed-families", 181056),
+    ("P-one-solution-sets", 181056)])
 def test_entries_complete_on_m3f2(theorem, cases):
     rep = verify(theorem, MatF(3, 2))
     assert rep.passed and rep.cases_checked == cases
@@ -441,6 +466,24 @@ def test_counterexample_detection():
     assert rep.counterexample == "a=2"  # 2*2 = 4 != 2, first in order
     assert rep.cases_checked == 3
     assert rep.ring == "zn:6"
+
+
+def test_only_the_counterexample_label_is_built(monkeypatch):
+    texts = []
+    real = oracle._Context.text
+
+    def recording(ctx, value):
+        texts.append(value)
+        return real(ctx, value)
+
+    monkeypatch.setattr(oracle._Context, "text", recording)
+    assert verify("T-1I-projectors", Z6).passed and texts == []
+    entry = TheoremCase("T-bogus", "all a, x", oracle._scope("a", "x"),
+                        lambda ctx, a, x: a * x != a.ring.one)
+    monkeypatch.setitem(CATALOG_BY_ID, entry.id, entry)
+    rep = verify("T-bogus", Z6)
+    assert rep.counterexample == "a=1,x=1" and rep.cases_checked == 8
+    assert texts == [Z6.one, Z6.one]
 
 
 # -- cross-checks that moved out of the compute path ----------------------
