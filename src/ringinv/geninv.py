@@ -18,7 +18,7 @@ backend's own construction (Ring.inner), and the rest is built from it.
 from .errors import (NotEnumerableError, PreconditionError,
                      UnsupportedInvolutionError)
 from .ideals import RIGHT, all_ideals, principal
-from .rings import Coset, RingElement, memoized, memoized_by_index
+from .rings import Coset, RingElement, memoized
 
 EQUATION_TOKENS = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "1k", "k1")
 
@@ -273,8 +273,7 @@ def _validated(name, a, x, k=None, extra=None):
     return InverseReport(name, True, x, satisfied=equations, extra=extra)
 
 
-@memoized_by_index
-@memoized(lambda a: a.payload)
+@memoized
 def any_inner(a):
     """Some x with axa = a, or None: the backend's own construction
     (see Ring.inner)."""

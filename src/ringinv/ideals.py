@@ -9,23 +9,17 @@ Every ideal here is principal, so the rest is generators: I + J is
 spanned by the two generators, I <= J iff J holds I's generator, and
 a(gR) = (ag)R.
 
-On a ring with an ElementTable (see rings), the ideals the memoized
-functions return are interned, and each is read by its index: equality,
-membership, the generator and the lattice operations.
+principal, annihilator and the lattice operations remember their
+answers on a finite ring through the two memo decorators of rings: by
+element index or pair of ideal indices on a ring with an ElementTable,
+in ring.memo by payload or pair of keys on any other.  On a ring with a
+table, the ideals they return are interned, and each is read by its
+index: equality, membership, the generator and the lattice operations.
 """
 
 from .errors import (NotEnumerableError, PreconditionError,
                      RingMismatchError, UnsupportedInvolutionError)
-from .rings import (LEFT, RIGHT, Coset, memoized, memoized_by_ideal_index,
-                    memoized_by_index)
-
-
-def _pair(s, t):
-    """The memo key of a pair of ideals of one ring and side: the
-    compatibility check runs first, so that a warm memo still refuses a
-    pair from different rings or sides."""
-    s._compatible(t)
-    return s.key, t.key
+from .rings import LEFT, RIGHT, Coset, memoized, memoized_pair
 
 
 class SidedIdeal:
@@ -33,9 +27,10 @@ class SidedIdeal:
 
     key is (side, the backend's canonical key of rep): two ideals of one
     ring are equal iff their keys are.  On a finite ring, <=, + and cap
-    are memoized per pair of keys, or per pair of indices on a ring with
-    a table.  index is the ideal's position in its ring's table when it
-    is the interned one of its key, else None.
+    are memoized_pair functions: per pair of indices on a ring with a
+    table, per pair of keys on any other.  index is the ideal's position
+    in its ring's table when it is the interned one of its key, else
+    None.
     """
 
     __slots__ = ("ring", "side", "rep", "key", "index")
@@ -70,8 +65,7 @@ class SidedIdeal:
     def is_full(self):
         return self.contains(self.ring.one)
 
-    @memoized_by_ideal_index
-    @memoized(_pair)
+    @memoized_pair
     def is_subideal_of(self, other):
         return other.contains(self.generator())
 
@@ -101,14 +95,12 @@ class SidedIdeal:
 
     # -- lattice operations ----------------------------------------------
 
-    @memoized_by_ideal_index
-    @memoized(_pair)
+    @memoized_pair
     def sum(self, other):
         return SidedIdeal(self.ring, self.side, self.ring.ideal_span(
             self.side, (self.generator(), other.generator())))
 
-    @memoized_by_ideal_index
-    @memoized(_pair)
+    @memoized_pair
     def intersect(self, other):
         return SidedIdeal(self.ring, self.side,
                           self.ring.ideal_meet(self.rep, other.rep))
@@ -137,15 +129,13 @@ class SidedIdeal:
 
 # -- principal ideals and annihilators ---------------------------------
 
-@memoized_by_index
-@memoized(lambda a, side: (a.payload, side))
+@memoized
 def principal(a, side):
     """aR (side='right') or Ra (side='left')."""
     return SidedIdeal(a.ring, side, a.ring.ideal_span(side, (a,)))
 
 
-@memoized_by_index
-@memoized(lambda a, side: (a.payload, side))
+@memoized
 def annihilator(a, side):
     """rann(a) = {r : ar = 0} (right) or lann(a) = {r : ra = 0} (left)."""
     return SidedIdeal(a.ring, side, a.ring.ideal_annihilator(a, side))
@@ -192,8 +182,7 @@ def phi_preimage(a, ideal):
 
 # -- direct sums and projector units -----------------------------------
 
-@memoized_by_ideal_index
-@memoized(_pair)
+@memoized_pair
 def direct_sum(s, t):
     """rho_{S,T}(1) if R = s (+) t, else None.
 

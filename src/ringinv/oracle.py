@@ -28,7 +28,7 @@ from .prescribed import (SLOTS, IdealConstraints, _check_constraints_on_x,
                          _realized, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
-from .rings import (ElementTable, RingElement, inverse_of_unit,
+from .rings import (_UNSET, ElementTable, RingElement, inverse_of_unit,
                     is_invertible)
 from . import special
 
@@ -118,8 +118,8 @@ class _Context:
         self.star = ring.has_involution
         self.table = ring.table or ElementTable(ring, ring.elements())
         elements = self.elements = self.table.elements
-        # mitsch_leq by pair: 0 not known, 1 false, 2 true
-        self._leq = self.table.pairs("B")
+        # mitsch_leq by pair
+        self._leq = self.table.pairs()
         self.name = lru_cache(maxsize=None)(ring.render)
         # fn(*args), computed once per context
         self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
@@ -146,9 +146,9 @@ class _Context:
         """y <=_M z, computed once per pair."""
         k = self.table.pair(y, z)
         out = self._leq[k]
-        if not out:
-            out = self._leq[k] = 1 + mitsch_leq(y, z)
-        return out == 2
+        if out is _UNSET:
+            out = self._leq[k] = mitsch_leq(y, z)
+        return out
 
     @cached_property
     def idempotents(self):

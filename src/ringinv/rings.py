@@ -7,15 +7,16 @@ modules are written in its arithmetic and the protocol of Ring.
 
 A finite ring that the oracle lists gets an ElementTable: each element's
 position in that order becomes its index, and sums, products, negatives,
-stars and the per-element memos are then stored by index.  So are its
-ideals: each one-sided ideal is interned, one object per (side, key),
-and membership, generators and the lattice operations are stored by
-ideal index.  The members of each coset it lists are kept once, as
-indexed elements, and so are the additive generators.  A ring without
-one (every ring the CLI builds) computes each of them directly.
+stars and the answers of the memoized functions are then stored by
+index, each store holding the answers themselves.  So are its ideals:
+each one-sided ideal is interned, one object per (side, key), and
+membership, generators and the lattice operations are stored by ideal
+index.  The members of each coset it lists are kept once, as indexed
+elements, and so are the additive generators.  A ring without one
+(every ring the CLI builds) computes each of them directly, and keeps
+the answers of the memoized functions in ring.memo.
 """
 
-from array import array
 from collections import defaultdict
 from functools import partial, wraps
 from itertools import chain, count, product
@@ -76,8 +77,8 @@ class RingElement:
         i, j = self.index, other.index
         if i is not None and j is not None:
             out = table.products[i * table.size + j]
-            if out:
-                return table.elements[out - 1]
+            if out is not _UNSET:
+                return out
         return table.mul(self, other)
 
     def __pow__(self, k):
@@ -137,7 +138,7 @@ class Ring:
 
     has_involution = False
     finite = False
-    memo = None     # a dict on finite rings, filled by @memoized functions
+    memo = None     # a dict on finite rings, filled by the memo decorators
     table = None    # the ElementTable of a finite ring the oracle lists
 
     def involute(self, a):
@@ -576,32 +577,29 @@ class Coset:
         return (ring.table or ring).coset_members(self.base, self.rep)
 
 
-# A table stores one value per pair of indices in a flat array of N^2
-# while the ring has at most _MAX_FLAT elements (8 MB of products at the
-# cap); above it, in a dict of at most _MAX_PRODUCTS entries, so that a
-# timed verify on M3(F3) stays bounded.  A store by pair of ideals, or by
-# ideal and element, follows the same rule with M^2 or M N cells, M the
-# number of one-sided ideals of both sides.  The coset store holds at
-# most _MAX_PRODUCTS member references on any ring.
-_MAX_FLAT = 1 << 11
+# A table stores one answer per pair of indices in a flat list of N^2
+# references while the ring has at most _MAX_FLAT elements, so that one
+# store at the cap takes 8 MB of 8-byte cells; above it, in a dict of at
+# most _MAX_PRODUCTS entries, so that a timed verify on M3(F3) stays
+# bounded.  A store by pair of ideals, or by ideal and element, follows
+# the same rule with M^2 or M N cells, M the number of one-sided ideals
+# of both sides.  The coset store holds at most _MAX_PRODUCTS member
+# references on any ring.
+_MAX_FLAT = 1 << 10
 _MAX_PRODUCTS = 1 << 16
 
-# a per-element answer not yet computed (None is an answer of any_inner)
+# an answer not yet computed (None is an answer of any_inner)
 _UNSET = object()
 
 
 class _Bounded(dict):
-    """A pair store above the flat cap: reads unset for a key not stored,
+    """A pair store above the flat cap: reads _UNSET for a key not stored,
     and stores no new key once it holds _MAX_PRODUCTS."""
 
-    __slots__ = ("unset",)
-
-    def __init__(self, unset):
-        super().__init__()
-        self.unset = unset
+    __slots__ = ()
 
     def __missing__(self, key):
-        return self.unset
+        return _UNSET
 
     def __setitem__(self, key, value):
         if len(self) < _MAX_PRODUCTS:
@@ -615,19 +613,19 @@ class ElementTable:
     It is built from the list of ring.elements(): element i gets index i,
     and ring.zero, ring.one and ring.table become the indexed ones.  An
     element without an index (parsed, or built by a backend) finds it by
-    its payload, read only as a dict key.  The stores fill as they are
-    asked: for each pair, 1 + the index of its sum and of its product (0
-    until known); for each element, its negative and its star; and
-    rows[name][side], the answers of a memoized_by_index function.  Every
-    element the table returns is an indexed one.
+    its payload, read only as a dict key.  Every store holds the answers
+    themselves, as kept() keeps them, reads _UNSET until an answer is set
+    and fills as it is asked: for each pair, its sum and its product; for
+    each element, its negative and its star; and rows[name][side], the
+    answers of a memoized function.  Every element the table returns is
+    an indexed one.
 
     The ideals are indexed on first use, both sides at once in the order
     of ring.ideal_reps, by their (side, key).  The first ideal of a key
     to arrive is the interned one, whose index attribute is set; the
     ideals the table returns are interned ones.  Then, by ideal index,
-    it stores each ideal's generator, 1 + whether it holds each element
-    (0 until known), and ideal_pairs[name], the answers of a
-    memoized_by_ideal_index function.
+    it stores each ideal's generator, whether it holds each element, and
+    ideal_pairs[name], the answers of a memoized_pair function.
 
     It keeps the additive generators as indexed elements, and the members
     of each coset it lists as one tuple of indexed elements in canonical
@@ -650,8 +648,8 @@ class ElementTable:
         self.ring = ring
         n = self.size = len(elements)
         self._positions = {a.payload: a.index for a in elements}
-        self._sums, self.products = self.pairs("H"), self.pairs("H")
-        self._negatives, self._stars = [None] * n, [None] * n
+        self._sums, self.products = self.pairs(), self.pairs()
+        self._negatives, self._stars = [_UNSET] * n, [_UNSET] * n
         self.rows = defaultdict(partial(_Rows, n))
         self.interned_ideals = None
         ring.zero, ring.one = self.indexed(ring.zero), self.indexed(ring.one)
@@ -660,21 +658,16 @@ class ElementTable:
         self._cosets, self._stored_members = {}, 0
         ring.table = self
 
-    def pairs(self, typecode, rows=None, columns=None):
-        """A fresh store of one value per pair (i, j), i below rows and j
+    def pairs(self, rows=None, columns=None):
+        """A fresh store of one answer per pair (i, j), i below rows and j
         below columns (each the table's size by default), at key
-        i * columns + j: a small int of typecode that reads 0 until set,
-        or with typecode None any object, which reads _UNSET.  It is flat
+        i * columns + j, that reads _UNSET until set.  It is a flat list
         up to _MAX_FLAT elements, bounded above; pair(a, b) is the key of
         two elements."""
         n = self.size
-        unset = _UNSET if typecode is None else 0
         if n > _MAX_FLAT:
-            return _Bounded(unset)
-        cells = (rows or n) * (columns or n)
-        if typecode is None:
-            return [unset] * cells
-        return array(typecode, bytes(array(typecode).itemsize * cells))
+            return _Bounded()
+        return [_UNSET] * ((rows or n) * (columns or n))
 
     def position(self, a):
         i = a.index
@@ -695,14 +688,14 @@ class ElementTable:
             j = self._positions[b.payload]
         k = i * self.size + j
         out = store[k]
-        if not out:
-            out = store[k] = 1 + self.position(op(a, b))
-        return self.elements[out - 1]
+        if out is _UNSET:
+            out = store[k] = self.indexed(op(a, b))
+        return out
 
     def _unary(self, store, op, a):
         i = self.position(a)
         out = store[i]
-        if out is None:
+        if out is _UNSET:
             out = store[i] = self.indexed(op(a))
         return out
 
@@ -754,9 +747,9 @@ class ElementTable:
         m = len(keys)
         self._ideal_positions = {key: i for i, key in enumerate(keys)}
         self.interned_ideals = [None] * m
-        self._ideal_generators = [None] * m
-        self._ideal_contains = self.pairs("B", m)
-        self.ideal_pairs = defaultdict(partial(self.pairs, None, m, m))
+        self._ideal_generators = [_UNSET] * m
+        self._ideal_contains = self.pairs(m)
+        self.ideal_pairs = defaultdict(partial(self.pairs, m, m))
 
     def interned(self, ideal):
         """The interned ideal equal to ideal, an ideal of this ring."""
@@ -786,17 +779,17 @@ class ElementTable:
             i = self.interned(ideal).index
         k = i * self.size + self.position(a)
         out = self._ideal_contains[k]
-        if not out:
-            out = self._ideal_contains[k] = 1 + self.ring.ideal_contains(
+        if out is _UNSET:
+            out = self._ideal_contains[k] = self.ring.ideal_contains(
                 ideal.side, ideal.rep, a)
-        return out == 2
+        return out
 
     def generator(self, ideal):
         i = ideal.index
         if i is None:
             i = self.interned(ideal).index
         out = self._ideal_generators[i]
-        if out is None:
+        if out is _UNSET:
             out = self._ideal_generators[i] = self.indexed(
                 self.ring.ideal_generator(ideal.side, ideal.rep))
         return out
@@ -818,85 +811,77 @@ class _Rows(dict):
         return row
 
 
-def memoized(key):
-    """Memoize a function on the finite ring of its first argument.
+def memoized(fn):
+    """Memoize fn(a) or fn(a, side) on the finite ring of a.
 
-    The results live in ring.memo, one dict per function keyed by
-    key(*args), so they are freed with the ring.  An infinite ring has
-    no memo and always calls the function.  key runs on every call, so a
-    check it makes holds on a warm memo and on an infinite ring alike.
+    On a ring with an ElementTable the answers live in the table, one row
+    per function and side, by the element's index; on any other finite
+    ring in ring.memo[fn.__name__], by a.payload or (a.payload, side).
+    Either way they die with the ring.  An infinite ring has no memo and
+    always calls fn.
     """
-    def decorate(fn):
-        name = fn.__name__
-
-        @wraps(fn)
-        def wrapper(*args):
-            k = key(*args)
-            memo = args[0].ring.memo
-            if memo is None:
-                return fn(*args)
-            table = memo.get(name)
-            if table is None:
-                table = memo[name] = {}
-            try:
-                return table[k]
-            except KeyError:
-                out = table[k] = fn(*args)
-                return out
-        return wrapper
-    return decorate
-
-
-def memoized_by_index(plain):
-    """Over plain, a memoized function of an element, fn(a) or fn(a, side):
-    on a ring with an ElementTable the answers live in the table instead,
-    one row per function and side, indexed by the element; on any other
-    ring plain runs."""
-    fn = plain.__wrapped__
     name = fn.__name__
 
     @wraps(fn)
     def wrapper(a, side=None):
-        table = a.ring.table
-        if table is None:
-            return plain(a) if side is None else plain(a, side)
-        row = table.rows[name][side]
-        i = a.index
-        if i is None:
-            i = table.position(a)
-        out = row[i]
+        ring = a.ring
+        table = ring.table
+        if table is not None:
+            row = table.rows[name][side]
+            i = a.index
+            if i is None:
+                i = table.position(a)
+            out = row[i]
+            if out is _UNSET:
+                out = row[i] = table.kept(
+                    fn(a) if side is None else fn(a, side))
+            return out
+        if ring.memo is None:
+            return fn(a) if side is None else fn(a, side)
+        store = ring.memo.setdefault(name, {})
+        key = a.payload if side is None else (a.payload, side)
+        out = store.get(key, _UNSET)
         if out is _UNSET:
-            out = row[i] = table.kept(fn(a) if side is None else fn(a, side))
+            out = store[key] = fn(a) if side is None else fn(a, side)
         return out
     return wrapper
 
 
-def memoized_by_ideal_index(plain):
-    """Over plain, a memoized function of two ideals of one ring and side,
-    fn(s, t): on a ring with an ElementTable the answers live in the table
-    instead, one store per function by the pair of ideal indices, when t
-    is of s's ring object and side.  On any other ring, or for any other
-    pair, plain runs, and its key refuses a pair of different rings or
-    sides."""
-    fn = plain.__wrapped__
+def memoized_pair(fn):
+    """Memoize fn(s, t), for ideals s and t of one ring and side, as
+    memoized does: in the table, one store per function by the pair of
+    ideal indices, when t is of s's ring object and side; in ring.memo by
+    (s.key, t.key) on any other finite ring.  A pair with t of another,
+    equal ring object is computed, unstored, on an indexed ring.  Outside
+    an index pair the ring and side check runs first, so that a warm memo
+    still refuses a pair from different rings or sides.
+    """
     name = fn.__name__
 
     @wraps(fn)
     def wrapper(s, t):
         ring = s.ring
         table = ring.table
-        if table is None or t.ring is not ring or t.side != s.side:
-            return plain(s, t)
-        i, j = s.index, t.index
-        if i is None:
-            i = table.interned(s).index
-        if j is None:
-            j = table.interned(t).index
-        store = table.ideal_pairs[name]
-        k = i * len(table.interned_ideals) + j
-        out = store[k]
+        if table is not None and t.ring is ring and t.side == s.side:
+            i, j = s.index, t.index
+            if i is None:
+                i = table.interned(s).index
+            if j is None:
+                j = table.interned(t).index
+            store = table.ideal_pairs[name]
+            k = i * len(table.interned_ideals) + j
+            out = store[k]
+            if out is _UNSET:
+                out = store[k] = table.kept(fn(s, t))
+            return out
+        s._compatible(t)
+        if ring.memo is None or table is not None:
+            return fn(s, t)
+        store = ring.memo.setdefault(name, {})
+        key = s.key, t.key
+        out = store.get(key, _UNSET)
         if out is _UNSET:
-            out = store[k] = table.kept(fn(s, t))
+            out = store[key] = fn(s, t)
         return out
     return wrapper
 

@@ -2,9 +2,10 @@
 module (__init__.py re-exports and is exempt), and every top-level
 _private name is referenced somewhere in the package.  The compute path
 stands apart from the theorem checks and scans a ring only for the sets
-with no linear structure; it and the ideal layer read a ring's
-representation only in memo keys, and the oracle reads its ring only in
-its scope layer and lists no solution set through the library.  In
+with no linear structure; it and the ideal layer read no ring's
+representation (one reason string names a backend), and the oracle
+reads its ring only in its scope layer and lists no solution set
+through the library.  In
 rings.py only a backend class knows how it is stored, only rings.py
 and ideals.py read the index of an interned ideal or the table's ideal
 stores, and only rings.py reads the table's coset store.  Stdlib ast
@@ -134,29 +135,18 @@ def compute_path_scans(trees):
 
 
 # the ideal layer and the compute modules are written in ring operations
-# and the backends' primitives: a memo key may read an element's payload,
-# and one reason string names its backend
+# and the backends' primitives (the memo decorators of rings.py key the
+# answers), and one reason string names its backend
 RING_OPERATION_MODULES = COMPUTE_MODULES + ("ideals.py",)
 REPRESENTATION_ATTRS = frozenset(("payload", "divisor", "subspace"))
 BACKENDS = frozenset(("MatrixRing", "ModularRing"))
 REPRESENTATION_READERS = ["prescribed._outer_from_annihilators"]
 
 
-def _memo_key_reads(node):
-    """The .payload reads in the memoized(...) decorators within node."""
-    return {id(sub) for fn in ast.walk(node)
-            for dec in getattr(fn, "decorator_list", ())
-            if isinstance(dec, ast.Call)
-            and getattr(dec.func, "id", None) == "memoized"
-            for sub in ast.walk(dec)
-            if isinstance(sub, ast.Attribute) and sub.attr == "payload"}
-
-
 def representation_reads(trees):
     """'module.definition' for each top-level definition of a ring
-    operation module that reads .payload (outside a memo key), .divisor
-    or .subspace, or names a backend class or anything imported from
-    linalg."""
+    operation module that reads .payload, .divisor or .subspace, or names
+    a backend class or anything imported from linalg."""
     out = []
     for module in RING_OPERATION_MODULES:
         tree = trees[module]
@@ -168,10 +158,8 @@ def representation_reads(trees):
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            keys = _memo_key_reads(node)
             if any(isinstance(sub, ast.Attribute)
                    and sub.attr in REPRESENTATION_ATTRS
-                   and id(sub) not in keys
                    or isinstance(sub, ast.Name) and sub.id in names
                    for sub in ast.walk(node)):
                 out.append("%s.%s" % (module[:-3],
@@ -333,7 +321,7 @@ def test_guard_flags_a_scan_on_the_compute_path():
         ("special.py", "f", "elements()")]
 
 
-def test_ring_operation_modules_read_no_representation_but_memo_keys():
+def test_ring_operation_modules_read_no_representation():
     assert representation_reads(_trees()) == REPRESENTATION_READERS
 
 
@@ -373,8 +361,8 @@ def test_guard_flags_a_representation_read_on_the_compute_path():
     assert representation_reads(trees) == [
         "geninv.any_inner", "geninv.drazin_index",
         "prescribed._solve_in_ideal", "prescribed.mitsch_leq",
-        "prescribed.Family", "special.f", "ideals.principal",
-        "ideals.SidedIdeal", "ideals.all_ideals", "ideals.direct_sum"]
+        "prescribed.Family", "special.f", "ideals.annihilator",
+        "ideals.principal", "ideals.SidedIdeal", "ideals.all_ideals", "ideals.direct_sum"]
 
 
 def test_rings_knows_a_backend_only_in_its_class():

@@ -279,8 +279,8 @@ def _stored_products(table):
     n, els = table.size, table.elements
     items = table.products.items() if isinstance(table.products, dict) \
         else enumerate(table.products)
-    return [(els[k // n], els[k % n], els[out - 1])
-            for k, out in items if out]
+    return [(els[k // n], els[k % n], out)
+            for k, out in items if out is not rings._UNSET]
 
 
 @pytest.mark.parametrize("name, max_cases", [("m2f2", 40), ("m2f3", 10)])
@@ -291,7 +291,8 @@ def test_memoized_products_equal_fresh_mat_mul(name, max_cases):
     stored = _stored_products(ring.table)
     assert 0 < len(stored) <= ring.size ** 2
     for x, y, product in stored:
-        assert product.ring is ring and product.index is not None
+        assert product.ring is ring
+        assert ring.table.elements[product.index] is product
         assert product.payload == mat_mul(ring.field, x.payload, y.payload)
 
 
@@ -360,7 +361,9 @@ def test_zn_gets_the_same_product_table():
     assert oracle.verify("T-bc-inverses", ring).counterexample is None
     stored = _stored_products(ring.table)
     assert len(stored) == ring.size ** 2
-    assert all(z.payload == x.payload * y.payload % 6 for x, y, z in stored)
+    assert all(ring.table.elements[z.index] is z
+               and z.payload == x.payload * y.payload % 6
+               for x, y, z in stored)
 
 
 @pytest.fixture
@@ -554,8 +557,8 @@ def test_a_private_context_works_on_parsed_elements():
     for y in fresh:
         for z in fresh:
             assert ctx.leq(y, z) == prescribed.mitsch_leq(y, z)
-    # every pair's byte is now known
-    assert sorted(set(ctx._leq)) == [1, 2]
+    # every pair's answer is now stored, and both answers occur
+    assert set(ctx._leq) == {True, False}
 
 
 # -- the ideals of the table: interned, and read by index
@@ -624,6 +627,41 @@ def test_a_warm_index_store_still_refuses_another_ring_or_side(name):
             with pytest.raises(PreconditionError):
                 op(left[-1], s)
     assert set(ring.memo) == {"context"}
+
+
+def test_an_indexed_ring_computes_a_pair_with_an_equal_ring_unstored():
+    # a pair with t of another, equal ring object is not an index pair:
+    # it is computed, checked for its side, and kept in no memo
+    ring = MatF(2, 2)
+    assert all(rep.counterexample is None
+               for rep in oracle.verify_all(ring, max_cases=40))
+    fresh, plain = MatF(2, 2), MatF(2, 2)
+    for side, other in ((RIGHT, LEFT), (LEFT, RIGHT)):
+        mine, theirs, keyed = (all_ideals(r, side)
+                               for r in (ring, fresh, plain))
+        wrong = all_ideals(fresh, other)[-1]
+        for (s, sk), (t, tk) in product(zip(mine, keyed),
+                                        zip(theirs, keyed)):
+            assert s.is_subideal_of(t) == sk.is_subideal_of(tk)
+            for op in (SidedIdeal.sum, SidedIdeal.intersect):
+                got = op(s, t)
+                assert got.ring is ring and got.key == op(sk, tk).key
+            assert direct_sum(s, t) == direct_sum(sk, tk)
+            for op in (SidedIdeal.is_subideal_of, SidedIdeal.sum,
+                       SidedIdeal.intersect, direct_sum):
+                with pytest.raises(PreconditionError):
+                    op(s, wrong)
+    assert set(ring.memo) == {"context"}
+
+
+def test_each_memoized_function_is_one_layer():
+    # the wrapper holds the function itself, and no other wrapper
+    for fn in (principal, annihilator, any_inner, SidedIdeal.is_subideal_of,
+               SidedIdeal.sum, SidedIdeal.intersect, direct_sum):
+        assert not hasattr(fn.__wrapped__, "__wrapped__")
+        held = [cell.cell_contents for cell in fn.__closure__]
+        assert fn.__wrapped__ in held
+        assert not any(hasattr(x, "__wrapped__") for x in held)
 
 
 class _CountedKey(tuple):
