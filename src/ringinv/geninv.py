@@ -166,7 +166,8 @@ def _candidates(a, equations, k):
             return [], ()
     linear = [eq for eq in equations if eq in _LINEAR]
     if linear or not equations:
-        space = ring.linear_solutions(_linear_equations(a, linear, k))
+        space = (ring.table or ring).linear_solutions(
+            _linear_equations(a, linear, k))
         rest = tuple(eq for eq in equations if eq not in _LINEAR)
         return [] if space is None else space, rest
     if "2" in equations:

@@ -18,9 +18,10 @@ from itertools import product
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
-from .geninv import (NAMED_SYSTEMS, any_inner, core_inverse, drazin_index,
-                     drazin_inverse, dual_core_inverse, group_inverse,
-                     moore_penrose, satisfies)
+from .geninv import (NAMED_SYSTEMS, _raises, _solution_test, any_inner,
+                     core_inverse, drazin_index, drazin_inverse,
+                     dual_core_inverse, group_inverse, moore_penrose,
+                     satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, orthogonal,
                      phi_preimage, principal)
@@ -92,14 +93,34 @@ class VerificationReport:
 
 # -- the scope layer --------------------------------------------------------
 
+# each equation token as two words in a, x, p = a^k and q = a^(k+1) whose
+# products are equal, a "*" starring the product before it: the
+# definitions the context's solution sets are scanned with, by index
+_WORDS = {"1": ("axa", "a"), "2": ("xax", "x"), "3": ("ax*", "ax"),
+          "4": ("xa*", "xa"), "5": ("ax", "xa"), "6": ("xaa", "a"),
+          "7": ("axx", "x"), "8": ("aax", "a"), "9": ("xxa", "x"),
+          "1k": ("xq", "p"), "k1": ("qx", "p")}
+
+# the entries each of the context's memos keeps, the least recently used
+# going first: every catalog ring at the perfbench cap keeps each of its
+# sets, and a larger ring keeps its memory bounded
+_CONTEXT_CACHE = 1 << 12
+
+
+class _OutOfTime(Exception):
+    """A sweep of a case saw verify's deadline pass."""
+
+
 class _Context:
     """What the oracle knows of a finite ring: the element tuple of the
     ring's ElementTable, the idempotents and symmetric unit weights drawn
     from it on first use, each element's rendering, the Mitsch order by
-    pair of indices, and memos that live as long as the context.  Every
-    brute-force solution set of the oracle comes from one of them,
-    solutions, and every such set filtered by ideals from another,
-    filtered.
+    pair of indices, and memos that keep the last _CONTEXT_CACHE answers
+    each.  Every brute-force solution set of the oracle comes from one of
+    them, solutions, which tests the candidates by index, and every such
+    set filtered by ideals from another, filtered.  verify sets deadline
+    while a time budget runs, and each sweep over the elements (polled)
+    stops the case once it has passed.
 
     The first context of a ring gives it its table, so products, sums,
     stars, the element ideals and the ideal lattice are stored by index
@@ -117,19 +138,19 @@ class _Context:
         self.ring = ring
         self.star = ring.has_involution
         self.table = ring.table or ElementTable(ring, ring.elements())
-        elements = self.elements = self.table.elements
+        self.elements = self.table.elements
         # mitsch_leq by pair
         self._leq = self.table.pairs()
         self.name = lru_cache(maxsize=None)(ring.render)
+        self.deadline = None
+        cache = lru_cache(maxsize=_CONTEXT_CACHE)
         # fn(*args), computed once per context
-        self.memo = lru_cache(maxsize=None)(lambda fn, *args: fn(*args))
+        self.memo = cache(lambda fn, *args: fn(*args))
         # a{equations} in canonical order
-        solutions = self.solutions = lru_cache(maxsize=None)(
-            lambda a, equations, k=None: [
-                x for x in elements if satisfies(a, x, equations, k=k)])
+        solutions = self.solutions = cache(self._scan)
         # the x of a{equations} that meet the ideals (S, T, S', T') in
         # mode (see _meets), in canonical order
-        self.filtered = lru_cache(maxsize=None)(
+        self.filtered = cache(
             lambda a, equations, ideals, mode: [
                 x for x in solutions(a, equations)
                 if _meets(a, x, ideals, mode)])
@@ -141,6 +162,27 @@ class _Context:
         if ctx is None:
             ctx = ring.memo["context"] = cls(ring)
         return ctx
+
+    def _scan(self, a, equations, k=None):
+        """a{equations}: each element tested by index against _WORDS, or
+        by satisfies where a token raises (a star without an involution,
+        a power without k), so that it raises as satisfies does."""
+        candidates = self.polled(self.elements)
+        if any(_raises(self.ring, eq, k) for eq in equations):
+            test = _solution_test(a, equations, k)
+            return [x for x in candidates if test(x)]
+        letters = {"a": a}
+        if k is not None:
+            letters.update(p=a ** k, q=a ** (k + 1))
+        return self.table.satisfying(candidates, letters,
+                                     [_WORDS[eq] for eq in equations])
+
+    def polled(self, items):
+        """items, or with a deadline set, items that raise _OutOfTime
+        once it has passed, tested every 32 items."""
+        if self.deadline is None:
+            return items
+        return _polling(items, self.deadline)
 
     def leq(self, y, z):
         """y <=_M z, computed once per pair."""
@@ -168,6 +210,13 @@ class _Context:
         if isinstance(value, tuple):
             return "+".join(value)
         return value if isinstance(value, str) else repr(value)
+
+
+def _polling(items, deadline):
+    for i, x in enumerate(items):
+        if not i & 31 and time.monotonic() > deadline:
+            raise _OutOfTime
+        yield x
 
 
 # the domain each one-letter dimension runs over
@@ -817,13 +866,13 @@ def star_class_identity_report(a, tag, ctx):
     astar = a.star
     members = ctx.solutions(a, special.STAR_CLASS_EQS[tag])
     inners = [(x, _star_conditions(tag, _terms(a, x, astar), True))
-              for x in ctx.solutions(a, ("1",))]
+              for x in ctx.polled(ctx.solutions(a, ("1",)))]
     # every condition must describe the same set
     described = {label: tuple(x for x, read in inners if read[label])
                  for label in _STAR_CLASSES[tag]}
     _require_agree("the ideal descriptions of class %s" % tag, described)
     described = list(next(iter(described.values())))
-    if tag in _SUFFICIENT_ONLY and not all(x in members for x in described):
+    if tag in _SUFFICIENT_ONLY and not set(described) <= set(members):
         raise VerificationError(
             "described set escapes the class %s" % tag)
     return {
@@ -835,7 +884,7 @@ def star_class_identity_report(a, tag, ctx):
 
 
 def _star_class(ctx, a, tag):
-    for x in ctx.elements:
+    for x in ctx.polled(ctx.elements):
         star_class_membership(a, x, tag)
     star_class_identity_report(a, tag, ctx)
     return True
@@ -1014,7 +1063,8 @@ _BC_FLAVOR_CLAUSES = {
 def _bc(ctx, a, b, c):
     cab = c * a * b
     # b g c -> its clause report, g in (cab){1}
-    closed = bc_construction_clauses(a, b, c, ctx.solutions(cab, ("1",)))
+    closed = bc_construction_clauses(a, b, c,
+                                     ctx.polled(ctx.solutions(cab, ("1",))))
     hyps = dict(zip(("right_hybrid", "left_hybrid"),
                     special.bc_invertibility_hypotheses(a, b, c)))
     if any(hyps.values()) and not is_invertible(cab):
@@ -1062,7 +1112,7 @@ def _require_bc_equality_clauses(a, b, c, reps, closed, ctx):
             principal(cab, RIGHT) == principal(c, RIGHT)
             or annihilator(cab, LEFT) == annihilator(c, LEFT)):
         closed_forms = set(closed)
-    for x in ctx.elements:
+    for x in ctx.polled(ctx.elements):
         is_flavor = {f: rep.exists and rep.value == x
                      for f, rep in reps.items()}
         clauses = {
@@ -1113,7 +1163,7 @@ def _pq(ctx, a, p, q):
         a, principal(one - p, RIGHT)).is_subideal_of(qr)
     weak_left = multiply_ideal(a, principal(q, LEFT)).is_subideal_of(
         principal(one - p, LEFT))
-    for x in ctx.elements:
+    for x in ctx.polled(ctx.elements):
         ax, xa = a * x, x * a
         items = {
             "definition": x in in_a2 and xa == p and ax == one - q,
@@ -1334,7 +1384,9 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
     This is the one loop over an entry's cases.  It takes the scope's
     next (label, args), checks the budget and only then runs the clause.
     A library error raised by the clause fails that case under its
-    label; one raised by the scope fails the next case, numbered.
+    label; one raised by the scope fails the next case, numbered.  With
+    max_seconds, the context's sweeps poll the deadline too, and a case
+    they stop is not counted.
     """
     if theorem_id not in CATALOG_BY_ID:
         raise PreconditionError(
@@ -1349,29 +1401,37 @@ def verify(theorem_id, ring, max_cases=None, max_seconds=None):
     counterexample = None
     complete = True
     cases = case.scope(ctx)
-    while True:
-        try:
-            label, args = next(cases)
-        except StopIteration:
-            break
-        except RingInvError as exc:
-            label, args = "case %d raised %s: %s" % (
-                checked + 1, type(exc).__name__, exc), None
-        # the budget is checked before the clause runs, so no case starts
-        # past it, and a theorem with exactly max_cases cases completes
-        if (max_cases is not None and checked >= max_cases) or (
-                max_seconds is not None
-                and time.monotonic() - start > max_seconds):
-            complete = False
-            break
-        checked += 1
-        try:
-            ok = args is not None and case.clause(ctx, *args)
-        except RingInvError:
-            ok = False
-        if not ok:
-            counterexample = str(label)
-            break
+    if max_seconds is not None:
+        ctx.deadline = start + max_seconds
+    try:
+        while True:
+            try:
+                label, args = next(cases)
+            except StopIteration:
+                break
+            except RingInvError as exc:
+                label, args = "case %d raised %s: %s" % (
+                    checked + 1, type(exc).__name__, exc), None
+            # the budget is checked before the clause runs, so no case
+            # starts past it, and a theorem with exactly max_cases cases
+            # completes
+            if (max_cases is not None and checked >= max_cases) or (
+                    max_seconds is not None
+                    and time.monotonic() - start > max_seconds):
+                complete = False
+                break
+            try:
+                ok = args is not None and case.clause(ctx, *args)
+            except RingInvError:
+                ok = False
+            checked += 1
+            if not ok:
+                counterexample = str(label)
+                break
+    except _OutOfTime:
+        complete = False
+    finally:
+        ctx.deadline = None
     return VerificationReport(ring.short_name, theorem_id, checked,
                               counterexample, time.monotonic() - start,
                               complete)

@@ -20,7 +20,7 @@ from .errors import NotEnumerableError, PreconditionError, VerificationError
 from .geninv import InverseReport, any_inner, satisfies
 from .ideals import (LEFT, RIGHT, annihilator, direct_sum, ideal_annihilator,
                      multiply_ideal, principal)
-from .rings import Coset, MatrixRing
+from .rings import Coset, MatrixRing, memoized_bundle
 
 # One row per slot, in the order of IdealConstraints' fields: its keyword,
 # shape tag and side, whether it prescribes a principal ideal (else an
@@ -254,15 +254,18 @@ def _solve_in_ideal(a, s, u):
     the same for every such y when rann(a) meets S only in 0.
     """
     e = s.generator()
+    ops = a.ring.table or a.ring
     if s.side == RIGHT:
-        y = a.ring.solve(a * e, u, RIGHT)
+        y = ops.solve(a * e, u, RIGHT)
         return None if y is None else e * y
-    y = a.ring.solve(e * a, u, LEFT)
+    y = ops.solve(e * a, u, LEFT)
     return None if y is None else y * e
 
 
+@memoized_bundle
 def outer_with(a, cons, reflexive=False):
-    """a^(2) (or a^(1,2)) with prescribed ideals of x itself."""
+    """a^(2) (or a^(1,2)) with prescribed ideals of x itself; on the
+    oracle's rings the report is stored by index (see rings)."""
     cons.require_supported()
     if reflexive:
         return _reflexive_dispatch(a, cons)

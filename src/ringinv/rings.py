@@ -12,9 +12,15 @@ index, each store holding the answers themselves.  So are its ideals:
 each one-sided ideal is interned, one object per (side, key), and
 membership, generators and the lattice operations are stored by ideal
 index.  The members of each coset it lists are kept once, as indexed
-elements, and so are the additive generators.  A ring without one
-(every ring the CLI builds) computes each of them directly, and keeps
-the answers of the memoized functions in ring.memo.
+elements, and so are the additive generators, each solve(a, u, side),
+each linear_solutions Coset and each coset span by the indices of the
+elements that determine it, and each prescribed outer inverse
+(memoized_bundle) by the indices of a and of its interned ideals, each
+in a bounded store.  The oracle's context
+keeps its brute-force sets beside the table, in memos bounded in turn.
+A ring without a table (every ring the CLI builds) computes each of
+them directly, and keeps the answers of the memoized and memoized_pair
+functions in ring.memo.
 """
 
 from collections import defaultdict
@@ -153,7 +159,7 @@ class Ring:
         here, as every backend is finite or finite-dimensional over a
         field: ax = 1 makes r -> ar onto, so one-to-one, and a(xa - 1) = 0
         gives xa = 1."""
-        return self.solve(a, self.one, RIGHT)
+        return (self.table or self).solve(a, self.one, RIGHT)
 
     def elements(self):
         raise NotEnumerableError("%s is not enumerable" % self.short_name)
@@ -564,7 +570,8 @@ class Coset:
     @classmethod
     def spanned(cls, base, generators):
         """base + the additive subgroup that generators generate."""
-        return cls(base, base.ring.coset_span(generators))
+        ring = base.ring
+        return cls(base, (ring.table or ring).coset_span(generators))
 
     def size(self):
         return self.base.ring.coset_size(self.rep)
@@ -584,7 +591,8 @@ class Coset:
 # bounded.  A store by pair of ideals, or by ideal and element, follows
 # the same rule with M^2 or M N cells, M the number of one-sided ideals
 # of both sides.  The coset store holds at most _MAX_PRODUCTS member
-# references on any ring.
+# references on any ring, and the sparse stores (solves, linear solutions,
+# coset spans and memoized_bundle answers) are _Bounded on any ring.
 _MAX_FLAT = 1 << 10
 _MAX_PRODUCTS = 1 << 16
 
@@ -633,13 +641,20 @@ class ElementTable:
     first member, and under each other base asked.  A stored member and
     an other base count one member reference each; a coset that would
     take them past _MAX_PRODUCTS is listed by the backend, unstored.
+    In _Bounded stores it keeps each solve, as an indexed element or
+    None, by (index of a, index of u, side); each linear_solutions Coset,
+    with an indexed base, by the indices of each f's images of the
+    additive generators and of c; each coset span by the indices of its
+    generators; and bundles[name], the answers of a memoized_bundle
+    function.
     """
 
     __slots__ = ("ring", "elements", "size", "products", "rows",
                  "_positions", "_sums", "_negatives", "_stars",
                  "interned_ideals", "ideal_pairs", "_ideal_positions",
                  "_ideal_contains", "_ideal_generators", "_generators",
-                 "_cosets", "_stored_members")
+                 "_cosets", "_stored_members", "_solves", "_spans",
+                 "_linear", "bundles")
 
     def __init__(self, ring, elements):
         elements = self.elements = tuple(elements)
@@ -656,6 +671,9 @@ class ElementTable:
         self._generators = tuple(map(self.indexed,
                                      ring.additive_generators()))
         self._cosets, self._stored_members = {}, 0
+        self._solves, self._spans, self._linear = (
+            _Bounded(), _Bounded(), _Bounded())
+        self.bundles = defaultdict(_Bounded)
         ring.table = self
 
     def pairs(self, rows=None, columns=None):
@@ -716,6 +734,37 @@ class ElementTable:
     def additive_generators(self):
         return self._generators
 
+    def solve(self, a, u, side):
+        k = self.pair(a, u) * 2 + (side == LEFT)
+        out = self._solves[k]
+        if out is _UNSET:
+            out = self._solves[k] = self.kept(self.ring.solve(a, u, side))
+        return out
+
+    def coset_span(self, generators):
+        key = tuple(map(self.position, generators))
+        out = self._spans[key]
+        if out is _UNSET:
+            out = self._spans[key] = self.ring.coset_span(generators)
+        return out
+
+    def linear_solutions(self, equations):
+        # an additive f is known by its images of the additive generators:
+        # the key is their indices and c's, one int in base N, after the
+        # number of equations
+        n, position, key = self.size, self.position, len(equations)
+        for f, c in equations:
+            for e in self._generators:
+                key = key * n + position(f(e))
+            key = key * n + position(c)
+        out = self._linear[key]
+        if out is _UNSET:
+            out = self.ring.linear_solutions(equations)
+            if out is not None:
+                out = Coset(self.indexed(out.base), out.rep)
+            self._linear[key] = out
+        return out
+
     def coset_members(self, base, rep):
         key = self.position(base), rep
         members = self._cosets.get(key)
@@ -737,6 +786,41 @@ class ElementTable:
                 self._stored_members += 1
                 self._cosets[key] = members
         return iter(members)
+
+    def satisfying(self, candidates, letters, words):
+        """The candidates, elements of the table in order, at which the
+        two words of each pair in words have one product, tested by index.
+        A word is a string of the names in letters (a dict of elements)
+        and x, the candidate, multiplied left to right; a "*" stars the
+        product before it."""
+        at = {name: self.position(v) for name, v in letters.items()}
+        value = self._word_value
+        out = []
+        for x in candidates:
+            at["x"] = x.index
+            for lhs, rhs in words:
+                if value(lhs, at) != value(rhs, at):
+                    break
+            else:
+                out.append(x)
+        return out
+
+    def _word_value(self, word, at):
+        """The index of the product that word names, at the indices at."""
+        elements, products, n = self.elements, self.products, self.size
+        i = at[word[0]]
+        for name in word[1:]:
+            if name == "*":
+                y = self._stars[i]
+                if y is _UNSET:
+                    y = self.involute(elements[i])
+            else:
+                j = at[name]
+                y = products[i * n + j]
+                if y is _UNSET:
+                    y = self.mul(elements[i], elements[j])
+            i = y.index
+        return i
 
     # the ideals, by index
 
@@ -882,6 +966,42 @@ def memoized_pair(fn):
         out = store.get(key, _UNSET)
         if out is _UNSET:
             out = store[key] = fn(s, t)
+        return out
+    return wrapper
+
+
+def memoized_bundle(fn):
+    """Memoize fn(a, bundle, reflexive=False), where bundle.ideals is a
+    tuple of ideals of a's ring or None, on a ring with an ElementTable:
+    in the table, one store per function by the index of a, the indices
+    of the bundle's interned ideals and reflexive.  A bundle with an
+    ideal of another, equal ring object is computed unstored, and so is
+    every call on a ring without a table.
+    """
+    name = fn.__name__
+
+    @wraps(fn)
+    def wrapper(a, bundle, reflexive=False):
+        ring = a.ring
+        table = ring.table
+        if table is None:
+            return fn(a, bundle, reflexive)
+        if table.interned_ideals is None:
+            table._index_ideals()
+        # one int, in base M + 1 for the M interned ideals, 0 for no ideal
+        m = len(table.interned_ideals) + 1
+        key = table.position(a) * 2 + bool(reflexive)
+        for s in bundle.ideals:
+            key *= m
+            if s is not None:
+                if s.ring is not ring:
+                    return fn(a, bundle, reflexive)
+                i = s.index
+                key += 1 + (table.interned(s).index if i is None else i)
+        store = table.bundles[name]
+        out = store[key]
+        if out is _UNSET:
+            out = store[key] = fn(a, bundle, reflexive)
         return out
     return wrapper
 

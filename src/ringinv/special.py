@@ -180,8 +180,8 @@ def right_w_core(a, w):
         # awx x), where (1 - e)x = 0 for the idempotent e = aw (aw)^(1);
         # the member test, the one definition of the set, picks them out
         f = ring.one - b * any_inner(b)
-        space = ring.linear_solutions([(lambda x: b * x * a, a),
-                                       (lambda x: f * x, ring.zero)])
+        space = (ring.table or ring).linear_solutions([
+            (lambda x: b * x * a, a), (lambda x: f * x, ring.zero)])
         members = [x for x in space or ()
                    if right_w_core_member(a, w, x)]
         if not members:
@@ -219,8 +219,8 @@ def left_v_dual_core(a, v):
         # a member solves the linear axva = a and lies in Rva (x =
         # x xva), where x(1 - e) = 0 for the idempotent e = (va)^(1) va
         f = ring.one - any_inner(c) * c
-        space = ring.linear_solutions([(lambda x: a * x * c, a),
-                                       (lambda x: x * f, ring.zero)])
+        space = (ring.table or ring).linear_solutions([
+            (lambda x: a * x * c, a), (lambda x: x * f, ring.zero)])
         members = [x for x in space or ()
                    if left_v_dual_core_member(a, v, x)]
         if not members:

@@ -19,8 +19,9 @@ import pytest
 from ringinv import cli, oracle, prescribed, rings, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             RingInvError, RingMismatchError,
-                            VerificationError)
-from ringinv.geninv import InverseReport, any_inner
+                            UnsupportedInvolutionError, VerificationError)
+from ringinv.geninv import (InverseReport, any_inner,
+                            enumerate_inverse_set, satisfies)
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             direct_sum, principal)
 from ringinv.linalg import mat_mul
@@ -657,7 +658,8 @@ def test_an_indexed_ring_computes_a_pair_with_an_equal_ring_unstored():
 def test_each_memoized_function_is_one_layer():
     # the wrapper holds the function itself, and no other wrapper
     for fn in (principal, annihilator, any_inner, SidedIdeal.is_subideal_of,
-               SidedIdeal.sum, SidedIdeal.intersect, direct_sum):
+               SidedIdeal.sum, SidedIdeal.intersect, direct_sum,
+               prescribed.outer_with):
         assert not hasattr(fn.__wrapped__, "__wrapped__")
         held = [cell.cell_contents for cell in fn.__closure__]
         assert fn.__wrapped__ in held
@@ -772,5 +774,210 @@ def test_second_catalog_pass_makes_no_coset_member_or_generator(
 
     monkeypatch.setattr(rings.RingElement, "__init__", recording)
     assert _report_json(oracle.verify_all(ring, max_cases=40)) == first
-    assert callers and \
-        not callers & {"coset_members", "additive_generators"}
+    # the warm pass reads every element from the table: it builds none,
+    # the solves and linear_solutions bases included
+    assert not callers
+    ring.mul(ring.one, ring.one)
+    assert "mul" in callers
+
+
+# -- the solves, coset spans and prescribed outer inverses of the table
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2"])
+def test_stored_solves_equal_the_backends(name):
+    ring, plain = ring_from_name(name), ring_from_name(name)
+    table = oracle._Context.of(ring).table
+    for _ in range(2):
+        # the first pass fills the store, the second reads it
+        for (a, u), (pa, pu) in zip(product(table.elements, repeat=2),
+                                    product(plain.elements(), repeat=2)):
+            for side in (RIGHT, LEFT):
+                x = table.solve(a, u, side)
+                assert table.solve(a, u, side) is x and _indexed(table, x)
+                want = plain.solve(pa, pu, side)
+                assert (x is None) == (want is None)
+                if x is not None:
+                    assert x.payload == want.payload
+                    assert (a * x if side == RIGHT else x * a) is u
+    assert len(table._solves) == 2 * ring.size ** 2
+    for a in table.elements:
+        assert ring.unit_inverse(a) is table.solve(a, ring.one, RIGHT)
+
+
+def test_stored_outer_with_equals_a_fresh_computation():
+    ring, plain = MatF(2, 2), MatF(2, 2)
+    table = oracle._Context.of(ring).table
+    outer_with = prescribed.outer_with
+    pairs = list(zip(oracle._ideal_quadruples(ring),
+                     oracle._ideal_quadruples(plain)))
+    assert len(pairs) == 4 * 25
+    for a, pa in zip(table.elements, plain.elements()):
+        for (cons, pcons), reflexive in product(pairs, (False, True)):
+            rep = outer_with(a, cons, reflexive=reflexive)
+            assert outer_with(a, cons, reflexive=reflexive) is rep
+            assert rep.value is None or _indexed(table, rep.value)
+            fresh = outer_with.__wrapped__(pa, pcons, reflexive)
+            assert rep.to_json() == fresh.to_json()
+            # a bundle of another, equal ring object is computed, unstored
+            assert outer_with(a, pcons, reflexive=reflexive) is not rep
+    assert len(table.bundles["outer_with"]) == ring.size * 100 * 2
+    assert plain.table is None and "outer_with" not in plain.memo
+
+
+def test_stored_coset_spans_equal_the_backends(monkeypatch):
+    ring, plain = MatF(2, 2), MatF(2, 2)
+    first = oracle.verify("T-one-prescribed-families", ring)
+    assert first.passed
+    table = ring.table
+    spans = dict(table._spans)
+    assert spans
+    by_payload = {x.payload: x for x in plain.elements()}
+    for key, rep in spans.items():
+        generators = [by_payload[table.elements[i].payload] for i in key]
+        assert rep == plain.coset_span(generators)
+    # a second pass reads every span from the store
+    spanned = []
+    real = rings.MatrixRing.coset_span
+    monkeypatch.setattr(rings.MatrixRing, "coset_span",
+                        lambda self, gens: spanned.append(gens) or
+                        real(self, gens))
+    again = oracle.verify("T-one-prescribed-families", ring)
+    assert again.to_json() == first.to_json() and spanned == []
+    # the patch does record a backend span
+    assert plain.coset_span(plain.additive_generators()) and spanned
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2"])
+def test_stored_linear_solutions_equal_the_backends(monkeypatch, name):
+    ring = ring_from_name(name)
+    table = oracle._Context.of(ring).table
+    real = rings.ElementTable.linear_solutions
+    backend = type(ring).linear_solutions
+    answers = []
+
+    def compared(self, equations):
+        got, want = real(self, equations), backend(ring, equations)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _indexed(table, got.base) and got.rep == want.rep
+            assert got.members() == want.members()
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(rings.ElementTable, "linear_solutions", compared)
+    asked = []
+    monkeypatch.setattr(type(ring), "linear_solutions",
+                        lambda self, equations: asked.append(1) or
+                        backend(self, equations))
+    systems = [("1",), ("1", "3"), ("5", "6", "8"), ("1k",)]
+    for _ in range(2):
+        # the first pass fills the store, the second reads it
+        del asked[:]
+        if ring.has_involution:
+            oracle.verify("T-one-sided-core", ring, max_cases=60)
+        for a, equations in product(table.elements, systems):
+            if ring.has_involution or "3" not in equations:
+                enumerate_inverse_set(a, equations, k=2)
+        fills = len(asked)
+    assert fills == 0 and answers and any(x is None for x in answers)
+    assert 0 < len(table._linear) < len(answers)
+
+
+def test_cli_rings_take_the_direct_path(made, monkeypatch):
+    def refused(self, *args):
+        raise AssertionError("a table store was read")
+
+    for method in ("solve", "coset_span", "linear_solutions"):
+        monkeypatch.setattr(rings.ElementTable, method, refused)
+    computed = []
+    real = prescribed._unique_outer
+
+    def counting(a, s, t):
+        computed.append(a)
+        return real(a, s, t)
+
+    monkeypatch.setattr(prescribed, "_unique_outer", counting)
+    a = json.dumps([["1", "1"], ["0", "0"]])
+    cons = json.dumps({"right_principal": {"principal": a},
+                       "right_annihilator": {"annihilator": a}})
+    for mode in ("outer", "outer", "one", "reflexive"):
+        assert cli.main(["prescribe", "--ring", "m2f2", "--element", a,
+                         "--constraints", cons, "--mode", mode]) == \
+            cli.EXIT_OK
+    assert cli.main(["compute", "--ring", "m2f2", "--element", a,
+                     "--inverse", "group"]) == cli.EXIT_OK
+    assert len(computed) == 2
+    assert all(ring.table is None and "outer_with" not in ring.memo
+               for ring in made)
+
+
+def test_a_stale_outer_with_answer_is_a_counterexample():
+    # one stored answer replaced: the first case's outer inverse reported
+    # missing, or the zero element when there is none
+    ring = MatF(2, 2)
+    theorem = "T-2I-prescribed"
+    assert oracle.verify(theorem, ring, max_cases=40).counterexample is None
+    store = ring.table.bundles["outer_with"]
+    key, rep = next(iter(store.items()))
+    store[key] = InverseReport(rep.name, False, reason="stale") \
+        if rep.exists else InverseReport(rep.name, True, ring.zero)
+    stale = oracle.verify(theorem, ring, max_cases=40)
+    assert stale.counterexample is not None and stale.cases_checked == 1
+    assert oracle.verify(theorem, MatF(2, 2),
+                         max_cases=40).counterexample is None
+
+
+# -- the oracle context's memos: bounded
+
+def test_context_memos_keep_every_catalog_set():
+    # two catalog passes at the perfbench cap evict nothing
+    for name in ("zn:6", "zn:8", "m2f2"):
+        ring = ring_from_name(name)
+        for _ in range(2):
+            oracle.verify_all(ring, max_cases=40)
+        ctx = ring.memo["context"]
+        for memo in (ctx.memo, ctx.solutions, ctx.filtered):
+            info = memo.cache_info()
+            assert info.maxsize == oracle._CONTEXT_CACHE
+            assert 0 < info.currsize == info.misses < info.maxsize
+
+
+def test_bounded_context_memos_give_the_same_reports(monkeypatch):
+    want = _report_json(oracle.verify_all(MatF(2, 2), max_cases=40))
+    monkeypatch.setattr(oracle, "_CONTEXT_CACHE", 4)
+    ring = MatF(2, 2)
+    assert _report_json(oracle.verify_all(ring, max_cases=40)) == want
+    ctx = ring.memo["context"]
+    for memo in (ctx.memo, ctx.solutions, ctx.filtered):
+        assert memo.cache_info().currsize <= 4
+
+
+# -- the solution sets of the context, tested by index
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2"])
+def test_indexed_solution_sets_equal_satisfies(name):
+    ring = ring_from_name(name)
+    ctx = oracle._Context(ring)
+    systems = [equations for equations in [
+        (eq,) for eq in oracle._WORDS] + list(oracle.NAMED_SYSTEMS.values())
+        if ring.has_involution or not {"3", "4"} & set(equations)]
+    for a in ctx.elements:
+        for equations, k in product(systems, (None, 0, 1, 3)):
+            if k is None and {"1k", "k1"} & set(equations):
+                continue
+            got = ctx.solutions(a, equations, k)
+            assert got == [x for x in ctx.elements
+                           if satisfies(a, x, equations, k=k)]
+            assert all(_indexed(ctx.table, x) for x in got)
+
+
+def test_an_indexed_scan_raises_as_satisfies_does():
+    ring = Zn(8)
+    ctx = oracle._Context(ring)
+    with pytest.raises(UnsupportedInvolutionError):
+        ctx.solutions(ring.one, ("1", "3"))
+    with pytest.raises(PreconditionError):
+        ctx.solutions(ring.one, ("1k",))
+    # a token is reached only past a solution of the tokens before it: 2
+    # is not regular in Z_8
+    assert ctx.solutions(ring.element(2), ("1", "3")) == []

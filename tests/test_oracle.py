@@ -314,6 +314,47 @@ def test_budget_equal_to_case_count_completes():
     assert not rep.complete and not rep.passed and rep.cases_checked == 5
 
 
+def test_a_time_budget_stops_a_case_inside_its_sweep():
+    # each T-star-classes case on M3(F3) sweeps its 19,683 x; the second
+    # call starts one on the warm context, and the sweep stops it
+    ring = ring_from_name("m3f3")
+    for _ in range(2):
+        rep = verify("T-star-classes", ring, max_cases=30, max_seconds=1)
+        assert rep.elapsed < 5
+        assert not rep.complete and rep.counterexample is None
+        assert rep.cases_checked < 30
+    assert oracle._Context.of(ring).deadline is None
+
+
+@pytest.mark.parametrize("theorem", ["T-star-classes", "T-bc-inverses",
+                                     "T-pq-inverses", "O-named-inverses"])
+def test_a_sweep_stopped_by_the_deadline_is_not_counted(monkeypatch,
+                                                        theorem):
+    # a deadline past at the first poll stops the first case's sweep
+    ring = MatF(2, 2)
+    ctx = oracle._Context.of(ring)
+    real = oracle._polling
+    monkeypatch.setattr(oracle, "_polling",
+                        lambda items, deadline: real(items, 0))
+    rep = verify(theorem, ring, max_seconds=60)
+    assert rep.cases_checked == 0 and not rep.complete
+    assert rep.counterexample is None and ctx.deadline is None
+    # the stopped scan was not kept, so the same case passes unbudgeted
+    monkeypatch.setattr(oracle, "_polling", real)
+    assert verify(theorem, ring, max_cases=3).counterexample is None
+
+
+def test_no_budget_polls_nothing(monkeypatch):
+    def refused(items, deadline):
+        raise AssertionError("polled without a budget")
+
+    monkeypatch.setattr(oracle, "_polling", refused)
+    for theorem in ("T-star-classes", "T-bc-inverses", "T-pq-inverses",
+                    "L-core-equation-systems"):
+        assert verify(theorem, MatF(2, 2), max_cases=40).counterexample \
+            is None
+
+
 def test_mitsch_order_yields_before_tabulating(monkeypatch):
     calls = []
 
