@@ -18,10 +18,9 @@ from itertools import product
 
 from .errors import (NotEnumerableError, PreconditionError, RingInvError,
                      VerificationError)
-from .geninv import (NAMED_SYSTEMS, _raises, _solution_test, any_inner,
-                     core_inverse, drazin_index, drazin_inverse,
-                     dual_core_inverse, group_inverse, moore_penrose,
-                     satisfies)
+from .geninv import (NAMED_SYSTEMS, _solution_test, any_inner, core_inverse,
+                     drazin_index, drazin_inverse, dual_core_inverse,
+                     group_inverse, moore_penrose, satisfies)
 from .ideals import (LEFT, RIGHT, all_ideals, annihilator, direct_sum,
                      ideal_annihilator, multiply_ideal, orthogonal,
                      phi_preimage, principal)
@@ -29,8 +28,7 @@ from .prescribed import (SLOTS, IdealConstraints, _check_constraints_on_x,
                          _realized, mitsch_leq, one_inverse_family,
                          one_inverse_solution_set, outer_with)
 from .projectors import phi_equals_projector as phieq, projector
-from .rings import (_UNSET, ElementTable, RingElement, inverse_of_unit,
-                    is_invertible)
+from .rings import ElementTable, RingElement, inverse_of_unit, is_invertible
 from . import special
 
 
@@ -93,14 +91,6 @@ class VerificationReport:
 
 # -- the scope layer --------------------------------------------------------
 
-# each equation token as two words in a, x, p = a^k and q = a^(k+1) whose
-# products are equal, a "*" starring the product before it: the
-# definitions the context's solution sets are scanned with, by index
-_WORDS = {"1": ("axa", "a"), "2": ("xax", "x"), "3": ("ax*", "ax"),
-          "4": ("xa*", "xa"), "5": ("ax", "xa"), "6": ("xaa", "a"),
-          "7": ("axx", "x"), "8": ("aax", "a"), "9": ("xxa", "x"),
-          "1k": ("xq", "p"), "k1": ("qx", "p")}
-
 # the entries each of the context's memos keeps, the least recently used
 # going first: every catalog ring at the perfbench cap keeps each of its
 # sets, and a larger ring keeps its memory bounded
@@ -115,10 +105,11 @@ class _Context:
     """What the oracle knows of a finite ring: the element tuple of the
     ring's ElementTable, the idempotents and symmetric unit weights drawn
     from it on first use, each element's rendering, the Mitsch order by
-    pair of indices, and memos that keep the last _CONTEXT_CACHE answers
-    each.  Every brute-force solution set of the oracle comes from one of
-    them, solutions, which tests the candidates by index, and every such
-    set filtered by ideals from another, filtered.  verify sets deadline
+    pair of indices (read through the table's stored), and memos that keep
+    the last _CONTEXT_CACHE answers each.  Every brute-force solution set
+    of the oracle comes from one of them, solutions, the one scan: it
+    tests each element with satisfies' own test, and every such set
+    filtered by ideals from another, filtered.  verify sets deadline
     while a time budget runs, and each sweep over the elements (polled)
     stops the case once it has passed.
 
@@ -164,18 +155,9 @@ class _Context:
         return ctx
 
     def _scan(self, a, equations, k=None):
-        """a{equations}: each element tested by index against _WORDS, or
-        by satisfies where a token raises (a star without an involution,
-        a power without k), so that it raises as satisfies does."""
-        candidates = self.polled(self.elements)
-        if any(_raises(self.ring, eq, k) for eq in equations):
-            test = _solution_test(a, equations, k)
-            return [x for x in candidates if test(x)]
-        letters = {"a": a}
-        if k is not None:
-            letters.update(p=a ** k, q=a ** (k + 1))
-        return self.table.satisfying(candidates, letters,
-                                     [_WORDS[eq] for eq in equations])
+        """a{equations}, each element tested as satisfies tests it."""
+        test = _solution_test(a, equations, k)
+        return [x for x in self.polled(self.elements) if test(x)]
 
     def polled(self, items):
         """items, or with a deadline set, items that raise _OutOfTime
@@ -186,11 +168,8 @@ class _Context:
 
     def leq(self, y, z):
         """y <=_M z, computed once per pair."""
-        k = self.table.pair(y, z)
-        out = self._leq[k]
-        if out is _UNSET:
-            out = self._leq[k] = mitsch_leq(y, z)
-        return out
+        table = self.table
+        return table.stored(self._leq, table.pair(y, z), mitsch_leq, y, z)
 
     @cached_property
     def idempotents(self):
@@ -1059,6 +1038,20 @@ _BC_FLAVOR_CLAUSES = {
                     "outer_with_lann(x)=lann(b)"),
 }
 
+# each (b,c) flavor's prescribed ideals (S, T, S', T'), for xR = S,
+# rann(x) = T, Rx = S' and lann(x) = T', as the paper states them: the
+# brute-force reference reads these, not the library's flavor mapping
+_BC_FLAVOR_IDEALS = {
+    "full": lambda b, c: (
+        principal(b, RIGHT), None, principal(c, LEFT), None),
+    "right_hybrid": lambda b, c: (
+        principal(b, RIGHT), annihilator(c, RIGHT), None, None),
+    "left_hybrid": lambda b, c: (
+        None, None, principal(c, LEFT), annihilator(b, LEFT)),
+    "annihilator": lambda b, c: (
+        None, annihilator(c, RIGHT), None, annihilator(b, LEFT)),
+}
+
 
 def _bc(ctx, a, b, c):
     cab = c * a * b
@@ -1080,8 +1073,8 @@ def _bc(ctx, a, b, c):
     if bool(closed) != (form in closed):
         raise VerificationError("the closed form is not b (cab)^(1) c")
     for flavor, rep in reps.items():
-        cons = special._bc_constraints(b, c, flavor)
-        want = ctx.filtered(a, ("2",), cons.ideals, False)
+        want = ctx.filtered(a, ("2",), _BC_FLAVOR_IDEALS[flavor](b, c),
+                            False)
         if not _is_brute_force(rep, want):
             raise VerificationError(
                 "(b,c) %s inverse disagrees with brute force" % flavor)

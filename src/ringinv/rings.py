@@ -16,8 +16,10 @@ elements, and so are the additive generators, each solve(a, u, side),
 each linear_solutions Coset and each coset span by the indices of the
 elements that determine it, and each prescribed outer inverse
 (memoized_bundle) by the indices of a and of its interned ideals, each
-in a bounded store.  The oracle's context
-keeps its brute-force sets beside the table, in memos bounded in turn.
+in a bounded store.  One helper, stored(), reads and fills every store
+but the sums, the products and the memoized rows, which are read
+inline.  The oracle's context keeps its brute-force sets beside the
+table, in memos bounded in turn, each scanned with satisfies' own test.
 A ring without a table (every ring the CLI builds) computes each of
 them directly, and keeps the answers of the memoized and memoized_pair
 functions in ring.memo.
@@ -646,7 +648,8 @@ class ElementTable:
     with an indexed base, by the indices of each f's images of the
     additive generators and of c; each coset span by the indices of its
     generators; and bundles[name], the answers of a memoized_bundle
-    function.
+    function.  stored() reads and fills each store but the hot ones: the
+    sums, the products and the memoized rows.
     """
 
     __slots__ = ("ring", "elements", "size", "products", "rows",
@@ -710,11 +713,11 @@ class ElementTable:
             out = store[k] = self.indexed(op(a, b))
         return out
 
-    def _unary(self, store, op, a):
-        i = self.position(a)
-        out = store[i]
+    def stored(self, store, key, compute, *args):
+        """store[key], set to kept(compute(*args)) while it reads _UNSET."""
+        out = store[key]
         if out is _UNSET:
-            out = store[i] = self.indexed(op(a))
+            out = store[key] = self.kept(compute(*args))
         return out
 
     # the backend's operations, under its names
@@ -726,27 +729,23 @@ class ElementTable:
         return self._pairwise(self.products, self.ring.mul, a, b)
 
     def neg(self, a):
-        return self._unary(self._negatives, self.ring.neg, a)
+        return self.stored(self._negatives, self.position(a),
+                           self.ring.neg, a)
 
     def involute(self, a):
-        return self._unary(self._stars, self.ring.involute, a)
+        return self.stored(self._stars, self.position(a),
+                           self.ring.involute, a)
 
     def additive_generators(self):
         return self._generators
 
     def solve(self, a, u, side):
-        k = self.pair(a, u) * 2 + (side == LEFT)
-        out = self._solves[k]
-        if out is _UNSET:
-            out = self._solves[k] = self.kept(self.ring.solve(a, u, side))
-        return out
+        return self.stored(self._solves, self.pair(a, u) * 2 + (side == LEFT),
+                           self.ring.solve, a, u, side)
 
     def coset_span(self, generators):
-        key = tuple(map(self.position, generators))
-        out = self._spans[key]
-        if out is _UNSET:
-            out = self._spans[key] = self.ring.coset_span(generators)
-        return out
+        return self.stored(self._spans, tuple(map(self.position, generators)),
+                           self.ring.coset_span, generators)
 
     def linear_solutions(self, equations):
         # an additive f is known by its images of the additive generators:
@@ -757,13 +756,8 @@ class ElementTable:
             for e in self._generators:
                 key = key * n + position(f(e))
             key = key * n + position(c)
-        out = self._linear[key]
-        if out is _UNSET:
-            out = self.ring.linear_solutions(equations)
-            if out is not None:
-                out = Coset(self.indexed(out.base), out.rep)
-            self._linear[key] = out
-        return out
+        return self.stored(self._linear, key, self.ring.linear_solutions,
+                           equations)
 
     def coset_members(self, base, rep):
         key = self.position(base), rep
@@ -786,41 +780,6 @@ class ElementTable:
                 self._stored_members += 1
                 self._cosets[key] = members
         return iter(members)
-
-    def satisfying(self, candidates, letters, words):
-        """The candidates, elements of the table in order, at which the
-        two words of each pair in words have one product, tested by index.
-        A word is a string of the names in letters (a dict of elements)
-        and x, the candidate, multiplied left to right; a "*" stars the
-        product before it."""
-        at = {name: self.position(v) for name, v in letters.items()}
-        value = self._word_value
-        out = []
-        for x in candidates:
-            at["x"] = x.index
-            for lhs, rhs in words:
-                if value(lhs, at) != value(rhs, at):
-                    break
-            else:
-                out.append(x)
-        return out
-
-    def _word_value(self, word, at):
-        """The index of the product that word names, at the indices at."""
-        elements, products, n = self.elements, self.products, self.size
-        i = at[word[0]]
-        for name in word[1:]:
-            if name == "*":
-                y = self._stars[i]
-                if y is _UNSET:
-                    y = self.involute(elements[i])
-            else:
-                j = at[name]
-                y = products[i * n + j]
-                if y is _UNSET:
-                    y = self.mul(elements[i], elements[j])
-            i = y.index
-        return i
 
     # the ideals, by index
 
@@ -850,33 +809,30 @@ class ElementTable:
 
     def kept(self, out):
         """An answer as the table keeps it: an element by its indexed one,
-        an ideal by its interned one, anything else as it is."""
+        a Coset by one with its base indexed, an ideal by its interned one,
+        and anything else (None, a bool, a rep, a report) as it is."""
         if isinstance(out, RingElement):
             return self.indexed(out)
-        if out is None or out is True or out is False:
-            return out
-        return self.interned(out)
+        if isinstance(out, Coset):
+            return Coset(self.indexed(out.base), out.rep)
+        # the one other answer with an index is a SidedIdeal, whose
+        # module imports this one
+        return self.interned(out) if hasattr(out, "index") else out
 
     def contains(self, ideal, a):
         i = ideal.index
         if i is None:
             i = self.interned(ideal).index
-        k = i * self.size + self.position(a)
-        out = self._ideal_contains[k]
-        if out is _UNSET:
-            out = self._ideal_contains[k] = self.ring.ideal_contains(
-                ideal.side, ideal.rep, a)
-        return out
+        return self.stored(self._ideal_contains,
+                           i * self.size + self.position(a),
+                           self.ring.ideal_contains, ideal.side, ideal.rep, a)
 
     def generator(self, ideal):
         i = ideal.index
         if i is None:
             i = self.interned(ideal).index
-        out = self._ideal_generators[i]
-        if out is _UNSET:
-            out = self._ideal_generators[i] = self.indexed(
-                self.ring.ideal_generator(ideal.side, ideal.rep))
-        return out
+        return self.stored(self._ideal_generators, i,
+                           self.ring.ideal_generator, ideal.side, ideal.rep)
 
 
 class _Rows(dict):
@@ -998,11 +954,8 @@ def memoized_bundle(fn):
                     return fn(a, bundle, reflexive)
                 i = s.index
                 key += 1 + (table.interned(s).index if i is None else i)
-        store = table.bundles[name]
-        out = store[key]
-        if out is _UNSET:
-            out = store[key] = fn(a, bundle, reflexive)
-        return out
+        return table.stored(table.bundles[name], key, fn, a, bundle,
+                            reflexive)
     return wrapper
 
 

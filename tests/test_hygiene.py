@@ -8,8 +8,9 @@ reads its ring only in its scope layer and lists no solution set
 through the library.  In
 rings.py only a backend class knows how it is stored, only rings.py
 and ideals.py read the index of an interned ideal or the table's ideal
-stores, and only rings.py reads the table's coset store.  Stdlib ast
-only."""
+stores, only rings.py reads the table's coset store, and a store of
+the table is read against _UNSET only in ElementTable.stored, the
+product reads and the two memo decorators.  Stdlib ast only."""
 
 import ast
 from pathlib import Path
@@ -278,6 +279,33 @@ def coset_store_reads(trees):
     return _attribute_reads(trees, COSET_STORE_MODULES, COSET_STORE_ATTRS)
 
 
+# a store of the element table is read and filled in one place: the
+# product reads of the hot path, the rows of the memo decorators, and
+# ElementTable.stored for every other store
+UNSET_READERS = [
+    "rings.ElementTable._pairwise", "rings.ElementTable.stored",
+    "rings.RingElement.__mul__", "rings.memoized", "rings.memoized_pair"]
+
+
+def unset_compares(trees):
+    """'module.definition' for each top-level definition, a method named
+    with its class, that compares with _UNSET, sorted."""
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            defs = [(node.name + "." + sub.name, sub) for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)] \
+                if isinstance(node, ast.ClassDef) else \
+                [(getattr(node, "name", "<module>"), node)]
+            out.update(
+                "%s.%s" % (module[:-3], name) for name, body in defs
+                if any(isinstance(sub, ast.Compare) and any(
+                    getattr(side, "id", getattr(side, "attr", None))
+                    == "_UNSET" for side in (sub.left, *sub.comparators))
+                    for sub in ast.walk(body)))
+    return sorted(out)
+
+
 def test_no_unused_module_imports():
     assert unused_imports(_trees()) == []
 
@@ -497,3 +525,37 @@ def test_guard_flags_a_library_listing_in_the_oracle():
     assert listing_uses(tree) == [
         "1 enumerate_inverse_set", "5 star_class_set", "6 mitsch_extremes",
         "7 iter_inverse_set"]
+
+
+def test_table_stores_are_read_in_the_helper_and_the_hot_paths_only():
+    assert unset_compares(_trees()) == UNSET_READERS
+
+
+def test_guard_flags_a_store_read_outside_the_helper():
+    trees = {
+        "rings.py": ast.parse(
+            "class ElementTable:\n"
+            "    def stored(self, store, key, compute, *args):\n"
+            "        out = store[key]\n"
+            "        if out is _UNSET:\n"
+            "            out = store[key] = compute(*args)\n"
+            "        return out\n"
+            "    def solve(self, a, u, side):\n"
+            "        out = self._solves[a, u, side]\n"
+            "        return None if out is _UNSET else out\n"
+            "def memoized(fn):\n"
+            "    def wrapper(a):\n"
+            "        out = a.ring.memo.get(a, _UNSET)\n"
+            "        return fn(a) if out is _UNSET else out\n"
+            "    return wrapper\n"),
+        "oracle.py": ast.parse(
+            "from . import rings\n"
+            "class _Context:\n"
+            "    def leq(self, y, z):\n"
+            "        out = self._leq[y, z]\n"
+            "        return rings._UNSET is not out and out\n"
+            "_EMPTY = [] == _UNSET\n"),
+    }
+    assert unset_compares(trees) == [
+        "oracle.<module>", "oracle._Context.leq", "rings.ElementTable.solve",
+        "rings.ElementTable.stored", "rings.memoized"]

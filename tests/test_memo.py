@@ -20,7 +20,7 @@ from ringinv import cli, oracle, prescribed, rings, special
 from ringinv.errors import (NotEnumerableError, PreconditionError,
                             RingInvError, RingMismatchError,
                             UnsupportedInvolutionError, VerificationError)
-from ringinv.geninv import (InverseReport, any_inner,
+from ringinv.geninv import (EQUATION_TOKENS, InverseReport, any_inner,
                             enumerate_inverse_set, satisfies)
 from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             direct_sum, principal)
@@ -952,14 +952,14 @@ def test_bounded_context_memos_give_the_same_reports(monkeypatch):
         assert memo.cache_info().currsize <= 4
 
 
-# -- the solution sets of the context, tested by index
+# -- the solution sets of the context, tested as satisfies tests them
 
 @pytest.mark.parametrize("name", ["zn:12", "m2f2"])
 def test_indexed_solution_sets_equal_satisfies(name):
     ring = ring_from_name(name)
     ctx = oracle._Context(ring)
     systems = [equations for equations in [
-        (eq,) for eq in oracle._WORDS] + list(oracle.NAMED_SYSTEMS.values())
+        (eq,) for eq in EQUATION_TOKENS] + list(oracle.NAMED_SYSTEMS.values())
         if ring.has_involution or not {"3", "4"} & set(equations)]
     for a in ctx.elements:
         for equations, k in product(systems, (None, 0, 1, 3)):

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import os
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -671,6 +671,17 @@ def test_bc_case_solves_each_flavor_once(monkeypatch):
     monkeypatch.setattr(special, "outer_with", counting)
     label, ok = next(_cases("T-bc-inverses", Z6))
     assert ok and len(calls) == len(special.BC_FLAVORS) == 4
+
+
+@pytest.mark.parametrize("name", ["zn:12", "m2f2"])
+def test_bc_flavor_ideals_are_the_library_bundles(name):
+    # the hybrid flavors coincide on a regular ring, so no catalog case
+    # tells a swap of two flavors in the library from the paper's mapping
+    ring = ring_from_name(name)
+    assert tuple(oracle._BC_FLAVOR_IDEALS) == special.BC_FLAVORS
+    for b, c in product(ring.elements(), repeat=2):
+        for flavor, ideals in oracle._BC_FLAVOR_IDEALS.items():
+            assert ideals(b, c) == special._bc_constraints(b, c, flavor).ideals
 
 
 def test_multiply_ideal_mutant_breaks_a_djordjevic_wei_item(monkeypatch):
