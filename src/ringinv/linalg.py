@@ -6,22 +6,53 @@ range(p) (over GF(p)).  Everything here is exact -- no floats anywhere.
 A field is zero, one, reduce, inv, convert and parse.  Scalars combine
 with Python's own + - *, and reduce(v) brings each computed entry back
 into the field once (v itself over Q, v % p over GF(p)).  Every solve is
-one elimination: rref of [a | b].
+one elimination: rref of [a | b].  Over Q it runs on integer rows, and
+every matrix still leaves as Fractions in lowest terms.
+
+_is_prime is the one primality test: it decides a field order here and
+the prime factors of a modulus in rings.divisors.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import mul
+
+from .errors import BudgetError
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
 
 
 def _is_prime(n):
+    """Whether n is prime: trial division by _MR_BASES, then Miller-Rabin
+    with those bases.  n at or above _MR_EXACT raises BudgetError, so no
+    answer rests on a probable prime."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT:
+        raise BudgetError("cannot test primality exactly: a %d-bit "
+                          "number is past the Miller-Rabin bound"
+                          % n.bit_length())
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -136,7 +167,11 @@ def rref(field, rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
 
     rref_rows keeps the original row count (zero rows at the bottom).
+    Over Q the elimination runs on integer rows (_rref_q); over GF(p) on
+    the scalars themselves.
     """
+    if not field.finite:
+        return _rref_q(rows)
     reduce = field.reduce
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -163,6 +198,50 @@ def rref(field, rows):
         if r == nrows:
             break
     return tuple(tuple(row) for row in m), tuple(pivots)
+
+
+def _primitive(row):
+    """row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_q(rows):
+    """rref over Q, fraction-free: each row enters scaled by the lcm of
+    its denominators, and every row operation is row_i <- pv row_i - f row_r
+    on integers, pv the pivot of row r, with the result divided by its
+    content.  Pivot row i leaves divided by its pivot, as Fractions in
+    lowest terms; the RREF is unique, so it is the one the field loop
+    gives."""
+    m = []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        m.append(_primitive([x.numerator * (d // x.denominator)
+                             for x in row]))
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _primitive([pv * x - f * y for x, y in zip(m[i], top)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = QQ.zero
+    out = [tuple(Fraction(x, row[c]) if x else zero for x in row)
+           for row, c in zip(m, pivots)]
+    out += [(zero,) * ncols] * (nrows - r)
+    return tuple(out), tuple(pivots)
 
 
 def rank(field, a):

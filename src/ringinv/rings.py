@@ -32,10 +32,11 @@ from math import gcd, lcm
 
 from .errors import (BudgetError, NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError, VerificationError)
-from .linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
-                     is_direct_sum, mat_add, mat_mul, mat_neg,
-                     nullspace_basis, projection_matrix, rank, rref,
-                     solve_matrix, transpose, zero_matrix, zero_subspace)
+from .linalg import (_MR_BASES, _MR_EXACT, QQ, PrimeField, Subspace,
+                     _is_prime, full_subspace, identity, is_direct_sum,
+                     mat_add, mat_mul, mat_neg, nullspace_basis,
+                     projection_matrix, rank, rref, solve_matrix, transpose,
+                     zero_matrix, zero_subspace)
 
 RIGHT = "right"
 LEFT = "left"
@@ -1035,12 +1036,6 @@ def least_solution_mod(c, u, n):
 
 # -- divisors of a modulus ------------------------------------------------
 
-# Miller-Rabin with the first 13 primes as bases is exact below this bound
-# (Sorenson and Webster, 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3317044064679887385961981
-
-
 def divisors(n):
     """Every positive divisor of n, from its factorization: the primes of
     _MR_BASES by trial division, then Pollard rho and Miller-Rabin on the
@@ -1067,24 +1062,6 @@ def divisors(n):
     for p, e in primes.items():
         out = [d * p ** i for d in out for i in range(e + 1)]
     return out
-
-
-def _is_prime(m):
-    """Miller-Rabin for m > 41 with no factor in _MR_BASES, m < _MR_EXACT."""
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _rho(m):

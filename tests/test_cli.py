@@ -24,6 +24,7 @@ from ringinv.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          parse_constraints, parse_element, parse_ring)
 from ringinv.errors import VerificationError
 from ringinv.geninv import enumerate_inverse_set, parse_equations, satisfies
+from ringinv.linalg import _MR_EXACT
 from ringinv.prescribed import one_inverse_family
 from ringinv.rings import MatF, MatQ, ModularRing, Zn, ring_from_name
 
@@ -237,6 +238,50 @@ def test_modulus_past_the_exact_factoring_bound_exits_3(capsys):
                              "--element", "5", "--equations", "2")
     assert code == EXIT_BUDGET and out == ""
     assert err.startswith("error: cannot factor") and err.count("\n") == 1
+
+
+def test_a_19_digit_prime_field_answers_at_once(capsys):
+    p = 10 ** 18 + 3
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "compute", "--ring", "m2f%d" % p,
+                             "--element", '[["1","2"],["2","4"]]',
+                             "--inverse", "moore-penrose")
+    assert time.monotonic() - start < 0.5
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["ring"] == "m2f%d" % p
+
+
+# 561 is a Carmichael number, 3215031751 the least strong pseudoprime to
+# the bases 2, 3, 5 and 7, and 3825123056546413051 to the bases 2 to 23
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_composite_field_orders_are_usage_errors(capsys, n):
+    for spec in ("m2f%d" % n, '{"kind": "matrix", "size": 2, "scalars": '
+                 '{"kind": "fp", "p": %d}}' % n):
+        code, out, err = run_cli(capsys, "compute", "--ring", spec,
+                                 "--element", '[["1","0"],["0","0"]]',
+                                 "--inverse", "inner")
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith("field order must be prime, got %d\n" % n)
+
+
+# _MR_EXACT is itself a strong pseudoprime to all 13 bases, and the
+# second order is the least prime above it
+@pytest.mark.parametrize("p", [_MR_EXACT, _MR_EXACT + 142])
+def test_field_order_past_the_exact_primality_bound_exits_3(capsys, p):
+    code, out, err = run_cli(capsys, "compute", "--ring", "m2f%d" % p,
+                             "--element", '[["1","0"],["0","0"]]',
+                             "--inverse", "inner")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: cannot test primality") \
+        and err.count("\n") == 1
+
+
+def test_field_order_past_the_bound_with_a_small_factor_is_refused(capsys):
+    # trial division by the bases still settles it exactly
+    code, _, err = run_cli(capsys, "compute", "--ring",
+                           "m2f%d" % (7 * _MR_EXACT), "--element",
+                           '[["1","0"],["0","0"]]', "--inverse", "inner")
+    assert code == EXIT_USAGE and err.startswith("error: field order")
 
 
 # -- enumerate writes its members one at a time --------------------------

@@ -3,12 +3,14 @@
 import itertools
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringinv import linalg
+from ringinv.errors import BudgetError
 from ringinv.linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
                             is_direct_sum, mat_inverse, mat_mul,
                             nullspace_basis, projection_matrix, rank, rref,
@@ -214,6 +216,64 @@ def test_solve_matrix_exactly_when_consistent_over_q(ab):
     assert (x is not None) == consistent
     if x is not None:
         assert mat_mul(QQ, a, x) == b
+
+
+ENTRY_SCALES = (st.integers(-3, 3).map(Fraction),
+                st.integers(-10 ** 12, 10 ** 12).map(Fraction),
+                st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def augmented(draw):
+    """[a | b] or [a | I] as named-q's solves build them: a n x n product
+    of inner size r (n up to 5), b n x l, with entries small, large or
+    fractional, and some of a's rows and columns zeroed."""
+    n = draw(st.integers(1, 5))
+    scalar = draw(st.sampled_from(ENTRY_SCALES))
+
+    def dense(rows, cols):
+        return [[draw(scalar) for _ in range(cols)] for _ in range(rows)]
+
+    r = draw(st.integers(0, n))
+    b, c = dense(n, r), dense(r, n)
+    a = [[sum((b[i][t] * c[t][j] for t in range(r)), Fraction(0))
+          for j in range(n)] for i in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        a[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in a:
+            row[j] = Fraction(0)
+    right = (identity(QQ, n) if draw(st.booleans())
+             else dense(n, draw(st.integers(1, n))))
+    return tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, right))
+
+
+@settings(max_examples=150, deadline=None)
+@given(augmented())
+@example(q([[0, -3, 6, 1, 0], [0, 0, 0, 0, 0], [0, 2, -4, 0, 1]]))
+@example(q([[-7, 0, 1], [0, 0, 0], [14, 0, -2]]))
+@example(tuple(tuple(Fraction(v, 10 ** 9 + 7) for v in row)
+               for row in ((-10 ** 12, 3, 0, 1, 0), (5, -10 ** 12, 0, 0, 1))))
+def test_rref_over_q_agrees_with_sympy(rows):
+    r, pivots = rref(QQ, rows)
+    want, want_pivots = _sympy(rows).rref()
+    assert pivots == want_pivots
+    assert r == tuple(_from_sympy(want.row(i)) for i in range(want.rows))
+    assert all(type(x) is Fraction and gcd(x.numerator, x.denominator) == 1
+               and x.denominator > 0 for row in r for x in row)
+
+
+def test_primality_is_exact_below_the_bound():
+    sympy = pytest.importorskip("sympy")
+    # Carmichael numbers, strong pseudoprimes to the first 4, 9 and 12
+    # primes, primes around 2^64 and a product of two large primes
+    hard = (561, 41041, 3215031751, 3825123056546413051,
+            318665857834031151167461, 2 ** 64 - 59, 2 ** 64 + 13,
+            (2 ** 31 - 1) * 4294967311)
+    for n in itertools.chain(range(-2, 3000), hard):
+        assert linalg._is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(BudgetError):
+        linalg._is_prime(linalg._MR_EXACT)
 
 
 FIELDS = [PrimeField(p) for p in (2, 3, 5)]
