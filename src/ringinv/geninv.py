@@ -54,46 +54,70 @@ def satisfies(a, x, equations, k=None):
 def _solution_test(a, equations, k=None):
     """The test x -> satisfies(a, x, equations, k) for one subject a.
 
-    a^k and a^(k+1) are computed when a 1k or k1 token is first reached
-    and then kept, so a scan of many x pays for them once.  As for one
-    satisfies call, a token raises its error only when it is reached.
+    Each test forms ax and xa at most once, when a token first reads
+    them, and every token reads them: (1) (ax)a, (2) (xa)x, (3)/(4) the
+    star of ax or xa, (5) ax = xa, (6) (xa)a, (7) (ax)x, (9) x(xa), so
+    no token list costs more products than its tokens one by one.  a^2,
+    a^k and a^(k+1) are formed when a token first needs them and then
+    kept, so a scan of many x pays for them once.  As for one satisfies
+    call, a token raises its error only when it is reached.
     """
     ring = a.ring
+    squares = []
     powers = []
 
     def test(x):
+        ax = xa = None
         for eq in equations:
             if eq == "1":
-                ok = a * x * a == a
+                if ax is None:
+                    ax = a * x
+                ok = ax * a == a
             elif eq == "2":
-                ok = x * a * x == x
+                if xa is None:
+                    xa = x * a
+                ok = xa * x == x
             elif eq == "3":
                 if not ring.has_involution:
                     raise UnsupportedInvolutionError(
                         "equation (3) needs an involution")
-                ax = a * x
+                if ax is None:
+                    ax = a * x
                 ok = ax.star == ax
             elif eq == "4":
                 if not ring.has_involution:
                     raise UnsupportedInvolutionError(
                         "equation (4) needs an involution")
-                xa = x * a
+                if xa is None:
+                    xa = x * a
                 ok = xa.star == xa
             elif eq == "5":
-                ok = a * x == x * a
+                if ax is None:
+                    ax = a * x
+                if xa is None:
+                    xa = x * a
+                ok = ax == xa
             elif eq == "6":
-                ok = x * a * a == a
+                if xa is None:
+                    xa = x * a
+                ok = xa * a == a
             elif eq == "7":
-                ok = a * x * x == x
+                if ax is None:
+                    ax = a * x
+                ok = ax * x == x
             elif eq == "8":
-                ok = a * a * x == a
+                if not squares:
+                    squares.append(a * a)
+                ok = squares[0] * x == a
             elif eq == "9":
-                ok = x * x * a == x
+                if xa is None:
+                    xa = x * a
+                ok = x * xa == x
             elif eq in ("1k", "k1"):
                 if k is None:
                     raise PreconditionError("equation %s needs k" % eq)
                 if not powers:
-                    powers.extend((a ** k, a ** (k + 1)))
+                    powers.extend(_power_pair(a, k))
                 ak, ak1 = powers
                 ok = (x * ak1 if eq == "1k" else ak1 * x) == ak
             else:
@@ -103,6 +127,12 @@ def _solution_test(a, equations, k=None):
         return True
 
     return test
+
+
+def _power_pair(a, k):
+    """(a^k, a^(k+1)), the second one product past the first."""
+    ak = a ** k
+    return ak, ak * a
 
 
 # the tokens whose equation is linear in x
@@ -116,7 +146,7 @@ def _linear_equations(a, tokens, k):
     aa = a * a if {"6", "8"} & set(tokens) else None
     ak = ak1 = None
     if {"1k", "k1"} & set(tokens):
-        ak, ak1 = a ** k, a ** (k + 1)
+        ak, ak1 = _power_pair(a, k)
     table = {
         "1": (lambda x: a * x * a, a),
         "3": (lambda x: _skew(a * x), zero),
@@ -302,23 +332,32 @@ def drazin_index(a):
     """Least k >= 0 with a^k R = a^(k+1) R: rank(a^k) = rank(a^(k+1)) on
     matrix rings, a^k = 0 modulo the prime powers of n whose primes divide
     a on Z_n.  The chain a^k R descends, so it stops on these rings."""
-    power = a.ring.one
-    ideal, k = principal(power, RIGHT), 0
-    while True:
-        power = power * a
-        nxt = principal(power, RIGHT)
-        if nxt == ideal:
-            return k
-        ideal, k = nxt, k + 1
+    return len(_power_chain(a)) - 1
+
+
+def _power_chain(a):
+    """[a, a^2, ..., a^(k+1)] for k = drazin_index(a), the powers that
+    the walk down the chain a^k R forms, one product each."""
+    powers = [a]
+    ideal, nxt = principal(a.ring.one, RIGHT), principal(a, RIGHT)
+    while nxt != ideal:
+        powers.append(powers[-1] * a)
+        ideal, nxt = nxt, principal(powers[-1], RIGHT)
+    return powers
 
 
 def _drazin(a):
-    """(a^D, index), not yet validated: a^D = a^l (a^(2l+1))^(1) a^l with
-    l = max(index, 1) and any inner inverse, as a^l = (a^D)^(l+1) a^(2l+1)
-    = a^(2l+1) (a^D)^(l+1)."""
-    k = drazin_index(a)
+    """(a^D, index), a^D not yet validated: a^D = a^l (a^(2l+1))^(1) a^l
+    with l = max(index, 1) and any inner inverse, as a^l = (a^D)^(l+1)
+    a^(2l+1) = a^(2l+1) (a^D)^(l+1).  a^l and a^(l+1) are read from the
+    power chain of a, and a^(2l+1) = a^l a^(l+1)."""
+    powers = _power_chain(a)
+    k = len(powers) - 1
+    if not k:
+        powers.append(a * a)
     l = max(k, 1)
-    return a ** l * any_inner(a ** (2 * l + 1)) * a ** l, k
+    al = powers[l - 1]
+    return al * any_inner(al * powers[l]) * al, k
 
 
 def _no_group_reason(index):

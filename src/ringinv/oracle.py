@@ -363,12 +363,12 @@ def _projector_algebra(ctx, side, s, t):
     rho = projector(s, t)
     tau = projector(t, s)
     ok = rho.is_unit_idempotent()
-    for r in ctx.elements:
+    for r in ctx.polled(ctx.elements):
         ok = ok and rho.apply(r) + tau.apply(r) == r
         ok = ok and (rho.apply(r) == r) == s.contains(r)
         ok = ok and t.contains(rho.apply(r) - r)
     # module compatibility and the rho(1) laws
-    for a in ctx.elements:
+    for a in ctx.polled(ctx.elements):
         if side == RIGHT:
             ok = ok and rho.apply(a) == rho.unit * a
             ok = ok and ((rho.unit * a == a)
@@ -556,8 +556,9 @@ _ALL_SHAPES = IdealConstraints.SUPPORTED_SHAPES
 
 def _product_cons(a, x, tags):
     """Constraints binding the xa/ax ideals realized by x."""
+    xa, ax = x * a, a * x
     return IdealConstraints(*[
-        _realized(a, x, slot, True) if slot.tag in tags else None
+        _realized(slot, xa, ax) if slot.tag in tags else None
         for slot in SLOTS])
 
 
@@ -741,7 +742,7 @@ def _psi_equals_phi(a, x, s, t, ctx):
     if u is None or direct_sum(s, annihilator(a, RIGHT)) is None:
         return False
     smembers = s.members()
-    for r in ctx.elements:
+    for r in ctx.polled(ctx.elements):
         target = u * r
         images = [c for c in smembers if a * c == target]
         if len(images) != 1:

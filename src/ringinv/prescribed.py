@@ -124,14 +124,17 @@ class ParamFamily:
         return "ParamFamily(base=%r)" % (self.base,)
 
 
-def _realized(a, x, slot, bind_products):
-    """The ideal that slot prescribes, as x realizes it: of xa or ax
-    ({1}-inverse mode, bind_products=True) or of x itself."""
-    if bind_products:
-        x = x * a if slot.binds_xa else a * x
+def _ideal_of(y, slot):
+    """The ideal of y that slot prescribes, on the slot's side."""
     if slot.is_principal:
-        return principal(x, slot.side)
-    return annihilator(x, slot.side)
+        return principal(y, slot.side)
+    return annihilator(y, slot.side)
+
+
+def _realized(slot, xa, ax):
+    """The ideal that slot prescribes in {1}-inverse mode, as x realizes
+    it through its products xa and ax."""
+    return _ideal_of(xa if slot.binds_xa else ax, slot)
 
 
 def _check_constraints_on_x(a, x, cons, bind_products):
@@ -140,7 +143,16 @@ def _check_constraints_on_x(a, x, cons, bind_products):
     bind_products=True checks xaR/rann(ax)/Rax/lann(xa) ({1}-inverse mode);
     otherwise xR/rann(x)/Rx/lann(x).
     """
-    return all(ideal is None or ideal == _realized(a, x, slot, bind_products)
+    if bind_products:
+        return _products_realize(cons, x * a, a * x)
+    return all(ideal is None or ideal == _ideal_of(x, slot)
+               for slot, ideal in zip(SLOTS, cons.ideals))
+
+
+def _products_realize(cons, xa, ax):
+    """_check_constraints_on_x in {1}-inverse mode, read from the
+    products xa and ax of x."""
+    return all(ideal is None or ideal == _realized(slot, xa, ax)
                for slot, ideal in zip(SLOTS, cons.ideals))
 
 
@@ -172,7 +184,9 @@ def one_inverse_family(a, cons):
     The base element is the projector-built candidate left * a^(1) * right
     from the split step (absent factors replaced by 1); the coset
     multipliers come from _family_multipliers, leaving the unpinned side
-    of the perturbation free when only one ideal is prescribed.
+    of the perturbation free when only one ideal is prescribed.  The
+    products a*base and base*a are formed once, for the checks and the
+    multipliers.
     """
     cons.require_supported()
     left, right, failed = _units(a, cons.ideals)
@@ -180,27 +194,30 @@ def one_inverse_family(a, cons):
     if g is None:
         return None
     base = left * g * right
-    if not satisfies(a, base, ("1",)):
+    ax = a * base
+    if ax * a != a:
         raise VerificationError("constructed family base is not in a{1}")
-    if not _check_constraints_on_x(a, base, cons, bind_products=True):
+    xa = base * a
+    if not _products_realize(cons, xa, ax):
         raise VerificationError(
             "constructed family base violates the prescribed ideals")
-    return ParamFamily(a, base, *_family_multipliers(a, base, cons))
+    return ParamFamily(a, base, *_family_multipliers(cons, xa, ax))
 
 
-def _family_multipliers(a, base, cons):
-    """(left, right) coset multipliers for the constraint shape.
+def _family_multipliers(cons, xa, ax):
+    """(left, right) coset multipliers for the constraint shape, from the
+    products xa = base*a and ax = a*base of the family base.
 
     A slot binding xa pins xa to a projector unit, and {x : xa = base*a}
     is base + y(1 - a*base); a slot binding ax pins ax, and
     {x : ax = a*base} is base + (1 - base*a)y.  A side no slot pins stays
     free; two constraints pin both products.
     """
-    one = a.ring.one
+    one = ax.ring.one
     binds = {slot.binds_xa for slot, ideal in zip(SLOTS, cons.ideals)
              if ideal is not None}
-    return (one - base * a if False in binds else one,
-            one - a * base if True in binds else one)
+    return (one - xa if False in binds else one,
+            one - ax if True in binds else one)
 
 
 def one_inverse_solution_set(a, cons, fixed_inner):
@@ -218,13 +235,15 @@ def one_inverse_solution_set(a, cons, fixed_inner):
     if not ring.finite:
         raise NotEnumerableError("solution sets need a finite ring")
     g = fixed_inner
-    if not satisfies(a, g, ("1",)):
+    ag = a * g
+    if ag * a != a:
         raise PreconditionError("fixed_inner is not an inner inverse")
+    ga = g * a
     if _units(a, cons.ideals)[2] is not None or \
-            not _check_constraints_on_x(a, g, cons, True):
+            not _products_realize(cons, ga, ag):
         raise PreconditionError(
             "fixed_inner does not satisfy the solution-set hypotheses")
-    fam = ParamFamily(a, g, *_family_multipliers(a, g, cons))
+    fam = ParamFamily(a, g, *_family_multipliers(cons, ga, ag))
     return fam.members()
 
 
@@ -234,32 +253,24 @@ def _unique_outer(a, s, t):
     For left ideals S', T' the mirror: the unique x in S' with
     xa = rho_{S'a,T'}(1).  Existence: R = aS (+) T and rann(a) cap S = {0}
     (R = S'a (+) T' and lann(a) cap S' = {0}).
+
+    x = e y for S = eR and any y with (ae) y = rho(1), which exists as
+    rho(1) lies in aS = aeR, and the mirror x = y e with y (ea) = rho(1)
+    for S' = Re; x is the same for every such y, as rann(a) meets S only
+    in 0.  ae is formed once, for aS and for the solve.
     """
-    u = direct_sum(multiply_ideal(a, s), t)
+    side = s.side
+    e = s.generator()
+    ae = a * e if side == RIGHT else e * a
+    u = direct_sum(principal(ae, side), t)
     if u is None:
         return None, "R = aS + T is not a direct sum"
-    if not annihilator(a, s.side).intersect(s).is_zero():
+    if not annihilator(a, side).intersect(s).is_zero():
         return None, "rann(a) meets S nontrivially"
-    x = _solve_in_ideal(a, s, u)
-    if x is None:  # pragma: no cover - excluded by the existence theorem
+    y = (a.ring.table or a.ring).solve(ae, u, side)
+    if y is None:  # pragma: no cover - excluded by the existence theorem
         raise VerificationError("no element of S maps to the projector unit")
-    return x, ""
-
-
-def _solve_in_ideal(a, s, u):
-    """Some x in the ideal s with a*x == u (right) or x*a == u (left).
-
-    x = e y for s = eR and any y with (ae) y = u, which exists as u lies
-    in aS = aeR, and the mirror x = y e with y (ea) = u for s = Re.  x is
-    the same for every such y when rann(a) meets S only in 0.
-    """
-    e = s.generator()
-    ops = a.ring.table or a.ring
-    if s.side == RIGHT:
-        y = ops.solve(a * e, u, RIGHT)
-        return None if y is None else e * y
-    y = ops.solve(e * a, u, LEFT)
-    return None if y is None else y * e
+    return (e * y if side == RIGHT else y * e), ""
 
 
 @memoized_bundle

@@ -48,12 +48,9 @@ def _require_weight(w, name):
 def weighted_mp_ideals(a, e, f):
     """(S, T, S', T') for the (e,f) Moore-Penrose inverse."""
     astar = a.star
-    finv = inverse_of_unit(f)
-    s = principal(finv * astar, RIGHT)
-    t = annihilator(astar * e, RIGHT)
-    sp = principal(astar * e, LEFT)
-    tp = annihilator(finv * astar, LEFT)
-    return s, t, sp, tp
+    fas, ase = inverse_of_unit(f) * astar, astar * e
+    return (principal(fas, RIGHT), annihilator(ase, RIGHT),
+            principal(ase, LEFT), annihilator(fas, LEFT))
 
 
 def weighted_mp(a, e, f):
@@ -135,7 +132,7 @@ def w_core(a, w):
                              reason="aR is not contained in awR")
     x = rep.value
     bx = b * x
-    if bx.star != bx or x * b * a != a or b * x * x != x:
+    if bx.star != bx or x * b * a != a or bx * x != x:
         raise VerificationError("w-core candidate fails its equations")
     return InverseReport("w-core", True, x, satisfied=("1", "2"))
 
@@ -154,7 +151,7 @@ def v_dual_core(a, v):
                              reason="Ra is not contained in Rva")
     x = rep.value
     xc = x * c
-    if xc.star != xc or a * v * a * x != a or x * x * c != x:
+    if xc.star != xc or a * c * x != a or x * xc != x:
         raise VerificationError("v-dual core candidate fails its equations")
     return InverseReport("v-dual-core", True, x, satisfied=("1", "2"))
 
@@ -267,9 +264,14 @@ def _bc_constraints(b, c, flavor):
 def bc_invertibility_hypotheses(a, b, c):
     """(rann(ab) = 0 and cR = R, lann(ca) = 0 and Rb = R); under either,
     cab is invertible and b (cab)^{-1} c is the matching hybrid inverse."""
-    return (annihilator(a * b, RIGHT).is_zero()
+    return _bc_hypotheses(a * b, c * a, b, c)
+
+
+def _bc_hypotheses(ab, ca, b, c):
+    """bc_invertibility_hypotheses, read from the products ab and ca."""
+    return (annihilator(ab, RIGHT).is_zero()
             and principal(c, RIGHT).is_full(),
-            annihilator(c * a, LEFT).is_zero()
+            annihilator(ca, LEFT).is_zero()
             and principal(b, LEFT).is_full())
 
 
@@ -288,11 +290,12 @@ def bc_inverse(a, b, c, flavor="full"):
     regular, and cab_invertible when an invertibility hypothesis holds
     and cab is invertible."""
     out = bc_flavor_inverse(a, b, c, flavor)
-    cab = c * a * b
+    ab, ca = a * b, c * a
+    cab = ca * b
     g = any_inner(cab)
     if g is not None:
         out.extra["closed_form"] = b * g * c
-    if any(bc_invertibility_hypotheses(a, b, c)) and is_invertible(cab):
+    if any(_bc_hypotheses(ab, ca, b, c)) and is_invertible(cab):
         out.extra["cab_invertible"] = True
     return out
 
@@ -308,6 +311,11 @@ def image_kernel_inverse(a, p, q):
     """a^(2) with xR = pR and rann(x) = qR."""
     _require_idempotent(p, "p")
     _require_idempotent(q, "q")
+    return _image_kernel(a, p, q)
+
+
+def _image_kernel(a, p, q):
+    """image_kernel_inverse for idempotents p and q."""
     cons = IdealConstraints(right_principal=principal(p, RIGHT),
                             right_annihilator=principal(q, RIGHT))
     rep = outer_with(a, cons, reflexive=False)
@@ -342,7 +350,8 @@ def bott_duffin_inverse(a, p, q=None):
         _check_bott_duffin_equations(a, p, p, x)
         return InverseReport("pq-bott-duffin", True, x)
     _require_idempotent(q, "q")
-    ik = image_kernel_inverse(a, p, ring.one - q)
+    # p and q are idempotent, and so is 1 - q
+    ik = _image_kernel(a, p, ring.one - q)
     if not ik.exists:
         return InverseReport("pq-bott-duffin", False, reason=ik.reason)
     x = ik.value

@@ -251,6 +251,25 @@ def test_a_19_digit_prime_field_answers_at_once(capsys):
     assert json.loads(out)["ring"] == "m2f%d" % p
 
 
+def test_a_huge_matrix_ring_refuses_a_bad_element_before_building_it(
+        capsys):
+    # the ring's zero and identity are built on first use: at k = 2000
+    # they took 62 MB and 0.9 s before the element was read
+    tracemalloc.start()
+    try:
+        ring = parse_ring("m2000q")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.k == 2000 and peak < 10 ** 6
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "compute", "--ring", "m2000q",
+                             "--element", "[[0]]", "--inverse", "inner")
+    assert time.monotonic() - start < 0.5
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: bad element") and err.count("\n") == 1
+
+
 # 561 is a Carmichael number, 3215031751 the least strong pseudoprime to
 # the bases 2, 3, 5 and 7, and 3825123056546413051 to the bases 2 to 23
 @pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import random
 from itertools import combinations
 
@@ -340,11 +339,7 @@ def test_listing_matches_the_scan_on_small_systems(name):
             _assert_listing_is_the_scan(elements, a, eqs, 2)
 
 
-SLOW = pytest.mark.skipif(not os.environ.get("RINGINV_SLOW"),
-                          reason="set RINGINV_SLOW=1 to run")
-
-
-@SLOW
+@pytest.mark.slow
 def test_listing_matches_the_scan_on_every_system_of_m2f3():
     ring = MatF(2, 3)
     elements = ring.elements()
@@ -355,7 +350,7 @@ def test_listing_matches_the_scan_on_every_system_of_m2f3():
             _assert_listing_is_the_scan(elements, a, eqs, 2)
 
 
-@SLOW
+@pytest.mark.slow
 def test_listing_matches_the_scan_on_a_sample_of_m3f2():
     ring = MatF(3, 2)
     elements = ring.elements()

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-import os
+import time
 from itertools import islice, product
 
 import pytest
@@ -326,6 +326,15 @@ def test_a_time_budget_stops_a_case_inside_its_sweep():
     assert oracle._Context.of(ring).deadline is None
 
 
+def test_a_time_budget_stops_a_projector_algebra_case():
+    # one L-projector-algebra case on M3(F3) sweeps the 19,683 elements
+    # twice, and ran 2.4 s past a 0.3 s budget before its sweeps polled
+    start = time.monotonic()
+    rep = verify("L-projector-algebra", MatF(3, 3), max_seconds=0.3)
+    assert time.monotonic() - start < 1.5
+    assert not rep.complete and rep.counterexample is None
+
+
 @pytest.mark.parametrize("theorem", ["T-star-classes", "T-bc-inverses",
                                      "T-pq-inverses", "O-named-inverses"])
 def test_a_sweep_stopped_by_the_deadline_is_not_counted(monkeypatch,
@@ -464,8 +473,7 @@ def test_catalog_passes_on_larger_zn(n, skipped):
         assert rep.passed, "%s: %s" % (rep.theorem, rep.counterexample)
 
 
-@pytest.mark.skipif(not os.environ.get("RINGINV_SLOW"),
-                    reason="set RINGINV_SLOW=1 to run")
+@pytest.mark.slow
 @pytest.mark.parametrize("theorem, cases", [
     ("O-named-inverses", 512), ("T-1I-projectors", 512 ** 2),
     # 8 shapes for each of the 22,632 pairs (a, g) with g in a{1}
