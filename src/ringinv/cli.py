@@ -164,6 +164,19 @@ def emit(obj, members=None):
     write("}\n")
 
 
+def _rendered(render, *args):
+    """render(*args), the JSON of an answer.  An entry with more digits
+    than Python writes as a string (sys.get_int_max_str_digits()) is a
+    budget error, caught as the answer is written rather than checked
+    beforehand."""
+    try:
+        return render(*args)
+    except ValueError:
+        raise BudgetError("the answer has an entry of more than %d digits, "
+                          "past the output limit"
+                          % sys.get_int_max_str_digits()) from None
+
+
 # -- subcommands -----------------------------------------------------------
 
 # the weighted inverses: name -> (function of special, its weight flags),
@@ -216,7 +229,7 @@ def cmd_compute(args):
             "unknown inverse %r (expected one of: %s)" % (
                 name, ", ".join(sorted([*NAMED_INVERSES, *_WEIGHTED_INVERSES,
                                         "bc", "pq", "bott-duffin"]))))
-    out = rep.to_json()
+    out = _rendered(rep.to_json)
     out["ring"] = ring.short_name
     emit(out)
     return EXIT_OK if rep.exists else EXIT_NONE
@@ -258,9 +271,8 @@ def cmd_prescribe(args):
             emit(out)
             return EXIT_NONE
         out["exists"] = True
-        out["base"] = ring.to_json(fam.base)
-        out["left_mult"] = ring.to_json(fam.left_mult)
-        out["right_mult"] = ring.to_json(fam.right_mult)
+        for key in ("base", "left_mult", "right_mult"):
+            out[key] = _rendered(ring.to_json, getattr(fam, key))
         if ring.finite:
             coset = fam.coset()
             out["count"] = coset.size()
@@ -271,7 +283,7 @@ def cmd_prescribe(args):
     if args.mode not in ("outer", "reflexive"):
         raise UsageError("mode must be one, outer, or reflexive")
     rep = outer_with(a, cons, reflexive=(args.mode == "reflexive"))
-    out.update(rep.to_json())
+    out.update(_rendered(rep.to_json))
     emit(out)
     return EXIT_OK if rep.exists else EXIT_NONE
 

@@ -5,7 +5,9 @@ range(p) (over GF(p)).  Everything here is exact -- no floats anywhere.
 
 A field is zero, one, reduce, inv, convert and parse.  Scalars combine
 with Python's own + - *, and reduce(v) brings each computed entry back
-into the field once (v itself over Q, v % p over GF(p)).  Every solve is
+into the field once (v itself over Q, v % p over GF(p)).  A matrix
+product over Q sums only its nonzero terms, those whose two factors are
+both nonzero; the sum, and so the Fraction, is the same.  Every solve is
 one elimination: rref of [a | b].  Over Q it runs on integer rows, and
 every matrix still leaves as Fractions in lowest terms.
 
@@ -13,6 +15,7 @@ _is_prime is the one primality test: it decides a field order here and
 the prime factors of a modulus in rings.divisors.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -56,6 +59,12 @@ def _is_prime(n):
     return True
 
 
+def _past_limit(n, limit):
+    """Whether int n has more than limit decimal digits."""
+    # 10**limit has more than 3 * limit bits
+    return n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
 class Rationals:
     """The field Q with Fraction scalars."""
 
@@ -77,7 +86,28 @@ class Rationals:
         return 1 / Fraction(a)
 
     def parse(self, s):
-        return Fraction(str(s))
+        """The Fraction a literal such as 3, -2/7, 0.5 or 1e-3 stands for.
+        A literal whose numerator or denominator has more digits than
+        Python writes as a string (sys.get_int_max_str_digits(), 0 for no
+        limit) raises ValueError."""
+        text = str(s)
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            return Fraction(text)
+        mantissa, e, exp = text.lower().partition("e")
+        if e and abs(int(exp)) > limit + len(text):
+            # read before Fraction forms 10**|exp|: a nonzero value keeps
+            # a factor 10**(|exp| - len(text)) after any cancellation
+            v = Fraction(mantissa + "e0")
+            fits = not v
+        else:
+            v = Fraction(text)
+            fits = not (_past_limit(v.numerator, limit)
+                        or _past_limit(v.denominator, limit))
+        if not fits:
+            raise ValueError("more than %d digits in the numerator or "
+                             "denominator" % limit)
+        return v
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -155,10 +185,24 @@ def mat_neg(field, a):
     return tuple(tuple(reduce(-x) for x in r) for r in a)
 
 def mat_mul(field, a, b):
-    reduce = field.reduce
     bt = transpose(b)
-    return tuple(tuple(reduce(sum(map(mul, ra, cb))) for cb in bt)
-                 for ra in a)
+    if field.finite:
+        reduce = field.reduce
+        return tuple(tuple(reduce(sum(map(mul, ra, cb))) for cb in bt)
+                     for ra in a)
+    # Over Q only the terms with two nonzero factors are formed.  Each
+    # column's nonzero (index, entry) pairs are listed once, the entries
+    # as Fractions so that every sum is one, each row's nonzero entries
+    # are looked up by index, and a sum starts at its first term, not 0.
+    zero = QQ.zero
+    cols = [[(k, y if type(y) is Fraction else Fraction(y))
+             for k, y in enumerate(cb) if y] for cb in bt]
+    out = []
+    for ra in a:
+        row = {k: x for k, x in enumerate(ra) if x}
+        terms = [[row[k] * y for k, y in col if k in row] for col in cols]
+        out.append(tuple(sum(t[1:], t[0]) if t else zero for t in terms))
+    return tuple(out)
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -268,6 +269,40 @@ def test_a_huge_matrix_ring_refuses_a_bad_element_before_building_it(
     assert time.monotonic() - start < 0.5
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: bad element") and err.count("\n") == 1
+
+
+def _digits(rows, cols, n):
+    """A rows x cols matrix of random n-digit integers (seed 1), as
+    strings."""
+    rng = random.Random(1)
+    return [[str(rng.randrange(10 ** (n - 1), 10 ** n)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+_BIG = _digits(2, 2, 2500)
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a 1e5000 numerator, and one whose 10**2000000 was once formed
+    (("compute", "--ring", "m2q", "--inverse", "group", "--element",
+      '[["1e5000","0"],["0","1"]]'), EXIT_USAGE),
+    (("compute", "--ring", "m2q", "--inverse", "group", "--element",
+      '[["1e2000000","0"],["0","1"]]'), EXIT_USAGE),
+    # the answers' entries have about 4,500 and 5,000 digits
+    (("compute", "--ring", "m5q", "--inverse", "group", "--element",
+      json.dumps(_digits(5, 5, 900))), EXIT_BUDGET),
+    (("prescribe", "--ring", "m2q", "--mode", "one",
+      "--element", json.dumps(_BIG), "--constraints",
+      json.dumps({"right_principal": {"principal": _BIG},
+                  "left_principal": {"principal": _BIG}})), EXIT_BUDGET),
+], ids=["1e5000", "1e2000000", "m5q-group", "m2q-prescribe"])
+def test_numbers_past_the_int_string_limit_exit_cleanly(capsys, argv, want):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 2
+    assert code == want and out == "" and err.count("\n") == 1
+    limit = "more than %d digits" % sys.get_int_max_str_digits()
+    assert err.startswith("error: ") and limit in err
 
 
 # 561 is a Carmichael number, 3215031751 the least strong pseudoprime to

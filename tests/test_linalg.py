@@ -340,6 +340,48 @@ def test_mat_mul_agrees_with_a_reduced_triple_loop(fabc):
     assert mat_mul(field, a, b) == tuple(want)
 
 
+@st.composite
+def q_mixed_matrix(draw, rows, cols):
+    """A rows x cols matrix over Q of ints and Fractions.  A third of the
+    draws have no zero entry, a third about half zeros and a third only
+    zeros; some whole rows and columns are zero besides."""
+    density = draw(st.sampled_from((0, 0.5, 1)))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    nonzero = st.one_of(st.integers(-9, 9),
+                        st.fractions(-5, 5, max_denominator=7)).filter(bool)
+    zero = st.sampled_from((0, Fraction(0)))
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or density == 1 or (
+                density and draw(st.booleans())):
+            return draw(zero)
+        return draw(nonzero)
+
+    return tuple(tuple(entry(i, j) for j in range(cols))
+                 for i in range(rows))
+
+
+@st.composite
+def q_products(draw):
+    r, m, c = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(q_mixed_matrix(r, m)), draw(q_mixed_matrix(m, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_products())
+@example((((1, Fraction(1, 2)), (2, 0)), ((0, 3), (Fraction(-1, 3), 2))))
+def test_q_mat_mul_agrees_with_a_fraction_triple_loop(ab):
+    a, b = ab
+    want = tuple(tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j])
+                            for t in range(len(b))), Fraction(0))
+                       for j in range(len(b[0])))
+                 for i in range(len(a)))
+    got = mat_mul(QQ, a, b)
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
 @settings(max_examples=100, deadline=None)
 @given(fp_matrices())
 def test_solve_matrix_agrees_with_column_by_column_elimination(fabc):

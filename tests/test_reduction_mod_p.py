@@ -21,6 +21,11 @@ Under it, equal ranks make the reduced spaces equal, so the reduced x
 is the GF(p) outer inverse with the reduced ideals, which is unique: the
 GF(p) answer must exist and equal the reduction.  A case outside the
 hypothesis is skipped.
+
+Over Q, an ordered field, x^T x = 0 only for x = 0, so every a has a
+Moore-Penrose inverse, and a has a core and a dual core inverse exactly
+when it has a group inverse (index at most 1).  The first test checks
+both claims on each sampled a.
 """
 
 from fractions import Fraction
@@ -47,11 +52,11 @@ def _mul(a, b):
 
 @st.composite
 def integer_matrices(draw):
-    """A k x k integer matrix, k in 2..4: dense, a product B C of inner
+    """A k x k integer matrix, k in 2..5: dense, a product B C of inner
     size r < k (rank-deficient), or S N S^-1 with N strictly upper
     triangular (nilpotent) and S unit lower times unit upper triangular,
     so S^-1 is integral too."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))
     shape = draw(st.sampled_from(("dense", "low-rank", "nilpotent")))
     if shape == "dense":
         return [[draw(ENTRIES) for _ in range(k)] for _ in range(k)]
@@ -159,11 +164,17 @@ def _reduced(rows, p):
 @example([[2, 0], [0, 0]])
 @example([[1, 2], [2, 4]])
 @example([[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+@example([[int(j == i + 1) for j in range(5)] for i in range(5)])
+@example([[1, 2, 0, 0, 0], [2, 4, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1],
+          [0, 0, 0, 0, 0]])
 def test_q_answers_reduce_to_the_gf_p_answers(rows):
     k = len(rows)
     a = MatQ(k).element(rows)
-    for inverse in INVERSES:
-        over_q = inverse(a)
+    found = {inverse: inverse(a) for inverse in INVERSES}
+    assert found[moore_penrose].exists
+    assert (found[core_inverse].exists == found[group_inverse].exists
+            == found[dual_core_inverse].exists)
+    for inverse, over_q in found.items():
         if not over_q.exists:
             continue
         for p in PRIMES:
