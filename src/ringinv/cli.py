@@ -41,6 +41,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json(text):
+    """json.loads(text).  An integer literal with more digits than Python
+    reads (sys.get_int_max_str_digits()) is a usage error; json.loads
+    raises a bare ValueError for it, not a JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise UsageError("bad JSON: a number of more than %d digits"
+                         % sys.get_int_max_str_digits()) from None
+
+
 def parse_ring(spec):
     """A ring from a shorthand (zn:6, m2f2, m2q) or a JSON object."""
     if isinstance(spec, str):
@@ -50,7 +63,7 @@ def parse_ring(spec):
                 return ring_from_name(text)
             except ValueError as exc:
                 raise UsageError(str(exc))
-        spec = json.loads(text)
+        spec = _json(text)
     # integers are read through str, as ModularRing.parse reads them, so
     # that 6.9, true and 1e3 are refused rather than truncated
     try:
@@ -78,7 +91,7 @@ def parse_ring(spec):
 
 def parse_element(ring, text):
     try:
-        obj = json.loads(text)
+        obj = _json(text)
     except (TypeError, json.JSONDecodeError):
         obj = text
     try:
@@ -122,7 +135,7 @@ def _parse_ideal(ring, side, desc):
 
 def parse_constraints(ring, text):
     try:
-        obj = json.loads(text)
+        obj = _json(text)
     except json.JSONDecodeError as exc:
         raise UsageError("bad constraints JSON: %s" % exc)
     if not isinstance(obj, dict):
@@ -381,7 +394,7 @@ def _argv_from_job(text):
     ring, element and each option, with JSON for non-string values; true
     is a bare flag and false or null leaves the flag out."""
     try:
-        job = json.loads(text)
+        job = _json(text)
     except json.JSONDecodeError as exc:
         raise UsageError("bad job JSON: %s" % exc)
     if not isinstance(job, dict) or "command" not in job:

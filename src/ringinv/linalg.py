@@ -94,20 +94,17 @@ class Rationals:
         limit = sys.get_int_max_str_digits()
         if not limit:
             return Fraction(text)
-        mantissa, e, exp = text.lower().partition("e")
-        if e and abs(int(exp)) > limit + len(text):
-            # read before Fraction forms 10**|exp|: a nonzero value keeps
-            # a factor 10**(|exp| - len(text)) after any cancellation
-            v = Fraction(mantissa + "e0")
-            fits = not v
-        else:
+        _, e, exp = text.lower().partition("e")
+        # a nonzero value keeps a factor 10**(|exp| - len(text)) after any
+        # cancellation, so such an exponent is refused before Fraction
+        # forms 10**|exp|, on a zero mantissa too
+        if not (e and abs(int(exp)) > limit + len(text)):
             v = Fraction(text)
-            fits = not (_past_limit(v.numerator, limit)
-                        or _past_limit(v.denominator, limit))
-        if not fits:
-            raise ValueError("more than %d digits in the numerator or "
-                             "denominator" % limit)
-        return v
+            if not (_past_limit(v.numerator, limit)
+                    or _past_limit(v.denominator, limit)):
+                return v
+        raise ValueError("more than %d digits in the numerator or "
+                         "denominator" % limit)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -190,7 +187,8 @@ def mat_mul(field, a, b):
         reduce = field.reduce
         return tuple(tuple(reduce(sum(map(mul, ra, cb))) for cb in bt)
                      for ra in a)
-    # Over Q only the terms with two nonzero factors are formed.  Each
+    # Over Q only the terms with two nonzero factors are formed (over
+    # GF(p) the same skipping measured slower than the dense sum).  Each
     # column's nonzero (index, entry) pairs are listed once, the entries
     # as Fractions so that every sum is one, each row's nonzero entries
     # are looked up by index, and a sum starts at its first term, not 0.

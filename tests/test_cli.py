@@ -280,28 +280,53 @@ def _digits(rows, cols, n):
 
 
 _BIG = _digits(2, 2, 2500)
+_HUGE_INT = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("argv, want", [
-    # a 1e5000 numerator, and one whose 10**2000000 was once formed
+    # a 1e5000 numerator, one whose 10**2000000 was once formed, a zero
+    # with an exponent past the limit, and unquoted JSON integers of 5,001
+    # digits, which json.loads itself refuses
     (("compute", "--ring", "m2q", "--inverse", "group", "--element",
       '[["1e5000","0"],["0","1"]]'), EXIT_USAGE),
     (("compute", "--ring", "m2q", "--inverse", "group", "--element",
       '[["1e2000000","0"],["0","1"]]'), EXIT_USAGE),
-    # the answers' entries have about 4,500 and 5,000 digits
-    (("compute", "--ring", "m5q", "--inverse", "group", "--element",
-      json.dumps(_digits(5, 5, 900))), EXIT_BUDGET),
+    (("compute", "--ring", "m2q", "--inverse", "group", "--element",
+      '[["0e 5000000","0"],["0","1"]]'), EXIT_USAGE),
+    (("compute", "--ring", "m2q", "--inverse", "group", "--element",
+      "[[%s,0],[0,1]]" % _HUGE_INT), EXIT_USAGE),
+    (("compute", "--ring", '{"kind": "zn", "n": %s}' % _HUGE_INT,
+      "--inverse", "group", "--element", "1"), EXIT_USAGE),
+    (("prescribe", "--ring", "m2q", "--mode", "one", "--element",
+      "[[1,0],[0,0]]", "--constraints",
+      '{"right_principal": {"principal": [[%s,0],[0,1]]}}' % _HUGE_INT),
+     EXIT_USAGE),
+    # the answers' entries have about 5,000 digits
+    (("compute", "--ring", "m2q", "--inverse", "group", "--element",
+      json.dumps(_BIG)), EXIT_BUDGET),
     (("prescribe", "--ring", "m2q", "--mode", "one",
       "--element", json.dumps(_BIG), "--constraints",
       json.dumps({"right_principal": {"principal": _BIG},
                   "left_principal": {"principal": _BIG}})), EXIT_BUDGET),
-], ids=["1e5000", "1e2000000", "m5q-group", "m2q-prescribe"])
+], ids=["1e5000", "1e2000000", "0e5000000", "unquoted-element", "ring-spec",
+        "constraints", "m2q-group", "m2q-prescribe"])
 def test_numbers_past_the_int_string_limit_exit_cleanly(capsys, argv, want):
     start = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
     assert time.monotonic() - start < 2
     assert code == want and out == "" and err.count("\n") == 1
     limit = "more than %d digits" % sys.get_int_max_str_digits()
+    assert err.startswith("error: ") and limit in err
+
+
+def test_a_job_with_an_integer_past_the_limit_is_a_usage_error(
+        capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"command": "compute", "ring": "m2q", "element": [[%s, 0], [0, 1]],'
+        ' "options": {"inverse": "group"}}' % _HUGE_INT))
+    code, out, err = run_cli(capsys, "--job", "-")
+    limit = "more than %d digits" % sys.get_int_max_str_digits()
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and limit in err
 
 
