@@ -357,6 +357,8 @@ def _drazin(a):
         powers.append(a * a)
     l = max(k, 1)
     al = powers[l - 1]
+    # a^D exists on a finite ring (strongly pi-regular) and over Q, and
+    # (a^D)^(2l+1) is then an inner inverse of a^(2l+1)
     return al * any_inner(al * powers[l]) * al, k
 
 
@@ -400,16 +402,20 @@ def moore_penrose(a):
 
 
 def _inner_13(a):
-    """a^(1,3) = (a* a)^(1) a*, or None when rank(a* a) < rank(a).
+    """a^(1,3) = (a* a)^(1) a*, or None when a{1,3} is empty.
 
-    The test a x a = a for x = (a* a)^(1) a* is that rank test.  The
-    columns of y = a x a - a lie in col(a), and a* y = 0, so they lie in
-    col(a) meet null(a*), which is zero iff rank(a* a) = rank(a).
-    Conversely rank(a x a) <= rank(a* a) <= rank(a).  The mirror
-    a^(1,4) = a* (a a*)^(1) is _inner_13(a.star).star.
+    An x in a{1,3} gives a* a x x* a* a = a* a, so a* a is regular.  Take
+    x = g a*, g an inner inverse of a* a.  For y in a{1,3}, a = y* a* a,
+    so a x a = y* a* a g a* a = a.  Conversely a x a = a gives
+    a* = a* a g* a*, so a x = a g a* = a g* a* is symmetric.  So x is in
+    a{1,3} iff a x a = a, and that holds iff a{1,3} is not empty.  The
+    mirror a^(1,4) = a* (a a*)^(1) is _inner_13(a.star).star.
     """
     astar = a.star
-    x = any_inner(astar * a) * astar
+    g = any_inner(astar * a)
+    if g is None:
+        return None
+    x = g * astar
     return x if a * x * a == a else None
 
 

@@ -8,8 +8,10 @@ with Python's own + - *, and reduce(v) brings each computed entry back
 into the field once (v itself over Q, v % p over GF(p)).  A matrix
 product over Q sums only its nonzero terms, those whose two factors are
 both nonzero; the sum, and so the Fraction, is the same.  Every solve is
-one elimination: rref of [a | b].  Over Q it runs on integer rows, and
-every matrix still leaves as Fractions in lowest terms.
+one elimination: rref of [a | b], and each subspace question is one
+elimination before the Subspace constructor's canonical RREF.  Over Q it
+runs on integer rows, and every matrix still leaves as Fractions in
+lowest terms.
 
 _is_prime is the one primality test: it decides a field order here and
 the prime factors of a modulus in rings.divisors.
@@ -17,7 +19,6 @@ the prime factors of a modulus in rings.divisors.
 
 import sys
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -375,74 +376,49 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
-    def sum(self, other):
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
-
-    def perp(self):
-        """Orthogonal complement w.r.t. the standard bilinear form."""
-        if self.dim == 0:
-            basis = identity(self.field, self.ambient)
-            return Subspace(self.field, self.ambient, basis)
-        return Subspace(self.field, self.ambient,
-                        nullspace_basis(self.field, self.basis))
-
     def intersect(self, other):
-        # (U + V)^perp = U^perp cap V^perp and perp is an involution, so
-        # U cap V = (U^perp + V^perp)^perp; exact over any field.
-        return self.perp().sum(other.perp()).perp()
+        # Zassenhaus: in the RREF of the rows (u, u), u in self, and (v, 0),
+        # v in other, the rows with their pivot in the right half are
+        # (0, w), and those w span the meet.
+        n = self.ambient
+        rows = ([u + u for u in self.basis]
+                + [v + (self.field.zero,) * n for v in other.basis])
+        red, pivots = rref(self.field, rows)
+        return Subspace(self.field, n, tuple(row[n:] for row, c
+                                             in zip(red, pivots) if c >= n))
 
     def complement(self):
-        """A complement built by greedy standard-basis extension."""
-        span, extra = self, ()
-        for e in identity(self.field, self.ambient):
-            if not span.contains(e):
-                extra += (e,)
-                span = Subspace(self.field, self.ambient, self.basis + extra)
-        return Subspace(self.field, self.ambient, extra)
+        """The greedy standard-basis complement: e_j joins it iff column
+        dim + j of [basis^T | I] is a pivot column."""
+        n, d = self.ambient, self.dim
+        eye = identity(self.field, n)
+        aug = tuple(tuple(b[i] for b in self.basis) + eye[i] for i in range(n))
+        pivots = rref(self.field, aug)[1]
+        return Subspace(self.field, n, tuple(eye[c - d] for c in pivots
+                                             if c >= d))
 
     def preimage(self, a):
-        """Preimage {v : a v in self}."""
-        perp_rows = self.perp().basis
-        if not perp_rows:
-            return Subspace(self.field, len(a[0]),
-                            identity(self.field, len(a[0])))
-        m = mat_mul(self.field, perp_rows, a)
-        return Subspace(self.field, len(a[0]), nullspace_basis(self.field, m))
-
-    def vectors(self):
-        """All vectors of the subspace (finite fields only), canonical order."""
-        field = self.field
-        if not field.finite:
-            raise ValueError("cannot enumerate a subspace over an infinite field")
-        # a basis is independent, so each coefficient tuple is one vector
-        cols = [[b[i] for b in self.basis] for i in range(self.ambient)]
-        return sorted(tuple(field.reduce(sum(map(mul, coeffs, col)))
-                            for col in cols)
-                      for coeffs in product(field.elements(), repeat=self.dim))
-
-
-def zero_subspace(field, ambient):
-    return Subspace(field, ambient)
-
-
-def full_subspace(field, ambient):
-    return Subspace(field, ambient, identity(field, ambient))
-
-
-def is_direct_sum(u, v):
-    return (u.dim + v.dim == u.ambient
-            and u.sum(v).dim == u.ambient)
+        """Preimage {v : a v in self}: the nullspace of r a, r the matrix
+        of the reduction in contains, whose kernel is self."""
+        field, n = self.field, self.ambient
+        r = [list(row) for row in identity(field, n)]
+        for c, row in zip(self.pivots, self.basis):
+            for j, y in enumerate(row):
+                r[j][c] -= y
+        m = mat_mul(field, tuple(map(tuple, r)), a)
+        return Subspace(field, len(a[0]), nullspace_basis(field, m))
 
 
 def projection_matrix(u, v):
-    """Matrix of the projection onto u along v; requires F^n = u (+) v."""
-    field = u.field
-    n = u.ambient
-    if not is_direct_sum(u, v):
-        raise ValueError("not a direct sum")
-    cols = tuple(u.basis) + tuple(v.basis)
-    m = transpose(cols)  # basis vectors as columns
-    minv = mat_inverse(field, m)
-    d = tuple(tuple(field.one if (i == j and i < u.dim) else field.zero
-                    for j in range(n)) for i in range(n))
-    return mat_mul(field, mat_mul(field, m, d), minv)
+    """Matrix of the projection onto u along v, or None unless F^n =
+    u (+) v: m diag(I, 0) m^-1 with the two bases as the columns of m,
+    the u-columns times the first dim(u) rows of m^-1."""
+    field, n = u.field, u.ambient
+    if u.dim + v.dim != n:
+        return None
+    if not u.basis:
+        return zero_matrix(field, n, n)
+    minv = mat_inverse(field, transpose(u.basis + v.basis))
+    if minv is None:
+        return None
+    return mat_mul(field, transpose(u.basis), minv[:u.dim])

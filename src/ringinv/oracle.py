@@ -317,6 +317,7 @@ def _regular_inclusions(ctx, a, b):
     rb_in_ra_ann = annihilator(b, RIGHT).is_subideal_of(
         annihilator(a, RIGHT))
     ok = (not ar_in_br or lb_in_la) and (not ra_in_rb or rb_in_ra_ann)
+    # any_inner is read here only as a regularity test, never multiplied
     if any_inner(b) is not None:
         ok = ok and (lb_in_la == ar_in_br) and (rb_in_ra_ann == ra_in_rb)
         # regularity transfer
@@ -1096,6 +1097,7 @@ def _require_bc_equality_clauses(a, b, c, reps, closed, ctx):
     inverses and closed the clause reports keyed by each b (cab)^(1) c."""
     cab = c * a * b
     cab_regular = bool(closed)
+    # regularity tests only: no inner inverse of b or c is multiplied
     b_regular = any_inner(b) is not None
     c_regular = any_inner(c) is not None
     rc, br = principal(c, LEFT), principal(b, RIGHT)

@@ -27,16 +27,15 @@ functions in ring.memo.
 
 from collections import defaultdict
 from functools import partial, wraps
-from itertools import chain, count, product
+from itertools import chain, combinations, count, product
 from math import gcd, lcm
 
 from .errors import (BudgetError, NotEnumerableError, RingMismatchError,
                      UnsupportedInvolutionError, VerificationError)
 from .linalg import (_MR_BASES, _MR_EXACT, QQ, PrimeField, Subspace,
-                     _is_prime, full_subspace, identity, is_direct_sum,
-                     mat_add, mat_mul, mat_neg, nullspace_basis,
-                     projection_matrix, rank, rref, solve_matrix, transpose,
-                     zero_matrix, zero_subspace)
+                     _is_prime, identity, mat_add, mat_mul, mat_neg,
+                     nullspace_basis, projection_matrix, rank, rref,
+                     solve_matrix, transpose, zero_matrix)
 
 RIGHT = "right"
 LEFT = "left"
@@ -459,10 +458,9 @@ class MatrixRing(Ring):
         return v.preimage(self._oriented(side, a.payload))
 
     def ideal_split(self, side, v, w):
-        if not is_direct_sum(v, w):
-            return None
-        return RingElement(self,
-                           self._oriented(side, projection_matrix(v, w)))
+        p = projection_matrix(v, w)
+        return None if p is None else RingElement(self,
+                                                  self._oriented(side, p))
 
     def ideal_complement(self, side, v):
         return v.complement()
@@ -473,23 +471,23 @@ class MatrixRing(Ring):
         return self.field.p ** (v.dim * self.k)
 
     def ideal_reps(self, side):
-        """Every subspace of F^k, smallest dimension first."""
+        """Every subspace of F^k, smallest dimension first: one per RREF
+        basis, that is per set of pivot columns and choice of the entries
+        right of each pivot in the columns that hold no pivot."""
         field, k = self.field, self.k
         if not self.finite:
             raise NotEnumerableError("ideal lattice of %s" % self.short_name)
-        vectors = [v for v in full_subspace(field, k).vectors()
-                   if any(x != field.zero for x in v)]
-        seen = {zero_subspace(field, k)}
-        frontier = [zero_subspace(field, k)]
-        while frontier:
-            sp = frontier.pop()
-            for v in vectors:
-                if not sp.contains(v):
-                    bigger = Subspace(field, k, sp.basis + (v,))
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        frontier.append(bigger)
-        return sorted(seen, key=lambda s: (s.dim, s.basis))
+        reps, eye = [], identity(field, k)
+        for dim in range(k + 1):
+            for pivots in combinations(range(k), dim):
+                free = [(i, c) for i, p in enumerate(pivots)
+                        for c in range(p + 1, k) if c not in pivots]
+                for values in product(field.elements(), repeat=len(free)):
+                    rows = [list(eye[p]) for p in pivots]
+                    for (i, c), x in zip(free, values):
+                        rows[i][c] = x
+                    reps.append(Subspace(field, k, tuple(map(tuple, rows))))
+        return sorted(reps, key=lambda s: (s.dim, s.basis))
 
     # -- cosets: the rep of an additive subgroup is its basis in RREF, of
     # vectors of GF(p)^(k^2), each matrix read as its entries in row-major

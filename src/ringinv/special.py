@@ -62,13 +62,15 @@ def weighted_mp(a, e, f):
     if not rep.exists:
         return InverseReport("ef-mp", False, reason=rep.reason)
     x = rep.value
+    # x is reflexive with xR = f^-1 a* R and rann(x) = rann(a* e).  p = ax
+    # has (1 - p)R = rann(p) = rann(x), so a* e = a* e p; starring, ea =
+    # p* ea, and eax = ep = p* e p is symmetric.  q = xa has qR = xR, so
+    # fq = a* z for some z, and a = aq = a f^-1 a* z makes z* a = z* a
+    # f^-1 a* z symmetric: (fxa)* = z* a = a* z = fxa.
     eax, fxa = e * a * x, f * x * a
-    if eax.star != eax:
-        return InverseReport("ef-mp", False,
-                             reason="candidate fails (eax)* = eax")
-    if fxa.star != fxa:
-        return InverseReport("ef-mp", False,
-                             reason="candidate fails (fxa)* = fxa")
+    if eax.star != eax or fxa.star != fxa:
+        raise VerificationError(
+            "ef-mp candidate fails (eax)* = eax or (fxa)* = fxa")
     return InverseReport("ef-mp", True, x, satisfied=("1", "2"))
 
 
@@ -175,8 +177,13 @@ def right_w_core(a, w):
     if ring.finite:
         # a member solves the linear awxa = a and lies in awR (x =
         # awx x), where (1 - e)x = 0 for the idempotent e = aw (aw)^(1);
-        # the member test, the one definition of the set, picks them out
-        f = ring.one - b * any_inner(b)
+        # the member test, the one definition of the set, picks them out.
+        # awxa = a gives aw x aw = aw, so with aw not regular there is none
+        g = any_inner(b)
+        if g is None:
+            return InverseReport("right-w-core", False,
+                                 reason="aw is not regular")
+        f = ring.one - b * g
         space = (ring.table or ring).linear_solutions([
             (lambda x: b * x * a, a), (lambda x: f * x, ring.zero)])
         members = [x for x in space or ()
@@ -214,8 +221,13 @@ def left_v_dual_core(a, v):
     c = v * a
     if ring.finite:
         # a member solves the linear axva = a and lies in Rva (x =
-        # x xva), where x(1 - e) = 0 for the idempotent e = (va)^(1) va
-        f = ring.one - any_inner(c) * c
+        # x xva), where x(1 - e) = 0 for the idempotent e = (va)^(1) va.
+        # axva = a gives va x va = va, so with va not regular there is none
+        g = any_inner(c)
+        if g is None:
+            return InverseReport("left-v-dual-core", False,
+                                 reason="va is not regular")
+        f = ring.one - g * c
         space = (ring.table or ring).linear_solutions([
             (lambda x: a * x * c, a), (lambda x: x * f, ring.zero)])
         members = [x for x in space or ()
@@ -292,7 +304,7 @@ def bc_inverse(a, b, c, flavor="full"):
     out = bc_flavor_inverse(a, b, c, flavor)
     ab, ca = a * b, c * a
     cab = ca * b
-    g = any_inner(cab)
+    g = any_inner(cab)  # cab need not be regular: the closed form is optional
     if g is not None:
         out.extra["closed_form"] = b * g * c
     if any(_bc_hypotheses(ab, ca, b, c)) and is_invertible(cab):

@@ -10,9 +10,13 @@ rings.py only a backend class knows how it is stored, only rings.py
 and ideals.py read the index of an interned ideal or the table's ideal
 stores, only rings.py reads the table's coset store, and a store of
 the table is read against _UNSET only in ElementTable.stored, the
-product reads and the two memo decorators.  Stdlib ast only."""
+product reads and the two memo decorators.  Every public function of
+linalg.py, and every public method of its Subspace, is read in the
+package outside its own definition: a helper only the tests read is
+dead.  Stdlib ast only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringinv"
@@ -77,6 +81,32 @@ def unreferenced_private_names(trees):
             for module, tree in trees.items()
             for name, line in _private_definitions(tree)
             if name not in used]
+
+
+def _reads(node):
+    """How often each name is read in node, as a bare name or an
+    attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute))
+
+
+def orphaned_helpers(trees, module="linalg.py", cls="Subspace"):
+    """The public module-level functions of module, and the public methods
+    of its class cls, that the package reads nowhere outside their own
+    definition."""
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    body = trees[module].body
+    defs = [node for node in body if isinstance(node, ast.FunctionDef)]
+    for node in body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            defs += [sub for sub in node.body
+                     if isinstance(sub, ast.FunctionDef)]
+    return ["%s:%d %s" % (module, node.lineno, node.name) for node in defs
+            if not node.name.startswith("_")
+            and reads[node.name] == _reads(node)[node.name]]
 
 
 # the modules that compute inverses import neither the oracle nor the
@@ -314,6 +344,10 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names(_trees()) == []
 
 
+def test_no_orphaned_linalg_helpers():
+    assert orphaned_helpers(_trees()) == []
+
+
 def test_compute_path_imports_no_checks():
     assert compute_path_imports(_trees()) == []
 
@@ -483,6 +517,22 @@ def test_guards_flag_dead_code():
                                      "user.py:1 _imported"]
     assert unreferenced_private_names(trees) == [
         "dead.py:3 _orphan", "dead.py:7 _TABLE"]
+
+
+def test_guard_flags_an_orphaned_linalg_helper():
+    trees = {
+        "linalg.py": ast.parse(
+            "def used():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def _private():\n    return 2\n"
+            "class Subspace:\n"
+            "    def __eq__(self, other):\n        return True\n"
+            "    def contains(self, v):\n        return self.contains(v)\n"
+            "    def dim(self):\n        return used()\n"),
+        "rings.py": ast.parse("def f(s):\n    return s.dim()\n"),
+    }
+    assert orphaned_helpers(trees) == ["linalg.py:3 recursive",
+                                       "linalg.py:10 contains"]
 
 
 def test_guard_flags_a_check_import_on_the_compute_path():

@@ -11,7 +11,8 @@ from ringinv.ideals import (LEFT, RIGHT, SidedIdeal, all_ideals, annihilator,
                             multiply_ideal, orthogonal, phi_preimage,
                             principal)
 from ringinv.linalg import Subspace
-from ringinv.rings import _MR_EXACT, MatF, MatQ, Zn, divisors, ring_from_name
+from ringinv.rings import (_MR_EXACT, MatF, MatQ, MatrixRing, Zn, divisors,
+                           ring_from_name)
 
 Z6 = Zn(6)
 M2F2 = MatF(2, 2)
@@ -219,8 +220,9 @@ def test_members_canonical_order():
 
 def test_size_counts_without_listing(monkeypatch):
     def refuse(self):
-        raise AssertionError("listed the vectors of a subspace")
-    monkeypatch.setattr(Subspace, "vectors", refuse)
+        raise AssertionError("listed the members of an ideal")
+    monkeypatch.setattr(SidedIdeal, "members", refuse)
+    monkeypatch.setattr(MatrixRing, "elements", refuse)
     assert principal(MatF(6, 7).one, RIGHT).size() == 7 ** 36
     assert principal(M2F2.parse([[1, 0], [0, 0]]), LEFT).size() == 4
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from ringinv import linalg
 from ringinv.errors import BudgetError
-from ringinv.linalg import (QQ, PrimeField, Subspace, full_subspace, identity,
-                            is_direct_sum, mat_inverse, mat_mul,
-                            nullspace_basis, projection_matrix, rank, rref,
-                            solve_matrix, transpose)
+from ringinv.linalg import (QQ, PrimeField, Subspace, identity, mat_inverse,
+                            mat_mul, nullspace_basis, projection_matrix, rank,
+                            rref, solve_matrix, transpose)
+from ringinv.rings import RIGHT, MatF
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -102,20 +102,29 @@ def test_subspace_canonical_representation():
     assert not u.contains((1, 0))
 
 
+def vectors(u):
+    """Every vector of a subspace over GF(p), in product order."""
+    return [v for v in itertools.product(range(u.field.p), repeat=u.ambient)
+            if u.contains(v)]
+
+
 def test_subspace_lattice_operations():
     u = Subspace.from_vectors(F2, 3, [(1, 0, 0), (0, 1, 0)])
     v = Subspace.from_vectors(F2, 3, [(0, 1, 0), (0, 0, 1)])
+    whole = Subspace(F2, 3, identity(F2, 3))
     w = u.intersect(v)
     assert w.dim == 1 and w.contains((0, 1, 0))
-    assert u.sum(v) == full_subspace(F2, 3)
-    assert u.perp().perp() == u
+    assert Subspace(F2, 3, u.basis + v.basis) == whole
+    assert u.intersect(whole) == whole.intersect(u) == u
+    assert u.preimage(identity(F2, 3)) == u
 
 
 def test_subspace_complement_and_vectors():
     u = Subspace.from_vectors(F2, 2, [(1, 1)])
     c = u.complement()
-    assert is_direct_sum(u, c)
-    assert u.vectors() == [(0, 0), (1, 1)]
+    assert c == Subspace(F2, 2, ((1, 0),))
+    assert projection_matrix(u, c) is not None
+    assert vectors(u) == [(0, 0), (1, 1)]
 
 
 def test_projection_matrix_laws():
@@ -125,6 +134,33 @@ def test_projection_matrix_laws():
     assert mat_mul(QQ, p, p) == p
     assert images(QQ, p, u.basis) == u.basis
     assert images(QQ, p, v.basis) == ((0, 0),)
+    assert projection_matrix(u, u) is None
+    assert projection_matrix(u, Subspace(QQ, 2)) is None
+
+
+def test_each_subspace_question_is_one_elimination(monkeypatch):
+    """The meet, the complement and the preimage take one elimination and
+    the constructor's canonical RREF; the projector one inverse."""
+    calls = []
+    reduce_rows = linalg.rref
+
+    def counting(field, rows):
+        calls.append(len(rows))
+        return reduce_rows(field, rows)
+
+    u = Subspace.from_vectors(F5, 3, [(1, 2, 0), (0, 1, 4)])
+    v = Subspace.from_vectors(F5, 3, [(1, 1, 1), (2, 0, 3)])
+    a = ((1, 2, 3), (0, 4, 1), (2, 2, 0))
+    monkeypatch.setattr(linalg, "rref", counting)
+    for answer in (lambda: u.intersect(v), u.complement,
+                   lambda: u.preimage(a)):
+        calls.clear()
+        answer()
+        assert len(calls) == 2
+    w = Subspace(F5, 3, ((0, 0, 1),))
+    calls.clear()
+    assert projection_matrix(u, w) is not None
+    assert calls == [3]
 
 
 @st.composite
@@ -442,3 +478,110 @@ def test_pivot_membership_matches_the_rank_definition_exhaustively(field, n):
             w = Subspace(field, n, (v,))
             assert all(map(w.contains, u.basis)) == (
                 rank(field, w.basis + u.basis) == w.dim)
+
+
+# -- the subspace answers against their set definitions ----------------------
+
+@st.composite
+def subspace_case(draw):
+    """(field, u, v, a) over GF(2), GF(3) or GF(5) with n <= 4: u and v
+    spanned by drawn vectors, or zero, or the whole space, v sometimes a
+    complement of u's own drawing; a an n x n matrix."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, field.p - 1)] * n)
+    gens = st.one_of(st.just(()), st.just(identity(field, n)),
+                     st.lists(vector, max_size=n + 1).map(tuple))
+    u, v = Subspace(field, n, draw(gens)), Subspace(field, n, draw(gens))
+    a = tuple(draw(vector) for _ in range(n))
+    return field, u, v, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_case())
+def test_intersect_is_the_set_intersection(case):
+    _, u, v, _ = case
+    assert vectors(u.intersect(v)) == sorted(set(vectors(u))
+                                             & set(vectors(v)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_case())
+def test_preimage_is_the_set_preimage(case):
+    field, u, _, a = case
+    assert vectors(u.preimage(a)) == [
+        x for x in itertools.product(range(field.p), repeat=u.ambient)
+        if u.contains(images(field, a, (x,))[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_case())
+def test_complement_is_the_greedy_direct_summand(case):
+    field, u, _, _ = case
+    n = u.ambient
+    picked = ()
+    for e in identity(field, n):
+        if rank(field, u.basis + picked + (e,)) > u.dim + len(picked):
+            picked += (e,)
+    c = u.complement()
+    assert c == Subspace(field, n, picked)
+    assert c.dim + u.dim == n
+    assert vectors(u.intersect(c)) == [(0,) * n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_case())
+def test_projection_matrix_exactly_on_direct_sums(case):
+    field, u, v, _ = case
+    n = u.ambient
+    direct = u.dim + v.dim == n and rank(field, u.basis + v.basis) == n
+    for left, right in ((u, v), (u, u.complement())):
+        p = projection_matrix(left, right)
+        assert (p is None) == (not direct and right is v)
+        if p is not None:
+            assert mat_mul(field, p, p) == p
+            assert images(field, p, left.basis) == left.basis
+            assert all(not any(w) for w in images(field, p, right.basis))
+
+
+LATTICE_SIZES = {(2, 2): 5, (2, 3): 6, (2, 5): 8, (2, 7): 10, (3, 2): 16,
+                 (3, 3): 28, (4, 2): 67}
+
+
+@pytest.mark.parametrize("k, p", sorted(LATTICE_SIZES))
+def test_ideal_lattice_lists_each_subspace_once_in_order(k, p):
+    """Sums of Gaussian binomials: the subspaces of GF(p)^k."""
+    field = PrimeField(p)
+    reps = MatF(k, p).ideal_reps(RIGHT)
+    assert len(reps) == len(set(reps)) == LATTICE_SIZES[(k, p)]
+    for s in reps:
+        assert rref(field, s.basis) == (s.basis, s.pivots)
+    keys = [(s.dim, s.basis) for s in reps]
+    assert keys == sorted(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(q_matrix(cols=n), q_matrix(cols=n))))
+def test_intersect_and_projection_agree_with_sympy_over_q(uv):
+    """The meet from the nullspace of [U^T | -V^T], and the projector as
+    M diag(I, 0) M^-1 with M the two bases as columns."""
+    sympy = pytest.importorskip("sympy")
+    n = len(uv[0][0])
+    u, v = (Subspace(QQ, n, gens) for gens in uv)
+    ut, vt = _sympy(u.basis).T, _sympy(v.basis).T
+    meet = ()
+    if u.dim and v.dim:
+        meet = tuple(_from_sympy(ut * z[:u.dim, :])
+                     for z in ut.row_join(-vt).nullspace())
+    assert u.intersect(v) == Subspace(QQ, n, meet)
+    for w in (v, u.complement()):
+        want = None
+        if u.dim + w.dim == n:
+            want = ((Fraction(0),) * n,) * n
+        if want and u.dim:
+            m = ut.row_join(_sympy(w.basis).T) if w.dim else ut
+            d = sympy.diag(*([1] * u.dim + [0] * w.dim))
+            want = (tuple(map(_from_sympy, (m * d * m.inv()).tolist()))
+                    if m.det() else None)
+        assert projection_matrix(u, w) == want

@@ -4,8 +4,9 @@ import pytest
 
 from ringinv import cli, ideals, oracle, prescribed, special
 from ringinv.errors import PreconditionError, VerificationError
-from ringinv.geninv import (InverseReport, core_inverse, dual_core_inverse,
-                            group_inverse, moore_penrose, satisfies)
+from ringinv.geninv import (NAMED_SYSTEMS, InverseReport, core_inverse,
+                            dual_core_inverse, group_inverse, moore_penrose,
+                            satisfies)
 from ringinv.oracle import star_class_identity_report, star_class_membership
 from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
                              bott_duffin_inverse, djordjevic_wei_inverse,
@@ -13,7 +14,7 @@ from ringinv.special import (BC_FLAVORS, PQ_FLAVORS, bc_inverse,
                              left_v_dual_core, pq_inverse, right_w_core,
                              star_class_set, v_dual_core, w_core,
                              weighted_mp)
-from ringinv.rings import MatF, MatQ, MatrixRing, Zn
+from ringinv.rings import MatF, MatQ, MatrixRing, ModularRing, Zn
 
 M2Q = MatQ(2)
 M2F2 = MatF(2, 2)
@@ -258,6 +259,27 @@ def test_core_like_candidate_with_the_wrong_rx_raises(
     assert "Traceback" not in err
 
 
+def test_weighted_mp_candidate_failing_its_symmetry_raises(monkeypatch,
+                                                          capsys):
+    # the reflexive x with xR = f^-1 a* R and rann(x) = rann(a* e) has
+    # (eax)* = eax and (fxa)* = fxa: a candidate without them is an
+    # internal error, not "none"
+    def asymmetric(a, cons, reflexive=False):
+        return InverseReport("reflexive-prescribed", True,
+                             a.ring.parse([[0, 1], [0, 0]]),
+                             satisfied=("1", "2"))
+
+    monkeypatch.setattr(special, "outer_with", asymmetric)
+    with pytest.raises(VerificationError, match=r"\(eax\)\* = eax"):
+        weighted_mp(A, I2, I2)
+    code = cli.main(["compute", "--ring", "m2q", "--element",
+                     '[["2","-2"],["0","0"]]', "--inverse", "ef-mp"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == "" and "(eax)* = eax" in err
+    assert "Traceback" not in err
+
+
 def test_djordjevic_wei_does_not_recheck_phi_preimages(monkeypatch):
     calls = _count_calls(monkeypatch, ideals, "phi_preimage",
                          ideals.phi_preimage)
@@ -446,3 +468,48 @@ def test_pq_bott_duffin_flavor_against_brute_force(ring):
                 found.add((q is None, rep.exists))
     assert found == {(none, exists) for none in (False, True)
                      for exists in (False, True)}
+
+
+class ZnWithIdentity(ModularRing):
+    """Z_n with the identity as its involution: a *-ring that is not
+    regular unless n is squarefree."""
+
+    has_involution = True
+
+    def involute(self, a):
+        return a
+
+    def __eq__(self, other):
+        return isinstance(other, ZnWithIdentity) and other.n == self.n
+
+    def __hash__(self):
+        return hash(("ZnWithIdentity", self.n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 16])
+def test_star_inverses_on_a_non_regular_star_ring(n):
+    # Moore-Penrose, core and dual core are the unique solutions of their
+    # systems, and the one-sided core sets are their defining equations
+    # on every x, for every a and (a, w); a{1,3} is empty where a* a is
+    # not regular, and the one-sided sets where aw or wa is not
+    ring = ZnWithIdentity(n)
+    assert ring != Zn(n) and Zn(n) != ring
+    elements = ring.elements()
+    for a in elements:
+        for name, compute in (("moore-penrose", moore_penrose),
+                              ("core", core_inverse),
+                              ("dual-core", dual_core_inverse)):
+            want = [x for x in elements
+                    if satisfies(a, x, NAMED_SYSTEMS[name])]
+            rep = compute(a)
+            assert rep.exists == bool(want), (name, a)
+            assert want == ([rep.value] if want else [])
+        for w in elements:
+            right = [x for x in elements
+                     if a * w * x * a == a and a * w * x * x == x]
+            left = [x for x in elements
+                    if a * x * w * a == a and x * x * w * a == x]
+            for rep, want in ((right_w_core(a, w), right),
+                              (left_v_dual_core(a, w), left)):
+                assert rep.exists == bool(want), (a, w)
+                assert rep.extra.get("members", []) == want, (a, w)
